@@ -17,8 +17,10 @@
 //!   giving `O(log n)` touch/evict without unsafe linked-list code.
 //! * **TTL** — entries may carry a deadline from the injected
 //!   [`Clock`](cryptext_common::Clock); expired entries are never returned
-//!   and are reaped lazily on access plus explicitly via
-//!   [`Cache::sweep_expired`]. A [`SimClock`](cryptext_common::SimClock)
+//!   and are reaped lazily on access, by an insert into a full shard, and
+//!   explicitly via [`Cache::sweep_expired`]. Each shard keeps a lower
+//!   bound on its entries' deadlines, so a reap only scans a shard once
+//!   that bound has passed. A [`SimClock`](cryptext_common::SimClock)
 //!   makes expiry fully deterministic in tests.
 //! * **Statistics** — hits/misses/evictions/expirations are atomic counters;
 //!   the architecture experiment (Fig. 5) reports the hit rate.
@@ -96,6 +98,12 @@ struct Entry<V> {
 struct Shard<K, V> {
     map: FxHashMap<K, Entry<V>>,
     recency: BTreeMap<u64, K>,
+    /// A lower bound on every entry's deadline (`Timestamp::MAX` when no
+    /// entry carries one). Inserts lower it, removals leave it alone, and
+    /// a reap resets it to the earliest surviving deadline, so while
+    /// `now < earliest_expiry` nothing in the shard can have expired —
+    /// whatever the clock did in between.
+    earliest_expiry: Timestamp,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
@@ -103,7 +111,37 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         Shard {
             map: FxHashMap::default(),
             recency: BTreeMap::new(),
+            earliest_expiry: Timestamp::MAX,
         }
+    }
+
+    /// Remove every entry whose deadline is at or before `now`; returns
+    /// how many were removed. Skips the scan when `earliest_expiry`
+    /// proves nothing has expired.
+    fn reap_expired(&mut self, now: Timestamp) -> usize {
+        if now < self.earliest_expiry {
+            return 0;
+        }
+        let Shard {
+            map,
+            recency,
+            earliest_expiry,
+        } = self;
+        let before = map.len();
+        let mut earliest = Timestamp::MAX;
+        map.retain(|_, e| match e.expires_at {
+            Some(t) if t <= now => {
+                recency.remove(&e.tick);
+                false
+            }
+            Some(t) => {
+                earliest = earliest.min(t);
+                true
+            }
+            None => true,
+        });
+        *earliest_expiry = earliest;
+        before - map.len()
     }
 }
 
@@ -180,17 +218,8 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         // At capacity: reap this shard's expired entries first so a dead
         // entry never forces a live one out. Only then fall back to LRU.
         if shard.map.len() >= self.per_shard_capacity {
-            let dead: Vec<(u64, K)> = shard
-                .map
-                .iter()
-                .filter(|(_, e)| e.expires_at.is_some_and(|t| t <= now))
-                .map(|(k, e)| (e.tick, k.clone()))
-                .collect();
-            for (dead_tick, k) in dead {
-                shard.map.remove(&k);
-                shard.recency.remove(&dead_tick);
-                self.expirations.inc();
-            }
+            let reaped = shard.reap_expired(now);
+            self.expirations.add(reaped as u64);
         }
         // Evict least-recently-used while still at capacity.
         while shard.map.len() >= self.per_shard_capacity {
@@ -202,6 +231,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             } else {
                 break;
             }
+        }
+        if let Some(t) = expires_at {
+            shard.earliest_expiry = shard.earliest_expiry.min(t);
         }
         shard.recency.insert(tick, key.clone());
         shard.map.insert(
@@ -279,6 +311,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             let mut s = shard.lock();
             s.map.clear();
             s.recency.clear();
+            s.earliest_expiry = Timestamp::MAX;
         }
     }
 
@@ -293,24 +326,15 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     }
 
     /// Eagerly remove all expired entries; returns how many were reaped.
+    /// Shards whose `earliest_expiry` is still ahead of the clock are
+    /// skipped without a scan.
     pub fn sweep_expired(&self) -> usize {
         let now = self.clock.now();
-        let mut reaped = 0usize;
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            let dead: Vec<K> = s
-                .map
-                .iter()
-                .filter(|(_, e)| e.expires_at.is_some_and(|t| t <= now))
-                .map(|(k, _)| k.clone())
-                .collect();
-            for k in dead {
-                if let Some(e) = s.map.remove(&k) {
-                    s.recency.remove(&e.tick);
-                    reaped += 1;
-                }
-            }
-        }
+        let reaped: usize = self
+            .shards
+            .iter()
+            .map(|shard| shard.lock().reap_expired(now))
+            .sum();
         self.expirations.add(reaped as u64);
         reaped
     }
@@ -517,6 +541,76 @@ mod tests {
     }
 
     #[test]
+    fn earliest_expiry_gates_the_reap_scan() {
+        let (c, clock) = sim_cache(3, None);
+        let earliest = |c: &Cache<String, u32>| c.shards[0].lock().earliest_expiry;
+        assert_eq!(earliest(&c), Timestamp::MAX, "empty shard");
+
+        // Inserts lower the bound; immortal entries leave it alone.
+        c.insert_with_ttl("a".into(), 1, 100);
+        assert_eq!(earliest(&c), 100);
+        c.insert_with_ttl("b".into(), 2, 50);
+        assert_eq!(earliest(&c), 50);
+        c.insert("c".into(), 3);
+        assert_eq!(earliest(&c), 50);
+        // Removals leave it alone: it stays a (now loose) lower bound.
+        assert_eq!(c.remove(&"b".into()), Some(2));
+        assert_eq!(earliest(&c), 50);
+        c.insert_with_ttl("d".into(), 4, 500);
+        assert_eq!(c.len(), 3);
+
+        // At capacity with the bound passed but nothing expired: the scan
+        // runs, finds nothing, tightens the bound, and exactly one LRU
+        // entry ("a") is evicted.
+        clock.advance(60);
+        c.insert_with_ttl("e".into(), 5, 1_000);
+        assert_eq!(earliest(&c), 100, "reset to the earliest survivor, a");
+        assert_eq!(c.get(&"a".into()), None, "a was the LRU entry");
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.stats().expirations, 0);
+
+        // At capacity with an expired entry: it is reaped before any live
+        // entry is evicted, and the bound moves to the survivors.
+        clock.advance(540); // now 600: d (500) expired, e (1060) live
+        c.insert("f".into(), 6);
+        assert_eq!(earliest(&c), 1_060);
+        assert_eq!(c.get(&"d".into()), None);
+        assert_eq!(c.get(&"c".into()), Some(3), "live entry survived");
+        assert_eq!(c.stats().evictions, 1, "no eviction this time");
+        assert_eq!(c.stats().expirations, 1);
+
+        // Bound ahead of the clock: no scan, straight to one LRU eviction
+        // (e, since the get above refreshed c). The bound stays put.
+        c.insert("g".into(), 7);
+        assert_eq!(c.stats().evictions, 2);
+        assert_eq!(c.stats().expirations, 1);
+        assert_eq!(c.len(), 3);
+        assert_eq!(earliest(&c), 1_060);
+        c.insert_with_ttl("h".into(), 8, 900); // deadline 1500; evicts f
+        assert_eq!(c.stats().evictions, 3);
+        assert_eq!(earliest(&c), 1_060, "a later deadline never raises it");
+
+        // A clock that jumps back never makes a live entry look dead.
+        clock.set(0);
+        assert_eq!(c.sweep_expired(), 0);
+        assert_eq!(earliest(&c), 1_060);
+
+        // Sweeps reap through the same rule and reset the bound.
+        clock.set(2_000);
+        assert_eq!(c.sweep_expired(), 1, "h expired");
+        assert_eq!(earliest(&c), Timestamp::MAX, "only immortal entries left");
+        assert_eq!(c.stats().expirations, 2);
+        assert_eq!(c.get(&"c".into()), Some(3));
+        assert_eq!(c.get(&"g".into()), Some(7));
+
+        // Clear resets the bound.
+        c.insert_with_ttl("i".into(), 9, 10);
+        assert_eq!(earliest(&c), 2_010);
+        c.clear();
+        assert_eq!(earliest(&c), Timestamp::MAX);
+    }
+
+    #[test]
     fn retain_keys_removes_only_failing_keys() {
         let (c, _) = sim_cache(10, None);
         for i in 0..6 {
@@ -631,7 +725,9 @@ mod proptests {
         Get(u8),
         Remove(u8),
         Advance(u16),
+        Rewind(u16),
         Sweep,
+        Clear,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -645,7 +741,9 @@ mod proptests {
             any::<u8>().prop_map(Op::Get),
             any::<u8>().prop_map(Op::Remove),
             any::<u16>().prop_map(Op::Advance),
+            any::<u16>().prop_map(Op::Rewind),
             Just(Op::Sweep),
+            Just(Op::Clear),
         ]
     }
 
@@ -653,6 +751,8 @@ mod proptests {
         /// Model check against a simple reference map: the cache never
         /// returns a value that the reference says is absent or expired,
         /// never exceeds capacity, and hits always return the last insert.
+        /// The shard's `earliest_expiry` stays a lower bound on every
+        /// stored deadline, even when the clock moves backwards.
         #[test]
         fn model_equivalence(ops in proptest::collection::vec(op_strategy(), 1..120)) {
             let clock = SimClock::new(0);
@@ -695,11 +795,26 @@ mod proptests {
                     Op::Advance(ms) => {
                         clock.advance(ms as u64);
                     }
+                    Op::Rewind(ms) => {
+                        clock.set(clock.now().saturating_sub(ms as u64));
+                    }
                     Op::Sweep => {
                         cache.sweep_expired();
                     }
+                    Op::Clear => {
+                        cache.clear();
+                        reference.clear();
+                    }
                 }
                 prop_assert!(cache.len() <= capacity);
+                let shard = cache.shards[0].lock();
+                let min_deadline = shard.map.values().filter_map(|e| e.expires_at).min();
+                prop_assert!(
+                    min_deadline.is_none_or(|t| shard.earliest_expiry <= t),
+                    "earliest_expiry {} above a stored deadline {:?}",
+                    shard.earliest_expiry,
+                    min_deadline
+                );
             }
         }
     }

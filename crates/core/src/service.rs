@@ -25,7 +25,7 @@
 //! writer) on a single exclusive lock.
 
 use std::cell::RefCell;
-use std::hash::Hasher;
+use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -142,11 +142,14 @@ thread_local! {
     static NORMALIZE_SCRATCH: RefCell<NormalizeScratch> = RefCell::new(NormalizeScratch::new());
 }
 
-/// A compact 128-bit hashed cache key: two independently-salted fx digests
-/// of the request material. Replaces the old per-request `String` key —
-/// no allocation, fixed size, and the collision probability of two live
-/// requests aliasing 128 bits of digest is negligible next to hardware
-/// fault rates.
+/// A compact 128-bit hashed cache key: an fx digest and a SipHash-1-3
+/// digest of the request material. Replaces the old per-request `String`
+/// key — no allocation, fixed size. The two halves come from different
+/// hash functions because FxHash is not collision-resistant on its own:
+/// inputs that differ only in a word's top byte (`diagNOSig`/`diagNOSIs`)
+/// collide under any salt. SipHash has no such structure, and std's
+/// `DefaultHasher::new()` uses fixed keys, so tier-2 keys still agree
+/// across replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     hi: u64,
@@ -159,13 +162,12 @@ impl CacheKey {
     }
 }
 
-/// Hash the same material twice under different salts into one 128-bit key.
-fn two_point_hash(write: impl Fn(&mut FxHasher)) -> CacheKey {
+/// Hash the same material with FxHash and SipHash into one 128-bit key.
+fn two_point_hash(write: impl Fn(&mut dyn Hasher)) -> CacheKey {
     let mut a = FxHasher::default();
     a.write_u64(0x9E37_79B9_7F4A_7C15);
     write(&mut a);
-    let mut b = FxHasher::default();
-    b.write_u64(0xC2B2_AE3D_27D4_EB4F);
+    let mut b = DefaultHasher::new();
     write(&mut b);
     CacheKey {
         hi: a.finish(),
@@ -948,6 +950,28 @@ mod tests {
             Arc::new(clock.clone()),
         );
         (svc, clock)
+    }
+
+    #[test]
+    fn lookup_keys_do_not_collide_on_fx_structure() {
+        // FxHash differences confined to a word's top byte survive any
+        // salt, so two fx digests keyed these two queries identically and
+        // the second lookup was served the first one's hits.
+        let mut db = TokenDatabase::in_memory();
+        db.ingest_text("diagnosig diagnosis");
+        let svc = CryptextService::new(
+            CrypText::new(db),
+            ServiceConfig::default(),
+            Arc::new(SimClock::new(0)),
+        );
+        let tok = svc.issue_token("collide");
+        let params = LookupParams::paper_default();
+        for query in ["diagNOSig", "diagNOSIs"] {
+            let want =
+                crate::lookup::look_up_naive(svc.system().database(), query, params).unwrap();
+            assert_eq!(svc.look_up(&tok, query, params).unwrap(), want, "{query}");
+        }
+        assert_eq!(svc.cache_stats().hits, 0, "distinct queries, distinct keys");
     }
 
     #[test]

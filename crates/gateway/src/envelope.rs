@@ -132,11 +132,14 @@ impl RouteOutput {
     }
 
     /// The wire body: a JSON document per route (see `crates/http`'s
-    /// README for the exact shapes).
+    /// README for the exact shapes). Written straight into one `String`
+    /// pre-sized from the item count, through the allocation-free
+    /// [`jsonfmt`] writers.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
+        let mut out;
         match self {
             RouteOutput::Lookup(hits) => {
+                out = String::with_capacity(16 + 80 * hits.len());
                 out.push_str("{\"hits\":[");
                 for (i, h) in hits.iter().enumerate() {
                     if i > 0 {
@@ -144,14 +147,23 @@ impl RouteOutput {
                     }
                     out.push_str("{\"token\":");
                     jsonfmt::push_str_escaped(&mut out, &h.token);
-                    out.push_str(&format!(
-                        ",\"count\":{},\"distance\":{},\"is_english\":{}}}",
-                        h.count, h.distance, h.is_english
-                    ));
+                    out.push_str(",\"count\":");
+                    jsonfmt::push_uint(&mut out, h.count);
+                    out.push_str(",\"distance\":");
+                    jsonfmt::push_uint(&mut out, h.distance as u64);
+                    out.push_str(if h.is_english {
+                        ",\"is_english\":true}"
+                    } else {
+                        ",\"is_english\":false}"
+                    });
                 }
                 out.push_str("]}");
             }
             RouteOutput::Normalize(r) => {
+                let candidates: usize = r.corrections.iter().map(|c| c.candidates.len()).sum();
+                out = String::with_capacity(
+                    32 + 2 * r.text.len() + 128 * r.corrections.len() + 64 * candidates,
+                );
                 out.push_str("{\"text\":");
                 jsonfmt::push_str_escaped(&mut out, &r.text);
                 out.push_str(",\"corrections\":[");
@@ -163,29 +175,31 @@ impl RouteOutput {
                     jsonfmt::push_str_escaped(&mut out, &c.original);
                     out.push_str(",\"replacement\":");
                     jsonfmt::push_str_escaped(&mut out, &c.replacement);
-                    out.push_str(&format!(
-                        ",\"start\":{},\"end\":{},\"score\":{},\"candidates\":[",
-                        c.span.start,
-                        c.span.end,
-                        jsonfmt::float(c.score)
-                    ));
+                    out.push_str(",\"start\":");
+                    jsonfmt::push_uint(&mut out, c.span.start as u64);
+                    out.push_str(",\"end\":");
+                    jsonfmt::push_uint(&mut out, c.span.end as u64);
+                    out.push_str(",\"score\":");
+                    jsonfmt::push_float(&mut out, c.score);
+                    out.push_str(",\"candidates\":[");
                     for (j, cand) in c.candidates.iter().enumerate() {
                         if j > 0 {
                             out.push(',');
                         }
                         out.push_str("{\"word\":");
                         jsonfmt::push_str_escaped(&mut out, &cand.word);
-                        out.push_str(&format!(
-                            ",\"score\":{},\"distance\":{}}}",
-                            jsonfmt::float(cand.score),
-                            cand.distance
-                        ));
+                        out.push_str(",\"score\":");
+                        jsonfmt::push_float(&mut out, cand.score);
+                        out.push_str(",\"distance\":");
+                        jsonfmt::push_uint(&mut out, cand.distance as u64);
+                        out.push('}');
                     }
                     out.push_str("]}");
                 }
                 out.push_str("]}");
             }
             RouteOutput::Perturb(o) => {
+                out = String::with_capacity(48 + 2 * o.text.len() + 96 * o.replacements.len());
                 out.push_str("{\"text\":");
                 jsonfmt::push_str_escaped(&mut out, &o.text);
                 out.push_str(",\"replacements\":[");
@@ -197,12 +211,15 @@ impl RouteOutput {
                     jsonfmt::push_str_escaped(&mut out, &r.original);
                     out.push_str(",\"replacement\":");
                     jsonfmt::push_str_escaped(&mut out, &r.replacement);
-                    out.push_str(&format!(
-                        ",\"start\":{},\"end\":{}}}",
-                        r.span.start, r.span.end
-                    ));
+                    out.push_str(",\"start\":");
+                    jsonfmt::push_uint(&mut out, r.span.start as u64);
+                    out.push_str(",\"end\":");
+                    jsonfmt::push_uint(&mut out, r.span.end as u64);
+                    out.push('}');
                 }
-                out.push_str(&format!("],\"misses\":{}}}", o.misses));
+                out.push_str("],\"misses\":");
+                jsonfmt::push_uint(&mut out, o.misses as u64);
+                out.push('}');
             }
         }
         out
@@ -266,11 +283,127 @@ impl Response {
     }
 }
 
+/// The `format!`-based renderer [`RouteOutput::to_json`] replaced, with
+/// the escaper and float formatter it used, kept as the byte-identity
+/// reference for the proptest below.
+#[cfg(test)]
+mod reference {
+    use super::RouteOutput;
+    use std::fmt::Write as _;
+
+    fn push_str_escaped(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 || (c as u32) > 0x7E => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        let _ = write!(out, "\\u{unit:04x}");
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn float(x: f64) -> String {
+        if x.is_finite() {
+            format!("{x}")
+        } else {
+            "null".to_string()
+        }
+    }
+
+    pub(super) fn to_json(output: &RouteOutput) -> String {
+        let mut out = String::with_capacity(128);
+        match output {
+            RouteOutput::Lookup(hits) => {
+                out.push_str("{\"hits\":[");
+                for (i, h) in hits.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str("{\"token\":");
+                    push_str_escaped(&mut out, &h.token);
+                    out.push_str(&format!(
+                        ",\"count\":{},\"distance\":{},\"is_english\":{}}}",
+                        h.count, h.distance, h.is_english
+                    ));
+                }
+                out.push_str("]}");
+            }
+            RouteOutput::Normalize(r) => {
+                out.push_str("{\"text\":");
+                push_str_escaped(&mut out, &r.text);
+                out.push_str(",\"corrections\":[");
+                for (i, c) in r.corrections.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str("{\"original\":");
+                    push_str_escaped(&mut out, &c.original);
+                    out.push_str(",\"replacement\":");
+                    push_str_escaped(&mut out, &c.replacement);
+                    out.push_str(&format!(
+                        ",\"start\":{},\"end\":{},\"score\":{},\"candidates\":[",
+                        c.span.start,
+                        c.span.end,
+                        float(c.score)
+                    ));
+                    for (j, cand) in c.candidates.iter().enumerate() {
+                        if j > 0 {
+                            out.push(',');
+                        }
+                        out.push_str("{\"word\":");
+                        push_str_escaped(&mut out, &cand.word);
+                        out.push_str(&format!(
+                            ",\"score\":{},\"distance\":{}}}",
+                            float(cand.score),
+                            cand.distance
+                        ));
+                    }
+                    out.push_str("]}");
+                }
+                out.push_str("]}");
+            }
+            RouteOutput::Perturb(o) => {
+                out.push_str("{\"text\":");
+                push_str_escaped(&mut out, &o.text);
+                out.push_str(",\"replacements\":[");
+                for (i, r) in o.replacements.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str("{\"original\":");
+                    push_str_escaped(&mut out, &r.original);
+                    out.push_str(",\"replacement\":");
+                    push_str_escaped(&mut out, &r.replacement);
+                    out.push_str(&format!(
+                        ",\"start\":{},\"end\":{}}}",
+                        r.span.start, r.span.end
+                    ));
+                }
+                out.push_str(&format!("],\"misses\":{}}}", o.misses));
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cryptext_core::normalize::{Candidate, Correction};
     use cryptext_core::perturb::AppliedPerturbation;
+    use proptest::prelude::*;
 
     #[test]
     fn params_variant_selects_the_route() {
@@ -347,6 +480,109 @@ mod tests {
                 r#""replacement":"vacc1ne","start":4,"end":11}],"misses":2}"#
             )
         );
+    }
+
+    /// Characters from every class the escaper distinguishes, from
+    /// printable ASCII and controls to U+2028 and astral code points.
+    fn any_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            proptest::char::range(' ', '~'),
+            proptest::char::range('\0', '\u{1F}'),
+            Just('"'),
+            Just('\\'),
+            Just('\u{7F}'),
+            Just('\u{2028}'),
+            proptest::char::range('\u{80}', '\u{FFFF}'),
+            proptest::char::range('\u{10000}', char::MAX),
+        ]
+    }
+
+    fn any_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(any_char(), 0..12).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// Every bit pattern (NaN payloads, subnormals, ±∞) plus the values
+    /// where `{}` switches notation or prints a sign.
+    fn any_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            any::<f64>(),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            Just(1e-7),
+            Just(1e21),
+        ]
+    }
+
+    fn any_output() -> impl Strategy<Value = RouteOutput> {
+        let hit = (any_string(), any::<u64>(), any::<usize>(), any::<bool>()).prop_map(
+            |(token, count, distance, is_english)| LookupHit {
+                token,
+                count,
+                distance,
+                is_english,
+            },
+        );
+        let candidate =
+            (any_string(), any_f64(), any::<usize>()).prop_map(|(word, score, distance)| {
+                Candidate {
+                    word,
+                    score,
+                    distance,
+                }
+            });
+        let correction = (
+            (any_string(), any_string()),
+            (any::<usize>(), any::<usize>()),
+            any_f64(),
+            proptest::collection::vec(candidate, 0..4),
+        )
+            .prop_map(
+                |((original, replacement), (start, end), score, candidates)| Correction {
+                    original,
+                    replacement,
+                    span: start..end,
+                    score,
+                    candidates,
+                },
+            );
+        let applied = (any_string(), any_string(), any::<usize>(), any::<usize>()).prop_map(
+            |(original, replacement, start, end)| AppliedPerturbation {
+                original,
+                replacement,
+                span: start..end,
+            },
+        );
+        prop_oneof![
+            proptest::collection::vec(hit, 0..6).prop_map(RouteOutput::Lookup),
+            (any_string(), proptest::collection::vec(correction, 0..4)).prop_map(
+                |(text, corrections)| RouteOutput::Normalize(NormalizationResult {
+                    text,
+                    corrections,
+                })
+            ),
+            (
+                any_string(),
+                proptest::collection::vec(applied, 0..4),
+                any::<usize>()
+            )
+                .prop_map(|(text, replacements, misses)| {
+                    RouteOutput::Perturb(PerturbationOutcome {
+                        text,
+                        replacements,
+                        misses,
+                    })
+                }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn to_json_is_byte_identical_to_the_format_reference(output in any_output()) {
+            prop_assert_eq!(output.to_json(), reference::to_json(&output));
+        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! [`CryptextService`], plus the pool-backed execution core and the
 //! graceful-drain path.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use cryptext_common::hash::{fx_hash_bytes, fx_hash_str};
+use cryptext_common::hash::fx_hash_bytes;
 use cryptext_common::metrics::MetricsRegistry;
 use cryptext_common::{failpoint, par, Error, Result};
 use cryptext_core::database::TokenDatabase;
@@ -145,10 +146,6 @@ pub struct Gateway<S: TokenStore + Send + Sync + 'static = TokenDatabase> {
     /// [`Served`] provenance in the flight value means coalesced
     /// followers inherit their leader's cache disposition.
     flights: Arc<SingleFlight<(RouteOutput, Served)>>,
-    /// Database generation mixed into coalescing keys: bumping it after
-    /// an ingest means new requests can never attach to a flight whose
-    /// leader read the pre-ingest store.
-    generation: AtomicU64,
     draining: AtomicBool,
     stats: Arc<GatewayStats>,
 }
@@ -184,7 +181,6 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
             config,
             routes,
             flights: Arc::new(SingleFlight::new()),
-            generation: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             stats,
         }
@@ -254,12 +250,14 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
     }
 
     /// Invalidate coalescing *and* the service's result caches across a
-    /// store mutation (call after ingest/reshard): in-flight leaders
-    /// finish and serve their cohort the pre-mutation result, no *new*
-    /// request joins them, and the version bump forwarded to the service
-    /// flushes every cached result (tier-1 keys + the tier-2 namespace).
+    /// store mutation (call after ingest/reshard). Forwards to
+    /// [`CryptextService::bump_generation`]: the service owns the one
+    /// generation counter, which every coalescing key embeds, so in-flight
+    /// leaders finish and serve their cohort the pre-mutation result, no
+    /// *new* request joins them, and every cached result (tier-1 keys +
+    /// the tier-2 namespace) is flushed. A bump made directly on the
+    /// service has the same effect.
     pub fn bump_generation(&self) {
-        self.generation.fetch_add(1, Ordering::AcqRel);
         self.service.bump_generation();
     }
 
@@ -478,17 +476,13 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
 
     // ---- typed endpoints ------------------------------------------------
 
-    /// Coalescing key for one endpoint invocation: route, exact input,
-    /// parameters, and the current DB generation.
-    fn coalesce_key(&self, material: &str) -> u64 {
-        let generation = self.generation.load(Ordering::Acquire);
-        fx_hash_bytes(
-            &[
-                fx_hash_str(material).to_le_bytes(),
-                generation.to_le_bytes(),
-            ]
-            .concat(),
-        )
+    /// Coalescing key for one endpoint invocation: `material` (route,
+    /// exact input, parameters) and the service's current generation,
+    /// hashed field by field with SipHash — no key string is built.
+    fn coalesce_key(&self, material: impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        (material, self.service.generation()).hash(&mut h);
+        h.finish()
     }
 
     /// The unified entry point: one [`Request`] in, one [`Response`]
@@ -506,13 +500,17 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
         // Snapshot before dispatch: the result is computed under *at
         // least* this generation (a concurrent bump splits the coalesce
         // key, so a stale flight can't serve a post-bump request).
-        let generation = self.generation.load(Ordering::Acquire);
+        let generation = self.service.generation();
         let input = req.input;
         let (output, served) = match req.params {
             RouteParams::Lookup(params) => {
-                let key = self.coalesce_key(&format!(
-                    "lookup\u{1}{input}\u{1}{}\u{1}{}\u{1}{}\u{1}{}",
-                    params.k, params.d, params.exclude_identity, params.observed_only
+                let key = self.coalesce_key((
+                    RouteClass::Lookup,
+                    input.as_str(),
+                    params.k,
+                    params.d,
+                    params.exclude_identity,
+                    params.observed_only,
                 ));
                 let flights = Arc::clone(&self.flights);
                 self.call_coalesced(
@@ -529,13 +527,14 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
                 )?
             }
             RouteParams::Normalize(params) => {
-                let key = self.coalesce_key(&format!(
-                    "normalize\u{1}{input}\u{1}{}\u{1}{}\u{1}{}\u{1}{}\u{1}{}",
+                let key = self.coalesce_key((
+                    RouteClass::Normalize,
+                    input.as_str(),
                     params.k,
                     params.d,
-                    params.edit_penalty,
-                    params.prior_weight,
-                    params.max_candidates
+                    params.edit_penalty.to_bits(),
+                    params.prior_weight.to_bits(),
+                    params.max_candidates,
                 ));
                 let flights = Arc::clone(&self.flights);
                 self.call_coalesced(
@@ -962,9 +961,65 @@ mod tests {
     #[test]
     fn bump_generation_splits_coalescing_keys() {
         let (gw, _) = small_gateway(1_000_000);
-        let before = gw.coalesce_key("lookup\u{1}x");
+        let before = gw.coalesce_key((RouteClass::Lookup, "x"));
         gw.bump_generation();
-        assert_ne!(before, gw.coalesce_key("lookup\u{1}x"));
+        assert_ne!(before, gw.coalesce_key((RouteClass::Lookup, "x")));
+    }
+
+    #[test]
+    fn a_bump_made_on_the_service_reaches_the_gateway() {
+        let (gw, _) = small_gateway(1_000_000);
+        let token = gw.service().issue_token("ingest");
+        let before = gw.coalesce_key((RouteClass::Lookup, "x"));
+        // An ingest path bumps the service directly, not the gateway.
+        assert_eq!(gw.service().bump_generation(), 1);
+        assert_ne!(
+            before,
+            gw.coalesce_key((RouteClass::Lookup, "x")),
+            "a post-ingest request must not join a pre-ingest flight"
+        );
+        let resp = gw
+            .handle(
+                &token,
+                Request::lookup("vaccine", LookupParams::paper_default()),
+            )
+            .unwrap();
+        assert_eq!(
+            resp.generation, 1,
+            "responses report the service generation"
+        );
+    }
+
+    #[test]
+    fn a_lone_coalesced_call_clones_nothing() {
+        #[derive(Debug)]
+        struct Counted(Arc<AtomicUsize>);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                Counted(Arc::clone(&self.0))
+            }
+        }
+        let (gw, _) = small_gateway(1_000_000);
+        let token = gw.service().issue_token("lone");
+        let clones = Arc::new(AtomicUsize::new(0));
+        let flights = Arc::new(SingleFlight::new());
+        let value = Counted(Arc::clone(&clones));
+        let out = gw.call_coalesced(
+            RouteClass::Lookup,
+            42,
+            &token,
+            CallOptions::default(),
+            &flights,
+            move |_, _| Ok(value.clone()),
+        );
+        assert!(out.is_ok());
+        assert_eq!(
+            clones.load(Ordering::SeqCst),
+            1,
+            "only the body's own clone: admission, settle and completion copy nothing"
+        );
+        assert_eq!(flights.in_flight(), 0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! generation, computed by the gateway) to the one **leader** executing
 //! it. Duplicates arriving while the leader runs attach as **followers**
 //! and receive the leader's exact result — `Ok` values are clones of the
-//! same bytes, errors are broadcast via
+//! same bytes (a leader nobody joined copies nothing), errors are
+//! broadcast via
 //! [`Error::duplicate`](cryptext_common::Error::duplicate) so a
 //! non-`Clone` error still reaches every waiter with its category and
 //! message intact.
@@ -163,7 +164,11 @@ impl<V: Clone> SingleFlight<V> {
     ///
     /// A promotable failure (see module docs) with followers still
     /// waiting leaves the flight abandoned for one of them to claim;
-    /// anything else broadcasts and retires the flight.
+    /// anything else broadcasts and retires the flight. With no follower
+    /// registered the flight just retires: nothing is copied, and the
+    /// leader's value moves on to its own caller untouched. The map lock
+    /// orders every `join` before this point, so no late follower can
+    /// attach to a flight retired this way.
     pub(crate) fn settle(&self, key: u64, result: &Result<V>) -> Settled {
         let mut map = lock(&self.flights);
         let Some(flight) = map.get(&key).map(Arc::clone) else {
@@ -184,6 +189,9 @@ impl<V: Clone> SingleFlight<V> {
             }
         }
         map.remove(&key);
+        if waiters == 0 {
+            return Settled::Done;
+        }
         *st = FlightState::Done(duplicate_result(result));
         drop(st);
         drop(map);
@@ -231,9 +239,96 @@ impl<V: Clone> SingleFlight<V> {
 mod tests {
     use super::*;
     use cryptext_common::{SimClock, SystemClock};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn frozen_deadline() -> Deadline {
         Deadline::new(Arc::new(SimClock::new(0)), 1_000)
+    }
+
+    /// Block until `n` followers are registered on `key`'s flight.
+    fn await_waiters<V>(sf: &SingleFlight<V>, key: u64, n: usize) {
+        loop {
+            let map = lock(&sf.flights);
+            let attached = map.get(&key).map(|f| match *lock(&f.state) {
+                FlightState::Running { waiters } => waiters,
+                _ => 0,
+            });
+            drop(map);
+            if attached == Some(n) {
+                return;
+            }
+            std::thread::sleep(WAIT_SLICE);
+        }
+    }
+
+    /// A value that counts its clones, so a test can see what settling
+    /// copies.
+    #[derive(Debug)]
+    struct Counted {
+        bytes: Vec<u8>,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::SeqCst);
+            Counted {
+                bytes: self.bytes.clone(),
+                clones: Arc::clone(&self.clones),
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_leader_copies_nothing_and_followers_get_exact_clones() {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let value = |bytes: &[u8]| Counted {
+            bytes: bytes.to_vec(),
+            clones: Arc::clone(&clones),
+        };
+        let sf: Arc<SingleFlight<Counted>> = Arc::new(SingleFlight::new());
+
+        // Leader-only flight: settling retires it without a copy.
+        assert!(matches!(sf.join(1), Join::Leader));
+        let lone = Ok(value(b"lone"));
+        assert_eq!(sf.settle(1, &lone), Settled::Done);
+        assert_eq!(
+            clones.load(Ordering::SeqCst),
+            0,
+            "no clone for a lone leader"
+        );
+        assert_eq!(sf.in_flight(), 0, "flight retired");
+        assert!(matches!(sf.join(1), Join::Leader), "the key leads afresh");
+        assert_eq!(sf.settle(1, &lone), Settled::Done);
+        assert_eq!(clones.load(Ordering::SeqCst), 0);
+
+        // With followers: each receives the leader's exact bytes.
+        const FOLLOWERS: usize = 4;
+        assert!(matches!(sf.join(2), Join::Leader));
+        let handles: Vec<_> = (0..FOLLOWERS)
+            .map(|_| {
+                let sf = Arc::clone(&sf);
+                std::thread::spawn(move || match sf.join(2) {
+                    Join::Follower(flight) => match sf.wait(&flight, &frozen_deadline()) {
+                        FollowerOutcome::Settled(r) => r.unwrap().bytes,
+                        _ => panic!("follower expected a settled result"),
+                    },
+                    Join::Leader => panic!("leader already exists"),
+                })
+            })
+            .collect();
+        await_waiters(&sf, 2, FOLLOWERS);
+        let shared = Ok(value(b"shared bytes"));
+        assert_eq!(sf.settle(2, &shared), Settled::Done);
+        for h in handles {
+            assert_eq!(h.join().unwrap(), b"shared bytes");
+        }
+        assert_eq!(
+            clones.load(Ordering::SeqCst),
+            FOLLOWERS + 1,
+            "one copy into the flight, one per follower"
+        );
+        assert_eq!(sf.in_flight(), 0);
     }
 
     #[test]
@@ -253,18 +348,7 @@ mod tests {
             }));
         }
         // Let every follower attach before settling.
-        loop {
-            let map = lock(&sf.flights);
-            let attached = map.get(&7).map(|f| match *lock(&f.state) {
-                FlightState::Running { waiters } => waiters,
-                _ => 0,
-            });
-            drop(map);
-            if attached == Some(3) {
-                break;
-            }
-            std::thread::sleep(WAIT_SLICE);
-        }
+        await_waiters(&sf, 7, 3);
         assert_eq!(sf.settle(7, &Ok(vec![1, 2, 3])), Settled::Done);
         for h in handles {
             assert_eq!(h.join().unwrap(), vec![1, 2, 3]);
@@ -319,18 +403,7 @@ mod tests {
                 Join::Leader => panic!("leader already exists"),
             }));
         }
-        loop {
-            let map = lock(&sf.flights);
-            let attached = map.get(&9).map(|f| match *lock(&f.state) {
-                FlightState::Running { waiters } => waiters,
-                _ => 0,
-            });
-            drop(map);
-            if attached == Some(2) {
-                break;
-            }
-            std::thread::sleep(WAIT_SLICE);
-        }
+        await_waiters(&sf, 9, 2);
 
         let overloaded = Error::Overloaded { retry_after_ms: 5 };
         assert_eq!(sf.settle(9, &Err(overloaded)), Settled::Abandoned);

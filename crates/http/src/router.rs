@@ -48,7 +48,7 @@ fn bad_param(name: &str, value: &str) -> WireResponse {
 
 fn method_not_allowed(allow: &'static str) -> WireResponse {
     let mut resp = WireResponse::error(405, "method_not_allowed", "see the Allow header");
-    resp.headers.push(("Allow", allow.to_string()));
+    resp.header("Allow", allow);
     resp
 }
 
@@ -176,8 +176,7 @@ pub(crate) fn route(req: &HttpRequest) -> Result<Routed, WireResponse> {
 pub(crate) fn bearer_token(req: &HttpRequest) -> Result<ApiToken, WireResponse> {
     let challenge = |message: &str| {
         let mut resp = WireResponse::error(401, "unauthorized", message);
-        resp.headers
-            .push(("WWW-Authenticate", "Bearer realm=\"cryptext\"".to_string()));
+        resp.header("WWW-Authenticate", "Bearer realm=\"cryptext\"");
         resp
     };
     match req.header("authorization") {
@@ -301,16 +300,10 @@ mod tests {
             .err()
             .unwrap();
         assert_eq!(resp.status, 405);
-        assert!(resp
-            .headers
-            .iter()
-            .any(|(n, v)| *n == "Allow" && v == "GET"));
+        assert_eq!(resp.header_value("Allow"), Some("GET"));
         let resp = route(&get("/normalize")).err().unwrap();
         assert_eq!(resp.status, 405);
-        assert!(resp
-            .headers
-            .iter()
-            .any(|(n, v)| *n == "Allow" && v == "POST"));
+        assert_eq!(resp.header_value("Allow"), Some("POST"));
     }
 
     #[test]
@@ -328,20 +321,14 @@ mod tests {
             .err()
             .unwrap();
         assert_eq!(resp.status, 405);
-        assert!(resp
-            .headers
-            .iter()
-            .any(|(n, v)| *n == "Allow" && v == "GET"));
+        assert_eq!(resp.header_value("Allow"), Some("GET"));
     }
 
     #[test]
     fn bearer_extraction() {
         let missing = bearer_token(&get("/lookup?q=x")).err().unwrap();
         assert_eq!(missing.status, 401);
-        assert!(missing
-            .headers
-            .iter()
-            .any(|(n, _)| *n == "WWW-Authenticate"));
+        assert!(missing.header_value("WWW-Authenticate").is_some());
 
         let basic = bearer_token(&req(
             "GET",

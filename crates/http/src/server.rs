@@ -326,7 +326,7 @@ fn respond<S: TokenStore + Send + Sync + 'static>(
         Routed::Health => (WireResponse::text(200, "ok\n"), false),
         Routed::Stats => {
             let mut resp = WireResponse::json(200, gateway.stats_report().to_json());
-            resp.headers.push(("Cache-Control", "no-store".to_string()));
+            resp.header("Cache-Control", "no-store");
             (resp, false)
         }
         Routed::Metrics => {
@@ -334,7 +334,7 @@ fn respond<S: TokenStore + Send + Sync + 'static>(
             // The Prometheus text exposition content type; scrapes must
             // always see live counters.
             resp.content_type = "text/plain; version=0.0.4";
-            resp.headers.push(("Cache-Control", "no-store".to_string()));
+            resp.header("Cache-Control", "no-store");
             (resp, false)
         }
         Routed::Api(api) => {
@@ -345,22 +345,19 @@ fn respond<S: TokenStore + Send + Sync + 'static>(
             match gateway.handle(&auth, api) {
                 Ok(response) => {
                     let mut resp = WireResponse::json(200, response.output.to_json());
-                    resp.headers
-                        .push(("X-Cryptext-Generation", response.generation.to_string()));
-                    resp.headers
-                        .push(("X-Cryptext-Cache", response.cache.label().to_string()));
+                    resp.header_uint("X-Cryptext-Generation", "", response.generation);
+                    resp.header("X-Cryptext-Cache", response.cache.label());
                     if response.cache.cacheable() {
                         // Freshness horizon = the tier-1 TTL: a fronting
                         // cache may hold the response as long as tier-1
                         // itself would.
                         let max_age = gateway.service().config().cache_ttl_ms / 1000;
-                        resp.headers
-                            .push(("Cache-Control", format!("public, max-age={max_age}")));
+                        resp.header_uint("Cache-Control", "public, max-age=", max_age);
                         if response.cache == CacheDisposition::Cold {
-                            resp.headers.push(("Age", "0".to_string()));
+                            resp.header("Age", "0");
                         }
                     } else {
-                        resp.headers.push(("Cache-Control", "no-store".to_string()));
+                        resp.header("Cache-Control", "no-store");
                     }
                     (resp, true)
                 }
@@ -368,7 +365,7 @@ fn respond<S: TokenStore + Send + Sync + 'static>(
                     let mut resp =
                         WireResponse::error(e.status_code(), e.kind_label(), &e.to_string());
                     if let Some(seconds) = e.retry_after() {
-                        resp.headers.push(("Retry-After", seconds.to_string()));
+                        resp.header_uint("Retry-After", "", seconds);
                     }
                     (resp, true)
                 }

@@ -348,7 +348,8 @@ pub fn reason(status: u16) -> &'static str {
 pub(crate) struct WireResponse {
     pub status: u16,
     pub content_type: &'static str,
-    pub headers: Vec<(&'static str, String)>,
+    /// Extra header lines, already rendered as `Name: value\r\n`.
+    headers: String,
     pub body: Vec<u8>,
     pub close: bool,
 }
@@ -358,7 +359,7 @@ impl WireResponse {
         WireResponse {
             status,
             content_type: "application/json",
-            headers: Vec::new(),
+            headers: String::new(),
             body: body.into_bytes(),
             close: false,
         }
@@ -368,10 +369,40 @@ impl WireResponse {
         WireResponse {
             status,
             content_type: "text/plain; charset=utf-8",
-            headers: Vec::new(),
+            headers: String::new(),
             body: body.as_bytes().to_vec(),
             close: false,
         }
+    }
+
+    /// Add the header line `name: value`.
+    pub(crate) fn header(&mut self, name: &str, value: &str) {
+        self.push_header_line(name, value, None);
+    }
+
+    /// Add the header line `name: {prefix}{n}`, rendering `n` without
+    /// allocating.
+    pub(crate) fn header_uint(&mut self, name: &str, prefix: &str, n: u64) {
+        self.push_header_line(name, prefix, Some(n));
+    }
+
+    fn push_header_line(&mut self, name: &str, prefix: &str, n: Option<u64>) {
+        let h = &mut self.headers;
+        h.push_str(name);
+        h.push_str(": ");
+        h.push_str(prefix);
+        if let Some(n) = n {
+            jsonfmt::push_uint(h, n);
+        }
+        h.push_str("\r\n");
+    }
+
+    /// The value of the first header line named `name` (tests).
+    #[cfg(test)]
+    pub(crate) fn header_value(&self, name: &str) -> Option<&str> {
+        self.headers
+            .split("\r\n")
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(": "))
     }
 
     /// The standard error body: `{"error":<label>,"message":<detail>}`.
@@ -383,24 +414,29 @@ impl WireResponse {
         jsonfmt::push_str_escaped(&mut body, message);
         body.push('}');
         let mut resp = WireResponse::json(status, body);
-        resp.headers.push(("Cache-Control", "no-store".to_string()));
+        resp.header("Cache-Control", "no-store");
         resp
     }
 
+    /// The status line, headers, and body as one buffer (one socket
+    /// write), sized up front.
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256 + self.body.len());
-        out.extend_from_slice(
-            format!("HTTP/1.1 {} {}\r\n", self.status, reason(self.status)).as_bytes(),
-        );
-        out.extend_from_slice(format!("Content-Type: {}\r\n", self.content_type).as_bytes());
-        out.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
-        for (name, value) in &self.headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
-        }
+        let mut head = String::with_capacity(128 + self.headers.len() + self.body.len());
+        head.push_str("HTTP/1.1 ");
+        jsonfmt::push_uint(&mut head, u64::from(self.status));
+        head.push(' ');
+        head.push_str(reason(self.status));
+        head.push_str("\r\nContent-Type: ");
+        head.push_str(self.content_type);
+        head.push_str("\r\nContent-Length: ");
+        jsonfmt::push_uint(&mut head, self.body.len() as u64);
+        head.push_str("\r\n");
+        head.push_str(&self.headers);
         if self.close {
-            out.extend_from_slice(b"Connection: close\r\n");
+            head.push_str("Connection: close\r\n");
         }
-        out.extend_from_slice(b"\r\n");
+        head.push_str("\r\n");
+        let mut out = head.into_bytes();
         out.extend_from_slice(&self.body);
         out
     }
@@ -437,13 +473,17 @@ mod tests {
     #[test]
     fn response_serialization_is_well_formed() {
         let mut resp = WireResponse::json(200, "{}".to_string());
-        resp.headers.push(("X-Test", "1".to_string()));
+        resp.header("X-Test", "1");
+        resp.header_uint("X-Gen", "g=", 42);
         resp.close = true;
         let bytes = resp.to_bytes();
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
-        assert!(text.contains("X-Test: 1\r\n"));
+        assert!(text.contains("X-Test: 1\r\nX-Gen: g=42\r\n"));
+        assert_eq!(resp.header_value("X-Gen"), Some("g=42"));
+        assert_eq!(resp.header_value("X-Test"), Some("1"));
+        assert_eq!(resp.header_value("X"), None);
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
     }
@@ -464,6 +504,55 @@ mod tests {
             200, 400, 401, 403, 404, 405, 408, 409, 413, 429, 431, 500, 501, 503, 504,
         ] {
             assert_ne!(reason(status), "Unknown", "status {status}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Query-ish text: the bytes the decoders treat specially (`%`, `+`,
+    /// `&`, `=`), hex digits to complete or half-complete escapes, and
+    /// arbitrary characters — multi-byte ones included, so an escape can
+    /// run into the middle of a UTF-8 sequence.
+    fn query_text() -> impl Strategy<Value = String> {
+        let c = prop_oneof![
+            Just('%'),
+            Just('+'),
+            Just('&'),
+            Just('='),
+            proptest::char::range('0', '9'),
+            proptest::char::range('a', 'f'),
+            proptest::char::range('A', 'F'),
+            proptest::char::range('\0', '\u{7F}'),
+            proptest::char::range('\u{80}', char::MAX),
+        ];
+        proptest::collection::vec(c, 0..40).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #[test]
+        fn percent_decode_never_panics(s in query_text()) {
+            let decoded = percent_decode(&s);
+            prop_assert!(decoded.len() <= 3 * s.len(), "lossy growth is bounded");
+            if !s.contains(['%', '+']) {
+                prop_assert_eq!(decoded, s, "nothing to decode");
+            }
+        }
+
+        #[test]
+        fn percent_encoding_every_byte_round_trips(s in query_text()) {
+            let encoded: String = s.bytes().map(|b| format!("%{b:02X}")).collect();
+            prop_assert_eq!(percent_decode(&encoded), s);
+        }
+
+        #[test]
+        fn parse_query_never_panics(s in query_text()) {
+            let pairs = parse_query(&s);
+            let parts = s.split('&').filter(|p| !p.is_empty()).count();
+            prop_assert_eq!(pairs.len(), parts, "one pair per non-empty part");
         }
     }
 }
