@@ -429,11 +429,12 @@ fn run_service_choreography() -> ServiceChoreography {
                 CallOptions::default(),
                 move |svc, _| {
                     latch.wait();
-                    svc.look_up_prechecked(
+                    svc.look_up_prechecked_traced(
                         "republicans",
                         LookupParams::paper_default(),
                         &mut || None,
                     )
+                    .map(|(hits, _)| hits)
                 },
             )
         }));
@@ -485,7 +486,12 @@ fn run_service_choreography() -> ServiceChoreography {
                 &flights,
                 move |svc, _| {
                     latch.wait();
-                    svc.look_up_prechecked("democrats", LookupParams::paper_default(), &mut || None)
+                    svc.look_up_prechecked_traced(
+                        "democrats",
+                        LookupParams::paper_default(),
+                        &mut || None,
+                    )
+                    .map(|(hits, _)| hits)
                 },
             )
         }));

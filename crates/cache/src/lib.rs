@@ -29,7 +29,7 @@
 
 pub mod store;
 
-pub use store::{CacheStore, LruCacheStore, SharedCacheStore, StoreStats, SHARED_PUT_FAILPOINT};
+pub use store::{CacheStore, SharedCacheStore, StoreStats, SHARED_PUT_FAILPOINT};
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};

@@ -1,4 +1,4 @@
-//! Tier-2 byte-valued cache stores behind one [`CacheStore`] trait.
+//! The tier-2 byte-valued cache store behind the [`CacheStore`] trait.
 //!
 //! The paper (§III-F) fronts the query engines with a Redis cache. Tier-1 of
 //! our hierarchy is the typed in-process [`Cache`](crate::Cache) inside each
@@ -8,18 +8,17 @@
 //! store identity, generation) — so a generation bump on ingest invalidates
 //! by flushing the old namespace, never by guessing individual keys.
 //!
-//! Two backends:
-//!
-//! * [`LruCacheStore`] — the sharded LRU adapted to the trait; one per
-//!   process, same lifetime as the service that owns it.
-//! * [`SharedCacheStore`] — the Redis stand-in under the vendored-shim
-//!   constraint: a single in-process server object a fleet of replica
-//!   services point at through `Arc`s (or via the process-global
-//!   [`SharedCacheStore::global`], selected by `CRYPTEXT_CACHE_TIER2=shared`).
-//!   Its write path is a [`failpoint`](cryptext_common::failpoint)
-//!   (`cache.shared.put`), so `CRYPTEXT_FAILPOINTS` sweeps can kill or delay
-//!   tier-2 writes; callers must absorb the error as a miss — a broken
-//!   second tier degrades performance, never correctness.
+//! One backend implements it: [`SharedCacheStore`], the Redis stand-in
+//! under the vendored-shim constraint — a single in-process server object
+//! a fleet of replica services point at through `Arc`s, usually the
+//! process-global [`SharedCacheStore::global`]. A service gets it only when
+//! the code assembling the service attaches it
+//! (`CryptextService::attach_tier2`). Its write path is a
+//! [`failpoint`](cryptext_common::failpoint) (`cache.shared.put`), so
+//! `CRYPTEXT_FAILPOINTS` sweeps can kill or delay tier-2 writes; callers
+//! must absorb the error as a miss — a broken second tier degrades
+//! performance, never correctness. The trait is the surface a real Redis
+//! client would implement.
 
 use std::sync::{Arc, OnceLock};
 
@@ -80,71 +79,6 @@ pub trait CacheStore: Send + Sync {
     }
 }
 
-/// The sharded LRU [`Cache`] adapted to the [`CacheStore`] trait.
-pub struct LruCacheStore {
-    inner: Cache<(u64, u128), Vec<u8>>,
-    invalidated: Counter,
-}
-
-impl LruCacheStore {
-    /// Build from a cache config, reading time from `clock`.
-    pub fn new(config: CacheConfig, clock: Arc<dyn Clock>) -> Self {
-        LruCacheStore {
-            inner: Cache::new(config, clock),
-            invalidated: Counter::new(),
-        }
-    }
-
-    /// Convenience constructor with the system clock.
-    pub fn with_system_clock(config: CacheConfig) -> Self {
-        LruCacheStore::new(config, cryptext_common::system_clock())
-    }
-}
-
-impl CacheStore for LruCacheStore {
-    fn get(&self, ns: u64, key: u128) -> Option<Vec<u8>> {
-        self.inner.get(&(ns, key))
-    }
-
-    fn put(&self, ns: u64, key: u128, value: Vec<u8>, ttl_ms: Option<u64>) -> Result<()> {
-        self.inner.insert_opt_ttl((ns, key), value, ttl_ms);
-        Ok(())
-    }
-
-    fn invalidate_namespace(&self, ns: u64) -> usize {
-        let n = self.inner.retain_keys(|&(k_ns, _)| k_ns != ns);
-        self.invalidated.add(n as u64);
-        n
-    }
-
-    fn sweep_expired(&self) -> usize {
-        self.inner.sweep_expired()
-    }
-
-    fn stats(&self) -> StoreStats {
-        let s = self.inner.stats();
-        StoreStats {
-            hits: s.hits,
-            misses: s.misses,
-            inserts: s.inserts,
-            evictions: s.evictions,
-            expirations: s.expirations,
-            invalidated: self.invalidated.get(),
-            put_errors: 0,
-        }
-    }
-
-    fn register_metrics(&self, registry: &MetricsRegistry, tier: &'static str) {
-        self.inner.register_metrics(registry, tier);
-        registry.register_counter(
-            "cryptext_cache_invalidated_total",
-            "entries flushed by namespace invalidation",
-            &[("tier", tier)],
-            &self.invalidated,
-        );
-    }
-}
-
 /// Failpoint name armed on [`SharedCacheStore`]'s write path.
 pub const SHARED_PUT_FAILPOINT: &str = "cache.shared.put";
 
@@ -171,7 +105,7 @@ impl SharedCacheStore {
     }
 
     /// The process-global shared store (system clock, default capacity) —
-    /// what `CRYPTEXT_CACHE_TIER2=shared` attaches every service to.
+    /// the one store every replica service in a process attaches to.
     pub fn global() -> Arc<SharedCacheStore> {
         static GLOBAL: OnceLock<Arc<SharedCacheStore>> = OnceLock::new();
         Arc::clone(GLOBAL.get_or_init(|| {
@@ -264,19 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn lru_store_roundtrip_and_namespacing() {
-        let (s, _) = sim_store(LruCacheStore::new);
+    fn shared_store_roundtrip_and_namespacing() {
+        let (s, _) = sim_store(SharedCacheStore::new);
         roundtrip(&s);
         let st = s.stats();
         assert_eq!(st.hits, 1);
         assert_eq!(st.misses, 3);
         assert_eq!(st.inserts, 1);
-    }
-
-    #[test]
-    fn shared_store_roundtrip_and_namespacing() {
-        let (s, _) = sim_store(SharedCacheStore::new);
-        roundtrip(&s);
     }
 
     #[test]
@@ -294,7 +222,7 @@ mod tests {
 
     #[test]
     fn ttl_expiry_and_sweep() {
-        let (s, clock) = sim_store(LruCacheStore::new);
+        let (s, clock) = sim_store(SharedCacheStore::new);
         s.put(1, 1, vec![9], Some(100)).unwrap();
         s.put(1, 2, vec![8], None).unwrap();
         clock.advance(200);

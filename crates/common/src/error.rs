@@ -42,8 +42,6 @@ pub enum Error {
         /// The total budget that was granted, in milliseconds.
         budget_ms: u64,
     },
-    /// Serialization/deserialization failure outside persistent state.
-    Serde(String),
     /// An internal invariant was broken; indicates a bug, not user error.
     Internal(String),
 }
@@ -98,7 +96,7 @@ impl Error {
     /// | `Conflict` | 409 |
     /// | `RateLimited` / `Overloaded` | 429 (+ `Retry-After` from [`Self::retry_after`]) |
     /// | `DeadlineExceeded` | 504 |
-    /// | `Io` / `Corrupt` / `Serde` / `Internal` | 500 |
+    /// | `Io` / `Corrupt` / `Internal` | 500 |
     pub fn status_code(&self) -> u16 {
         match self {
             Error::InvalidArgument(_) => 400,
@@ -107,7 +105,7 @@ impl Error {
             Error::Conflict(_) => 409,
             Error::RateLimited { .. } | Error::Overloaded { .. } => 429,
             Error::DeadlineExceeded { .. } => 504,
-            Error::Io(_) | Error::Corrupt(_) | Error::Serde(_) | Error::Internal(_) => 500,
+            Error::Io(_) | Error::Corrupt(_) | Error::Internal(_) => 500,
         }
     }
 
@@ -132,7 +130,6 @@ impl Error {
             Error::RateLimited { .. } => "rate_limited",
             Error::Overloaded { .. } => "overloaded",
             Error::DeadlineExceeded { .. } => "deadline_exceeded",
-            Error::Serde(_) => "serde",
             Error::Internal(_) => "internal",
         }
     }
@@ -158,7 +155,6 @@ impl Error {
             Error::DeadlineExceeded { budget_ms } => Error::DeadlineExceeded {
                 budget_ms: *budget_ms,
             },
-            Error::Serde(m) => Error::Serde(m.clone()),
             Error::Internal(m) => Error::Internal(m.clone()),
         }
     }
@@ -182,7 +178,6 @@ impl fmt::Display for Error {
             Error::DeadlineExceeded { budget_ms } => {
                 write!(f, "deadline exceeded: {budget_ms}ms budget spent")
             }
-            Error::Serde(m) => write!(f, "serialization error: {m}"),
             Error::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
@@ -303,7 +298,6 @@ mod tests {
                 504,
                 "deadline_exceeded",
             ),
-            (Error::Serde("bad".into()), 500, "serde"),
             (Error::Internal("bug".into()), 500, "internal"),
         ];
         for (e, status, label) in cases {

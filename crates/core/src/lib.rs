@@ -26,7 +26,10 @@
 //! * [`store`] / [`shard`] — the storage abstraction: every engine is
 //!   generic over the [`store::TokenStore`] trait, implemented by the
 //!   single-instance [`database::TokenDatabase`] and the consistent-hash
-//!   [`shard::ShardedTokenDatabase`].
+//!   [`shard::ShardedTokenDatabase`]. The caller picks the backend when
+//!   it assembles the system ([`CrypText::new`] for one instance,
+//!   [`CrypText::with_store`] for any store); nothing is read from the
+//!   environment.
 
 #![warn(missing_docs)]
 
@@ -55,7 +58,7 @@ pub use normalize::{
 };
 pub use perturb::{PerturbParams, Perturber};
 pub use shard::ShardedTokenDatabase;
-pub use store::{AnyTokenStore, TokenStore};
+pub use store::TokenStore;
 
 /// The assembled CrypText system: a token store plus the language model
 /// used by Normalization. Generic over the storage backend; the default
@@ -72,17 +75,6 @@ impl CrypText<TokenDatabase> {
     /// sentences (see [`TokenDatabase::clean_sentences`]).
     pub fn new(db: TokenDatabase) -> Self {
         Self::with_store(db)
-    }
-}
-
-impl CrypText<AnyTokenStore> {
-    /// Assemble from a database wrapped in the `CRYPTEXT_SHARDS`-selected
-    /// backend ([`AnyTokenStore::from_env`]): unchanged for one shard,
-    /// resharded by consistent hashing for `CRYPTEXT_SHARDS > 1`. Both
-    /// backends serve byte-identical results, so callers need not care
-    /// which one they got.
-    pub fn from_env(db: TokenDatabase) -> Self {
-        Self::with_store(AnyTokenStore::from_env(db))
     }
 }
 

@@ -8,10 +8,21 @@
 //!
 //! [`CryptextService`] reproduces that contract in-process: API-token
 //! authentication, per-token fixed-window rate limiting over an injected
-//! [`Clock`], a TTL+LRU result cache for Look Up, and bulk endpoints.
-//! The service is generic over the [`TokenStore`] backend, so the same
-//! facade fronts a single-instance database or a consistent-hash sharded
-//! deployment.
+//! [`Clock`], TTL+LRU result caches, and bulk endpoints. The service is
+//! generic over the [`TokenStore`] backend, so the same facade fronts a
+//! single-instance database or a consistent-hash sharded deployment.
+//!
+//! # Cache tiers
+//!
+//! Tier-1 is always on: three in-process caches (Look Up results,
+//! whole-text Normalization results, and the cross-text Normalization
+//! candidate memo). Tier-2 — the Redis role — is a byte-valued
+//! [`CacheStore`] the candidate memo reads through to and writes behind.
+//! A service has none until the code that assembles it calls
+//! [`CryptextService::attach_tier2`], once, typically with the
+//! process-global [`cryptext_cache::SharedCacheStore::global`] that a
+//! fleet of replicas shares. Nothing about the tiers is read from the
+//! environment.
 //!
 //! # Concurrency
 //!
@@ -29,7 +40,7 @@ use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cryptext_cache::{Cache, CacheConfig, CacheStats, CacheStore, SharedCacheStore, StoreStats};
+use cryptext_cache::{Cache, CacheConfig, CacheStats, CacheStore, StoreStats};
 use cryptext_common::hash::{fx_hash_str, FxHashMap};
 use cryptext_common::metrics::{Counter, Gauge, MetricsRegistry};
 use cryptext_common::par::try_par_map;
@@ -46,13 +57,6 @@ use crate::normalize::{
 use crate::perturb::{PerturbParams, PerturbationOutcome};
 use crate::store::TokenStore;
 use crate::CrypText;
-
-/// Environment variable selecting the tier-2 cache backend at service
-/// construction. The only recognized value is `shared`, which attaches the
-/// process-global [`SharedCacheStore`] (the in-process Redis stand-in a
-/// fleet of replica services shares); anything else leaves the service
-/// tier-1-only. [`CryptextService::attach_tier2`] overrides either way.
-pub const TIER2_ENV_VAR: &str = "CRYPTEXT_CACHE_TIER2";
 
 /// An issued API authorization token.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -132,10 +136,10 @@ impl RateState {
 const WINDOW_MS: u64 = 60_000;
 
 thread_local! {
-    /// Scratch for [`CryptextService::look_up_prechecked`], which drives
-    /// the cancellable walk directly rather than through the engine's
-    /// shared thread-local (gateway executor threads own this one).
-    static PRECHECKED_SCRATCH: RefCell<LookupScratch> = RefCell::new(LookupScratch::new());
+    /// Scratch for the service's Look Up endpoints, which drive the
+    /// cancellable walk directly rather than through the engine's shared
+    /// thread-local (gateway executor threads own this one).
+    static LOOKUP_SCRATCH: RefCell<LookupScratch> = RefCell::new(LookupScratch::new());
 
     /// Scratch for the service's cached Normalization endpoints (one per
     /// thread — bulk fan-out workers each own their buffers and LM memo).
@@ -247,6 +251,25 @@ fn advance_packed(cur: u64, now_window: u64, limit: u32) -> Option<u64> {
     }
 }
 
+/// An attached tier-2 store and where this service's data lives in it.
+struct Tier2 {
+    store: Arc<dyn CacheStore>,
+    /// Content identity of (store, LM), taken when the store is attached:
+    /// mixed with the generation into the namespace, so replicas over the
+    /// same data share entries and different deployments never alias.
+    identity: u64,
+}
+
+impl Tier2 {
+    /// The namespace for one generation of this service's data.
+    fn namespace(&self, generation: u64) -> u64 {
+        let mut h = FxHasher::default();
+        h.write_u64(self.identity);
+        h.write_u64(generation);
+        h.finish()
+    }
+}
+
 /// The authenticated, rate-limited, cached service facade, generic over
 /// the storage backend.
 pub struct CryptextService<S: TokenStore = TokenDatabase> {
@@ -266,11 +289,7 @@ pub struct CryptextService<S: TokenStore = TokenDatabase> {
     norm_result_cache: Cache<CacheKey, NormalizationResult>,
     /// Optional tier-2 byte store the normalize cache reads through to and
     /// writes behind; possibly shared with replica services.
-    tier2: Option<Arc<dyn CacheStore>>,
-    /// Content identity of (store, LM): mixed with the generation into the
-    /// tier-2 namespace, so replicas over the same data share entries and
-    /// different deployments never alias.
-    tier2_identity: u64,
+    tier2: Option<Tier2>,
     /// Data-version counter; part of every cache key. Bumped on ingest
     /// (via the gateway), which invalidates both tiers.
     generation: AtomicU64,
@@ -286,17 +305,11 @@ pub struct CryptextService<S: TokenStore = TokenDatabase> {
     stages: Arc<StageMetrics>,
     /// Registry view of [`Self::generation`].
     generation_gauge: Gauge,
-    /// Guards against double-registering tier-2 counters when
-    /// [`Self::attach_tier2`] replaces an env-attached store (the registry
-    /// keeps the first store's registration; see `attach_tier2`).
-    tier2_metrics_registered: bool,
 }
 
 impl<S: TokenStore> CryptextService<S> {
-    /// Wrap an assembled [`CrypText`] system.
-    ///
-    /// Reads [`TIER2_ENV_VAR`]: `CRYPTEXT_CACHE_TIER2=shared` attaches the
-    /// process-global [`SharedCacheStore`] as the second cache tier.
+    /// Wrap an assembled [`CrypText`] system, with tier-1 caches only
+    /// (see [`Self::attach_tier2`]).
     pub fn new(system: CrypText<S>, config: ServiceConfig, clock: Arc<dyn Clock>) -> Self {
         let tier_config = || CacheConfig {
             capacity: config.cache_capacity,
@@ -306,20 +319,6 @@ impl<S: TokenStore> CryptextService<S> {
         let lookup_cache = Cache::new(tier_config(), Arc::clone(&clock));
         let norm_cache = Cache::new(tier_config(), Arc::clone(&clock));
         let norm_result_cache = Cache::new(tier_config(), Arc::clone(&clock));
-        let tier2: Option<Arc<dyn CacheStore>> = match std::env::var(TIER2_ENV_VAR) {
-            Ok(v) if v == "shared" => Some(SharedCacheStore::global()),
-            _ => None,
-        };
-        let stats = system.database().stats();
-        let mut h = FxHasher::default();
-        h.write_u64(system.language_model().fingerprint());
-        h.write_usize(stats.unique_tokens);
-        h.write_u64(stats.total_occurrences);
-        for sounds in stats.unique_sounds {
-            h.write_usize(sounds);
-        }
-        h.write_usize(stats.english_tokens);
-        let tier2_identity = h.finish();
 
         // One registry per service instance: every layer below registers
         // its live cells, so each snapshot/render is a consistent view of
@@ -328,11 +327,6 @@ impl<S: TokenStore> CryptextService<S> {
         lookup_cache.register_metrics(&metrics, "lookup");
         norm_cache.register_metrics(&metrics, "normalize");
         norm_result_cache.register_metrics(&metrics, "normalize_results");
-        let mut tier2_metrics_registered = false;
-        if let Some(t2) = &tier2 {
-            t2.register_metrics(&metrics, "tier2");
-            tier2_metrics_registered = true;
-        }
         let negative_hits = metrics.counter(
             "cryptext_cache_negative_hits_total",
             "Normalize hits that served a cached negative (no-candidate) entry",
@@ -362,8 +356,7 @@ impl<S: TokenStore> CryptextService<S> {
             lookup_cache,
             norm_cache,
             norm_result_cache,
-            tier2,
-            tier2_identity,
+            tier2: None,
             generation: AtomicU64::new(0),
             negative_hits,
             invalidation_bumps,
@@ -371,22 +364,38 @@ impl<S: TokenStore> CryptextService<S> {
             metrics,
             stages,
             generation_gauge,
-            tier2_metrics_registered,
         }
     }
 
-    /// Attach (or replace) the tier-2 store — e.g. point a fleet of
-    /// replica services at one [`SharedCacheStore`]. Call before wrapping
-    /// the service in an `Arc`.
+    /// Attach the tier-2 store — e.g. point a fleet of replica services at
+    /// one [`cryptext_cache::SharedCacheStore`]. Call at most once, while
+    /// assembling the service (before wrapping it in an `Arc`).
+    ///
+    /// The store's counters join this service's registry under
+    /// `tier="tier2"`, so `/metrics` and [`Self::cache_tier_stats`] read
+    /// the same cells. The namespace root is the content identity of the
+    /// store and LM as they are now: replicas built from the same data
+    /// compute the same one and share entries.
+    ///
+    /// # Panics
+    ///
+    /// If a tier-2 store is already attached.
     pub fn attach_tier2(&mut self, store: Arc<dyn CacheStore>) {
-        // First attached store wins the registry slots: replacing a store
-        // would need de-registration to avoid duplicate-name panics, and
-        // replacement only happens in test topology setup.
-        if !self.tier2_metrics_registered {
-            store.register_metrics(&self.metrics, "tier2");
-            self.tier2_metrics_registered = true;
+        assert!(self.tier2.is_none(), "a tier-2 store is already attached");
+        let stats = self.system.database().stats();
+        let mut h = FxHasher::default();
+        h.write_u64(self.system.language_model().fingerprint());
+        h.write_usize(stats.unique_tokens);
+        h.write_u64(stats.total_occurrences);
+        for sounds in stats.unique_sounds {
+            h.write_usize(sounds);
         }
-        self.tier2 = Some(store);
+        h.write_usize(stats.english_tokens);
+        store.register_metrics(&self.metrics, "tier2");
+        self.tier2 = Some(Tier2 {
+            store,
+            identity: h.finish(),
+        });
     }
 
     /// Is a tier-2 store attached?
@@ -414,18 +423,10 @@ impl<S: TokenStore> CryptextService<S> {
         self.norm_cache.clear();
         self.norm_result_cache.clear();
         if let Some(t2) = &self.tier2 {
-            flushed += t2.invalidate_namespace(self.tier2_namespace(old));
+            flushed += t2.store.invalidate_namespace(t2.namespace(old));
         }
         self.invalidated_entries.add(flushed as u64);
         old + 1
-    }
-
-    /// The tier-2 namespace for one generation of this service's data.
-    fn tier2_namespace(&self, generation: u64) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u64(self.tier2_identity);
-        h.write_u64(generation);
-        h.finish()
     }
 
     /// Issue a new API token for `owner` ("provided upon request" in the
@@ -572,36 +573,21 @@ impl<S: TokenStore> CryptextService<S> {
         params: LookupParams,
     ) -> Result<Vec<LookupHit>> {
         self.authorize(auth)?;
-        let key = self.lookup_cache_key(token, params);
-        if let Some(hits) = self.lookup_cache.get(&key) {
-            return Ok(hits);
-        }
-        let hits = self.system.look_up(token, params)?;
-        self.lookup_cache.insert(key, hits.clone());
-        Ok(hits)
+        self.look_up_prechecked_traced(token, params, &mut || None)
+            .map(|(hits, _)| hits)
     }
 
     /// Look Up *after* the caller already passed [`Self::authorize_request`]
     /// — the execution half of the gateway's admit-then-execute split, so
-    /// one admitted request is charged exactly once. Identical to
-    /// [`Self::look_up`] minus the auth gate, cache included, plus a
-    /// cooperative cancellation probe: `cancel` is consulted per candidate
-    /// during the store walk (through the early-exit visitor), so a
-    /// request whose deadline expired stops burning shard time mid-walk
-    /// and surfaces the probe's error.
-    pub fn look_up_prechecked(
-        &self,
-        token: &str,
-        params: LookupParams,
-        cancel: &mut dyn FnMut() -> Option<Error>,
-    ) -> Result<Vec<LookupHit>> {
-        self.look_up_prechecked_traced(token, params, cancel)
-            .map(|(hits, _)| hits)
-    }
-
-    /// [`Self::look_up_prechecked`] plus provenance: whether tier-1
-    /// answered ([`Served::Tier1Hit`]) or the store walk ran
-    /// ([`Served::Cold`]). The gateway's response envelope carries this
+    /// one admitted request is charged exactly once — and the cached core
+    /// every Look Up endpoint funnels through, stage instruments included.
+    ///
+    /// `cancel` is a cooperative cancellation probe, consulted per
+    /// candidate during the store walk (through the early-exit visitor),
+    /// so a request whose deadline expired stops burning shard time
+    /// mid-walk and surfaces the probe's error. The [`Served`] half says
+    /// whether tier-1 answered ([`Served::Tier1Hit`]) or the store walk ran
+    /// ([`Served::Cold`]); the gateway's response envelope carries it
     /// through to wire-level cache headers.
     pub fn look_up_prechecked_traced(
         &self,
@@ -613,7 +599,7 @@ impl<S: TokenStore> CryptextService<S> {
         if let Some(hits) = self.lookup_cache.get(&key) {
             return Ok((hits, Served::Tier1Hit));
         }
-        let hits = PRECHECKED_SCRATCH.with(|scratch| {
+        let hits = LOOKUP_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             // Attach the shared stage instruments for the duration of the
             // engine call; detach before surfacing any error so a scratch
@@ -628,21 +614,12 @@ impl<S: TokenStore> CryptextService<S> {
     }
 
     /// Normalization after external authorization (see
-    /// [`Self::look_up_prechecked`]); the engine is not internally
-    /// cancellable, so deadline checks happen at the gateway's layer
-    /// boundaries instead.
-    pub fn normalize_prechecked(
-        &self,
-        text: &str,
-        params: NormalizeParams,
-    ) -> Result<NormalizationResult> {
-        self.normalize_through_cache(text, params).map(|(r, _)| r)
-    }
-
-    /// [`Self::normalize_prechecked`] plus provenance: whether the
+    /// [`Self::look_up_prechecked_traced`]), plus provenance: whether the
     /// whole-text result cache answered ([`Served::Tier1Hit`]) or
     /// retrieval + scoring ran ([`Served::Cold`] — per-token candidate
     /// memo hits still count as cold, the *result* was assembled fresh).
+    /// The engine is not internally cancellable, so deadline checks
+    /// happen at the gateway's layer boundaries instead.
     pub fn normalize_prechecked_traced(
         &self,
         text: &str,
@@ -688,7 +665,7 @@ impl<S: TokenStore> CryptextService<S> {
     }
 
     /// Perturbation after external authorization (see
-    /// [`Self::look_up_prechecked`]).
+    /// [`Self::look_up_prechecked_traced`]).
     pub fn perturb_prechecked(
         &self,
         text: &str,
@@ -720,14 +697,9 @@ impl<S: TokenStore> CryptextService<S> {
                 unique.len() - 1
             });
         }
-        let computed = try_par_map(&unique, |t| -> Result<Vec<LookupHit>> {
-            let key = self.lookup_cache_key(t, params);
-            if let Some(hits) = self.lookup_cache.get(&key) {
-                return Ok(hits);
-            }
-            let hits = self.system.look_up(t, params)?;
-            self.lookup_cache.insert(key, hits.clone());
-            Ok(hits)
+        let computed = try_par_map(&unique, |t| {
+            self.look_up_prechecked_traced(t, params, &mut || None)
+                .map(|(hits, _)| hits)
         })?;
         // Scatter back to input order, moving (not cloning) each computed
         // result into its last output position.
@@ -807,7 +779,11 @@ impl<S: TokenStore> CryptextService<S> {
             invalidation_bumps: self.invalidation_bumps.get(),
             invalidated_entries: self.invalidated_entries.get(),
             tier2_attached: self.tier2.is_some(),
-            tier2: self.tier2.as_ref().map(|t| t.stats()).unwrap_or_default(),
+            tier2: self
+                .tier2
+                .as_ref()
+                .map(|t| t.store.stats())
+                .unwrap_or_default(),
         }
     }
 
@@ -833,7 +809,7 @@ impl<S: TokenStore> CryptextService<S> {
             + self.norm_cache.sweep_expired()
             + self.norm_result_cache.sweep_expired();
         if let Some(t2) = &self.tier2 {
-            reaped += t2.sweep_expired();
+            reaped += t2.store.sweep_expired();
         }
         reaped
     }
@@ -896,8 +872,8 @@ impl<S: TokenStore> CandidateCache for ServiceCandidateCache<'_, S> {
             return Some(pairs);
         }
         let t2 = self.svc.tier2.as_ref()?;
-        let ns = self.svc.tier2_namespace(self.svc.generation());
-        let bytes = t2.get(ns, key.as_u128())?;
+        let ns = t2.namespace(self.svc.generation());
+        let bytes = t2.store.get(ns, key.as_u128())?;
         let pairs: CandidatePairs = Arc::new(decode_pairs(&bytes)?);
         // Promote into tier-1 so the next request never leaves process.
         self.svc.norm_cache.insert(key, Arc::clone(&pairs));
@@ -911,11 +887,11 @@ impl<S: TokenStore> CandidateCache for ServiceCandidateCache<'_, S> {
         let key = self.svc.normalize_cache_key(token, k, d);
         self.svc.norm_cache.insert(key, Arc::clone(&pairs));
         if let Some(t2) = &self.svc.tier2 {
-            let ns = self.svc.tier2_namespace(self.svc.generation());
+            let ns = t2.namespace(self.svc.generation());
             // Write-behind: the result is already served from tier-1; a
             // tier-2 failure (failpoint sweeps arm `cache.shared.put`)
             // only means the fleet misses until the next fill.
-            let _ = t2.put(
+            let _ = t2.store.put(
                 ns,
                 key.as_u128(),
                 encode_pairs(&pairs),
@@ -1090,19 +1066,43 @@ mod tests {
         let direct = svc
             .look_up(&tok, "democrats", LookupParams::paper_default())
             .unwrap();
-        let pre = svc
-            .look_up_prechecked("democrats", LookupParams::paper_default(), &mut || None)
+        let (pre, served) = svc
+            .look_up_prechecked_traced("democrats", LookupParams::paper_default(), &mut || None)
             .unwrap();
         assert_eq!(direct, pre, "same bytes, cache included");
         // Prechecked execution shares the endpoint's cache.
+        assert_eq!(served, Served::Tier1Hit);
         assert!(svc.cache_stats().hits >= 1);
         // A firing cancel probe aborts an uncached walk with its error.
         let err = svc
-            .look_up_prechecked("republicans", LookupParams::new(1, 2), &mut || {
+            .look_up_prechecked_traced("republicans", LookupParams::new(1, 2), &mut || {
                 Some(Error::DeadlineExceeded { budget_ms: 3 })
             })
             .unwrap_err();
         assert!(matches!(err, Error::DeadlineExceeded { budget_ms: 3 }));
+    }
+
+    #[test]
+    fn in_process_lookups_record_the_stage_instruments() {
+        // The authorized endpoints run the same instrumented core as the
+        // gateway path: every computed hit moves the hits counter, and
+        // every cold walk (not the tier-1 hit) records encode and walk.
+        let (svc, _) = service(100);
+        let tok = svc.issue_token("stages");
+        let params = LookupParams::paper_default();
+        let single = svc.look_up(&tok, "democrats", params).unwrap();
+        let bulk = svc
+            .look_up_bulk(&tok, &["republicans", "vaccine", "democrats"], params)
+            .unwrap();
+        let computed = single.len() + bulk[0].len() + bulk[1].len();
+        assert!(computed > 0);
+        let snap = svc.metrics().snapshot();
+        assert_eq!(
+            snap.counter_total("cryptext_lookup_hits_total"),
+            computed as u64
+        );
+        assert_eq!(snap.histogram_count("cryptext_lookup_encode_us"), 3);
+        assert_eq!(snap.histogram_count("cryptext_lookup_walk_us"), 3);
     }
 
     #[test]
@@ -1433,9 +1433,9 @@ mod tests {
 
     #[test]
     fn generation_bump_invalidates_every_tier() {
-        use cryptext_cache::LruCacheStore;
+        use cryptext_cache::SharedCacheStore;
         let (mut svc, _) = service(100);
-        let store = Arc::new(LruCacheStore::new(
+        let store = Arc::new(SharedCacheStore::new(
             cryptext_cache::CacheConfig::default(),
             svc.clock(),
         ));
@@ -1499,6 +1499,22 @@ mod tests {
             .normalize(&tb, "more demokRATs here", NormalizeParams::default())
             .unwrap();
         assert!(svc_b.cache_tier_stats().normalize.hits > local_hits);
+    }
+
+    #[test]
+    #[should_panic(expected = "already attached")]
+    fn a_second_tier2_store_is_refused() {
+        use cryptext_cache::SharedCacheStore;
+        let (mut svc, _) = service(100);
+        let store = || {
+            Arc::new(SharedCacheStore::new(
+                cryptext_cache::CacheConfig::default(),
+                svc.clock(),
+            )) as Arc<dyn CacheStore>
+        };
+        let (first, second) = (store(), store());
+        svc.attach_tier2(first);
+        svc.attach_tier2(second);
     }
 
     #[test]

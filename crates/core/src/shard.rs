@@ -1438,13 +1438,13 @@ mod proptests {
         }
 
         /// Normalization over the sharded backend is byte-identical to the
-        /// single instance: same corrected text, same spans, same scores,
-        /// same full candidate ordering.
+        /// single instance at every shard count, 1 included: same corrected
+        /// text, same spans, same scores, same full candidate ordering.
         #[test]
         fn sharded_normalize_equals_single(
             corpus in proptest::collection::vec(text_strategy(), 1..6),
             texts in proptest::collection::vec(text_strategy(), 1..4),
-            shards in 2usize..=8,
+            shards in 1usize..=8,
         ) {
             let mut flat = TokenDatabase::with_lexicon();
             for t in &corpus {

@@ -10,13 +10,12 @@
 //!
 //! Both backends are pinned to produce **byte-identical** Look Up,
 //! Normalization, and statistics output (see the proptests in
-//! `shard.rs`), so callers choose purely on capacity: a single instance
-//! for corpora that fit one machine, shards for corpora that do not.
-//!
-//! [`AnyTokenStore`] erases the choice at runtime — the
-//! `CRYPTEXT_SHARDS` environment variable selects the default backend,
-//! which is how CI exercises the sharded path through the entire
-//! integration-test suite without a second test tree.
+//! `shard.rs`, which cover 1–8 shards), so callers choose purely on
+//! capacity: a single instance for corpora that fit one machine, shards
+//! for corpora that do not. The choice is made in code, where the system
+//! is assembled (`CrypText::new(db)` or
+//! `CrypText::with_store(ShardedTokenDatabase::from_database(&db, n))`);
+//! the integration suites run each test at 1 and at 4 shards.
 //!
 //! Retrieval is **encode-once**: the walk methods take a pre-built
 //! [`EncodedQuery`] (Soundex code set + code hashes + case fold), so a
@@ -35,7 +34,6 @@ use cryptext_phonetics::CustomSoundex;
 use cryptext_tokenizer::tokenize_spans;
 
 use crate::database::{EncodedQuery, SoundScratch, TokenDatabase, TokenRecord, TokenStats};
-use crate::shard::ShardedTokenDatabase;
 
 /// The storage contract of the token database (§III-A): phonetic-bucket
 /// retrieval, ingest, statistics, and document-store persistence.
@@ -262,261 +260,17 @@ impl TokenStore for TokenDatabase {
     }
 }
 
-/// A runtime-selected [`TokenStore`] backend.
-///
-/// [`AnyTokenStore::from_env`] picks the backend from the
-/// `CRYPTEXT_SHARDS` environment variable (absent, empty, or `1` → the
-/// single instance; `N > 1` → `N` consistent-hash shards), which lets one
-/// binary — and one test suite — exercise either storage layout without
-/// recompiling.
-// One AnyTokenStore exists per assembled system — never in collections —
-// so the variant size gap is irrelevant and boxing would only add an
-// indirection to every read.
-#[allow(clippy::large_enum_variant)]
-pub enum AnyTokenStore {
-    /// One in-memory instance.
-    Single(TokenDatabase),
-    /// Consistent-hash shards.
-    Sharded(ShardedTokenDatabase),
-}
-
-impl AnyTokenStore {
-    /// The shard count selected by `CRYPTEXT_SHARDS` (default 1).
-    pub fn env_shards() -> usize {
-        std::env::var("CRYPTEXT_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    }
-
-    /// Wrap `db` in the env-selected backend: kept as-is for one shard,
-    /// resharded (preserving counts, lexicon seeds, and clean sentences)
-    /// for `CRYPTEXT_SHARDS > 1`.
-    pub fn from_env(db: TokenDatabase) -> Self {
-        let n = Self::env_shards();
-        if n <= 1 {
-            AnyTokenStore::Single(db)
-        } else {
-            AnyTokenStore::Sharded(ShardedTokenDatabase::from_database(&db, n))
-        }
-    }
-
-    /// The single-instance backend, if that is what this is.
-    pub fn as_single(&self) -> Option<&TokenDatabase> {
-        match self {
-            AnyTokenStore::Single(db) => Some(db),
-            AnyTokenStore::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded backend, if that is what this is.
-    pub fn as_sharded(&self) -> Option<&ShardedTokenDatabase> {
-        match self {
-            AnyTokenStore::Sharded(db) => Some(db),
-            AnyTokenStore::Single(_) => None,
-        }
-    }
-}
-
-impl TokenStore for AnyTokenStore {
-    fn num_shards(&self) -> usize {
-        match self {
-            AnyTokenStore::Single(db) => db.num_shards(),
-            AnyTokenStore::Sharded(db) => db.num_shards(),
-        }
-    }
-
-    fn for_each_sound_mate<'a, F>(
-        &'a self,
-        query: &EncodedQuery,
-        scratch: &mut SoundScratch,
-        f: F,
-    ) -> ControlFlow<()>
-    where
-        F: FnMut(u32, &'a TokenRecord) -> ControlFlow<()>,
-    {
-        match self {
-            AnyTokenStore::Single(db) => db.for_each_sound_mate(query, scratch, f),
-            AnyTokenStore::Sharded(db) => TokenStore::for_each_sound_mate(db, query, scratch, f),
-        }
-    }
-
-    // Forwarded explicitly: without this the enum would fall back to the
-    // trait's sequential default and the sharded backend's Bloom-routed
-    // parallel fan-out would never run behind `AnyTokenStore`.
-    fn fan_out_sound_mates<'a, M, R, F>(
-        &'a self,
-        query: &EncodedQuery,
-        scratch: &mut SoundScratch,
-        map: M,
-        sink: F,
-    ) -> ControlFlow<()>
-    where
-        M: Fn(u32, &'a TokenRecord) -> Option<R> + Sync,
-        R: Send,
-        F: FnMut(R) -> ControlFlow<()>,
-    {
-        match self {
-            AnyTokenStore::Single(db) => db.fan_out_sound_mates(query, scratch, map, sink),
-            AnyTokenStore::Sharded(db) => db.fan_out_sound_mates(query, scratch, map, sink),
-        }
-    }
-
-    fn get(&self, token: &str) -> Option<&TokenRecord> {
-        match self {
-            AnyTokenStore::Single(db) => db.get(token),
-            AnyTokenStore::Sharded(db) => db.get(token),
-        }
-    }
-
-    fn stats(&self) -> TokenStats {
-        match self {
-            AnyTokenStore::Single(db) => db.stats(),
-            AnyTokenStore::Sharded(db) => db.stats(),
-        }
-    }
-
-    fn unique_tokens(&self) -> usize {
-        match self {
-            AnyTokenStore::Single(db) => TokenStore::unique_tokens(db),
-            AnyTokenStore::Sharded(db) => TokenStore::unique_tokens(db),
-        }
-    }
-
-    fn clean_sentences(&self) -> &[String] {
-        match self {
-            AnyTokenStore::Single(db) => db.clean_sentences(),
-            AnyTokenStore::Sharded(db) => db.clean_sentences(),
-        }
-    }
-
-    fn soundex(&self, k: usize) -> Result<&CustomSoundex> {
-        match self {
-            AnyTokenStore::Single(db) => db.soundex(k),
-            AnyTokenStore::Sharded(db) => db.soundex(k),
-        }
-    }
-
-    fn hashmap_view(&self, k: usize) -> Result<Vec<(String, Vec<String>)>> {
-        match self {
-            AnyTokenStore::Single(db) => db.hashmap_view(k),
-            AnyTokenStore::Sharded(db) => db.hashmap_view(k),
-        }
-    }
-
-    fn ingest_token(&mut self, token: &str) {
-        match self {
-            AnyTokenStore::Single(db) => db.ingest_token(token),
-            AnyTokenStore::Sharded(db) => TokenStore::ingest_token(db, token),
-        }
-    }
-
-    fn ingest_text(&mut self, text: &str) -> usize {
-        match self {
-            AnyTokenStore::Single(db) => db.ingest_text(text),
-            AnyTokenStore::Sharded(db) => TokenStore::ingest_text(db, text),
-        }
-    }
-
-    fn ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> usize {
-        match self {
-            AnyTokenStore::Single(db) => db.ingest_texts(texts),
-            AnyTokenStore::Sharded(db) => TokenStore::ingest_texts(db, texts),
-        }
-    }
-
-    fn record_clean_sentence(&mut self, text: &str) {
-        match self {
-            AnyTokenStore::Single(db) => db.record_clean_sentence(text),
-            AnyTokenStore::Sharded(db) => db.record_clean_sentence(text),
-        }
-    }
-
-    fn seed_lexicon(&mut self) {
-        match self {
-            AnyTokenStore::Single(db) => db.seed_lexicon(),
-            AnyTokenStore::Sharded(db) => TokenStore::seed_lexicon(db),
-        }
-    }
-
-    fn persist_to(&self, store: &Database, collection: &str) -> Result<()> {
-        match self {
-            AnyTokenStore::Single(db) => db.persist_to(store, collection),
-            AnyTokenStore::Sharded(db) => TokenStore::persist_to(db, store, collection),
-        }
-    }
-
-    fn register_metrics(&self, registry: &MetricsRegistry) {
-        match self {
-            AnyTokenStore::Single(db) => TokenStore::register_metrics(db, registry),
-            AnyTokenStore::Sharded(db) => TokenStore::register_metrics(db, registry),
-        }
-    }
-
-    /// Backend auto-detection: a shard-count manifest means a sharded
-    /// persist; otherwise the collection is a single-instance persist.
-    fn load_from(store: &Database, collection: &str) -> Result<Self> {
-        if ShardedTokenDatabase::manifest_shards(store, collection)?.is_some() {
-            Ok(AnyTokenStore::Sharded(ShardedTokenDatabase::load_from(
-                store, collection,
-            )?))
-        } else {
-            Ok(AnyTokenStore::Single(TokenDatabase::load_from(
-                store, collection,
-            )?))
-        }
-    }
-}
-
-impl std::fmt::Debug for AnyTokenStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AnyTokenStore::Single(db) => f.debug_tuple("Single").field(db).finish(),
-            AnyTokenStore::Sharded(db) => f.debug_tuple("Sharded").field(db).finish(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_shards_parses_and_defaults() {
-        // Note: reads the live environment; the suite may legitimately run
-        // under CRYPTEXT_SHARDS (that is the CI sharded pass), so only
-        // assert the contract, not a specific value.
-        let n = AnyTokenStore::env_shards();
-        assert!(n >= 1);
-    }
-
-    #[test]
-    fn from_env_respects_single_default() {
-        // Build both variants explicitly — from_env depends on the live
-        // environment, so test the wrapping paths directly.
-        let mut db = TokenDatabase::in_memory();
-        db.ingest_text("the dirrty republicans");
-        let stats = db.stats();
-
-        let single = AnyTokenStore::Single(db);
-        assert_eq!(single.num_shards(), 1);
-        assert!(single.as_single().is_some());
-        assert_eq!(single.stats(), stats);
-
-        let mut db2 = TokenDatabase::in_memory();
-        db2.ingest_text("the dirrty republicans");
-        let sharded = AnyTokenStore::Sharded(ShardedTokenDatabase::from_database(&db2, 3));
-        assert_eq!(sharded.num_shards(), 3);
-        assert!(sharded.as_sharded().is_some());
-        assert_eq!(sharded.stats(), stats, "resharding preserves statistics");
-    }
+    use crate::shard::ShardedTokenDatabase;
 
     #[test]
     fn switching_sharded_to_single_persist_drops_shard_collections() {
-        // Persist sharded under "tokens", then persist the single backend
+        // Persist sharded under "tokens", then persist the single instance
         // under the same name: the shard collections (a full corpus copy)
-        // must be swept, and load_from must detect the flat layout.
+        // and the shard-count manifest must be swept, leaving a flat
+        // layout that loads back as the single instance.
         let mut db = TokenDatabase::in_memory();
         db.ingest_text("the dirrty republicans");
         let store = Database::in_memory();
@@ -527,28 +281,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(store.collections_with_prefix("tokens__g").len(), 6);
+        assert_eq!(
+            ShardedTokenDatabase::manifest_shards(&store, "tokens").unwrap(),
+            Some(6)
+        );
 
         db.persist_to(&store, "tokens").unwrap();
         assert!(store.collections_with_prefix("tokens__g").is_empty());
-        let restored = AnyTokenStore::load_from(&store, "tokens").unwrap();
-        assert!(restored.as_single().is_some());
+        assert_eq!(
+            ShardedTokenDatabase::manifest_shards(&store, "tokens").unwrap(),
+            None,
+            "the flat persist leaves no shard manifest behind"
+        );
+        let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
         assert_eq!(restored.stats(), db.stats());
-    }
-
-    #[test]
-    fn load_from_detects_backend() {
-        let mut db = TokenDatabase::in_memory();
-        db.ingest_text("the dirrty republicans");
-        let store = Database::in_memory();
-
-        TokenStore::persist_to(&db, &store, "flat").unwrap();
-        let sharded = ShardedTokenDatabase::from_database(&db, 4);
-        TokenStore::persist_to(&sharded, &store, "wide").unwrap();
-
-        let a = AnyTokenStore::load_from(&store, "flat").unwrap();
-        assert!(a.as_single().is_some());
-        let b = AnyTokenStore::load_from(&store, "wide").unwrap();
-        assert_eq!(b.num_shards(), 4);
-        assert_eq!(a.stats(), b.stats());
+        assert_eq!(
+            restored.hashmap_view(1).unwrap(),
+            db.hashmap_view(1).unwrap()
+        );
     }
 }

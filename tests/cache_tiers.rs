@@ -11,6 +11,8 @@
 //! * a shared tier-2 store serves a fleet of identically-built replicas:
 //!   one replica's write-behind becomes another's read-through hit, and a
 //!   generation bump flushes the shared namespace;
+//! * services over *different* corpora sharing one store never read each
+//!   other's entries: the content-derived namespaces keep them apart;
 //! * `cache.shared.put` failpoint arms (`kill@N` / `delay@N:MS` — CI
 //!   sweeps this binary under the env plane) break only the tier-2
 //!   write-behind: every request still succeeds with identical bytes,
@@ -225,6 +227,69 @@ fn shared_tier2_serves_replicas_and_generation_bump_flushes_the_namespace() {
         via_a,
         "post-bump recompute is byte-identical"
     );
+}
+
+#[test]
+fn a_shared_tier2_store_never_mixes_up_corpora() {
+    // Two services over different corpora write behind into one store and
+    // read through it. Their namespaces derive from their content, so each
+    // answer matches its own uncached engine, never the other corpus's —
+    // even though both look up the same tokens under the same keys.
+    const OTHER: &[&str] = &[
+        "the vaccines and the vaccination drive",
+        "democracy demagogues and dem0cracy",
+        "the dirty republic",
+    ];
+    let texts = [
+        "the vacc1ne mandates demokkkrats",
+        "thee dirrty repubLIEcans",
+        "vaxxine dem0crats",
+    ];
+    let clock = SimClock::new(0);
+    let store = Arc::new(SharedCacheStore::new(
+        CacheConfig::default(),
+        Arc::new(clock.clone()),
+    ));
+    // Per corpus: (caching service, its API token, uncached engine).
+    let systems: Vec<_> = [FIXTURE, OTHER]
+        .into_iter()
+        .map(|corpus| {
+            let mut svc = CryptextService::new(
+                CrypText::new(corpus_db(corpus)),
+                ServiceConfig {
+                    rate_limit_per_minute: 1_000_000,
+                    ..ServiceConfig::default()
+                },
+                Arc::new(clock.clone()),
+            );
+            svc.attach_tier2(Arc::clone(&store) as Arc<_>);
+            let auth = svc.issue_token("corpus");
+            (svc, auth, CrypText::new(corpus_db(corpus)))
+        })
+        .collect();
+
+    let params = NormalizeParams::default();
+    let uncached = |i: usize, text: &str| systems[i].2.normalize(text, params).unwrap();
+    assert!(
+        texts.iter().any(|t| uncached(0, t) != uncached(1, t)),
+        "the corpora must disagree somewhere, or aliasing could not show"
+    );
+    // The first corpus fills the store; the second then reads through it
+    // on every tier-1 miss.
+    for (i, (svc, auth, _)) in systems.iter().enumerate() {
+        for text in texts {
+            assert_eq!(
+                svc.normalize(auth, text, params).unwrap(),
+                uncached(i, text),
+                "corpus {i}: {text:?}"
+            );
+        }
+    }
+    if !env_arm_active() {
+        let tier2 = store.stats();
+        assert!(tier2.inserts > 0, "both corpora wrote behind");
+        assert!(tier2.misses > 0, "the second corpus read through");
+    }
 }
 
 #[test]

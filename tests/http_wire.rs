@@ -6,12 +6,15 @@
 //! SIGTERM-style drain (zero dropped in-flight responses, flush hook
 //! run before the listener closes).
 //!
-//! CI re-runs this binary with `CRYPTEXT_SHARDS=4` (the fixture builds
-//! its backend through `CrypText::from_env`) and runs the filtered
-//! `torn_write` test under `CRYPTEXT_FAILPOINTS=http.write=torn@1:8` —
-//! that test detects which mode it's in from the first response's
-//! bytes, so one test body proves both the clean path and the
-//! torn-write arm.
+//! Every test runs once per layout in `common::LAYOUTS`, like
+//! `service_api`: the consistent-hash store at 1 shard and at 4 shards,
+//! and 4 shards reading through to the process-global shared tier-2. CI
+//! also runs the filtered `torn_write` test under
+//! `CRYPTEXT_FAILPOINTS=http.write=torn@1:8` — that test detects which
+//! mode it's in from the first response's bytes, so one test body proves
+//! both the clean path and the torn-write arm.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -20,13 +23,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use common::{each_layout, service, Layout, LAYOUTS};
+use cryptext::cache::{CacheConfig, SharedCacheStore};
 use cryptext::common::SimClock;
-use cryptext::core::database::TokenDatabase;
-use cryptext::core::service::{CryptextService, ServiceConfig};
-use cryptext::core::{AnyTokenStore, CrypText};
+use cryptext::core::service::CryptextService;
+use cryptext::core::ShardedTokenDatabase;
 use cryptext::gateway::{Gateway, GatewayConfig};
 use cryptext::http::{HttpConfig, HttpServer, ServeReport, ShutdownHandle};
-use cryptext::stream::{SocialPlatform, StreamConfig};
 
 // ---------------------------------------------------------------- fixture
 
@@ -34,33 +37,16 @@ struct Server {
     addr: SocketAddr,
     token: String,
     clock: SimClock,
-    gateway: Arc<Gateway<AnyTokenStore>>,
+    gateway: Arc<Gateway<ShardedTokenDatabase>>,
     handle: ShutdownHandle,
     join: Option<JoinHandle<ServeReport>>,
     flush_ran: Arc<AtomicBool>,
 }
 
-/// The `service_api` fixture behind a bound-and-serving HTTP server on
-/// an ephemeral loopback port.
-fn server_with(limit: u32, http: HttpConfig) -> Server {
-    let platform = SocialPlatform::simulate(StreamConfig {
-        n_posts: 1_200,
-        seed: 77,
-        ..StreamConfig::default()
-    });
-    let mut db = TokenDatabase::with_lexicon();
-    for post in platform.posts() {
-        db.ingest_text(&post.text);
-    }
-    let clock = SimClock::new(0);
-    let svc = Arc::new(CryptextService::new(
-        CrypText::from_env(db),
-        ServiceConfig {
-            rate_limit_per_minute: limit,
-            ..ServiceConfig::default()
-        },
-        Arc::new(clock.clone()),
-    ));
+/// `svc` behind a gateway and a bound-and-serving HTTP server on an
+/// ephemeral loopback port.
+fn serve(svc: CryptextService<ShardedTokenDatabase>, clock: SimClock, http: HttpConfig) -> Server {
+    let svc = Arc::new(svc);
     let token = svc.issue_token("wire").as_str().to_string();
     let gateway = Arc::new(Gateway::new(svc, GatewayConfig::default()));
     let server = HttpServer::bind(Arc::clone(&gateway), http, "127.0.0.1:0").expect("bind");
@@ -85,8 +71,13 @@ fn server_with(limit: u32, http: HttpConfig) -> Server {
     }
 }
 
-fn server() -> Server {
-    server_with(100_000, HttpConfig::default())
+fn server_with(layout: Layout, limit: u32, http: HttpConfig) -> Server {
+    let (svc, clock) = service(layout, limit);
+    serve(svc, clock, http)
+}
+
+fn server(layout: Layout) -> Server {
+    server_with(layout, 100_000, HttpConfig::default())
 }
 
 impl Server {
@@ -255,65 +246,69 @@ fn post_req(path: &str, token: &str, body: &str) -> String {
 /// Normalization repairs the paper's example, Perturbation answers.
 #[test]
 fn api_surface_over_the_wire() {
-    let srv = server();
-    let mut c = Client::connect(srv.addr);
+    each_layout(|layout| {
+        let srv = server(layout);
+        let mut c = Client::connect(srv.addr);
 
-    c.send(&get_req("/lookup?q=vaccine", Some(&srv.token)));
-    let resp = c.read_response();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    assert!(resp.body.starts_with("{\"hits\":["));
-    assert!(resp.body.contains("\"token\":"), "no hits in {}", resp.body);
+        c.send(&get_req("/lookup?q=vaccine", Some(&srv.token)));
+        let resp = c.read_response();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(resp.body.starts_with("{\"hits\":["));
+        assert!(resp.body.contains("\"token\":"), "no hits in {}", resp.body);
 
-    c.send(&post_req("/normalize", &srv.token, "the vacc1ne mandate"));
-    let resp = c.read_response();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    assert!(
-        resp.body.contains("\"text\":\"the vaccine mandate\""),
-        "normalization over the wire: {}",
-        resp.body
-    );
+        c.send(&post_req("/normalize", &srv.token, "the vacc1ne mandate"));
+        let resp = c.read_response();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(
+            resp.body.contains("\"text\":\"the vaccine mandate\""),
+            "normalization over the wire: {}",
+            resp.body
+        );
 
-    c.send(&post_req(
-        "/perturb?seed=42",
-        &srv.token,
-        "the vaccine mandate",
-    ));
-    let resp = c.read_response();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    assert!(resp.body.contains("\"replacements\":"));
+        c.send(&post_req(
+            "/perturb?seed=42",
+            &srv.token,
+            "the vaccine mandate",
+        ));
+        let resp = c.read_response();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(resp.body.contains("\"replacements\":"));
 
-    let report = srv.finish();
-    assert_eq!(report.requests_served, 3);
-    assert!(report.drain.quiesced);
+        let report = srv.finish();
+        assert_eq!(report.requests_served, 3);
+        assert!(report.drain.quiesced);
+    });
 }
 
 /// Three pipelined requests in one burst answer in order on one
 /// connection, and the connection survives for a fourth.
 #[test]
 fn pipelined_keep_alive_requests_answer_in_order() {
-    let srv = server();
-    let mut c = Client::connect(srv.addr);
+    each_layout(|layout| {
+        let srv = server(layout);
+        let mut c = Client::connect(srv.addr);
 
-    let burst = format!(
-        "{}{}{}",
-        get_req("/healthz", None),
-        get_req("/lookup?q=vaccine", Some(&srv.token)),
-        get_req("/stats", None)
-    );
-    c.send(&burst);
+        let burst = format!(
+            "{}{}{}",
+            get_req("/healthz", None),
+            get_req("/lookup?q=vaccine", Some(&srv.token)),
+            get_req("/stats", None)
+        );
+        c.send(&burst);
 
-    let first = c.read_response();
-    assert_eq!((first.status, first.body.as_str()), (200, "ok\n"));
-    let second = c.read_response();
-    assert_eq!(second.status, 200);
-    assert!(second.body.starts_with("{\"hits\":["));
-    let third = c.read_response();
-    assert_eq!(third.status, 200);
-    assert!(third.body.contains("\"draining\":false"), "{}", third.body);
+        let first = c.read_response();
+        assert_eq!((first.status, first.body.as_str()), (200, "ok\n"));
+        let second = c.read_response();
+        assert_eq!(second.status, 200);
+        assert!(second.body.starts_with("{\"hits\":["));
+        let third = c.read_response();
+        assert_eq!(third.status, 200);
+        assert!(third.body.contains("\"draining\":false"), "{}", third.body);
 
-    // Still keep-alive: a fourth request on the same connection works.
-    c.send(&get_req("/healthz", None));
-    assert_eq!(c.read_response().status, 200);
+        // Still keep-alive: a fourth request on the same connection works.
+        c.send(&get_req("/healthz", None));
+        assert_eq!(c.read_response().status, 200);
+    });
 }
 
 /// Malformed request lines are `400` and close; a torn request (client
@@ -321,49 +316,53 @@ fn pipelined_keep_alive_requests_answer_in_order() {
 /// connection either way.
 #[test]
 fn torn_and_malformed_request_lines() {
-    let srv = server();
+    each_layout(|layout| {
+        let srv = server(layout);
 
-    let mut bad = Client::connect(srv.addr);
-    bad.send("NONSENSE\r\n\r\n");
-    let resp = bad.read_response();
-    assert_eq!(resp.status, 400);
-    assert!(bad.read_to_eof().is_empty(), "400 closes the connection");
+        let mut bad = Client::connect(srv.addr);
+        bad.send("NONSENSE\r\n\r\n");
+        let resp = bad.read_response();
+        assert_eq!(resp.status, 400);
+        assert!(bad.read_to_eof().is_empty(), "400 closes the connection");
 
-    let mut version = Client::connect(srv.addr);
-    version.send("GET /healthz HTTP/9.9\r\n\r\n");
-    assert_eq!(version.read_response().status, 400);
+        let mut version = Client::connect(srv.addr);
+        version.send("GET /healthz HTTP/9.9\r\n\r\n");
+        assert_eq!(version.read_response().status, 400);
 
-    // A client that dies mid-request-line: nothing to answer.
-    let mut torn = Client::connect(srv.addr);
-    torn.send("GET /look");
-    drop(torn);
+        // A client that dies mid-request-line: nothing to answer.
+        let mut torn = Client::connect(srv.addr);
+        torn.send("GET /look");
+        drop(torn);
 
-    let mut next = Client::connect(srv.addr);
-    next.send(&get_req("/healthz", None));
-    assert_eq!(next.read_response().status, 200);
+        let mut next = Client::connect(srv.addr);
+        next.send(&get_req("/healthz", None));
+        assert_eq!(next.read_response().status, 200);
+    });
 }
 
 /// Declared oversized bodies are refused with `413` (before the body is
 /// read), oversized header blocks with `431`.
 #[test]
 fn size_limits_return_413_and_431() {
-    let srv = server();
+    each_layout(|layout| {
+        let srv = server(layout);
 
-    let mut big_body = Client::connect(srv.addr);
-    big_body.send(&format!(
+        let mut big_body = Client::connect(srv.addr);
+        big_body.send(&format!(
         "POST /normalize HTTP/1.1\r\nHost: loopback\r\nAuthorization: Bearer {}\r\nContent-Length: 300000\r\n\r\n",
         srv.token
     ));
-    let resp = big_body.read_response();
-    assert_eq!(resp.status, 413);
-    assert!(resp.body.contains("body_too_large"));
+        let resp = big_body.read_response();
+        assert_eq!(resp.status, 413);
+        assert!(resp.body.contains("body_too_large"));
 
-    let mut big_head = Client::connect(srv.addr);
-    big_head.send(&format!(
-        "GET /healthz HTTP/1.1\r\nHost: loopback\r\nX-Padding: {}\r\n\r\n",
-        "p".repeat(20_000)
-    ));
-    assert_eq!(big_head.read_response().status, 431);
+        let mut big_head = Client::connect(srv.addr);
+        big_head.send(&format!(
+            "GET /healthz HTTP/1.1\r\nHost: loopback\r\nX-Padding: {}\r\n\r\n",
+            "p".repeat(20_000)
+        ));
+        assert_eq!(big_head.read_response().status, 431);
+    });
 }
 
 /// A client dribbling a request slower than the header budget gets
@@ -371,66 +370,71 @@ fn size_limits_return_413_and_431() {
 /// no status.
 #[test]
 fn slowloris_times_out_with_408() {
-    let srv = server_with(
-        100_000,
-        HttpConfig {
-            header_timeout_ms: 150,
-            ..HttpConfig::default()
-        },
-    );
+    each_layout(|layout| {
+        let srv = server_with(
+            layout,
+            100_000,
+            HttpConfig {
+                header_timeout_ms: 150,
+                ..HttpConfig::default()
+            },
+        );
 
-    let mut slow = Client::connect(srv.addr);
-    slow.send("GET /healthz HTT"); // …and never finishes the line.
-    let resp = slow.read_response();
-    assert_eq!(resp.status, 408);
-    assert!(slow.read_to_eof().is_empty(), "408 closes the connection");
+        let mut slow = Client::connect(srv.addr);
+        slow.send("GET /healthz HTT"); // …and never finishes the line.
+        let resp = slow.read_response();
+        assert_eq!(resp.status, 408);
+        assert!(slow.read_to_eof().is_empty(), "408 closes the connection");
 
-    let mut idle = Client::connect(srv.addr);
-    idle.send(&get_req("/healthz", None));
-    assert_eq!(idle.read_response().status, 200);
-    // Now idle past the budget: silent close, no 408 frame.
-    assert!(idle.read_to_eof().is_empty());
+        let mut idle = Client::connect(srv.addr);
+        idle.send(&get_req("/healthz", None));
+        assert_eq!(idle.read_response().status, 200);
+        // Now idle past the budget: silent close, no 408 frame.
+        assert!(idle.read_to_eof().is_empty());
+    });
 }
 
 /// The error→status mapping, end to end: 401/403/404/405/400/504.
 #[test]
 fn error_statuses_map_the_service_vocabulary() {
-    let srv = server();
+    each_layout(|layout| {
+        let srv = server(layout);
 
-    let case = |raw: &str| {
-        let mut c = Client::connect(srv.addr);
-        c.send(raw);
-        c.read_response()
-    };
+        let case = |raw: &str| {
+            let mut c = Client::connect(srv.addr);
+            c.send(raw);
+            c.read_response()
+        };
 
-    let missing = case(&get_req("/lookup?q=x", None));
-    assert_eq!(missing.status, 401);
-    assert!(missing.header("WWW-Authenticate").is_some());
-    assert!(missing.body.contains("\"error\":\"unauthorized\""));
+        let missing = case(&get_req("/lookup?q=x", None));
+        assert_eq!(missing.status, 401);
+        assert!(missing.header("WWW-Authenticate").is_some());
+        assert!(missing.body.contains("\"error\":\"unauthorized\""));
 
-    let revoked = case(&get_req("/lookup?q=x", Some("cx_bogus_token")));
-    assert_eq!(revoked.status, 403, "{}", revoked.body);
+        let revoked = case(&get_req("/lookup?q=x", Some("cx_bogus_token")));
+        assert_eq!(revoked.status, 403, "{}", revoked.body);
 
-    assert_eq!(case(&get_req("/no/such/route", None)).status, 404);
+        assert_eq!(case(&get_req("/no/such/route", None)).status, 404);
 
-    let wrong_method = case(&get_req("/normalize", Some(&srv.token)));
-    assert_eq!(wrong_method.status, 405);
-    assert_eq!(wrong_method.header("Allow"), Some("POST"));
+        let wrong_method = case(&get_req("/normalize", Some(&srv.token)));
+        assert_eq!(wrong_method.status, 405);
+        assert_eq!(wrong_method.header("Allow"), Some("POST"));
 
-    // Service-level validation (k = 9 is out of range) surfaces as 400,
-    // same as `service_api`'s InvalidArgument assertion.
-    let invalid = case(&get_req("/lookup?q=x&k=9", Some(&srv.token)));
-    assert_eq!(invalid.status, 400, "{}", invalid.body);
-    assert!(invalid.body.contains("invalid_argument"));
+        // Service-level validation (k = 9 is out of range) surfaces as 400,
+        // same as `service_api`'s InvalidArgument assertion.
+        let invalid = case(&get_req("/lookup?q=x&k=9", Some(&srv.token)));
+        assert_eq!(invalid.status, 400, "{}", invalid.body);
+        assert!(invalid.body.contains("invalid_argument"));
 
-    // A born-expired deadline is deterministic 504 under the frozen
-    // simulated clock.
-    let expired = case(&get_req(
-        "/lookup?q=vaccine&deadline_ms=0",
-        Some(&srv.token),
-    ));
-    assert_eq!(expired.status, 504, "{}", expired.body);
-    assert!(expired.body.contains("deadline_exceeded"));
+        // A born-expired deadline is deterministic 504 under the frozen
+        // simulated clock.
+        let expired = case(&get_req(
+            "/lookup?q=vaccine&deadline_ms=0",
+            Some(&srv.token),
+        ));
+        assert_eq!(expired.status, 504, "{}", expired.body);
+        assert!(expired.body.contains("deadline_exceeded"));
+    });
 }
 
 /// Rate limiting over the wire mirrors `service_api`: a limit of 5
@@ -438,36 +442,38 @@ fn error_statuses_map_the_service_vocabulary() {
 /// refills when the window rolls over.
 #[test]
 fn rate_limit_maps_to_429_with_retry_after() {
-    let srv = server_with(5, HttpConfig::default());
+    each_layout(|layout| {
+        let srv = server_with(layout, 5, HttpConfig::default());
 
-    let shoot = |n: usize| {
-        let mut ok = 0;
-        let mut limited = 0;
-        for _ in 0..n {
-            let mut c = Client::connect(srv.addr);
-            c.send(&get_req("/lookup?q=vaccine", Some(&srv.token)));
-            let resp = c.read_response();
-            match resp.status {
-                200 => ok += 1,
-                429 => {
-                    let after: u64 = resp
-                        .header("Retry-After")
-                        .expect("429 carries Retry-After")
-                        .parse()
-                        .expect("integer seconds");
-                    assert!(after >= 1);
-                    assert!(resp.body.contains("rate_limited"), "{}", resp.body);
-                    limited += 1;
+        let shoot = |n: usize| {
+            let mut ok = 0;
+            let mut limited = 0;
+            for _ in 0..n {
+                let mut c = Client::connect(srv.addr);
+                c.send(&get_req("/lookup?q=vaccine", Some(&srv.token)));
+                let resp = c.read_response();
+                match resp.status {
+                    200 => ok += 1,
+                    429 => {
+                        let after: u64 = resp
+                            .header("Retry-After")
+                            .expect("429 carries Retry-After")
+                            .parse()
+                            .expect("integer seconds");
+                        assert!(after >= 1);
+                        assert!(resp.body.contains("rate_limited"), "{}", resp.body);
+                        limited += 1;
+                    }
+                    other => panic!("unexpected status {other}"),
                 }
-                other => panic!("unexpected status {other}"),
             }
-        }
-        (ok, limited)
-    };
+            (ok, limited)
+        };
 
-    assert_eq!(shoot(8), (5, 3));
-    srv.clock.advance(60_001);
-    assert_eq!(shoot(2), (2, 0));
+        assert_eq!(shoot(8), (5, 3));
+        srv.clock.advance(60_001);
+        assert_eq!(shoot(2), (2, 0));
+    });
 }
 
 /// Cache metadata rides the response headers: cold fills carry
@@ -475,42 +481,44 @@ fn rate_limit_maps_to_429_with_retry_after() {
 /// the generation is pinned on every success.
 #[test]
 fn cache_metadata_headers() {
-    let srv = server();
-    let mut c = Client::connect(srv.addr);
+    each_layout(|layout| {
+        let srv = server(layout);
+        let mut c = Client::connect(srv.addr);
 
-    c.send(&get_req("/lookup?q=democrats", Some(&srv.token)));
-    let cold = c.read_response();
-    assert_eq!(cold.status, 200);
-    assert_eq!(cold.header("X-Cryptext-Cache"), Some("cold"));
-    assert_eq!(cold.header("Age"), Some("0"));
-    assert_eq!(cold.header("Cache-Control"), Some("public, max-age=300"));
-    let generation = cold
-        .header("X-Cryptext-Generation")
-        .expect("generation")
-        .to_string();
+        c.send(&get_req("/lookup?q=democrats", Some(&srv.token)));
+        let cold = c.read_response();
+        assert_eq!(cold.status, 200);
+        assert_eq!(cold.header("X-Cryptext-Cache"), Some("cold"));
+        assert_eq!(cold.header("Age"), Some("0"));
+        assert_eq!(cold.header("Cache-Control"), Some("public, max-age=300"));
+        let generation = cold
+            .header("X-Cryptext-Generation")
+            .expect("generation")
+            .to_string();
 
-    c.send(&get_req("/lookup?q=democrats", Some(&srv.token)));
-    let hit = c.read_response();
-    assert_eq!(hit.header("X-Cryptext-Cache"), Some("hit"));
-    assert_eq!(hit.header("Age"), None, "hits have unknowable age");
-    assert_eq!(
-        hit.header("X-Cryptext-Generation"),
-        Some(generation.as_str())
-    );
-    assert_eq!(hit.body, cold.body, "hit serves the leader's exact bytes");
+        c.send(&get_req("/lookup?q=democrats", Some(&srv.token)));
+        let hit = c.read_response();
+        assert_eq!(hit.header("X-Cryptext-Cache"), Some("hit"));
+        assert_eq!(hit.header("Age"), None, "hits have unknowable age");
+        assert_eq!(
+            hit.header("X-Cryptext-Generation"),
+            Some(generation.as_str())
+        );
+        assert_eq!(hit.body, cold.body, "hit serves the leader's exact bytes");
 
-    c.send(&post_req("/perturb?seed=1", &srv.token, "the vaccine"));
-    let bypass = c.read_response();
-    assert_eq!(bypass.header("X-Cryptext-Cache"), Some("bypass"));
-    assert_eq!(bypass.header("Cache-Control"), Some("no-store"));
+        c.send(&post_req("/perturb?seed=1", &srv.token, "the vaccine"));
+        let bypass = c.read_response();
+        assert_eq!(bypass.header("X-Cryptext-Cache"), Some("bypass"));
+        assert_eq!(bypass.header("Cache-Control"), Some("no-store"));
 
-    let errors = {
-        let mut c2 = Client::connect(srv.addr);
-        c2.send(&get_req("/lookup?q=x", None));
-        c2.read_response()
-    };
-    assert_eq!(errors.header("Cache-Control"), Some("no-store"));
-    assert_eq!(errors.header("X-Cryptext-Cache"), None);
+        let errors = {
+            let mut c2 = Client::connect(srv.addr);
+            c2.send(&get_req("/lookup?q=x", None));
+            c2.read_response()
+        };
+        assert_eq!(errors.header("Cache-Control"), Some("no-store"));
+        assert_eq!(errors.header("X-Cryptext-Cache"), None);
+    });
 }
 
 /// The SIGTERM-style drain: requests admitted to the gateway when
@@ -518,49 +526,51 @@ fn cache_metadata_headers() {
 /// responses), the flush hook runs, and the report says quiesced.
 #[test]
 fn graceful_drain_completes_in_flight_requests() {
-    let srv = server();
-    let base = srv.gateway.stats().admitted;
-    const CLIENTS: usize = 8;
+    each_layout(|layout| {
+        let srv = server(layout);
+        let base = srv.gateway.stats().admitted;
+        const CLIENTS: usize = 8;
 
-    let mut workers = Vec::new();
-    for i in 0..CLIENTS {
-        let addr = srv.addr;
-        let token = srv.token.clone();
-        workers.push(std::thread::spawn(move || {
-            let mut c = Client::connect(addr);
-            // Distinct texts: no single-flight coalescing, eight real
-            // executions in flight.
-            c.send(&post_req(
-                "/normalize",
-                &token,
-                &format!("the vacc1ne mandate number {i}"),
-            ));
-            c.read_response()
-        }));
-    }
+        let mut workers = Vec::new();
+        for i in 0..CLIENTS {
+            let addr = srv.addr;
+            let token = srv.token.clone();
+            workers.push(std::thread::spawn(move || {
+                let mut c = Client::connect(addr);
+                // Distinct texts: no single-flight coalescing, eight real
+                // executions in flight.
+                c.send(&post_req(
+                    "/normalize",
+                    &token,
+                    &format!("the vacc1ne mandate number {i}"),
+                ));
+                c.read_response()
+            }));
+        }
 
-    // All eight admitted (some may already be executing) — now pull the
-    // plug mid-traffic.
-    let started = Instant::now();
-    while srv.gateway.stats().admitted < base + CLIENTS as u64 {
-        assert!(
-            started.elapsed() < Duration::from_secs(20),
-            "requests never reached the gateway"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let flush_ran = Arc::clone(&srv.flush_ran);
-    let report = srv.finish();
+        // All eight admitted (some may already be executing) — now pull the
+        // plug mid-traffic.
+        let started = Instant::now();
+        while srv.gateway.stats().admitted < base + CLIENTS as u64 {
+            assert!(
+                started.elapsed() < Duration::from_secs(20),
+                "requests never reached the gateway"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let flush_ran = Arc::clone(&srv.flush_ran);
+        let report = srv.finish();
 
-    for worker in workers {
-        let resp = worker.join().expect("client thread");
-        assert_eq!(resp.status, 200, "in-flight request dropped: {}", resp.body);
-        assert!(resp.body.contains("\"text\":\"the vaccine mandate number"));
-    }
-    assert!(report.drain.quiesced, "drain did not quiesce: {report:?}");
-    assert!(report.drain.flush_error.is_none());
-    assert!(flush_ran.load(Ordering::SeqCst), "flush hook never ran");
-    assert!(report.requests_served >= CLIENTS as u64);
+        for worker in workers {
+            let resp = worker.join().expect("client thread");
+            assert_eq!(resp.status, 200, "in-flight request dropped: {}", resp.body);
+            assert!(resp.body.contains("\"text\":\"the vaccine mandate number"));
+        }
+        assert!(report.drain.quiesced, "drain did not quiesce: {report:?}");
+        assert!(report.drain.flush_error.is_none());
+        assert!(flush_ran.load(Ordering::SeqCst), "flush hook never ran");
+        assert!(report.requests_served >= CLIENTS as u64);
+    });
 }
 
 /// Clean mode: an API response is whole. Armed mode (CI re-runs this
@@ -570,52 +580,54 @@ fn graceful_drain_completes_in_flight_requests() {
 /// serving: health, stats, and fresh connections all answer afterwards.
 #[test]
 fn torn_write_cannot_poison_the_listener() {
-    let srv = server();
+    each_layout(|layout| {
+        let srv = server(layout);
 
-    let mut first = Client::connect(srv.addr);
-    first.send(&format!(
+        let mut first = Client::connect(srv.addr);
+        first.send(&format!(
         "GET /lookup?q=vaccine HTTP/1.1\r\nHost: loopback\r\nAuthorization: Bearer {}\r\nConnection: close\r\n\r\n",
         srv.token
     ));
-    let bytes = first.read_to_eof();
-    let armed = !String::from_utf8_lossy(&bytes).contains("\r\n\r\n");
-    if armed {
-        // torn@1:8 — exactly the torn prefix came through, then EOF.
-        assert_eq!(bytes.len(), 8, "torn at 8 bytes: {bytes:?}");
-        assert!(b"HTTP/1.1 200 OK".starts_with(&bytes[..]));
-    } else {
-        let text = String::from_utf8_lossy(&bytes);
-        assert!(
-            text.starts_with("HTTP/1.1 200 OK\r\n"),
-            "clean mode: {text}"
-        );
-        assert!(text.contains("\"hits\":["));
-    }
+        let bytes = first.read_to_eof();
+        let armed = !String::from_utf8_lossy(&bytes).contains("\r\n\r\n");
+        if armed {
+            // torn@1:8 — exactly the torn prefix came through, then EOF.
+            assert_eq!(bytes.len(), 8, "torn at 8 bytes: {bytes:?}");
+            assert!(b"HTTP/1.1 200 OK".starts_with(&bytes[..]));
+        } else {
+            let text = String::from_utf8_lossy(&bytes);
+            assert!(
+                text.starts_with("HTTP/1.1 200 OK\r\n"),
+                "clean mode: {text}"
+            );
+            assert!(text.contains("\"hits\":["));
+        }
 
-    // The listener is fine: non-API routes never trip the failpoint …
-    let mut probe = Client::connect(srv.addr);
-    probe.send(&get_req("/healthz", None));
-    assert_eq!(probe.read_response().status, 200);
-    probe.send(&get_req("/stats", None));
-    assert_eq!(probe.read_response().status, 200);
+        // The listener is fine: non-API routes never trip the failpoint …
+        let mut probe = Client::connect(srv.addr);
+        probe.send(&get_req("/healthz", None));
+        assert_eq!(probe.read_response().status, 200);
+        probe.send(&get_req("/stats", None));
+        assert_eq!(probe.read_response().status, 200);
 
-    // … and a second API request on a fresh connection tears again
-    // (armed) or succeeds (clean) — its connection's problem alone.
-    let mut second = Client::connect(srv.addr);
-    second.send(&format!(
+        // … and a second API request on a fresh connection tears again
+        // (armed) or succeeds (clean) — its connection's problem alone.
+        let mut second = Client::connect(srv.addr);
+        second.send(&format!(
         "GET /lookup?q=vaccine HTTP/1.1\r\nHost: loopback\r\nAuthorization: Bearer {}\r\nConnection: close\r\n\r\n",
         srv.token
     ));
-    let bytes = second.read_to_eof();
-    if armed {
-        assert_eq!(bytes.len(), 8);
-    } else {
-        assert!(String::from_utf8_lossy(&bytes).contains("\"hits\":["));
-    }
+        let bytes = second.read_to_eof();
+        if armed {
+            assert_eq!(bytes.len(), 8);
+        } else {
+            assert!(String::from_utf8_lossy(&bytes).contains("\"hits\":["));
+        }
 
-    let mut after = Client::connect(srv.addr);
-    after.send(&get_req("/healthz", None));
-    assert_eq!(after.read_response().status, 200, "listener poisoned");
+        let mut after = Client::connect(srv.addr);
+        after.send(&get_req("/healthz", None));
+        assert_eq!(after.read_response().status, 200, "listener poisoned");
+    });
 }
 
 /// A minimal Prometheus text-exposition (version 0.0.4) parser: every
@@ -660,103 +672,150 @@ fn parse_prometheus(body: &str) -> std::collections::HashMap<String, f64> {
 /// registry every layer records into, scraped over the wire.
 #[test]
 fn metrics_endpoint_scrapes_the_live_registry() {
-    let srv = server();
+    each_layout(|layout| {
+        let srv = server(layout);
+        let mut c = Client::connect(srv.addr);
+
+        // A known mix: two OK lookups on one key (cold fill + tier-1 hit)
+        // and one unauthorized request that never reaches the gateway.
+        c.send(&get_req("/lookup?q=vaccine", Some(&srv.token)));
+        assert_eq!(c.read_response().status, 200);
+        c.send(&get_req("/lookup?q=vaccine", Some(&srv.token)));
+        assert_eq!(c.read_response().status, 200);
+        c.send(&get_req("/lookup?q=x", None));
+        let denied = c.read_response();
+        assert_eq!(denied.status, 401);
+
+        c.send(&get_req("/metrics", None));
+        let scrape = c.read_response();
+        assert_eq!(scrape.status, 200);
+        assert_eq!(scrape.header("Cache-Control"), Some("no-store"));
+        assert_eq!(
+            scrape.header("Content-Type"),
+            Some("text/plain; version=0.0.4")
+        );
+
+        let samples = parse_prometheus(&scrape.body);
+
+        // Wire layer: per-status counts match the responses asserted above
+        // (the scrape renders before counting itself, so /metrics' own 200
+        // is not in its body).
+        assert_eq!(
+            samples["cryptext_http_responses_total{status=\"200\"}"],
+            2.0
+        );
+        assert_eq!(
+            samples["cryptext_http_responses_total{status=\"401\"}"],
+            1.0
+        );
+        assert_eq!(samples["cryptext_http_request_us_count"], 3.0);
+
+        // Gateway layer: only the two authorized lookups were admitted, on
+        // free slots (no queue waits on any route).
+        assert_eq!(samples["cryptext_gateway_admitted_total"], 2.0);
+        assert_eq!(samples["cryptext_gateway_completed_ok_total"], 2.0);
+        for route in ["lookup", "normalize", "perturb", "listening"] {
+            assert_eq!(
+                samples[&format!("cryptext_gateway_queue_wait_us_count{{route=\"{route}\"}}")],
+                0.0
+            );
+        }
+        assert_eq!(samples["cryptext_gateway_active_now"], 0.0);
+
+        // Cache + engine layers: one cold fill, one tier-1 hit, and the
+        // cold execution left stage timings behind.
+        assert_eq!(samples["cryptext_cache_misses_total{tier=\"lookup\"}"], 1.0);
+        assert_eq!(samples["cryptext_cache_hits_total{tier=\"lookup\"}"], 1.0);
+        assert_eq!(samples["cryptext_lookup_encode_us_count"], 1.0);
+        assert_eq!(samples["cryptext_lookup_walk_us_count"], 1.0);
+
+        // The wire numbers agree with the in-process registry view (which
+        // by now also counted the scrape's own 200).
+        let snap = srv.gateway.metrics().snapshot();
+        assert_eq!(
+            snap.counter_labeled("cryptext_http_responses_total", "status", "200"),
+            3
+        );
+        assert_eq!(snap.counter_total("cryptext_gateway_admitted_total"), 2);
+    });
+}
+
+/// The two operator surfaces agree on tier-2: with a store attached,
+/// `cache_tier_stats()` and the `tier="tier2"` series scraped from
+/// `GET /metrics` read the same cells. (The store is private to this
+/// test, so other tests' traffic cannot move its counters mid-read.)
+#[test]
+fn metrics_and_cache_tier_stats_agree_on_tier2() {
+    let (mut svc, clock) = service(LAYOUTS[1], 100_000);
+    let store = SharedCacheStore::new(CacheConfig::default(), Arc::new(clock.clone()));
+    svc.attach_tier2(Arc::new(store));
+    let srv = serve(svc, clock, HttpConfig::default());
     let mut c = Client::connect(srv.addr);
 
-    // A known mix: two OK lookups on one key (cold fill + tier-1 hit)
-    // and one unauthorized request that never reaches the gateway.
-    c.send(&get_req("/lookup?q=vaccine", Some(&srv.token)));
+    // Cold normalizes miss tier-2 and write their candidates behind; the
+    // bump flushes the namespace, and the repeat misses and refills.
+    for text in ["the vacc1ne mandate", "the demokRATs argue"] {
+        c.send(&post_req("/normalize", &srv.token, text));
+        assert_eq!(c.read_response().status, 200);
+    }
+    srv.gateway.bump_generation();
+    c.send(&post_req("/normalize", &srv.token, "the vacc1ne mandate"));
     assert_eq!(c.read_response().status, 200);
-    c.send(&get_req("/lookup?q=vaccine", Some(&srv.token)));
-    assert_eq!(c.read_response().status, 200);
-    c.send(&get_req("/lookup?q=x", None));
-    let denied = c.read_response();
-    assert_eq!(denied.status, 401);
 
     c.send(&get_req("/metrics", None));
-    let scrape = c.read_response();
-    assert_eq!(scrape.status, 200);
-    assert_eq!(scrape.header("Cache-Control"), Some("no-store"));
-    assert_eq!(
-        scrape.header("Content-Type"),
-        Some("text/plain; version=0.0.4")
-    );
-
-    let samples = parse_prometheus(&scrape.body);
-
-    // Wire layer: per-status counts match the responses asserted above
-    // (the scrape renders before counting itself, so /metrics' own 200
-    // is not in its body).
-    assert_eq!(
-        samples["cryptext_http_responses_total{status=\"200\"}"],
-        2.0
-    );
-    assert_eq!(
-        samples["cryptext_http_responses_total{status=\"401\"}"],
-        1.0
-    );
-    assert_eq!(samples["cryptext_http_request_us_count"], 3.0);
-
-    // Gateway layer: only the two authorized lookups were admitted, on
-    // free slots (no queue waits on any route).
-    assert_eq!(samples["cryptext_gateway_admitted_total"], 2.0);
-    assert_eq!(samples["cryptext_gateway_completed_ok_total"], 2.0);
-    for route in ["lookup", "normalize", "perturb", "listening"] {
+    let samples = parse_prometheus(&c.read_response().body);
+    let tier2 = srv.gateway.cache_stats().tier2;
+    assert!(tier2.misses > 0 && tier2.inserts > 0 && tier2.invalidated > 0);
+    for (name, value) in [
+        ("cryptext_cache_hits_total", tier2.hits),
+        ("cryptext_cache_misses_total", tier2.misses),
+        ("cryptext_cache_inserts_total", tier2.inserts),
+        ("cryptext_cache_evictions_total", tier2.evictions),
+        ("cryptext_cache_expirations_total", tier2.expirations),
+        ("cryptext_cache_invalidated_total", tier2.invalidated),
+        ("cryptext_cache_put_errors_total", tier2.put_errors),
+    ] {
         assert_eq!(
-            samples[&format!("cryptext_gateway_queue_wait_us_count{{route=\"{route}\"}}")],
-            0.0
+            samples[&format!("{name}{{tier=\"tier2\"}}")],
+            value as f64,
+            "{name}"
         );
     }
-    assert_eq!(samples["cryptext_gateway_active_now"], 0.0);
-
-    // Cache + engine layers: one cold fill, one tier-1 hit, and the
-    // cold execution left stage timings behind.
-    assert_eq!(samples["cryptext_cache_misses_total{tier=\"lookup\"}"], 1.0);
-    assert_eq!(samples["cryptext_cache_hits_total{tier=\"lookup\"}"], 1.0);
-    assert_eq!(samples["cryptext_lookup_encode_us_count"], 1.0);
-    assert_eq!(samples["cryptext_lookup_walk_us_count"], 1.0);
-
-    // The wire numbers agree with the in-process registry view (which
-    // by now also counted the scrape's own 200).
-    let snap = srv.gateway.metrics().snapshot();
-    assert_eq!(
-        snap.counter_labeled("cryptext_http_responses_total", "status", "200"),
-        3
-    );
-    assert_eq!(snap.counter_total("cryptext_gateway_admitted_total"), 2);
 }
 
 /// HTTP/1.0 defaults to close; `GET /stats` is a complete operator
 /// report (gateway + cache tiers + draining) without auth.
 #[test]
 fn http10_close_default_and_stats_surface() {
-    let srv = server();
+    each_layout(|layout| {
+        let srv = server(layout);
 
-    let mut old = Client::connect(srv.addr);
-    old.send("GET /healthz HTTP/1.0\r\n\r\n");
-    let resp = old.read_response();
-    assert_eq!(resp.status, 200);
-    assert_eq!(resp.header("Connection"), Some("close"));
-    assert!(old.read_to_eof().is_empty(), "1.0 connection closed");
+        let mut old = Client::connect(srv.addr);
+        old.send("GET /healthz HTTP/1.0\r\n\r\n");
+        let resp = old.read_response();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("Connection"), Some("close"));
+        assert!(old.read_to_eof().is_empty(), "1.0 connection closed");
 
-    let mut c = Client::connect(srv.addr);
-    c.send(&get_req("/lookup?q=vaccine", Some(&srv.token)));
-    assert_eq!(c.read_response().status, 200);
-    c.send(&get_req("/stats", None));
-    let stats = c.read_response();
-    assert_eq!(stats.status, 200);
-    for field in [
-        "\"gateway\":",
-        "\"admitted\":",
-        "\"cache\":",
-        "\"lookup\":",
-        "\"generation\":",
-        "\"draining\":false",
-    ] {
-        assert!(
-            stats.body.contains(field),
-            "missing {field} in {}",
-            stats.body
-        );
-    }
+        let mut c = Client::connect(srv.addr);
+        c.send(&get_req("/lookup?q=vaccine", Some(&srv.token)));
+        assert_eq!(c.read_response().status, 200);
+        c.send(&get_req("/stats", None));
+        let stats = c.read_response();
+        assert_eq!(stats.status, 200);
+        for field in [
+            "\"gateway\":",
+            "\"admitted\":",
+            "\"cache\":",
+            "\"lookup\":",
+            "\"generation\":",
+            "\"draining\":false",
+        ] {
+            assert!(
+                stats.body.contains(field),
+                "missing {field} in {}",
+                stats.body
+            );
+        }
+    });
 }

@@ -157,11 +157,12 @@ fn a_10x_storm_sheds_fast_and_serves_the_admitted_byte_identically() {
                 CallOptions::default(),
                 move |svc, _| {
                     latch.wait();
-                    svc.look_up_prechecked(
+                    svc.look_up_prechecked_traced(
                         "republicans",
                         LookupParams::paper_default(),
                         &mut || None,
                     )
+                    .map(|(hits, _)| hits)
                 },
             )
         }));
@@ -240,7 +241,12 @@ fn coalesced_duplicates_execute_once_and_share_exact_bytes() {
                 &flights,
                 move |svc, _| {
                     latch.wait();
-                    svc.look_up_prechecked("democrats", LookupParams::paper_default(), &mut || None)
+                    svc.look_up_prechecked_traced(
+                        "democrats",
+                        LookupParams::paper_default(),
+                        &mut || None,
+                    )
+                    .map(|(hits, _)| hits)
                 },
             )
         }));
@@ -424,9 +430,10 @@ fn an_expired_deadline_cancels_the_store_walk_mid_flight() {
             // Burn the whole budget before the walk starts; the first
             // probe consulted during the walk then fires.
             clock.advance(40);
-            svc.look_up_prechecked("republicans", LookupParams::new(1, 2), &mut || {
+            svc.look_up_prechecked_traced("republicans", LookupParams::new(1, 2), &mut || {
                 deadline.probe()
             })
+            .map(|(hits, _)| hits)
         },
     );
     assert!(
@@ -466,7 +473,12 @@ fn revocation_races_queued_requests_and_rejects_them_at_dequeue() {
                 CallOptions::default(),
                 move |svc, _| {
                     latch2.wait();
-                    svc.look_up_prechecked("vaccine", LookupParams::paper_default(), &mut || None)
+                    svc.look_up_prechecked_traced(
+                        "vaccine",
+                        LookupParams::paper_default(),
+                        &mut || None,
+                    )
+                    .map(|(hits, _)| hits)
                 },
             )
         }));
@@ -760,7 +772,12 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
                 &flights,
                 move |svc, _| {
                     latch.wait();
-                    svc.look_up_prechecked("vaccine", LookupParams::paper_default(), &mut || None)
+                    svc.look_up_prechecked_traced(
+                        "vaccine",
+                        LookupParams::paper_default(),
+                        &mut || None,
+                    )
+                    .map(|(hits, _)| hits)
                 },
             )
         })
