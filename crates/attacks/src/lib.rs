@@ -18,7 +18,7 @@
 //!   comparison.
 //!
 //! All generators are deterministic functions of a
-//! [`SplitMix64`](cryptext_common::SplitMix64) stream.
+//! [`SplitMix64`] stream.
 
 #![warn(missing_docs)]
 

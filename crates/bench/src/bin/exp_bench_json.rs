@@ -442,9 +442,10 @@ fn run_service_choreography() -> ServiceChoreography {
     let capacity = STORM_BUDGET.0 + STORM_BUDGET.1;
     poll_until("storm saturation", || {
         let s = gw.stats();
-        s.shed_queue_full == (STORM_REQUESTS - capacity) as u64
-            && s.active_now == STORM_BUDGET.0
-            && s.queued_now == STORM_BUDGET.1
+        s.counter_total("cryptext_gateway_shed_queue_full_total")
+            == (STORM_REQUESTS - capacity) as u64
+            && s.gauge("cryptext_gateway_active_now") == Some(STORM_BUDGET.0 as i64)
+            && s.gauge("cryptext_gateway_queued_now") == Some(STORM_BUDGET.1 as i64)
     });
     latch.open();
     let (mut storm_completed, mut storm_shed) = (0, 0);
@@ -497,7 +498,9 @@ fn run_service_choreography() -> ServiceChoreography {
         }));
     }
     poll_until("wave coalescing", || {
-        gw.stats().coalesced_followers == (WAVE_REQUESTS - 1) as u64
+        gw.stats()
+            .counter_total("cryptext_gateway_coalesced_followers_total")
+            == (WAVE_REQUESTS - 1) as u64
     });
     latch.open();
     for h in handles {
@@ -508,8 +511,8 @@ fn run_service_choreography() -> ServiceChoreography {
     ServiceChoreography {
         storm_completed,
         storm_shed,
-        wave_followers: s.coalesced_followers,
-        wave_executions: s.executions,
+        wave_followers: s.counter_total("cryptext_gateway_coalesced_followers_total"),
+        wave_executions: s.counter_total("cryptext_gateway_executions_total"),
     }
 }
 
@@ -923,7 +926,8 @@ fn run_cache_replay(platform: &cryptext_stream::SocialPlatform) -> CacheReplay {
     }
     // Capture the counters before any further traffic: these are the
     // replay's own deterministic hit/miss/invalidation counts.
-    let tiers = svc.cache_tier_stats();
+    let tiers = svc.metrics().snapshot();
+    let at_tier = |name: &str, tier: &str| tiers.counter_labeled(name, "tier", tier);
     samples_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let pick = |q: f64| samples_us[((samples_us.len() - 1) as f64 * q).round() as usize];
     let (replay_p50_us, replay_p99_us) = (pick(0.5), pick(0.99));
@@ -957,13 +961,13 @@ fn run_cache_replay(platform: &cryptext_stream::SocialPlatform) -> CacheReplay {
     );
 
     CacheReplay {
-        result_hits: tiers.normalize_results.hits,
-        result_misses: tiers.normalize_results.misses,
-        candidate_hits: tiers.normalize.hits,
-        candidate_misses: tiers.normalize.misses,
-        negative_candidate_hits: tiers.negative_hits,
-        invalidation_bumps: tiers.invalidation_bumps,
-        invalidated_entries: tiers.invalidated_entries,
+        result_hits: at_tier("cryptext_cache_hits_total", "normalize_results"),
+        result_misses: at_tier("cryptext_cache_misses_total", "normalize_results"),
+        candidate_hits: at_tier("cryptext_cache_hits_total", "normalize"),
+        candidate_misses: at_tier("cryptext_cache_misses_total", "normalize"),
+        negative_candidate_hits: tiers.counter_total("cryptext_cache_negative_hits_total"),
+        invalidation_bumps: tiers.counter_total("cryptext_cache_invalidation_bumps_total"),
+        invalidated_entries: tiers.counter_total("cryptext_cache_invalidated_entries_total"),
         replay_p50_us,
         replay_p99_us,
         uncached,

@@ -16,7 +16,7 @@
 //! * **LRU** — every shard maintains a recency index (`BTreeMap<tick, key>`),
 //!   giving `O(log n)` touch/evict without unsafe linked-list code.
 //! * **TTL** — entries may carry a deadline from the injected
-//!   [`Clock`](cryptext_common::Clock); expired entries are never returned
+//!   [`Clock`]; expired entries are never returned
 //!   and are reaped lazily on access, by an insert into a full shard, and
 //!   explicitly via [`Cache::sweep_expired`]. Each shard keeps a lower
 //!   bound on its entries' deadlines, so a reap only scans a shard once
@@ -29,7 +29,7 @@
 
 pub mod store;
 
-pub use store::{CacheStore, SharedCacheStore, StoreStats, SHARED_PUT_FAILPOINT};
+pub use store::{CacheStore, SharedCacheStore, SHARED_PUT_FAILPOINT};
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -362,7 +362,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     }
 
     /// Counter snapshot — a projection of the same
-    /// [`Counter`](cryptext_common::metrics::Counter) cells
+    /// [`Counter`] cells
     /// [`Cache::register_metrics`] exposes to a registry.
     pub fn stats(&self) -> CacheStats {
         CacheStats {

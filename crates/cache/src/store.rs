@@ -1,7 +1,7 @@
 //! The tier-2 byte-valued cache store behind the [`CacheStore`] trait.
 //!
 //! The paper (§III-F) fronts the query engines with a Redis cache. Tier-1 of
-//! our hierarchy is the typed in-process [`Cache`](crate::Cache) inside each
+//! our hierarchy is the typed in-process [`Cache`] inside each
 //! `CryptextService`; this module defines the pluggable second tier the
 //! service reads through to and writes behind. Values are opaque bytes and
 //! every key lives in a *namespace* — a 64-bit digest of (LM fingerprint,
@@ -14,7 +14,7 @@
 //! process-global [`SharedCacheStore::global`]. A service gets it only when
 //! the code assembling the service attaches it
 //! (`CryptextService::attach_tier2`). Its write path is a
-//! [`failpoint`](cryptext_common::failpoint) (`cache.shared.put`), so
+//! [`failpoint`] (`cache.shared.put`), so
 //! `CRYPTEXT_FAILPOINTS` sweeps can kill or delay tier-2 writes; callers
 //! must absorb the error as a miss — a broken second tier degrades
 //! performance, never correctness. The trait is the surface a real Redis
@@ -26,25 +26,6 @@ use cryptext_common::metrics::{Counter, MetricsRegistry};
 use cryptext_common::{failpoint, Clock, Result};
 
 use crate::{Cache, CacheConfig};
-
-/// Counter snapshot for a tier-2 store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreStats {
-    /// Successful `get`s.
-    pub hits: u64,
-    /// Failed `get`s (absent or expired).
-    pub misses: u64,
-    /// Successful `put`s.
-    pub inserts: u64,
-    /// Entries evicted by the LRU policy.
-    pub evictions: u64,
-    /// Entries dropped because their TTL elapsed.
-    pub expirations: u64,
-    /// Entries flushed by [`CacheStore::invalidate_namespace`].
-    pub invalidated: u64,
-    /// `put`s that failed (injected faults included); the entry was dropped.
-    pub put_errors: u64,
-}
 
 /// A byte-valued, namespaced, TTL-capable cache store — the tier-2 contract.
 ///
@@ -67,16 +48,12 @@ pub trait CacheStore: Send + Sync {
     /// Eagerly reap expired entries; returns how many were reaped.
     fn sweep_expired(&self) -> usize;
 
-    /// Counter snapshot.
-    fn stats(&self) -> StoreStats;
-
     /// Register this store's counters with a workspace
-    /// [`MetricsRegistry`] under `tier` (e.g. `"tier2"`). Default:
-    /// no-op, for backends with nothing to export. Implementations
-    /// share live cells, so exports always match [`CacheStore::stats`].
-    fn register_metrics(&self, registry: &MetricsRegistry, tier: &'static str) {
-        let _ = (registry, tier);
-    }
+    /// [`MetricsRegistry`] under `tier` (e.g. `"tier2"`), sharing the live
+    /// cells: `cryptext_cache_{hits,misses,inserts,evictions,expirations,
+    /// invalidated,put_errors}_total`. Registries are the only way to read
+    /// a store's counters.
+    fn register_metrics(&self, registry: &MetricsRegistry, tier: &'static str);
 }
 
 /// Failpoint name armed on [`SharedCacheStore`]'s write path.
@@ -141,19 +118,6 @@ impl CacheStore for SharedCacheStore {
         self.inner.sweep_expired()
     }
 
-    fn stats(&self) -> StoreStats {
-        let s = self.inner.stats();
-        StoreStats {
-            hits: s.hits,
-            misses: s.misses,
-            inserts: s.inserts,
-            evictions: s.evictions,
-            expirations: s.expirations,
-            invalidated: self.invalidated.get(),
-            put_errors: self.put_errors.get(),
-        }
-    }
-
     fn register_metrics(&self, registry: &MetricsRegistry, tier: &'static str) {
         self.inner.register_metrics(registry, tier);
         registry.register_counter(
@@ -189,6 +153,18 @@ mod tests {
         (store, clock)
     }
 
+    /// One of `store`'s counters, read through a fresh registry:
+    /// `cryptext_cache_<event>_total{tier="tier2"}`.
+    fn count(store: &SharedCacheStore, event: &str) -> u64 {
+        let registry = MetricsRegistry::new();
+        store.register_metrics(&registry, "tier2");
+        registry.snapshot().counter_labeled(
+            &format!("cryptext_cache_{event}_total"),
+            "tier",
+            "tier2",
+        )
+    }
+
     fn roundtrip(store: &dyn CacheStore) {
         assert_eq!(store.get(1, 7), None);
         store.put(1, 7, vec![1, 2, 3], None).unwrap();
@@ -201,10 +177,9 @@ mod tests {
     fn shared_store_roundtrip_and_namespacing() {
         let (s, _) = sim_store(SharedCacheStore::new);
         roundtrip(&s);
-        let st = s.stats();
-        assert_eq!(st.hits, 1);
-        assert_eq!(st.misses, 3);
-        assert_eq!(st.inserts, 1);
+        assert_eq!(count(&s, "hits"), 1);
+        assert_eq!(count(&s, "misses"), 3);
+        assert_eq!(count(&s, "inserts"), 1);
     }
 
     #[test]
@@ -217,7 +192,7 @@ mod tests {
         assert_eq!(s.get(1, 10), None);
         assert_eq!(s.get(1, 11), None);
         assert_eq!(s.get(2, 10), Some(vec![3]));
-        assert_eq!(s.stats().invalidated, 2);
+        assert_eq!(count(&s, "invalidated"), 2);
     }
 
     #[test]
@@ -247,7 +222,7 @@ mod tests {
         }
         assert_eq!(s.get(1, 1), Some(vec![1]), "pre-fault entry still served");
         assert_eq!(s.get(1, 2), None, "failed put stored nothing");
-        assert_eq!(s.stats().put_errors, 2);
+        assert_eq!(count(&s, "put_errors"), 2);
         // Disarmed: writes flow again.
         s.put(1, 2, vec![2], None).unwrap();
         assert_eq!(s.get(1, 2), Some(vec![2]));

@@ -5,12 +5,12 @@
 //! This crate deliberately has no heavyweight dependencies; it provides the
 //! small building blocks every other crate needs:
 //!
-//! * [`error`] — the workspace-wide [`Error`](error::Error) type and
-//!   [`Result`](error::Result) alias.
-//! * [`hash`] — an Fx-style fast hasher plus [`FxHashMap`](hash::FxHashMap)
-//!   / [`FxHashSet`](hash::FxHashSet) aliases (database-style hot maps should
+//! * [`error`] — the workspace-wide [`Error`] type and
+//!   [`Result`] alias.
+//! * [`hash`] — an Fx-style fast hasher plus [`FxHashMap`]
+//!   / [`FxHashSet`] aliases (database-style hot maps should
 //!   not pay SipHash costs).
-//! * [`rng`] — deterministic, seedable PRNG ([`SplitMix64`](rng::SplitMix64))
+//! * [`rng`] — deterministic, seedable PRNG ([`SplitMix64`])
 //!   and sampling helpers used wherever reproducibility matters.
 //! * [`clock`] — a simulated clock for the social-stream substrate and cache
 //!   TTL logic, so tests never depend on wall time.
@@ -22,7 +22,7 @@
 //!   (kill / torn-write at named crash boundaries).
 //! * [`metrics`] — the workspace-wide observability layer: lock-free
 //!   counters, gauges, and log-scale latency histograms behind one
-//!   [`MetricsRegistry`](metrics::MetricsRegistry), rendered as
+//!   [`MetricsRegistry`], rendered as
 //!   Prometheus text by the HTTP layer.
 
 #![warn(missing_docs)]

@@ -1,11 +1,11 @@
 //! Workspace-wide metrics: lock-free counters, gauges, and log-scale
 //! latency histograms behind one [`MetricsRegistry`].
 //!
-//! Every layer of the stack records into handles from this module; the
-//! four legacy snapshot types (`GatewayStatsSnapshot`,
-//! `CacheTierSnapshot`, `StoreStats`, `StatsReport`) are projections of
-//! the same cells, and `GET /metrics` renders the full registry as
-//! Prometheus text.
+//! Every layer of the stack records into handles from this module, and
+//! both operator surfaces read them back through one [`MetricsSnapshot`]:
+//! `GET /metrics` renders the full registry as Prometheus text, and
+//! `GET /stats` renders the gateway and cache counters as one JSON
+//! document.
 //!
 //! # Contract
 //!
@@ -546,7 +546,7 @@ pub enum SampleValue {
 }
 
 /// A consistent listing of every registered metric's value, with query
-/// helpers used by tests and the stats projections.
+/// helpers used by tests and the `/stats` renderer.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// All samples, in registration order.

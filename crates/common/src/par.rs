@@ -28,7 +28,7 @@
 //!
 //! Helper jobs reach into the caller's stack (the input slice, the mapping
 //! closure, the result buffers) through a raw task pointer, guarded by a
-//! revocable [`Gate`]: a helper may only dereference the pointer between a
+//! revocable `Gate`: a helper may only dereference the pointer between a
 //! successful `enter()` and the matching `exit()`, and [`par_map`] closes
 //! the gate — waiting for any helper currently inside — before its frame
 //! dies, panic or not (the worker loop never unwinds; panics are parked in

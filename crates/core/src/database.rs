@@ -33,7 +33,7 @@
 //!
 //! * **Records are a dense `Vec<TokenRecord>`** addressed by a `u32` id.
 //!   Every index (by-token map, buckets) stores ids, never owned strings.
-//! * **Soundex codes are interned per level** in a [`CodeIndex`]: each
+//! * **Soundex codes are interned per level** in a `CodeIndex`: each
 //!   distinct code gets a dense `u32` code id; `H_k` is then plain
 //!   `postings: Vec<Vec<u32>>` indexed by code id, with a side
 //!   `FxHashMap<Box<str>, u32>` used only to resolve a query's code

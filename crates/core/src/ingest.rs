@@ -4,7 +4,7 @@
 //! continually enrich CrypText's database with novel perturbed tokens
 //! online." [`Crawler`] consumes the simulated platform's stream from a
 //! cursor, feeds every post through the tokenizer into the
-//! [`TokenDatabase`], and reports what it learned.
+//! [`TokenDatabase`](crate::database::TokenDatabase), and reports what it learned.
 
 use cryptext_common::Timestamp;
 use cryptext_stream::SocialPlatform;

@@ -157,7 +157,7 @@ thread_local! {
 
 /// The context-independent half of one token's candidate retrieval: the
 /// deduped `(word, distance)` pairs in ascending word order, exactly as
-/// they stand after [`Normalizer::collect_candidates`]' dedup and before
+/// they stand after `Normalizer::collect_candidates`' dedup and before
 /// context scoring reorders and truncates them. An **empty** list is a
 /// negative entry — the token is out-of-dictionary with no candidates,
 /// which is precisely the retrieval that dominates uncached p99.

@@ -40,7 +40,7 @@ use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cryptext_cache::{Cache, CacheConfig, CacheStats, CacheStore, StoreStats};
+use cryptext_cache::{Cache, CacheConfig, CacheStats, CacheStore};
 use cryptext_common::hash::{fx_hash_str, FxHashMap};
 use cryptext_common::metrics::{Counter, Gauge, MetricsRegistry};
 use cryptext_common::par::try_par_map;
@@ -372,10 +372,9 @@ impl<S: TokenStore> CryptextService<S> {
     /// assembling the service (before wrapping it in an `Arc`).
     ///
     /// The store's counters join this service's registry under
-    /// `tier="tier2"`, so `/metrics` and [`Self::cache_tier_stats`] read
-    /// the same cells. The namespace root is the content identity of the
-    /// store and LM as they are now: replicas built from the same data
-    /// compute the same one and share entries.
+    /// `tier="tier2"` ([`Self::metrics`]). The namespace root is the
+    /// content identity of the store and LM as they are now: replicas
+    /// built from the same data compute the same one and share entries.
     ///
     /// # Panics
     ///
@@ -760,31 +759,10 @@ impl<S: TokenStore> CryptextService<S> {
     }
 
     /// Look Up cache statistics (the Fig. 5 architecture experiment
-    /// reports the hit rate). Tier-1 Look Up only — see
-    /// [`Self::cache_tier_stats`] for the whole hierarchy.
+    /// reports the hit rate). Tier-1 Look Up only: every tier's counters
+    /// are in [`Self::metrics`] as `cryptext_cache_*{tier=…}`.
     pub fn cache_stats(&self) -> CacheStats {
         self.lookup_cache.stats()
-    }
-
-    /// Counter snapshot across the whole cache hierarchy — a projection
-    /// of the instance [`MetricsRegistry`]: every number here reads the
-    /// same live cells the registry snapshots and renders.
-    pub fn cache_tier_stats(&self) -> CacheTierSnapshot {
-        CacheTierSnapshot {
-            lookup: self.lookup_cache.stats(),
-            normalize: self.norm_cache.stats(),
-            normalize_results: self.norm_result_cache.stats(),
-            negative_hits: self.negative_hits.get(),
-            generation: self.generation(),
-            invalidation_bumps: self.invalidation_bumps.get(),
-            invalidated_entries: self.invalidated_entries.get(),
-            tier2_attached: self.tier2.is_some(),
-            tier2: self
-                .tier2
-                .as_ref()
-                .map(|t| t.store.stats())
-                .unwrap_or_default(),
-        }
     }
 
     /// The instance metrics registry: cache tiers, store backends, engine
@@ -793,12 +771,6 @@ impl<S: TokenStore> CryptextService<S> {
     /// so one snapshot covers the whole request path.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
-    }
-
-    /// The shared per-stage engine instruments (also reachable through
-    /// [`Self::metrics`] snapshots; this handle reads the live cells).
-    pub fn stage_metrics(&self) -> &Arc<StageMetrics> {
-        &self.stages
     }
 
     /// Eagerly reap expired entries from every cache tier; returns how
@@ -824,34 +796,6 @@ impl<S: TokenStore> CryptextService<S> {
     pub fn config(&self) -> &ServiceConfig {
         &self.config
     }
-}
-
-/// Aggregate counter snapshot over the service's cache hierarchy, in the
-/// same point-in-time style as the gateway's `GatewayStatsSnapshot`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheTierSnapshot {
-    /// Tier-1 Look Up result cache counters.
-    pub lookup: CacheStats,
-    /// Tier-1 Normalization candidate memo counters (hits include
-    /// negative hits; tier-2 promotions count as tier-1 inserts).
-    pub normalize: CacheStats,
-    /// Tier-1 whole-text Normalization result cache counters (a hit here
-    /// skips retrieval and scoring entirely — exact-repeat traffic).
-    pub normalize_results: CacheStats,
-    /// How many normalize hits served a cached *negative* entry (an
-    /// out-of-dictionary token with no candidates — the uncached p99 path).
-    pub negative_hits: u64,
-    /// Current data-version (part of every key).
-    pub generation: u64,
-    /// How many generation bumps (= namespace invalidations) happened.
-    pub invalidation_bumps: u64,
-    /// Total entries flushed by those bumps, across both tiers.
-    pub invalidated_entries: u64,
-    /// Is a tier-2 store attached?
-    pub tier2_attached: bool,
-    /// Tier-2 store counters (zeros when detached). A shared store reports
-    /// fleet-wide numbers, not per-replica ones.
-    pub tier2: StoreStats,
 }
 
 /// The service's [`CandidateCache`] adapter: tier-1 typed memo in front,
@@ -926,6 +870,23 @@ mod tests {
             Arc::new(clock.clone()),
         );
         (svc, clock)
+    }
+
+    /// One cache counter of `svc`'s registry:
+    /// `cryptext_cache_<event>_total{tier="<tier>"}`.
+    fn tier_count(svc: &CryptextService, event: &str, tier: &str) -> u64 {
+        svc.metrics().snapshot().counter_labeled(
+            &format!("cryptext_cache_{event}_total"),
+            "tier",
+            tier,
+        )
+    }
+
+    /// One unlabelled `cryptext_cache_<what>_total` counter of `svc`.
+    fn cache_count(svc: &CryptextService, what: &str) -> u64 {
+        svc.metrics()
+            .snapshot()
+            .counter_total(&format!("cryptext_cache_{what}_total"))
     }
 
     #[test]
@@ -1392,9 +1353,8 @@ mod tests {
         let a = svc
             .normalize(&tok, "the demokRATs argue", NormalizeParams::default())
             .unwrap();
-        let cold = svc.cache_tier_stats();
-        assert!(cold.normalize.misses > 0);
-        assert_eq!(cold.normalize.hits, 0);
+        assert!(tier_count(&svc, "misses", "normalize") > 0);
+        assert_eq!(tier_count(&svc, "hits", "normalize"), 0);
         // A *different* text repeating the same perturbed token hits the
         // cross-text memo; the result stays byte-identical to uncached.
         let b = svc
@@ -1404,15 +1364,14 @@ mod tests {
                 NormalizeParams::default(),
             )
             .unwrap();
-        let warm = svc.cache_tier_stats();
-        assert!(warm.normalize.hits > 0, "cross-text repeat is a hit");
+        let hits_before = tier_count(&svc, "hits", "normalize");
+        assert!(hits_before > 0, "cross-text repeat is a hit");
         assert_eq!(a.corrections[0].replacement, "democrats");
         assert_eq!(b.corrections[0].replacement, "democrats");
         // Case-fold keying: a case variant of the token also hits.
-        let hits_before = svc.cache_tier_stats().normalize.hits;
         svc.normalize(&tok, "the DEMOKrats again", NormalizeParams::default())
             .unwrap();
-        assert!(svc.cache_tier_stats().normalize.hits > hits_before);
+        assert!(tier_count(&svc, "hits", "normalize") > hits_before);
     }
 
     #[test]
@@ -1421,12 +1380,11 @@ mod tests {
         let tok = svc.issue_token("neg");
         svc.normalize(&tok, "qzxblorp said something", NormalizeParams::default())
             .unwrap();
-        assert_eq!(svc.cache_tier_stats().negative_hits, 0);
+        assert_eq!(cache_count(&svc, "negative_hits"), 0);
         svc.normalize(&tok, "then qzxblorp left", NormalizeParams::default())
             .unwrap();
-        let s = svc.cache_tier_stats();
         assert!(
-            s.negative_hits >= 1,
+            cache_count(&svc, "negative_hits") >= 1,
             "repeat of a no-candidate token served from the negative entry"
         );
     }
@@ -1445,25 +1403,29 @@ mod tests {
             .unwrap();
         svc.look_up(&tok, "democrats", LookupParams::paper_default())
             .unwrap();
-        let before = svc.cache_tier_stats();
-        assert!(before.tier2.inserts > 0, "write-behind reached tier-2");
-        assert_eq!(svc.bump_generation(), 1);
-        let after = svc.cache_tier_stats();
-        assert_eq!(after.generation, 1);
-        assert_eq!(after.invalidation_bumps, 1);
         assert!(
-            after.invalidated_entries > 0,
+            tier_count(&svc, "inserts", "tier2") > 0,
+            "write-behind reached tier-2"
+        );
+        assert_eq!(svc.bump_generation(), 1);
+        assert_eq!(svc.generation(), 1);
+        assert_eq!(cache_count(&svc, "invalidation_bumps"), 1);
+        assert!(
+            cache_count(&svc, "invalidated_entries") > 0,
             "stale entries flushed, not leaked"
         );
-        assert!(after.tier2.invalidated > 0, "old namespace flushed");
+        assert!(
+            tier_count(&svc, "invalidated", "tier2") > 0,
+            "old namespace flushed"
+        );
         // Post-bump traffic recomputes (same immutable data → same bytes)
         // under the new keys rather than hitting stale entries.
-        let miss_base = after.normalize.misses;
+        let miss_base = tier_count(&svc, "misses", "normalize");
         let r = svc
             .normalize(&tok, "the demokRATs argue", NormalizeParams::default())
             .unwrap();
         assert_eq!(r.corrections[0].replacement, "democrats");
-        assert!(svc.cache_tier_stats().normalize.misses > miss_base);
+        assert!(tier_count(&svc, "misses", "normalize") > miss_base);
     }
 
     #[test]
@@ -1484,21 +1446,21 @@ mod tests {
         let a = svc_a
             .normalize(&ta, "the demokRATs argue", NormalizeParams::default())
             .unwrap();
-        let t2_hits_before = shared.stats().hits;
+        let t2_hits_before = tier_count(&svc_b, "hits", "tier2");
         let b = svc_b
             .normalize(&tb, "the demokRATs argue", NormalizeParams::default())
             .unwrap();
         assert_eq!(a, b, "replicas byte-identical through the shared tier");
         assert!(
-            shared.stats().hits > t2_hits_before,
+            tier_count(&svc_b, "hits", "tier2") > t2_hits_before,
             "replica B read through to the shared store"
         );
         // The promotion landed in B's tier-1: the next request stays local.
-        let local_hits = svc_b.cache_tier_stats().normalize.hits;
+        let local_hits = tier_count(&svc_b, "hits", "normalize");
         svc_b
             .normalize(&tb, "more demokRATs here", NormalizeParams::default())
             .unwrap();
-        assert!(svc_b.cache_tier_stats().normalize.hits > local_hits);
+        assert!(tier_count(&svc_b, "hits", "normalize") > local_hits);
     }
 
     #[test]
@@ -1536,13 +1498,19 @@ mod tests {
             r.corrections[0].replacement, "democrats",
             "request unaffected by the dead write path"
         );
-        let s = svc.cache_tier_stats();
-        assert!(s.tier2.put_errors > 0, "failure counted");
-        assert_eq!(s.tier2.inserts, 0, "nothing stored past the failpoint");
+        assert!(
+            tier_count(&svc, "put_errors", "tier2") > 0,
+            "failure counted"
+        );
+        assert_eq!(
+            tier_count(&svc, "inserts", "tier2"),
+            0,
+            "nothing stored past the failpoint"
+        );
         // Tier-1 still took the fill: repeats are local hits.
         svc.normalize(&tok, "the demokRATs again", NormalizeParams::default())
             .unwrap();
-        assert!(svc.cache_tier_stats().normalize.hits > 0);
+        assert!(tier_count(&svc, "hits", "normalize") > 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Named dataset builders mimicking the paper's curated corpora.
 //!
 //! §III-A: *"Most of them are originally curated for detecting abusive
-//! materials online (e.g., rumors [4], hatespeech [5], cyberbullying [6])
+//! materials online (e.g., rumors \[4\], hatespeech \[5\], cyberbullying \[6\])
 //! and often contain many perturbations."* Each builder tunes the generator
 //! toward the register of its namesake; together they seed the token
 //! database the way the paper's mix of datasets does.

@@ -2,7 +2,7 @@
 //!
 //! A [`Deadline`] is created once at admission and threaded through every
 //! layer; it measures time on the *service's* injected
-//! [`Clock`](cryptext_common::Clock), so gateway deadlines and the rate
+//! [`Clock`], so gateway deadlines and the rate
 //! limiter's windows share one notion of time (a simulated clock in
 //! tests freezes both coherently).
 //!
@@ -11,7 +11,7 @@
 //! forever even when the event they wait for (a freed slot, a settled
 //! flight) arrives via condvar notification. Every wait in this crate is
 //! therefore a condvar loop over short **real-time** slices
-//! ([`WAIT_SLICE`]) that re-checks the injected clock each wake: notified
+//! (`WAIT_SLICE`) that re-checks the injected clock each wake: notified
 //! progress is observed immediately, and expiry is observed within one
 //! slice of the clock saying so.
 

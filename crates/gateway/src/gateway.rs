@@ -9,7 +9,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use cryptext_common::hash::fx_hash_bytes;
-use cryptext_common::metrics::MetricsRegistry;
+use cryptext_common::metrics::{MetricsRegistry, MetricsSnapshot};
 use cryptext_common::{failpoint, par, Error, Result};
 use cryptext_core::database::TokenDatabase;
 use cryptext_core::lookup::{LookupHit, LookupParams};
@@ -22,8 +22,7 @@ use crate::admission::{Acquired, Permit, RouteAdmission};
 use crate::deadline::{Deadline, WAIT_SLICE};
 use crate::envelope::{CacheDisposition, Request, Response, RouteOutput, RouteParams};
 use crate::singleflight::{FollowerOutcome, Join, SingleFlight};
-use crate::stats::StatsReport;
-use crate::{GatewayConfig, GatewayStats, GatewayStatsSnapshot, RouteClass};
+use crate::{GatewayConfig, GatewayStats, RouteClass};
 
 /// Backoff never exceeds this, so exhausting a retry budget stays cheap
 /// even with a large base (and debug-mode tests stay fast).
@@ -155,7 +154,6 @@ impl<S: TokenStore + Send + Sync + 'static> std::fmt::Debug for Gateway<S> {
         f.debug_struct("Gateway")
             .field("config", &self.config)
             .field("draining", &self.draining.load(Ordering::Acquire))
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -196,32 +194,21 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
         &self.config
     }
 
-    /// Counters plus point-in-time gauges — a projection of the same
-    /// registry cells `GET /metrics` renders ([`Self::metrics_text`]):
-    /// `queue_waits` is the summed count of the per-route queue-wait
-    /// histograms, everything else reads its registered counter.
-    pub fn stats(&self) -> GatewayStatsSnapshot {
-        let s = &self.stats;
+    /// Every counter of the service's registry, the gateway's
+    /// `cryptext_gateway_*` instruments among them, read after the
+    /// point-in-time `active_now`/`queued_now` gauges are refreshed. The
+    /// same cells `GET /metrics` renders ([`Self::metrics_text`]).
+    pub fn stats(&self) -> MetricsSnapshot {
+        self.refresh_gauges();
+        self.service.metrics().snapshot()
+    }
+
+    /// Set the active/queued gauges from the admission lanes.
+    fn refresh_gauges(&self) {
         let active_now: usize = self.routes.iter().map(|r| r.active()).sum();
         let queued_now: usize = self.routes.iter().map(|r| r.queued()).sum();
-        s.active_now.set(active_now as i64);
-        s.queued_now.set(queued_now as i64);
-        GatewayStatsSnapshot {
-            admitted: s.admitted.get(),
-            queue_waits: s.queue_waits_total(),
-            shed_queue_full: s.shed_queue_full.get(),
-            shed_draining: s.shed_draining.get(),
-            queue_deadline_expired: s.queue_deadline_expired.get(),
-            executions: s.executions.get(),
-            retries: s.retries.get(),
-            completed_ok: s.completed_ok.get(),
-            failed: s.failed.get(),
-            deadline_exceeded: s.deadline_exceeded.get(),
-            coalesced_followers: s.coalesced_followers.get(),
-            promoted_followers: s.promoted_followers.get(),
-            active_now,
-            queued_now,
-        }
+        self.stats.active_now.set(active_now as i64);
+        self.stats.queued_now.set(queued_now as i64);
     }
 
     /// The service's metrics registry — the gateway's instruments live
@@ -234,19 +221,8 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
     /// Prometheus text exposition format, with the point-in-time gauges
     /// (active/queued) refreshed first.
     pub fn metrics_text(&self) -> String {
-        let _ = self.stats(); // refresh active_now / queued_now gauges
+        self.refresh_gauges();
         self.service.metrics().render_prometheus()
-    }
-
-    /// The unified operator surface: every layer's counters in one
-    /// report ([`Gateway::stats`] + [`Self::cache_stats`] + the draining
-    /// flag). `GET /stats` serves `stats_report().to_json()`.
-    pub fn stats_report(&self) -> StatsReport {
-        StatsReport {
-            gateway: self.stats(),
-            cache: self.service.cache_tier_stats(),
-            draining: self.is_draining(),
-        }
     }
 
     /// Invalidate coalescing *and* the service's result caches across a
@@ -259,11 +235,6 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
     /// service has the same effect.
     pub fn bump_generation(&self) {
         self.service.bump_generation();
-    }
-
-    /// Cache-hierarchy counters of the fronted service.
-    pub fn cache_stats(&self) -> cryptext_core::service::CacheTierSnapshot {
-        self.service.cache_tier_stats()
     }
 
     /// Is the gateway refusing new admissions?
@@ -401,8 +372,11 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
         }
         // Authorization runs *after* admission (a revocation while the
         // request queued rejects it here, deterministically) and charges
-        // the token's rate window exactly once for this call.
-        self.service.authorize_request(auth)?;
+        // the token's rate window exactly once for this call. A refusal is
+        // this admitted request's outcome, so it counts as failed.
+        self.service
+            .authorize_request(auth)
+            .inspect_err(|_| self.stats.failed.inc())?;
         Ok(Admitted {
             permit,
             deadline,
@@ -771,6 +745,17 @@ mod tests {
         (Arc::new(Gateway::new(svc, GatewayConfig::default())), clock)
     }
 
+    /// A gateway counter by metric name, `cryptext_gateway_<what>_total`.
+    fn count(s: &MetricsSnapshot, what: &str) -> u64 {
+        s.counter_total(&format!("cryptext_gateway_{what}_total"))
+    }
+
+    /// A gateway gauge by metric name, `cryptext_gateway_<what>`.
+    fn gauge(s: &MetricsSnapshot, what: &str) -> i64 {
+        s.gauge(&format!("cryptext_gateway_{what}"))
+            .expect("registered")
+    }
+
     #[test]
     fn typed_endpoints_match_the_direct_service() {
         let (gw, _) = small_gateway(1_000_000);
@@ -823,9 +808,12 @@ mod tests {
         assert_eq!(gated, direct, "seeded perturbation is deterministic");
 
         let stats = gw.stats();
-        assert_eq!(stats.admitted, 3);
-        assert_eq!(stats.completed_ok, 3);
-        assert_eq!((stats.active_now, stats.queued_now), (0, 0));
+        assert_eq!(count(&stats, "admitted"), 3);
+        assert_eq!(count(&stats, "completed_ok"), 3);
+        assert_eq!(
+            (gauge(&stats, "active_now"), gauge(&stats, "queued_now")),
+            (0, 0)
+        );
     }
 
     #[test]
@@ -850,10 +838,10 @@ mod tests {
         );
         assert_eq!(out.unwrap(), 7);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
-        assert_eq!(gw.stats().retries, 2);
+        assert_eq!(count(&gw.stats(), "retries"), 2);
 
         // Non-retryable errors surface immediately, no retry spent.
-        let before = gw.stats().retries;
+        let before = count(&gw.stats(), "retries");
         let out: Result<u32> = gw.call(
             RouteClass::Listening,
             &token,
@@ -861,7 +849,7 @@ mod tests {
             |_, _| Err(Error::InvalidArgument("nope".into())),
         );
         assert!(matches!(out, Err(Error::InvalidArgument(_))));
-        assert_eq!(gw.stats().retries, before);
+        assert_eq!(count(&gw.stats(), "retries"), before);
     }
 
     #[test]
@@ -890,12 +878,12 @@ mod tests {
             out,
             Err(Error::DeadlineExceeded { budget_ms: 30 })
         ));
-        assert_eq!(gw.stats().deadline_exceeded, 1);
+        assert_eq!(count(&gw.stats(), "deadline_exceeded"), 1);
 
         // The detached worker still holds the slot until released…
-        assert_eq!(gw.stats().active_now, 1);
+        assert_eq!(gauge(&gw.stats(), "active_now"), 1);
         release_tx.send(()).unwrap();
-        while gw.stats().active_now != 0 {
+        while gauge(&gw.stats(), "active_now") != 0 {
             std::thread::sleep(WAIT_SLICE);
         }
         // …and a fresh request then sails through.
@@ -926,7 +914,7 @@ mod tests {
             |_, _| Ok(3),
         );
         assert_eq!(ok.unwrap(), 3);
-        assert_eq!(gw.stats().active_now, 0);
+        assert_eq!(gauge(&gw.stats(), "active_now"), 0);
     }
 
     #[test]
@@ -945,7 +933,7 @@ mod tests {
             ),
             Err(Error::Overloaded { .. })
         ));
-        assert!(gw.stats().shed_draining >= 1);
+        assert!(count(&gw.stats(), "shed_draining") >= 1);
 
         gw.end_drain();
         assert!(gw
@@ -1037,10 +1025,12 @@ mod tests {
         assert_eq!(gw.service().cache_stats().inserts, 1);
 
         gw.bump_generation();
-        let tiers = gw.cache_stats();
-        assert_eq!(tiers.generation, 1, "service version advanced");
-        assert_eq!(tiers.invalidation_bumps, 1);
-        assert!(tiers.invalidated_entries >= 1, "cached lookup flushed");
+        assert_eq!(gw.service().generation(), 1, "service version advanced");
+        let s = gw.stats();
+        let bumps = s.counter_total("cryptext_cache_invalidation_bumps_total");
+        assert_eq!(bumps, 1);
+        let flushed = s.counter_total("cryptext_cache_invalidated_entries_total");
+        assert!(flushed >= 1, "cached lookup flushed");
 
         // The flushed entry is recomputed, not served stale.
         gw.look_up(
@@ -1097,17 +1087,30 @@ mod tests {
 
     #[test]
     fn revoked_token_rejects_at_the_auth_layer() {
-        let (gw, _) = small_gateway(1_000_000);
-        let token = gw.service().issue_token("gone");
-        gw.service().revoke_token(&token);
-        assert!(matches!(
+        let (gw, _) = small_gateway(1);
+        let lookup = |token: &ApiToken| {
             gw.look_up(
-                &token,
+                token,
                 "vaccine",
                 LookupParams::paper_default(),
-                CallOptions::default()
-            ),
-            Err(Error::Unauthorized(_))
-        ));
+                CallOptions::default(),
+            )
+        };
+        let token = gw.service().issue_token("spent");
+        assert!(lookup(&token).is_ok());
+        assert!(matches!(lookup(&token), Err(Error::RateLimited { .. })));
+        let gone = gw.service().issue_token("gone");
+        gw.service().revoke_token(&gone);
+        assert!(matches!(lookup(&gone), Err(Error::Unauthorized(_))));
+
+        // Refused after admission, so each refusal is an admitted request
+        // that failed: every admitted request has exactly one outcome.
+        let s = gw.stats();
+        assert_eq!(count(&s, "admitted"), 3);
+        assert_eq!((count(&s, "completed_ok"), count(&s, "failed")), (1, 2));
+        assert_eq!(
+            count(&s, "admitted"),
+            count(&s, "completed_ok") + count(&s, "failed") + count(&s, "deadline_exceeded")
+        );
     }
 }

@@ -42,7 +42,6 @@ pub mod deadline;
 pub mod envelope;
 pub mod gateway;
 pub mod singleflight;
-pub mod stats;
 
 use std::sync::atomic::AtomicU64;
 
@@ -52,7 +51,6 @@ pub use deadline::Deadline;
 pub use envelope::{CacheDisposition, Request, Response, RouteOutput, RouteParams};
 pub use gateway::{CallOptions, DrainReport, Gateway};
 pub use singleflight::{FollowerOutcome, Join, SingleFlight};
-pub use stats::StatsReport;
 
 /// The route classes the gateway budgets independently, mirroring the
 /// service's endpoint families. Heavy routes (perturbation rewrites a
@@ -189,11 +187,9 @@ impl GatewayConfig {
 }
 
 /// The gateway's instrument bundle: registry-native counters plus the
-/// per-route queue-wait histograms. Read them through
-/// [`Gateway::stats`], which projects the point-in-time snapshot, or
-/// through the service's [`MetricsRegistry`] once
-/// [`GatewayStats::register`] has run (the handles share cells, so both
-/// views are always the same numbers).
+/// per-route queue-wait histograms. [`GatewayStats::register`] shares
+/// every cell with the service's [`MetricsRegistry`]; read them by metric
+/// name from [`Gateway::stats`], which refreshes the two gauges first.
 #[derive(Debug, Default)]
 pub(crate) struct GatewayStats {
     pub admitted: Counter,
@@ -208,8 +204,8 @@ pub(crate) struct GatewayStats {
     pub coalesced_followers: Counter,
     pub promoted_followers: Counter,
     /// Queue wait per admitted-after-waiting request, µs, indexed by
-    /// [`RouteClass::index`]. The legacy `queue_waits` counter is now a
-    /// projection: the sum of these histograms' observation counts.
+    /// [`RouteClass::index`]. `/stats` reports their summed observation
+    /// count as `queue_waits`.
     pub queue_wait_us: [Histogram; 4],
     /// Requests executing right now; refreshed on every snapshot/render.
     pub active_now: Gauge,
@@ -315,46 +311,4 @@ impl GatewayStats {
             &self.queued_now,
         );
     }
-
-    /// Admitted requests that queued first, across all routes — the
-    /// legacy `queue_waits` counter as a histogram-count projection.
-    pub(crate) fn queue_waits_total(&self) -> u64 {
-        self.queue_wait_us.iter().map(|h| h.count()).sum()
-    }
-}
-
-/// A point-in-time copy of the gateway's counters and gauges.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GatewayStatsSnapshot {
-    /// Requests that passed admission (straight in or after queueing).
-    pub admitted: u64,
-    /// Admitted requests that had to wait in the queue first.
-    pub queue_waits: u64,
-    /// Requests shed because the wait queue was full.
-    pub shed_queue_full: u64,
-    /// Requests shed because the gateway was draining.
-    pub shed_draining: u64,
-    /// Queued requests whose deadline expired before a slot freed.
-    pub queue_deadline_expired: u64,
-    /// Execution jobs dispatched (leaders and uncoalesced calls).
-    pub executions: u64,
-    /// Retry attempts across all requests.
-    pub retries: u64,
-    /// Requests that returned `Ok` to their caller.
-    pub completed_ok: u64,
-    /// Requests that returned an error (excluding sheds, which are
-    /// counted above, and caller deadline detaches).
-    pub failed: u64,
-    /// Callers that detached with `DeadlineExceeded` (queue waits
-    /// excluded — those are `queue_deadline_expired`).
-    pub deadline_exceeded: u64,
-    /// Requests that attached to an in-flight leader instead of
-    /// executing.
-    pub coalesced_followers: u64,
-    /// Followers promoted to leader after a retryable leader failure.
-    pub promoted_followers: u64,
-    /// Requests executing right now, across all routes.
-    pub active_now: usize,
-    /// Requests waiting in admission queues right now.
-    pub queued_now: usize,
 }

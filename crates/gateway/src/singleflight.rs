@@ -71,7 +71,7 @@ enum FlightState<V> {
 /// What [`SingleFlight::join`] made of the caller.
 pub enum Join<V> {
     /// No duplicate in flight: the caller must execute and then
-    /// [`settle`](SingleFlight::settle) the key.
+    /// `settle` the key.
     Leader,
     /// A leader is already executing; wait on the flight.
     Follower(Arc<Flight<V>>),
@@ -129,7 +129,7 @@ impl<V: Clone> SingleFlight<V> {
 
     /// Join the flight for `key`: the first caller becomes the leader,
     /// later callers attach as followers. A leader **must** eventually
-    /// [`settle`](Self::settle) the key, or followers wait out their
+    /// `settle` the key, or followers wait out their
     /// deadlines.
     pub fn join(&self, key: u64) -> Join<V> {
         let mut map = lock(&self.flights);

@@ -16,6 +16,8 @@
 //! path with the wrong method is `405` (with `Allow`), and an
 //! unparseable parameter is `400` naming the parameter.
 
+use cryptext_common::jsonfmt;
+use cryptext_common::metrics::MetricsSnapshot;
 use cryptext_core::lookup::LookupParams;
 use cryptext_core::normalize::NormalizeParams;
 use cryptext_core::perturb::PerturbParams;
@@ -29,7 +31,8 @@ pub(crate) enum Routed {
     /// One of the three API routes, fully parsed and ready for
     /// `Gateway::handle` (authorization still pending).
     Api(Request),
-    /// `GET /stats` — the unified [`cryptext_gateway::StatsReport`].
+    /// `GET /stats` — the gateway and cache counters as one JSON
+    /// document, rendered by [`stats_json`].
     Stats,
     /// `GET /metrics` — every registered instrument in Prometheus text
     /// exposition format.
@@ -188,9 +191,127 @@ pub(crate) fn bearer_token(req: &HttpRequest) -> Result<ApiToken, WireResponse> 
     }
 }
 
+/// `/stats` gateway counters after `admitted` and `queue_waits`, in
+/// document order. A field's JSON key is its metric name without the
+/// `cryptext_<layer>_` prefix and the `_total` suffix ([`json_key`]).
+const GATEWAY_COUNTERS: [&str; 10] = [
+    "cryptext_gateway_shed_queue_full_total",
+    "cryptext_gateway_shed_draining_total",
+    "cryptext_gateway_queue_deadline_expired_total",
+    "cryptext_gateway_executions_total",
+    "cryptext_gateway_retries_total",
+    "cryptext_gateway_completed_ok_total",
+    "cryptext_gateway_failed_total",
+    "cryptext_gateway_deadline_exceeded_total",
+    "cryptext_gateway_coalesced_followers_total",
+    "cryptext_gateway_promoted_followers_total",
+];
+
+/// A tier-1 cache object's counters, each read at the object's `tier`
+/// label.
+const TIER1_COUNTERS: [&str; 5] = [
+    "cryptext_cache_hits_total",
+    "cryptext_cache_misses_total",
+    "cryptext_cache_evictions_total",
+    "cryptext_cache_expirations_total",
+    "cryptext_cache_inserts_total",
+];
+
+/// The tier-2 object's counters: the store's order, then the two only a
+/// store keeps.
+const TIER2_COUNTERS: [&str; 7] = [
+    "cryptext_cache_hits_total",
+    "cryptext_cache_misses_total",
+    "cryptext_cache_inserts_total",
+    "cryptext_cache_evictions_total",
+    "cryptext_cache_expirations_total",
+    "cryptext_cache_invalidated_total",
+    "cryptext_cache_put_errors_total",
+];
+
+/// The `GET /stats` body: the gateway and cache counters of one registry
+/// snapshot, plus the three values the registry does not hold. Keys and
+/// their order are stable for scraping; a series nobody registered (the
+/// tier-2 counters when no store is attached) reads as zero.
+pub(crate) fn stats_json(
+    m: &MetricsSnapshot,
+    generation: u64,
+    tier2_attached: bool,
+    draining: bool,
+) -> String {
+    let mut out = String::with_capacity(1024);
+    out.push_str("{\"gateway\":{");
+    push_counter(&mut out, m, "cryptext_gateway_admitted_total");
+    // Admitted requests that queued first, across every route.
+    let queue_waits = m.histogram_count("cryptext_gateway_queue_wait_us");
+    push_num(&mut out, "queue_waits", queue_waits);
+    for name in GATEWAY_COUNTERS {
+        push_counter(&mut out, m, name);
+    }
+    for name in ["cryptext_gateway_active_now", "cryptext_gateway_queued_now"] {
+        push_num(&mut out, json_key(name), m.gauge(name).unwrap_or(0) as u64);
+    }
+    out.push_str("},\"cache\":{");
+    for tier in ["lookup", "normalize", "normalize_results"] {
+        push_tier(&mut out, m, tier, &TIER1_COUNTERS);
+    }
+    push_counter(&mut out, m, "cryptext_cache_negative_hits_total");
+    push_num(&mut out, "generation", generation);
+    push_counter(&mut out, m, "cryptext_cache_invalidation_bumps_total");
+    push_counter(&mut out, m, "cryptext_cache_invalidated_entries_total");
+    push_bool(&mut out, "tier2_attached", tier2_attached);
+    push_tier(&mut out, m, "tier2", &TIER2_COUNTERS);
+    out.push('}');
+    push_bool(&mut out, "draining", draining);
+    out.push('}');
+    out
+}
+
+/// A metric's `/stats` key: its name without `cryptext_<layer>_` and
+/// `_total`.
+fn json_key(name: &str) -> &str {
+    let field = name.splitn(3, '_').nth(2).unwrap_or(name);
+    field.strip_suffix("_total").unwrap_or(field)
+}
+
+/// Write `"key":`, after a comma unless it opens its object.
+fn push_key(out: &mut String, key: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+fn push_num(out: &mut String, key: &str, value: u64) {
+    push_key(out, key);
+    jsonfmt::push_uint(out, value);
+}
+
+fn push_bool(out: &mut String, key: &str, value: bool) {
+    push_key(out, key);
+    out.push_str(if value { "true" } else { "false" });
+}
+
+fn push_counter(out: &mut String, m: &MetricsSnapshot, name: &str) {
+    push_num(out, json_key(name), m.counter_total(name));
+}
+
+/// One cache tier's object: each counter read at `tier="<tier>"`.
+fn push_tier(out: &mut String, m: &MetricsSnapshot, tier: &str, names: &[&str]) {
+    push_key(out, tier);
+    out.push('{');
+    for name in names {
+        push_num(out, json_key(name), m.counter_labeled(name, "tier", tier));
+    }
+    out.push('}');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cryptext_common::metrics::MetricsRegistry;
     use cryptext_gateway::{RouteClass, RouteParams};
 
     fn get(target: &str) -> HttpRequest {
@@ -322,6 +443,91 @@ mod tests {
             .unwrap();
         assert_eq!(resp.status, 405);
         assert_eq!(resp.header_value("Allow"), Some("GET"));
+    }
+
+    /// Every number distinct (1..=40) and both flags set, so a swapped
+    /// or misread field cannot hide behind equal values.
+    const STATS_PIN: &str = concat!(
+        r#"{"gateway":{"admitted":1,"queue_waits":2,"shed_queue_full":3,"shed_draining":4,"queue_deadline_expired":5,"#,
+        r#""executions":6,"retries":7,"completed_ok":8,"failed":9,"deadline_exceeded":10,"#,
+        r#""coalesced_followers":11,"promoted_followers":12,"active_now":13,"queued_now":14},"#,
+        r#""cache":{"lookup":{"hits":15,"misses":16,"evictions":17,"expirations":18,"inserts":19},"#,
+        r#""normalize":{"hits":20,"misses":21,"evictions":22,"expirations":23,"inserts":24},"#,
+        r#""normalize_results":{"hits":25,"misses":26,"evictions":27,"expirations":28,"inserts":29},"#,
+        r#""negative_hits":30,"generation":31,"invalidation_bumps":32,"invalidated_entries":33,"tier2_attached":true,"#,
+        r#""tier2":{"hits":34,"misses":35,"inserts":36,"evictions":37,"expirations":38,"invalidated":39,"put_errors":40}},"#,
+        r#""draining":true}"#,
+    );
+
+    #[test]
+    fn stats_document_pins_every_field() {
+        let r = MetricsRegistry::new();
+        for (name, value) in [
+            ("cryptext_gateway_admitted_total", 1),
+            ("cryptext_gateway_shed_queue_full_total", 3),
+            ("cryptext_gateway_shed_draining_total", 4),
+            ("cryptext_gateway_queue_deadline_expired_total", 5),
+            ("cryptext_gateway_executions_total", 6),
+            ("cryptext_gateway_retries_total", 7),
+            ("cryptext_gateway_completed_ok_total", 8),
+            ("cryptext_gateway_failed_total", 9),
+            ("cryptext_gateway_deadline_exceeded_total", 10),
+            ("cryptext_gateway_coalesced_followers_total", 11),
+            ("cryptext_gateway_promoted_followers_total", 12),
+            ("cryptext_cache_negative_hits_total", 30),
+            ("cryptext_cache_invalidation_bumps_total", 32),
+            ("cryptext_cache_invalidated_entries_total", 33),
+        ] {
+            r.counter(name, "").add(value);
+        }
+        // queue_waits = 2: one queued request on each of two routes.
+        for route in ["lookup", "perturb"] {
+            r.histogram_with("cryptext_gateway_queue_wait_us", "", &[("route", route)])
+                .observe(500);
+        }
+        r.gauge("cryptext_gateway_active_now", "").set(13);
+        r.gauge("cryptext_gateway_queued_now", "").set(14);
+        let tier1 = [
+            "cryptext_cache_hits_total",
+            "cryptext_cache_misses_total",
+            "cryptext_cache_evictions_total",
+            "cryptext_cache_expirations_total",
+            "cryptext_cache_inserts_total",
+        ];
+        for (base, tier) in [(15, "lookup"), (20, "normalize"), (25, "normalize_results")] {
+            for (value, name) in (base..).zip(tier1) {
+                r.counter_with(name, "", &[("tier", tier)]).add(value);
+            }
+        }
+        let tier2 = [
+            "cryptext_cache_hits_total",
+            "cryptext_cache_misses_total",
+            "cryptext_cache_inserts_total",
+            "cryptext_cache_evictions_total",
+            "cryptext_cache_expirations_total",
+            "cryptext_cache_invalidated_total",
+            "cryptext_cache_put_errors_total",
+        ];
+        for (value, name) in (34..).zip(tier2) {
+            r.counter_with(name, "", &[("tier", "tier2")]).add(value);
+        }
+        assert_eq!(stats_json(&r.snapshot(), 31, true, true), STATS_PIN);
+    }
+
+    #[test]
+    fn an_empty_registry_renders_zeros() {
+        let json = stats_json(&MetricsSnapshot::default(), 0, false, false);
+        assert!(json.starts_with(r#"{"gateway":{"admitted":0,"queue_waits":0,"#));
+        assert!(json.ends_with(concat!(
+            r#""tier2_attached":false,"tier2":{"hits":0,"misses":0,"inserts":0,"#,
+            r#""evictions":0,"expirations":0,"invalidated":0,"put_errors":0}},"#,
+            r#""draining":false}"#,
+        )));
+        let digits = json.replace("tier2", "");
+        assert!(
+            !digits.contains(|c: char| ('1'..='9').contains(&c)),
+            "{json}"
+        );
     }
 
     #[test]

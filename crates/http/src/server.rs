@@ -325,7 +325,14 @@ fn respond<S: TokenStore + Send + Sync + 'static>(
     match routed {
         Routed::Health => (WireResponse::text(200, "ok\n"), false),
         Routed::Stats => {
-            let mut resp = WireResponse::json(200, gateway.stats_report().to_json());
+            let service = gateway.service();
+            let body = router::stats_json(
+                &gateway.stats(),
+                service.generation(),
+                service.tier2_attached(),
+                gateway.is_draining(),
+            );
+            let mut resp = WireResponse::json(200, body);
             resp.header("Cache-Control", "no-store");
             (resp, false)
         }

@@ -2,7 +2,7 @@
 //! timeouts, and serializing responses.
 //!
 //! Reading is sliced: the stream runs with a short read timeout
-//! ([`READ_SLICE`]) and the loop re-checks the wall-clock budget and the
+//! (`READ_SLICE`) and the loop re-checks the wall-clock budget and the
 //! server's shutdown flag between slices. That one mechanism gives us
 //! the slowloris defense (a dribbling client exhausts the header budget
 //! and gets `408`), responsive drain (an idle keep-alive connection
@@ -11,7 +11,7 @@
 //!
 //! Pipelining falls out of the carry buffer: bytes read past the current
 //! request's end stay in `Conn::carry` and seed the next
-//! [`read_request`] call without touching the socket.
+//! `read_request` call without touching the socket.
 
 use std::io::Read;
 use std::net::TcpStream;

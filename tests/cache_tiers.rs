@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use cryptext::cache::{CacheConfig, CacheStore, SharedCacheStore, SHARED_PUT_FAILPOINT};
+use cryptext::cache::{CacheConfig, SharedCacheStore, SHARED_PUT_FAILPOINT};
 use cryptext::common::{failpoint, SimClock};
 use cryptext::core::database::TokenDatabase;
 use cryptext::core::service::{CryptextService, ServiceConfig};
@@ -34,6 +34,14 @@ use proptest::prelude::*;
 /// byte-identity assertions hold regardless — that is the point).
 fn env_arm_active() -> bool {
     std::env::var(failpoint::ENV_VAR).is_ok_and(|v| !v.trim().is_empty())
+}
+
+/// One cache counter of `svc`'s registry:
+/// `cryptext_cache_<event>_total{tier="<tier>"}`.
+fn tier_count<S: TokenStore>(svc: &CryptextService<S>, event: &str, tier: &str) -> u64 {
+    svc.metrics()
+        .snapshot()
+        .counter_labeled(&format!("cryptext_cache_{event}_total"), "tier", tier)
 }
 
 fn corpus_db(sentences: &[&str]) -> TokenDatabase {
@@ -124,11 +132,11 @@ proptest! {
             svc.bump_generation();
         }
 
-        let tiers = svc.cache_tier_stats();
-        prop_assert!(tiers.lookup.hits > 0, "warm lookups hit tier-1");
-        prop_assert!(tiers.normalize.inserts > 0, "normalize filled tier-1");
-        prop_assert_eq!(tiers.generation, 2);
-        prop_assert_eq!(tiers.invalidation_bumps, 2);
+        prop_assert!(tier_count(&svc, "hits", "lookup") > 0, "warm lookups hit tier-1");
+        prop_assert!(tier_count(&svc, "inserts", "normalize") > 0, "normalize filled tier-1");
+        prop_assert_eq!(svc.generation(), 2);
+        let bumps = svc.metrics().snapshot().counter_total("cryptext_cache_invalidation_bumps_total");
+        prop_assert_eq!(bumps, 2);
     }
 }
 
@@ -142,8 +150,8 @@ fn ttl_expiry_drops_entries_and_recomputes_identically() {
     let norm = svc
         .normalize(&auth, "the vacc1ne mandates", NormalizeParams::default())
         .unwrap();
-    let filled = svc.cache_tier_stats();
-    assert!(filled.lookup.inserts >= 1 && filled.normalize.inserts >= 1);
+    assert!(tier_count(&svc, "inserts", "lookup") >= 1);
+    assert!(tier_count(&svc, "inserts", "normalize") >= 1);
 
     // Past the TTL, an eager sweep reaps every tier-1 entry...
     clock.advance(10_001);
@@ -152,7 +160,7 @@ fn ttl_expiry_drops_entries_and_recomputes_identically() {
         "expired lookup and normalize entries are reaped"
     );
     assert!(
-        svc.cache_tier_stats().lookup.expirations + svc.cache_tier_stats().normalize.expirations
+        tier_count(&svc, "expirations", "lookup") + tier_count(&svc, "expirations", "normalize")
             >= 2
     );
 
@@ -201,11 +209,11 @@ fn shared_tier2_serves_replicas_and_generation_bump_flushes_the_namespace() {
     assert_eq!(via_b, via_a, "replica B answers with replica A's bytes");
     if !env_arm_active() {
         assert!(
-            store.stats().inserts > 0,
+            tier_count(&a, "inserts", "tier2") > 0,
             "replica A wrote its candidates behind"
         );
         assert!(
-            store.stats().hits > 0,
+            tier_count(&b, "hits", "tier2") > 0,
             "replica B read replica A's entries through"
         );
     }
@@ -217,7 +225,7 @@ fn shared_tier2_serves_replicas_and_generation_bump_flushes_the_namespace() {
     b.bump_generation();
     if !env_arm_active() {
         assert!(
-            a.cache_tier_stats().tier2.invalidated > 0,
+            tier_count(&a, "invalidated", "tier2") > 0,
             "namespace flush reached tier-2"
         );
     }
@@ -286,9 +294,9 @@ fn a_shared_tier2_store_never_mixes_up_corpora() {
         }
     }
     if !env_arm_active() {
-        let tier2 = store.stats();
-        assert!(tier2.inserts > 0, "both corpora wrote behind");
-        assert!(tier2.misses > 0, "the second corpus read through");
+        let tier2 = |event| tier_count(&systems[1].0, event, "tier2");
+        assert!(tier2("inserts") > 0, "both corpora wrote behind");
+        assert!(tier2("misses") > 0, "the second corpus read through");
     }
 }
 
@@ -331,14 +339,17 @@ fn tier2_write_failures_never_break_requests() {
     assert_eq!(cold, reference, "a killed write-behind never alters bytes");
     assert_eq!(warm, reference);
 
-    let tiers = svc.cache_tier_stats();
     assert!(
-        tiers.tier2.put_errors >= 1,
+        tier_count(&svc, "put_errors", "tier2") >= 1,
         "the injected failure is counted"
     );
-    assert_eq!(tiers.tier2.inserts, 0, "nothing landed in tier-2");
+    assert_eq!(
+        tier_count(&svc, "inserts", "tier2"),
+        0,
+        "nothing landed in tier-2"
+    );
     assert!(
-        tiers.normalize_results.hits > 0,
+        tier_count(&svc, "hits", "normalize_results") > 0,
         "tier-1 still absorbs the warm traffic (exact repeat = result-cache hit)"
     );
 }

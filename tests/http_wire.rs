@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use common::{each_layout, service, Layout, LAYOUTS};
+use common::{each_layout, service, Layout};
 use cryptext::cache::{CacheConfig, SharedCacheStore};
 use cryptext::common::SimClock;
 use cryptext::core::service::CryptextService;
@@ -528,7 +528,11 @@ fn cache_metadata_headers() {
 fn graceful_drain_completes_in_flight_requests() {
     each_layout(|layout| {
         let srv = server(layout);
-        let base = srv.gateway.stats().admitted;
+        let admitted = || {
+            let stats = srv.gateway.stats();
+            stats.counter_total("cryptext_gateway_admitted_total")
+        };
+        let base = admitted();
         const CLIENTS: usize = 8;
 
         let mut workers = Vec::new();
@@ -551,7 +555,7 @@ fn graceful_drain_completes_in_flight_requests() {
         // All eight admitted (some may already be executing) — now pull the
         // plug mid-traffic.
         let started = Instant::now();
-        while srv.gateway.stats().admitted < base + CLIENTS as u64 {
+        while admitted() < base + CLIENTS as u64 {
             assert!(
                 started.elapsed() < Duration::from_secs(20),
                 "requests never reached the gateway"
@@ -740,46 +744,117 @@ fn metrics_endpoint_scrapes_the_live_registry() {
     });
 }
 
-/// The two operator surfaces agree on tier-2: with a store attached,
-/// `cache_tier_stats()` and the `tier="tier2"` series scraped from
-/// `GET /metrics` read the same cells. (The store is private to this
-/// test, so other tests' traffic cannot move its counters mid-read.)
-#[test]
-fn metrics_and_cache_tier_stats_agree_on_tier2() {
-    let (mut svc, clock) = service(LAYOUTS[1], 100_000);
-    let store = SharedCacheStore::new(CacheConfig::default(), Arc::new(clock.clone()));
-    svc.attach_tier2(Arc::new(store));
-    let srv = serve(svc, clock, HttpConfig::default());
-    let mut c = Client::connect(srv.addr);
-
-    // Cold normalizes miss tier-2 and write their candidates behind; the
-    // bump flushes the namespace, and the repeat misses and refills.
-    for text in ["the vacc1ne mandate", "the demokRATs argue"] {
-        c.send(&post_req("/normalize", &srv.token, text));
-        assert_eq!(c.read_response().status, 200);
+/// Flatten a JSON document of nested objects with scalar values into
+/// (`dotted.key.path`, raw value) pairs, in document order.
+fn flatten_json(body: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let mut path: Vec<&str> = Vec::new();
+    let mut key = None;
+    let mut i = 0;
+    while i < body.len() {
+        match body.as_bytes()[i] {
+            b'{' => {
+                path.extend(key.take());
+                i += 1;
+            }
+            b'}' => {
+                path.pop();
+                i += 1;
+            }
+            b',' => i += 1,
+            b'"' => {
+                let end = i + 1 + body[i + 1..].find('"').expect("closed key");
+                key = Some(&body[i + 1..end]);
+                i = end + 2; // past the closing quote and the colon
+            }
+            _ => {
+                let end = i + body[i..].find([',', '}']).expect("value ends");
+                let mut dotted = path.clone();
+                dotted.push(key.take().expect("value follows a key"));
+                out.push((dotted.join("."), body[i..end].to_string()));
+                i = end;
+            }
+        }
     }
-    srv.gateway.bump_generation();
-    c.send(&post_req("/normalize", &srv.token, "the vacc1ne mandate"));
-    assert_eq!(c.read_response().status, 200);
+    out
+}
 
-    c.send(&get_req("/metrics", None));
-    let samples = parse_prometheus(&c.read_response().body);
-    let tier2 = srv.gateway.cache_stats().tier2;
-    assert!(tier2.misses > 0 && tier2.inserts > 0 && tier2.invalidated > 0);
-    for (name, value) in [
-        ("cryptext_cache_hits_total", tier2.hits),
-        ("cryptext_cache_misses_total", tier2.misses),
-        ("cryptext_cache_inserts_total", tier2.inserts),
-        ("cryptext_cache_evictions_total", tier2.evictions),
-        ("cryptext_cache_expirations_total", tier2.expirations),
-        ("cryptext_cache_invalidated_total", tier2.invalidated),
-        ("cryptext_cache_put_errors_total", tier2.put_errors),
-    ] {
-        assert_eq!(
-            samples[&format!("{name}{{tier=\"tier2\"}}")],
-            value as f64,
-            "{name}"
+/// The two operator surfaces agree: every number in `GET /stats` equals
+/// its series in a `GET /metrics` scrape taken right after it, with no
+/// API traffic in between — the gateway counters and gauges,
+/// `queue_waits` as the per-route queue-wait counts summed, and all four
+/// cache tiers. The tier-2 store is private to this test, so no other
+/// test's traffic can move its counters between the two reads.
+#[test]
+fn stats_and_metrics_agree_on_every_number() {
+    for shards in [1, 4] {
+        eprintln!("shards: {shards}");
+        let layout = Layout {
+            shards,
+            shared_tier2: false,
+        };
+        let (mut svc, clock) = service(layout, 100_000);
+        let store = SharedCacheStore::new(CacheConfig::default(), Arc::new(clock.clone()));
+        svc.attach_tier2(Arc::new(store));
+        let srv = serve(svc, clock, HttpConfig::default());
+        let mut c = Client::connect(srv.addr);
+
+        // Cold and warm lookups; cold normalizes miss tier-2 and write
+        // their candidates behind; the bump flushes the namespace, and the
+        // repeat misses and refills.
+        let lookup = get_req("/lookup?q=vaccine", Some(&srv.token));
+        send_ok(&mut c, &lookup);
+        send_ok(&mut c, &lookup);
+        for text in ["the vacc1ne mandate", "the demokRATs argue"] {
+            send_ok(&mut c, &post_req("/normalize", &srv.token, text));
+        }
+        srv.gateway.bump_generation();
+        send_ok(
+            &mut c,
+            &post_req("/normalize", &srv.token, "the vacc1ne mandate"),
         );
+
+        let stats = flatten_json(&stats_body(&mut c));
+        c.send(&get_req("/metrics", None));
+        let samples = parse_prometheus(&c.read_response().body);
+        let series = |key: &str| -> f64 {
+            match key.split('.').collect::<Vec<_>>()[..] {
+                ["gateway", "queue_waits"] => ["lookup", "normalize", "perturb", "listening"]
+                    .iter()
+                    .map(|r| {
+                        samples[&format!("cryptext_gateway_queue_wait_us_count{{route=\"{r}\"}}")]
+                    })
+                    .sum(),
+                ["gateway", gauge @ ("active_now" | "queued_now")] => {
+                    samples[&format!("cryptext_gateway_{gauge}")]
+                }
+                ["gateway", counter] => samples[&format!("cryptext_gateway_{counter}_total")],
+                ["cache", "generation"] => samples["cryptext_service_generation"],
+                ["cache", counter] => samples[&format!("cryptext_cache_{counter}_total")],
+                ["cache", tier, event] => {
+                    samples[&format!("cryptext_cache_{event}_total{{tier=\"{tier}\"}}")]
+                }
+                _ => panic!("no series for /stats key {key:?}"),
+            }
+        };
+        let mut numbers = 0;
+        for (key, value) in &stats {
+            match value.as_str() {
+                "true" | "false" => continue,
+                number => assert_eq!(series(key), number.parse::<f64>().unwrap(), "{key}"),
+            }
+            numbers += 1;
+        }
+        assert_eq!(numbers, 40, "every number of the document was compared");
+        let flag = |key: &str| {
+            stats
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str())
+        };
+        assert_eq!(flag("cache.tier2_attached"), Some("true"));
+        assert_eq!(flag("draining"), Some("false"));
+        assert!(samples["cryptext_cache_invalidated_total{tier=\"tier2\"}"] > 0.0);
     }
 }
 
@@ -818,4 +893,164 @@ fn http10_close_default_and_stats_surface() {
             );
         }
     });
+}
+
+/// One `GET /stats` read on `c`.
+fn stats_body(c: &mut Client) -> String {
+    c.send(&get_req("/stats", None));
+    let resp = c.read_response();
+    assert_eq!(resp.status, 200);
+    resp.body
+}
+
+/// Send one API request on `c` and expect `200`.
+fn send_ok(c: &mut Client, raw: &str) {
+    c.send(raw);
+    let resp = c.read_response();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+}
+
+/// `GET /stats` byte for byte after each step of a scripted session:
+/// cold and warm lookups and normalizes, a negative hit, a tier-2 fill,
+/// a generation bump, and a drain that sheds one request. The tier-2
+/// store is private to the test, so no other test's traffic moves its
+/// counters, and every number is the same at 1 and 4 shards.
+#[test]
+fn stats_body_is_pinned_across_a_scripted_session() {
+    const FRESH: &str = concat!(
+        r#"{"gateway":{"admitted":0,"queue_waits":0,"shed_queue_full":0,"shed_draining":0,"queue_deadline_expired":0,"#,
+        r#""executions":0,"retries":0,"completed_ok":0,"failed":0,"deadline_exceeded":0,"#,
+        r#""coalesced_followers":0,"promoted_followers":0,"active_now":0,"queued_now":0},"#,
+        r#""cache":{"lookup":{"hits":0,"misses":0,"evictions":0,"expirations":0,"inserts":0},"#,
+        r#""normalize":{"hits":0,"misses":0,"evictions":0,"expirations":0,"inserts":0},"#,
+        r#""normalize_results":{"hits":0,"misses":0,"evictions":0,"expirations":0,"inserts":0},"#,
+        r#""negative_hits":0,"generation":0,"invalidation_bumps":0,"invalidated_entries":0,"tier2_attached":true,"#,
+        r#""tier2":{"hits":0,"misses":0,"inserts":0,"evictions":0,"expirations":0,"invalidated":0,"put_errors":0}},"#,
+        r#""draining":false}"#,
+    );
+    const COLD_LOOKUP: &str = concat!(
+        r#"{"gateway":{"admitted":1,"queue_waits":0,"shed_queue_full":0,"shed_draining":0,"queue_deadline_expired":0,"#,
+        r#""executions":1,"retries":0,"completed_ok":1,"failed":0,"deadline_exceeded":0,"#,
+        r#""coalesced_followers":0,"promoted_followers":0,"active_now":0,"queued_now":0},"#,
+        r#""cache":{"lookup":{"hits":0,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""normalize":{"hits":0,"misses":0,"evictions":0,"expirations":0,"inserts":0},"#,
+        r#""normalize_results":{"hits":0,"misses":0,"evictions":0,"expirations":0,"inserts":0},"#,
+        r#""negative_hits":0,"generation":0,"invalidation_bumps":0,"invalidated_entries":0,"tier2_attached":true,"#,
+        r#""tier2":{"hits":0,"misses":0,"inserts":0,"evictions":0,"expirations":0,"invalidated":0,"put_errors":0}},"#,
+        r#""draining":false}"#,
+    );
+    const WARM_LOOKUP: &str = concat!(
+        r#"{"gateway":{"admitted":2,"queue_waits":0,"shed_queue_full":0,"shed_draining":0,"queue_deadline_expired":0,"#,
+        r#""executions":2,"retries":0,"completed_ok":2,"failed":0,"deadline_exceeded":0,"#,
+        r#""coalesced_followers":0,"promoted_followers":0,"active_now":0,"queued_now":0},"#,
+        r#""cache":{"lookup":{"hits":1,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""normalize":{"hits":0,"misses":0,"evictions":0,"expirations":0,"inserts":0},"#,
+        r#""normalize_results":{"hits":0,"misses":0,"evictions":0,"expirations":0,"inserts":0},"#,
+        r#""negative_hits":0,"generation":0,"invalidation_bumps":0,"invalidated_entries":0,"tier2_attached":true,"#,
+        r#""tier2":{"hits":0,"misses":0,"inserts":0,"evictions":0,"expirations":0,"invalidated":0,"put_errors":0}},"#,
+        r#""draining":false}"#,
+    );
+    const COLD_NORMALIZE: &str = concat!(
+        r#"{"gateway":{"admitted":3,"queue_waits":0,"shed_queue_full":0,"shed_draining":0,"queue_deadline_expired":0,"#,
+        r#""executions":3,"retries":0,"completed_ok":3,"failed":0,"deadline_exceeded":0,"#,
+        r#""coalesced_followers":0,"promoted_followers":0,"active_now":0,"queued_now":0},"#,
+        r#""cache":{"lookup":{"hits":1,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""normalize":{"hits":0,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""normalize_results":{"hits":0,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""negative_hits":0,"generation":0,"invalidation_bumps":0,"invalidated_entries":0,"tier2_attached":true,"#,
+        r#""tier2":{"hits":0,"misses":1,"inserts":1,"evictions":0,"expirations":0,"invalidated":0,"put_errors":0}},"#,
+        r#""draining":false}"#,
+    );
+    const WARM_NORMALIZE: &str = concat!(
+        r#"{"gateway":{"admitted":4,"queue_waits":0,"shed_queue_full":0,"shed_draining":0,"queue_deadline_expired":0,"#,
+        r#""executions":4,"retries":0,"completed_ok":4,"failed":0,"deadline_exceeded":0,"#,
+        r#""coalesced_followers":0,"promoted_followers":0,"active_now":0,"queued_now":0},"#,
+        r#""cache":{"lookup":{"hits":1,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""normalize":{"hits":0,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""normalize_results":{"hits":1,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""negative_hits":0,"generation":0,"invalidation_bumps":0,"invalidated_entries":0,"tier2_attached":true,"#,
+        r#""tier2":{"hits":0,"misses":1,"inserts":1,"evictions":0,"expirations":0,"invalidated":0,"put_errors":0}},"#,
+        r#""draining":false}"#,
+    );
+    const NEGATIVE_HIT: &str = concat!(
+        r#"{"gateway":{"admitted":6,"queue_waits":0,"shed_queue_full":0,"shed_draining":0,"queue_deadline_expired":0,"#,
+        r#""executions":6,"retries":0,"completed_ok":6,"failed":0,"deadline_exceeded":0,"#,
+        r#""coalesced_followers":0,"promoted_followers":0,"active_now":0,"queued_now":0},"#,
+        r#""cache":{"lookup":{"hits":1,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""normalize":{"hits":1,"misses":3,"evictions":0,"expirations":0,"inserts":3},"#,
+        r#""normalize_results":{"hits":1,"misses":3,"evictions":0,"expirations":0,"inserts":3},"#,
+        r#""negative_hits":1,"generation":0,"invalidation_bumps":0,"invalidated_entries":0,"tier2_attached":true,"#,
+        r#""tier2":{"hits":0,"misses":3,"inserts":3,"evictions":0,"expirations":0,"invalidated":0,"put_errors":0}},"#,
+        r#""draining":false}"#,
+    );
+    const BUMPED: &str = concat!(
+        r#"{"gateway":{"admitted":6,"queue_waits":0,"shed_queue_full":0,"shed_draining":0,"queue_deadline_expired":0,"#,
+        r#""executions":6,"retries":0,"completed_ok":6,"failed":0,"deadline_exceeded":0,"#,
+        r#""coalesced_followers":0,"promoted_followers":0,"active_now":0,"queued_now":0},"#,
+        r#""cache":{"lookup":{"hits":1,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""normalize":{"hits":1,"misses":3,"evictions":0,"expirations":0,"inserts":3},"#,
+        r#""normalize_results":{"hits":1,"misses":3,"evictions":0,"expirations":0,"inserts":3},"#,
+        r#""negative_hits":1,"generation":1,"invalidation_bumps":1,"invalidated_entries":10,"tier2_attached":true,"#,
+        r#""tier2":{"hits":0,"misses":3,"inserts":3,"evictions":0,"expirations":0,"invalidated":3,"put_errors":0}},"#,
+        r#""draining":false}"#,
+    );
+    const DRAINING: &str = concat!(
+        r#"{"gateway":{"admitted":6,"queue_waits":0,"shed_queue_full":0,"shed_draining":1,"queue_deadline_expired":0,"#,
+        r#""executions":6,"retries":0,"completed_ok":6,"failed":0,"deadline_exceeded":0,"#,
+        r#""coalesced_followers":0,"promoted_followers":0,"active_now":0,"queued_now":0},"#,
+        r#""cache":{"lookup":{"hits":1,"misses":1,"evictions":0,"expirations":0,"inserts":1},"#,
+        r#""normalize":{"hits":1,"misses":3,"evictions":0,"expirations":0,"inserts":3},"#,
+        r#""normalize_results":{"hits":1,"misses":3,"evictions":0,"expirations":0,"inserts":3},"#,
+        r#""negative_hits":1,"generation":1,"invalidation_bumps":1,"invalidated_entries":10,"tier2_attached":true,"#,
+        r#""tier2":{"hits":0,"misses":3,"inserts":3,"evictions":0,"expirations":0,"invalidated":3,"put_errors":0}},"#,
+        r#""draining":true}"#,
+    );
+
+    for shards in [1, 4] {
+        eprintln!("shards: {shards}");
+        let layout = Layout {
+            shards,
+            shared_tier2: false,
+        };
+        let (mut svc, clock) = service(layout, 100_000);
+        let store = SharedCacheStore::new(CacheConfig::default(), Arc::new(clock.clone()));
+        svc.attach_tier2(Arc::new(store));
+        let srv = serve(svc, clock, HttpConfig::default());
+        let mut c = Client::connect(srv.addr);
+        assert_eq!(stats_body(&mut c), FRESH);
+
+        let lookup = get_req("/lookup?q=vaccine", Some(&srv.token));
+        send_ok(&mut c, &lookup);
+        assert_eq!(stats_body(&mut c), COLD_LOOKUP);
+        send_ok(&mut c, &lookup);
+        assert_eq!(stats_body(&mut c), WARM_LOOKUP);
+
+        // Only the out-of-dictionary `vacc1ne` consults the candidate
+        // memo: it misses tier-1 and tier-2, and its candidates are
+        // written behind to tier-2. The repeat hits the result cache.
+        let normalize = post_req("/normalize", &srv.token, "the vacc1ne mandate");
+        send_ok(&mut c, &normalize);
+        assert_eq!(stats_body(&mut c), COLD_NORMALIZE);
+        send_ok(&mut c, &normalize);
+        assert_eq!(stats_body(&mut c), WARM_NORMALIZE);
+
+        // `qzxblorp` has no candidates; the second text finds the
+        // cached negative entry.
+        send_ok(&mut c, &post_req("/normalize", &srv.token, "qzxblorp said"));
+        send_ok(
+            &mut c,
+            &post_req("/normalize", &srv.token, "then qzxblorp left"),
+        );
+        assert_eq!(stats_body(&mut c), NEGATIVE_HIT);
+
+        // The bump flushes 7 tier-1 entries (1 lookup, 3 memo, 3 result)
+        // and the 3 tier-2 entries of the old namespace.
+        srv.gateway.bump_generation();
+        assert_eq!(stats_body(&mut c), BUMPED);
+
+        srv.gateway.begin_drain();
+        c.send(&lookup);
+        assert_eq!(c.read_response().status, 429, "a draining gateway sheds");
+        assert_eq!(stats_body(&mut c), DRAINING);
+    }
 }

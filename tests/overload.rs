@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use cryptext::common::metrics::MetricsSnapshot;
 use cryptext::common::{failpoint, Error, SimClock};
 use cryptext::core::database::TokenDatabase;
 use cryptext::core::durable::{DurableOptions, DurableTokenStore};
@@ -48,9 +49,20 @@ const TICK: Duration = Duration::from_millis(2);
 /// Generous bound for any single choreography step (single-core debug CI).
 const STEP_TIMEOUT: Duration = Duration::from_secs(20);
 
+/// A gateway counter by metric name, `cryptext_gateway_<what>_total`.
+fn count(s: &MetricsSnapshot, what: &str) -> u64 {
+    s.counter_total(&format!("cryptext_gateway_{what}_total"))
+}
+
+/// A gateway gauge by metric name, `cryptext_gateway_<what>`.
+fn gauge(s: &MetricsSnapshot, what: &str) -> i64 {
+    s.gauge(&format!("cryptext_gateway_{what}"))
+        .expect("registered")
+}
+
 /// Queue-wait observations for one route, read from the workspace
 /// metrics registry (the per-route histogram the gateway records into;
-/// the snapshot's `queue_waits` is the sum of these counts).
+/// `/stats` reports the sum of these counts as `queue_waits`).
 fn queue_waits_on(gw: &Gateway<TokenDatabase>, route: &str) -> u64 {
     gw.metrics().snapshot().histogram_count_labeled(
         "cryptext_gateway_queue_wait_us",
@@ -172,7 +184,9 @@ fn a_10x_storm_sheds_fast_and_serves_the_admitted_byte_identically() {
     // and all 36 excess arrivals already shed — none of them is waiting.
     eventually("storm saturation", || {
         let s = gw.stats();
-        s.shed_queue_full == 36 && s.active_now == 2 && s.queued_now == 2
+        count(&s, "shed_queue_full") == 36
+            && gauge(&s, "active_now") == 2
+            && gauge(&s, "queued_now") == 2
     });
     latch.open();
 
@@ -194,22 +208,24 @@ fn a_10x_storm_sheds_fast_and_serves_the_admitted_byte_identically() {
     assert_eq!((ok, shed), (4, 36), "capacity admitted, the excess shed");
 
     let s = gw.stats();
-    assert_eq!(s.admitted, 4);
-    assert_eq!(s.completed_ok, 4);
+    assert_eq!(count(&s, "admitted"), 4);
+    assert_eq!(count(&s, "completed_ok"), 4);
     assert_eq!(
         queue_waits_on(&gw, "lookup"),
         2,
         "both queue seats were eventually served (per-route histogram)"
     );
     assert_eq!(
-        s.queue_waits, 2,
-        "the snapshot counter projects the same histogram counts"
+        s.histogram_count("cryptext_gateway_queue_wait_us"),
+        2,
+        "the all-route total `/stats` reports as queue_waits"
     );
     assert_eq!(
-        s.retries, 0,
+        count(&s, "retries"),
+        0,
         "shed is pre-retry: no budget burned on the excess"
     );
-    assert_eq!((s.active_now, s.queued_now), (0, 0));
+    assert_eq!((gauge(&s, "active_now"), gauge(&s, "queued_now")), (0, 0));
 }
 
 #[test]
@@ -255,7 +271,7 @@ fn coalesced_duplicates_execute_once_and_share_exact_bytes() {
     // The leader parks on the latch; the other seven must attach to its
     // flight rather than execute.
     eventually("seven followers attached", || {
-        gw.stats().coalesced_followers == 7
+        count(&gw.stats(), "coalesced_followers") == 7
     });
     latch.open();
 
@@ -264,10 +280,14 @@ fn coalesced_duplicates_execute_once_and_share_exact_bytes() {
         assert_eq!(hits, direct, "followers get the leader's exact bytes");
     }
     let s = gw.stats();
-    assert_eq!(s.executions, 1, "eight requests, one execution");
-    assert_eq!(s.admitted, 8, "every caller was admitted and charged");
-    assert_eq!(s.completed_ok, 8);
-    assert_eq!(s.promoted_followers, 0);
+    assert_eq!(count(&s, "executions"), 1, "eight requests, one execution");
+    assert_eq!(
+        count(&s, "admitted"),
+        8,
+        "every caller was admitted and charged"
+    );
+    assert_eq!(count(&s, "completed_ok"), 8);
+    assert_eq!(count(&s, "promoted_followers"), 0);
 }
 
 #[test]
@@ -303,7 +323,7 @@ fn a_retryably_failing_leader_promotes_exactly_one_follower() {
                         // First execution is the leader: hold until the
                         // follower has attached, then fail retryably.
                         let start = Instant::now();
-                        while gw_for_body.stats().coalesced_followers == 0 {
+                        while count(&gw_for_body.stats(), "coalesced_followers") == 0 {
                             if start.elapsed() > STEP_TIMEOUT {
                                 return Err(Error::Internal("no follower attached".into()));
                             }
@@ -332,9 +352,13 @@ fn a_retryably_failing_leader_promotes_exactly_one_follower() {
         "the promoted follower re-executes and succeeds"
     );
     let s = gw.stats();
-    assert_eq!(s.coalesced_followers, 1);
-    assert_eq!(s.promoted_followers, 1, "exactly one promotion");
-    assert_eq!(s.executions, 2, "leader attempt + promoted attempt");
+    assert_eq!(count(&s, "coalesced_followers"), 1);
+    assert_eq!(count(&s, "promoted_followers"), 1, "exactly one promotion");
+    assert_eq!(
+        count(&s, "executions"),
+        2,
+        "leader attempt + promoted attempt"
+    );
     assert_eq!(executions.load(Ordering::SeqCst), 2);
 }
 
@@ -373,7 +397,7 @@ fn a_non_retryable_leader_failure_broadcasts_to_the_cohort() {
         }));
     }
     eventually("two followers attached", || {
-        gw.stats().coalesced_followers == 2
+        count(&gw.stats(), "coalesced_followers") == 2
     });
     latch.open();
 
@@ -384,9 +408,13 @@ fn a_non_retryable_leader_failure_broadcasts_to_the_cohort() {
         );
     }
     let s = gw.stats();
-    assert_eq!(s.executions, 1, "nobody re-runs a non-retryable failure");
-    assert_eq!(s.promoted_followers, 0);
-    assert_eq!(s.failed, 3);
+    assert_eq!(
+        count(&s, "executions"),
+        1,
+        "nobody re-runs a non-retryable failure"
+    );
+    assert_eq!(count(&s, "promoted_followers"), 0);
+    assert_eq!(count(&s, "failed"), 3);
 }
 
 #[test]
@@ -409,7 +437,7 @@ fn an_already_expired_deadline_is_rejected_before_any_work() {
     );
     assert!(matches!(out, Err(Error::DeadlineExceeded { budget_ms: 0 })));
     assert_eq!(ran.load(Ordering::SeqCst), 0, "the body never ran");
-    eventually("slot released", || gw.stats().active_now == 0);
+    eventually("slot released", || gauge(&gw.stats(), "active_now") == 0);
 }
 
 #[test]
@@ -484,9 +512,13 @@ fn revocation_races_queued_requests_and_rejects_them_at_dequeue() {
         }));
         // Admit the first request before the others arrive, so exactly
         // one is authorized pre-revocation and two sit in the queue.
-        eventually("first request executing", || gw.stats().active_now == 1);
+        eventually("first request executing", || {
+            gauge(&gw.stats(), "active_now") == 1
+        });
     }
-    eventually("two requests queued", || gw.stats().queued_now == 2);
+    eventually("two requests queued", || {
+        gauge(&gw.stats(), "queued_now") == 2
+    });
 
     svc.revoke_token(&auth);
     latch.open();
@@ -507,8 +539,13 @@ fn revocation_races_queued_requests_and_rejects_them_at_dequeue() {
         (1, 2),
         "in-flight completes, queued requests reject at dequeue"
     );
-    assert_eq!(gw.stats().admitted, 3, "all three passed admission");
-    assert_eq!((gw.stats().active_now, gw.stats().queued_now), (0, 0));
+    assert_eq!(
+        count(&gw.stats(), "admitted"),
+        3,
+        "all three passed admission"
+    );
+    let s = gw.stats();
+    assert_eq!((gauge(&s, "active_now"), gauge(&s, "queued_now")), (0, 0));
 }
 
 #[test]
@@ -539,7 +576,7 @@ fn rate_limited_requests_fail_fast_with_an_honest_typed_hint() {
     }
     assert_eq!((ok, limited), (3, 2));
     assert_eq!(
-        gw.stats().retries,
+        count(&gw.stats(), "retries"),
         0,
         "rate limiting rejects at the auth layer — the gateway must not \
          burn its own retry budget against a depleted window"
@@ -631,7 +668,9 @@ fn chaos_drain_quiesces_sheds_and_loses_no_committed_batches() {
             )
         })
     };
-    eventually("slow request in flight", || gw.stats().active_now == 1);
+    eventually("slow request in flight", || {
+        gauge(&gw.stats(), "active_now") == 1
+    });
 
     // A sidecar proves the drain sheds new arrivals *while* it waits for
     // the slow request, then lets that request finish.
@@ -676,7 +715,7 @@ fn chaos_drain_quiesces_sheds_and_loses_no_committed_batches() {
         "drain waited for in-flight work"
     );
     sidecar.join().unwrap();
-    assert!(gw.stats().shed_draining >= 1);
+    assert!(count(&gw.stats(), "shed_draining") >= 1);
 
     // Zero committed-batch loss: reopening lands on the full committed
     // prefix even though the final sync was killed.
@@ -783,12 +822,14 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
         })
     };
     let leader = cold_caller(&gw);
-    eventually("cold leader executing", || gw.stats().active_now == 1);
+    eventually("cold leader executing", || {
+        gauge(&gw.stats(), "active_now") == 1
+    });
 
     // ...a duplicate attaches to its flight from the second slot...
     let follower = cold_caller(&gw);
     eventually("cold follower attached", || {
-        gw.stats().coalesced_followers == 1
+        count(&gw.stats(), "coalesced_followers") == 1
     });
 
     // ...and two warm hits arrive behind it, one per hot key (distinct
@@ -806,9 +847,13 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
         })
     };
     let queued_r = warm_caller("republicans");
-    eventually("first warm hit queued", || gw.stats().queued_now == 1);
+    eventually("first warm hit queued", || {
+        gauge(&gw.stats(), "queued_now") == 1
+    });
     let queued_d = warm_caller("democrats");
-    eventually("second warm hit queued", || gw.stats().queued_now == 2);
+    eventually("second warm hit queued", || {
+        gauge(&gw.stats(), "queued_now") == 2
+    });
 
     // Lane saturated (2 executing + 2 queued): further warm hits shed
     // immediately — a cached result does not bypass admission control.
@@ -821,7 +866,9 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
             })
         })
         .collect();
-    eventually("excess warm hits shed", || gw.stats().shed_queue_full == 4);
+    eventually("excess warm hits shed", || {
+        count(&gw.stats(), "shed_queue_full") == 4
+    });
     assert_eq!(
         queue_waits_on(&gw, "lookup"),
         0,
@@ -862,20 +909,31 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
             "no waits bleed into the {other} lane"
         );
     }
-    assert_eq!(s.queue_waits, 2, "snapshot projection agrees");
-    assert_eq!(s.executions, 5, "2 warmups + cold leader + 2 queued hits");
-    assert_eq!(s.coalesced_followers, 1);
-    assert_eq!(s.promoted_followers, 0);
-    assert_eq!(s.admitted, 6, "warmups, cold pair, queued hits");
-    assert_eq!(s.completed_ok, 6);
-    assert_eq!(s.shed_queue_full, 4);
-    assert_eq!((s.active_now, s.queued_now), (0, 0));
+    assert_eq!(
+        s.histogram_count("cryptext_gateway_queue_wait_us"),
+        2,
+        "the all-route total `/stats` reports as queue_waits"
+    );
+    assert_eq!(
+        count(&s, "executions"),
+        5,
+        "2 warmups + cold leader + 2 queued hits"
+    );
+    assert_eq!(count(&s, "coalesced_followers"), 1);
+    assert_eq!(count(&s, "promoted_followers"), 0);
+    assert_eq!(count(&s, "admitted"), 6, "warmups, cold pair, queued hits");
+    assert_eq!(count(&s, "completed_ok"), 6);
+    assert_eq!(count(&s, "shed_queue_full"), 4);
+    assert_eq!((gauge(&s, "active_now"), gauge(&s, "queued_now")), (0, 0));
 
     let c = svc.cache_stats();
     assert_eq!(c.misses, 3, "two warmups plus the cold leader");
     assert_eq!(c.hits, 2, "both queued requests served from tier-1");
     assert_eq!(c.inserts, 3);
-    let tiers = gw.cache_stats();
-    assert_eq!(tiers.lookup.hits, 2);
-    assert_eq!(tiers.generation, 0);
+    assert_eq!(
+        s.counter_labeled("cryptext_cache_hits_total", "tier", "lookup"),
+        2,
+        "the registry reads the same cells"
+    );
+    assert_eq!(svc.generation(), 0);
 }
