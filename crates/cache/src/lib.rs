@@ -29,7 +29,7 @@
 
 pub mod store;
 
-pub use store::{CacheStore, SharedCacheStore, SHARED_PUT_FAILPOINT};
+pub use store::{SharedCacheStore, SHARED_PUT_FAILPOINT};
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};

@@ -1,24 +1,23 @@
-//! The tier-2 byte-valued cache store behind the [`CacheStore`] trait.
+//! The tier-2 byte-valued cache store, [`SharedCacheStore`].
 //!
 //! The paper (§III-F) fronts the query engines with a Redis cache. Tier-1 of
 //! our hierarchy is the typed in-process [`Cache`] inside each
-//! `CryptextService`; this module defines the pluggable second tier the
-//! service reads through to and writes behind. Values are opaque bytes and
-//! every key lives in a *namespace* — a 64-bit digest of (LM fingerprint,
-//! store identity, generation) — so a generation bump on ingest invalidates
-//! by flushing the old namespace, never by guessing individual keys.
+//! `CryptextService`; this module is the second tier the service reads
+//! through to and writes behind. Values are opaque bytes and every key
+//! lives in a *namespace* — a 64-bit digest of (LM fingerprint, store
+//! identity, generation) — so a generation bump on ingest invalidates by
+//! flushing the old namespace, never by guessing individual keys.
 //!
-//! One backend implements it: [`SharedCacheStore`], the Redis stand-in
-//! under the vendored-shim constraint — a single in-process server object
-//! a fleet of replica services point at through `Arc`s, usually the
-//! process-global [`SharedCacheStore::global`]. A service gets it only when
-//! the code assembling the service attaches it
-//! (`CryptextService::attach_tier2`). Its write path is a
-//! [`failpoint`] (`cache.shared.put`), so
+//! [`SharedCacheStore`] is the Redis stand-in under the vendored-shim
+//! constraint: a single in-process server object a fleet of replica
+//! services point at through `Arc`s, usually the process-global
+//! [`SharedCacheStore::global`]. A service gets it only when the code
+//! assembling the service attaches it (`CryptextService::attach_tier2`).
+//! The byte-valued get/put surface is the boundary a Redis client would
+//! sit behind. Its write path is a [`failpoint`] (`cache.shared.put`), so
 //! `CRYPTEXT_FAILPOINTS` sweeps can kill or delay tier-2 writes; callers
 //! must absorb the error as a miss — a broken second tier degrades
-//! performance, never correctness. The trait is the surface a real Redis
-//! client would implement.
+//! performance, never correctness.
 
 use std::sync::{Arc, OnceLock};
 
@@ -27,42 +26,14 @@ use cryptext_common::{failpoint, Clock, Result};
 
 use crate::{Cache, CacheConfig};
 
-/// A byte-valued, namespaced, TTL-capable cache store — the tier-2 contract.
-///
-/// Implementations are shared-nothing from the caller's perspective: every
-/// method takes `&self` and must be safe under concurrent use. `get` must
-/// never return a value written under a different `(ns, key)` pair, and
-/// `invalidate_namespace(ns)` must drop every entry written under `ns`.
-pub trait CacheStore: Send + Sync {
-    /// Fetch the bytes stored under `(ns, key)`, if live.
-    fn get(&self, ns: u64, key: u128) -> Option<Vec<u8>>;
-
-    /// Store `value` under `(ns, key)` with an optional TTL. Errors mean the
-    /// entry was *not* stored (e.g. an injected fault on the write path);
-    /// callers absorb them as future misses.
-    fn put(&self, ns: u64, key: u128, value: Vec<u8>, ttl_ms: Option<u64>) -> Result<()>;
-
-    /// Drop every entry in `ns`; returns how many were flushed.
-    fn invalidate_namespace(&self, ns: u64) -> usize;
-
-    /// Eagerly reap expired entries; returns how many were reaped.
-    fn sweep_expired(&self) -> usize;
-
-    /// Register this store's counters with a workspace
-    /// [`MetricsRegistry`] under `tier` (e.g. `"tier2"`), sharing the live
-    /// cells: `cryptext_cache_{hits,misses,inserts,evictions,expirations,
-    /// invalidated,put_errors}_total`. Registries are the only way to read
-    /// a store's counters.
-    fn register_metrics(&self, registry: &MetricsRegistry, tier: &'static str);
-}
-
 /// Failpoint name armed on [`SharedCacheStore`]'s write path.
 pub const SHARED_PUT_FAILPOINT: &str = "cache.shared.put";
 
-/// The shared-role tier-2 backend: an in-process server object standing in
-/// for Redis. A fleet of replica services holds `Arc`s to one instance;
-/// distinct logical databases never collide because namespaces are
-/// content-derived. Writes pass through the [`SHARED_PUT_FAILPOINT`]
+/// The shared-role tier-2 store: a byte-valued, namespaced, TTL-capable
+/// cache standing in for Redis. A fleet of replica services holds `Arc`s
+/// to one instance; distinct logical databases never collide because
+/// namespaces are content-derived. Every method takes `&self` and is safe
+/// under concurrent use. Writes pass through the [`SHARED_PUT_FAILPOINT`]
 /// failpoint so fault sweeps can break the second tier without breaking
 /// results.
 pub struct SharedCacheStore {
@@ -92,14 +63,17 @@ impl SharedCacheStore {
             ))
         }))
     }
-}
 
-impl CacheStore for SharedCacheStore {
-    fn get(&self, ns: u64, key: u128) -> Option<Vec<u8>> {
+    /// Fetch the bytes stored under `(ns, key)`, if live. Never returns a
+    /// value written under a different `(ns, key)` pair.
+    pub fn get(&self, ns: u64, key: u128) -> Option<Vec<u8>> {
         self.inner.get(&(ns, key))
     }
 
-    fn put(&self, ns: u64, key: u128, value: Vec<u8>, ttl_ms: Option<u64>) -> Result<()> {
+    /// Store `value` under `(ns, key)` with an optional TTL. An error means
+    /// the entry was *not* stored (an injected fault on the write path);
+    /// callers absorb it as a future miss.
+    pub fn put(&self, ns: u64, key: u128, value: Vec<u8>, ttl_ms: Option<u64>) -> Result<()> {
         if let Err(e) = failpoint::check(SHARED_PUT_FAILPOINT) {
             self.put_errors.inc();
             return Err(e);
@@ -108,17 +82,24 @@ impl CacheStore for SharedCacheStore {
         Ok(())
     }
 
-    fn invalidate_namespace(&self, ns: u64) -> usize {
+    /// Drop every entry written under `ns`; returns how many were flushed.
+    pub fn invalidate_namespace(&self, ns: u64) -> usize {
         let n = self.inner.retain_keys(|&(k_ns, _)| k_ns != ns);
         self.invalidated.add(n as u64);
         n
     }
 
-    fn sweep_expired(&self) -> usize {
+    /// Eagerly reap expired entries; returns how many were reaped.
+    pub fn sweep_expired(&self) -> usize {
         self.inner.sweep_expired()
     }
 
-    fn register_metrics(&self, registry: &MetricsRegistry, tier: &'static str) {
+    /// Register this store's counters with a workspace
+    /// [`MetricsRegistry`] under `tier` (e.g. `"tier2"`), sharing the live
+    /// cells: `cryptext_cache_{hits,misses,inserts,evictions,expirations,
+    /// invalidated,put_errors}_total`. Registries are the only way to read
+    /// a store's counters.
+    pub fn register_metrics(&self, registry: &MetricsRegistry, tier: &'static str) {
         self.inner.register_metrics(registry, tier);
         registry.register_counter(
             "cryptext_cache_invalidated_total",
@@ -165,7 +146,7 @@ mod tests {
         )
     }
 
-    fn roundtrip(store: &dyn CacheStore) {
+    fn roundtrip(store: &SharedCacheStore) {
         assert_eq!(store.get(1, 7), None);
         store.put(1, 7, vec![1, 2, 3], None).unwrap();
         assert_eq!(store.get(1, 7), Some(vec![1, 2, 3]));

@@ -17,7 +17,6 @@
 //! * [`interner`] — a thread-safe string interner used by the token database.
 //! * [`par`] — order-preserving parallel map over scoped threads, backing
 //!   the bulk service endpoints and parallel corpus ingest.
-//! * [`text`] — tiny string helpers shared by tokenizer/phonetics.
 //! * [`failpoint`] — deterministic fault injection for durability tests
 //!   (kill / torn-write at named crash boundaries).
 //! * [`metrics`] — the workspace-wide observability layer: lock-free
@@ -36,7 +35,6 @@ pub mod jsonfmt;
 pub mod metrics;
 pub mod par;
 pub mod rng;
-pub mod text;
 
 pub use clock::{system_clock, Clock, SimClock, SystemClock, TimeRange, Timestamp};
 pub use error::{Error, Result};

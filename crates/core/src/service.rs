@@ -16,13 +16,12 @@
 //!
 //! Tier-1 is always on: three in-process caches (Look Up results,
 //! whole-text Normalization results, and the cross-text Normalization
-//! candidate memo). Tier-2 — the Redis role — is a byte-valued
-//! [`CacheStore`] the candidate memo reads through to and writes behind.
-//! A service has none until the code that assembles it calls
+//! candidate memo). Tier-2 — the Redis role — is the byte-valued
+//! [`SharedCacheStore`] the candidate memo reads through to and writes
+//! behind. A service has none until the code that assembles it calls
 //! [`CryptextService::attach_tier2`], once, typically with the
-//! process-global [`cryptext_cache::SharedCacheStore::global`] that a
-//! fleet of replicas shares. Nothing about the tiers is read from the
-//! environment.
+//! process-global [`SharedCacheStore::global`] that a fleet of replicas
+//! shares. Nothing about the tiers is read from the environment.
 //!
 //! # Concurrency
 //!
@@ -40,7 +39,7 @@ use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cryptext_cache::{Cache, CacheConfig, CacheStats, CacheStore};
+use cryptext_cache::{Cache, CacheConfig, CacheStats, SharedCacheStore};
 use cryptext_common::hash::{fx_hash_str, FxHashMap};
 use cryptext_common::metrics::{Counter, Gauge, MetricsRegistry};
 use cryptext_common::par::try_par_map;
@@ -253,7 +252,7 @@ fn advance_packed(cur: u64, now_window: u64, limit: u32) -> Option<u64> {
 
 /// An attached tier-2 store and where this service's data lives in it.
 struct Tier2 {
-    store: Arc<dyn CacheStore>,
+    store: Arc<SharedCacheStore>,
     /// Content identity of (store, LM), taken when the store is attached:
     /// mixed with the generation into the namespace, so replicas over the
     /// same data share entries and different deployments never alias.
@@ -368,7 +367,7 @@ impl<S: TokenStore> CryptextService<S> {
     }
 
     /// Attach the tier-2 store — e.g. point a fleet of replica services at
-    /// one [`cryptext_cache::SharedCacheStore`]. Call at most once, while
+    /// one [`SharedCacheStore`]. Call at most once, while
     /// assembling the service (before wrapping it in an `Arc`).
     ///
     /// The store's counters join this service's registry under
@@ -379,7 +378,7 @@ impl<S: TokenStore> CryptextService<S> {
     /// # Panics
     ///
     /// If a tier-2 store is already attached.
-    pub fn attach_tier2(&mut self, store: Arc<dyn CacheStore>) {
+    pub fn attach_tier2(&mut self, store: Arc<SharedCacheStore>) {
         assert!(self.tier2.is_none(), "a tier-2 store is already attached");
         let stats = self.system.database().stats();
         let mut h = FxHasher::default();
@@ -1391,13 +1390,12 @@ mod tests {
 
     #[test]
     fn generation_bump_invalidates_every_tier() {
-        use cryptext_cache::SharedCacheStore;
         let (mut svc, _) = service(100);
         let store = Arc::new(SharedCacheStore::new(
             cryptext_cache::CacheConfig::default(),
             svc.clock(),
         ));
-        svc.attach_tier2(Arc::clone(&store) as Arc<dyn CacheStore>);
+        svc.attach_tier2(Arc::clone(&store));
         let tok = svc.issue_token("bump");
         svc.normalize(&tok, "the demokRATs argue", NormalizeParams::default())
             .unwrap();
@@ -1430,7 +1428,6 @@ mod tests {
 
     #[test]
     fn shared_tier2_serves_a_replica_fleet() {
-        use cryptext_cache::SharedCacheStore;
         // Two identically-built replicas pointing at one shared store:
         // a fill through one is a tier-2 hit through the other.
         let (mut svc_a, _) = service(100);
@@ -1439,8 +1436,8 @@ mod tests {
             cryptext_cache::CacheConfig::default(),
             svc_a.clock(),
         ));
-        svc_a.attach_tier2(Arc::clone(&shared) as Arc<dyn CacheStore>);
-        svc_b.attach_tier2(Arc::clone(&shared) as Arc<dyn CacheStore>);
+        svc_a.attach_tier2(Arc::clone(&shared));
+        svc_b.attach_tier2(Arc::clone(&shared));
         let ta = svc_a.issue_token("a");
         let tb = svc_b.issue_token("b");
         let a = svc_a
@@ -1466,13 +1463,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "already attached")]
     fn a_second_tier2_store_is_refused() {
-        use cryptext_cache::SharedCacheStore;
         let (mut svc, _) = service(100);
         let store = || {
             Arc::new(SharedCacheStore::new(
                 cryptext_cache::CacheConfig::default(),
                 svc.clock(),
-            )) as Arc<dyn CacheStore>
+            ))
         };
         let (first, second) = (store(), store());
         svc.attach_tier2(first);
@@ -1481,14 +1477,14 @@ mod tests {
 
     #[test]
     fn tier2_put_failures_degrade_to_misses() {
-        use cryptext_cache::{SharedCacheStore, SHARED_PUT_FAILPOINT};
+        use cryptext_cache::SHARED_PUT_FAILPOINT;
         use cryptext_common::failpoint;
         let (mut svc, _) = service(100);
         let shared = Arc::new(SharedCacheStore::new(
             cryptext_cache::CacheConfig::default(),
             svc.clock(),
         ));
-        svc.attach_tier2(Arc::clone(&shared) as Arc<dyn CacheStore>);
+        svc.attach_tier2(Arc::clone(&shared));
         let tok = svc.issue_token("fp");
         let _fp = failpoint::arm(SHARED_PUT_FAILPOINT, "kill@1");
         let r = svc

@@ -7,9 +7,9 @@
 //! pair Lookup parameters with the Normalize lane. A [`Response`] is the
 //! typed output plus the metadata a cache in front of the service needs:
 //! the data generation the result was computed under and a
-//! [`CacheDisposition`] saying whether tier-1 served it. The typed
-//! convenience methods on `Gateway` (`look_up`, `normalize`, `perturb`)
-//! are thin shims over [`Gateway::handle`](crate::Gateway::handle).
+//! [`CacheDisposition`] saying whether tier-1 served it.
+//! [`Gateway::handle`](crate::Gateway::handle) is the one entry point that
+//! takes a request; in-process callers match on [`RouteOutput`].
 
 use cryptext_common::jsonfmt;
 use cryptext_core::lookup::{LookupHit, LookupParams};
@@ -107,30 +107,6 @@ pub enum RouteOutput {
 }
 
 impl RouteOutput {
-    /// The Look Up hits, if this is a Lookup output.
-    pub fn into_lookup(self) -> Option<Vec<LookupHit>> {
-        match self {
-            RouteOutput::Lookup(hits) => Some(hits),
-            _ => None,
-        }
-    }
-
-    /// The Normalization result, if this is a Normalize output.
-    pub fn into_normalize(self) -> Option<NormalizationResult> {
-        match self {
-            RouteOutput::Normalize(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The Perturbation outcome, if this is a Perturb output.
-    pub fn into_perturb(self) -> Option<PerturbationOutcome> {
-        match self {
-            RouteOutput::Perturb(o) => Some(o),
-            _ => None,
-        }
-    }
-
     /// The wire body: a JSON document per route (see `crates/http`'s
     /// README for the exact shapes). Written straight into one `String`
     /// pre-sized from the item count, through the allocation-free

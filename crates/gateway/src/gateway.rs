@@ -12,9 +12,6 @@ use cryptext_common::hash::fx_hash_bytes;
 use cryptext_common::metrics::{MetricsRegistry, MetricsSnapshot};
 use cryptext_common::{failpoint, par, Error, Result};
 use cryptext_core::database::TokenDatabase;
-use cryptext_core::lookup::{LookupHit, LookupParams};
-use cryptext_core::normalize::{NormalizationResult, NormalizeParams};
-use cryptext_core::perturb::{PerturbParams, PerturbationOutcome};
 use cryptext_core::service::{ApiToken, CryptextService, Served};
 use cryptext_core::TokenStore;
 
@@ -274,9 +271,9 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
     /// individually *before* attaching — coalescing shares the work, not
     /// the authorization.
     ///
-    /// The typed endpoints ([`Self::look_up`], [`Self::normalize`]) feed
-    /// the gateway's internal groups; external callers with their own
-    /// coalescable work bring their own [`SingleFlight`] group and key.
+    /// [`Self::handle`] coalesces Look Up and Normalization in the
+    /// gateway's internal group; callers with their own coalescable work
+    /// bring their own [`SingleFlight`] group and key.
     pub fn call_coalesced<V, F>(
         &self,
         route: RouteClass,
@@ -466,10 +463,9 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
     /// seeded RNG makes byte-identical duplicates rare enough that
     /// sharing buys nothing) and is marked [`CacheDisposition::Bypass`].
     ///
-    /// The typed shims ([`Self::look_up`], [`Self::normalize`],
-    /// [`Self::perturb`]) unwrap the envelope for in-process callers;
-    /// wire layers serve [`Response::body_json`] plus the cache
-    /// metadata.
+    /// This is the one route-typed entry point: in-process callers match
+    /// on [`Response::output`]; wire layers serve [`Response::body_json`]
+    /// plus the cache metadata.
     pub fn handle(&self, auth: &ApiToken, req: Request) -> Result<Response> {
         // Snapshot before dispatch: the result is computed under *at
         // least* this generation (a concurrent bump splits the coalesce
@@ -541,60 +537,6 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
             generation,
             cache: CacheDisposition::from_served(served),
         })
-    }
-
-    /// Look Up through the full onion, coalesced: concurrent duplicate
-    /// queries (same token, parameters, and generation) execute once and
-    /// share the leader's exact hits. The store walk is cooperatively
-    /// cancellable — an expired deadline aborts it mid-walk. Thin shim
-    /// over [`Self::handle`].
-    pub fn look_up(
-        &self,
-        auth: &ApiToken,
-        token: &str,
-        params: LookupParams,
-        opts: CallOptions,
-    ) -> Result<Vec<LookupHit>> {
-        self.handle(auth, Request::lookup(token, params).with_opts(opts))
-            .map(|resp| {
-                resp.output
-                    .into_lookup()
-                    .expect("lookup request yields lookup output")
-            })
-    }
-
-    /// Normalization through the full onion, coalesced on the exact text
-    /// and parameters. Thin shim over [`Self::handle`].
-    pub fn normalize(
-        &self,
-        auth: &ApiToken,
-        text: &str,
-        params: NormalizeParams,
-        opts: CallOptions,
-    ) -> Result<NormalizationResult> {
-        self.handle(auth, Request::normalize(text, params).with_opts(opts))
-            .map(|resp| {
-                resp.output
-                    .into_normalize()
-                    .expect("normalize request yields normalize output")
-            })
-    }
-
-    /// Perturbation through the onion, uncoalesced. Thin shim over
-    /// [`Self::handle`].
-    pub fn perturb(
-        &self,
-        auth: &ApiToken,
-        text: &str,
-        params: PerturbParams,
-        opts: CallOptions,
-    ) -> Result<PerturbationOutcome> {
-        self.handle(auth, Request::perturb(text, params).with_opts(opts))
-            .map(|resp| {
-                resp.output
-                    .into_perturb()
-                    .expect("perturb request yields perturb output")
-            })
     }
 
     // ---- graceful drain -------------------------------------------------
@@ -713,7 +655,7 @@ mod tests {
     use super::*;
     use cryptext_common::{SimClock, SystemClock};
     use cryptext_core::service::ServiceConfig;
-    use cryptext_core::CrypText;
+    use cryptext_core::{CrypText, LookupParams, NormalizeParams, PerturbParams};
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc::channel;
 
@@ -756,56 +698,38 @@ mod tests {
             .expect("registered")
     }
 
+    /// A paper-default Look Up of `word` through [`Gateway::handle`].
+    fn lookup(gw: &Gateway, token: &ApiToken, word: &str) -> Result<Response> {
+        gw.handle(token, Request::lookup(word, LookupParams::paper_default()))
+    }
+
     #[test]
-    fn typed_endpoints_match_the_direct_service() {
+    fn handle_matches_the_direct_service_on_every_route() {
         let (gw, _) = small_gateway(1_000_000);
         let token = gw.service().issue_token("unit");
+        let svc = gw.service();
 
-        let direct = gw
-            .service()
-            .look_up(&token, "republicans", LookupParams::paper_default())
-            .unwrap();
-        let gated = gw
-            .look_up(
-                &token,
-                "republicans",
-                LookupParams::paper_default(),
-                CallOptions::default(),
-            )
-            .unwrap();
-        assert_eq!(gated, direct, "gateway adds layers, not different bytes");
+        let direct = svc.look_up(&token, "republicans", LookupParams::paper_default());
+        let gated = lookup(&gw, &token, "republicans").unwrap().output;
+        assert_eq!(
+            gated,
+            RouteOutput::Lookup(direct.unwrap()),
+            "gateway adds layers, not different bytes"
+        );
 
-        let direct = gw
-            .service()
-            .normalize(&token, "the vacc1ne mandates", NormalizeParams::default())
-            .unwrap();
-        let gated = gw
-            .normalize(
-                &token,
-                "the vacc1ne mandates",
-                NormalizeParams::default(),
-                CallOptions::default(),
-            )
-            .unwrap();
-        assert_eq!(gated, direct);
+        let (text, params) = ("the vacc1ne mandates", NormalizeParams::default());
+        let direct = svc.normalize(&token, text, params).unwrap();
+        let gated = gw.handle(&token, Request::normalize(text, params)).unwrap();
+        assert_eq!(gated.output, RouteOutput::Normalize(direct));
 
-        let direct = gw
-            .service()
-            .perturb(
-                &token,
-                "the dirty republicans",
-                PerturbParams::with_ratio(1.0),
-            )
-            .unwrap();
-        let gated = gw
-            .perturb(
-                &token,
-                "the dirty republicans",
-                PerturbParams::with_ratio(1.0),
-                CallOptions::default(),
-            )
-            .unwrap();
-        assert_eq!(gated, direct, "seeded perturbation is deterministic");
+        let (text, params) = ("the dirty republicans", PerturbParams::with_ratio(1.0));
+        let direct = svc.perturb(&token, text, params).unwrap();
+        let gated = gw.handle(&token, Request::perturb(text, params)).unwrap();
+        assert_eq!(
+            gated.output,
+            RouteOutput::Perturb(direct),
+            "seeded perturbation is deterministic"
+        );
 
         let stats = gw.stats();
         assert_eq!(count(&stats, "admitted"), 3);
@@ -925,25 +849,13 @@ mod tests {
         assert!(report.quiesced);
         assert!(report.flush_error.is_none());
         assert!(matches!(
-            gw.look_up(
-                &token,
-                "vaccine",
-                LookupParams::paper_default(),
-                CallOptions::default()
-            ),
+            lookup(&gw, &token, "vaccine"),
             Err(Error::Overloaded { .. })
         ));
         assert!(count(&gw.stats(), "shed_draining") >= 1);
 
         gw.end_drain();
-        assert!(gw
-            .look_up(
-                &token,
-                "vaccine",
-                LookupParams::paper_default(),
-                CallOptions::default()
-            )
-            .is_ok());
+        assert!(lookup(&gw, &token, "vaccine").is_ok());
     }
 
     #[test]
@@ -966,12 +878,7 @@ mod tests {
             gw.coalesce_key((RouteClass::Lookup, "x")),
             "a post-ingest request must not join a pre-ingest flight"
         );
-        let resp = gw
-            .handle(
-                &token,
-                Request::lookup("vaccine", LookupParams::paper_default()),
-            )
-            .unwrap();
+        let resp = lookup(&gw, &token, "vaccine").unwrap();
         assert_eq!(
             resp.generation, 1,
             "responses report the service generation"
@@ -1015,13 +922,7 @@ mod tests {
         let (gw, _) = small_gateway(1_000_000);
         let token = gw.service().issue_token("bump");
 
-        gw.look_up(
-            &token,
-            "vaccine",
-            LookupParams::paper_default(),
-            CallOptions::default(),
-        )
-        .unwrap();
+        lookup(&gw, &token, "vaccine").unwrap();
         assert_eq!(gw.service().cache_stats().inserts, 1);
 
         gw.bump_generation();
@@ -1033,13 +934,7 @@ mod tests {
         assert!(flushed >= 1, "cached lookup flushed");
 
         // The flushed entry is recomputed, not served stale.
-        gw.look_up(
-            &token,
-            "vaccine",
-            LookupParams::paper_default(),
-            CallOptions::default(),
-        )
-        .unwrap();
+        lookup(&gw, &token, "vaccine").unwrap();
         assert_eq!(gw.service().cache_stats().misses, 2);
         assert_eq!(gw.service().cache_stats().hits, 0);
     }
@@ -1049,20 +944,9 @@ mod tests {
         let (gw, clock) = small_gateway(1_000_000);
         let token = gw.service().issue_token("drain-sweep");
 
-        gw.look_up(
-            &token,
-            "vaccine",
-            LookupParams::paper_default(),
-            CallOptions::default(),
-        )
-        .unwrap();
-        gw.normalize(
-            &token,
-            "the vacc1ne mandates",
-            NormalizeParams::default(),
-            CallOptions::default(),
-        )
-        .unwrap();
+        lookup(&gw, &token, "vaccine").unwrap();
+        let normalize = Request::normalize("the vacc1ne mandates", NormalizeParams::default());
+        gw.handle(&token, normalize).unwrap();
 
         clock.advance(ServiceConfig::default().cache_ttl_ms + 1);
         let report = gw.drain_with(|| Ok(()));
@@ -1088,20 +972,18 @@ mod tests {
     #[test]
     fn revoked_token_rejects_at_the_auth_layer() {
         let (gw, _) = small_gateway(1);
-        let lookup = |token: &ApiToken| {
-            gw.look_up(
-                token,
-                "vaccine",
-                LookupParams::paper_default(),
-                CallOptions::default(),
-            )
-        };
         let token = gw.service().issue_token("spent");
-        assert!(lookup(&token).is_ok());
-        assert!(matches!(lookup(&token), Err(Error::RateLimited { .. })));
+        assert!(lookup(&gw, &token, "vaccine").is_ok());
+        assert!(matches!(
+            lookup(&gw, &token, "vaccine"),
+            Err(Error::RateLimited { .. })
+        ));
         let gone = gw.service().issue_token("gone");
         gw.service().revoke_token(&gone);
-        assert!(matches!(lookup(&gone), Err(Error::Unauthorized(_))));
+        assert!(matches!(
+            lookup(&gw, &gone, "vaccine"),
+            Err(Error::Unauthorized(_))
+        ));
 
         // Refused after admission, so each refusal is an admitted request
         // that failed: every admitted request has exactly one outcome.

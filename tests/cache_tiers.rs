@@ -193,7 +193,7 @@ fn shared_tier2_serves_replicas_and_generation_bump_flushes_the_namespace() {
             },
             Arc::new(clock.clone()),
         );
-        svc.attach_tier2(Arc::clone(&store) as Arc<_>);
+        svc.attach_tier2(Arc::clone(&store));
         svc
     };
     let (a, b) = (build(), build());
@@ -270,7 +270,7 @@ fn a_shared_tier2_store_never_mixes_up_corpora() {
                 },
                 Arc::new(clock.clone()),
             );
-            svc.attach_tier2(Arc::clone(&store) as Arc<_>);
+            svc.attach_tier2(Arc::clone(&store));
             let auth = svc.issue_token("corpus");
             (svc, auth, CrypText::new(corpus_db(corpus)))
         })
@@ -319,7 +319,7 @@ fn tier2_write_failures_never_break_requests() {
         },
         Arc::new(clock.clone()),
     );
-    svc.attach_tier2(Arc::clone(&store) as Arc<_>);
+    svc.attach_tier2(Arc::clone(&store));
     let auth = svc.issue_token("chaos");
 
     let reference = {

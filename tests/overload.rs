@@ -36,10 +36,11 @@ use cryptext::common::{failpoint, Error, SimClock};
 use cryptext::core::database::TokenDatabase;
 use cryptext::core::durable::{DurableOptions, DurableTokenStore};
 use cryptext::core::lookup::LookupHit;
-use cryptext::core::service::{CryptextService, ServiceConfig};
+use cryptext::core::service::{ApiToken, CryptextService, ServiceConfig};
 use cryptext::core::{CrypText, LookupParams};
 use cryptext::gateway::{
-    CallOptions, Gateway, GatewayConfig, RouteBudget, RouteClass, SingleFlight,
+    CallOptions, Gateway, GatewayConfig, Request, RouteBudget, RouteClass, RouteOutput,
+    SingleFlight,
 };
 
 /// Poll cadence for test choreography; matches the gateway's internal
@@ -48,6 +49,16 @@ const TICK: Duration = Duration::from_millis(2);
 
 /// Generous bound for any single choreography step (single-core debug CI).
 const STEP_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// A paper-default Look Up of `word` through `Gateway::handle`, unwrapped
+/// to its hits.
+fn look_up(gw: &Gateway, auth: &ApiToken, word: &str) -> Result<Vec<LookupHit>, Error> {
+    let req = Request::lookup(word, LookupParams::paper_default());
+    gw.handle(auth, req).map(|resp| match resp.output {
+        RouteOutput::Lookup(hits) => hits,
+        other => panic!("a lookup request answered {other:?}"),
+    })
+}
 
 /// A gateway counter by metric name, `cryptext_gateway_<what>_total`.
 fn count(s: &MetricsSnapshot, what: &str) -> u64 {
@@ -557,12 +568,7 @@ fn rate_limited_requests_fail_fast_with_an_honest_typed_hint() {
 
     let (mut ok, mut limited) = (0, 0);
     for _ in 0..5 {
-        match gw.look_up(
-            &auth,
-            "vaccine",
-            LookupParams::paper_default(),
-            CallOptions::default(),
-        ) {
+        match look_up(&gw, &auth, "vaccine") {
             Ok(_) => ok += 1,
             Err(e @ Error::RateLimited { retry_after_ms }) => {
                 // The frozen clock sits at window start: the full window
@@ -584,14 +590,7 @@ fn rate_limited_requests_fail_fast_with_an_honest_typed_hint() {
 
     // The hint is honest: advancing exactly one window refills.
     clock.advance(60_000);
-    assert!(gw
-        .look_up(
-            &auth,
-            "vaccine",
-            LookupParams::paper_default(),
-            CallOptions::default(),
-        )
-        .is_ok());
+    assert!(look_up(&gw, &auth, "vaccine").is_ok());
 }
 
 #[test]
@@ -738,14 +737,7 @@ fn chaos_drain_quiesces_sheds_and_loses_no_committed_batches() {
 
     // And the gateway recovers: admissions reopen after the drain.
     gw.end_drain();
-    assert!(gw
-        .look_up(
-            &auth,
-            "vaccine",
-            LookupParams::paper_default(),
-            CallOptions::default(),
-        )
-        .is_ok());
+    assert!(look_up(&gw, &auth, "vaccine").is_ok());
 }
 
 #[test]
@@ -772,22 +764,8 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
     // Warm two hot keys through the gateway itself (direct service calls
     // would fill the same cache and skew the counts below). Both are
     // engine misses that fill tier-1; the lane is empty, so no waits.
-    let hot_r = gw
-        .look_up(
-            &auth,
-            "republicans",
-            LookupParams::paper_default(),
-            CallOptions::default(),
-        )
-        .unwrap();
-    let hot_d = gw
-        .look_up(
-            &auth,
-            "democrats",
-            LookupParams::paper_default(),
-            CallOptions::default(),
-        )
-        .unwrap();
+    let hot_r = look_up(&gw, &auth, "republicans").unwrap();
+    let hot_d = look_up(&gw, &auth, "democrats").unwrap();
     let warmed = svc.cache_stats();
     assert_eq!((warmed.hits, warmed.misses), (0, 2));
     assert_eq!(queue_waits_on(&gw, "lookup"), 0, "warming found free slots");
@@ -837,14 +815,7 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
     // queue seats — a hit is admitted like any request.
     let warm_caller = |token: &str| {
         let (gw, auth, token) = (Arc::clone(&gw), auth.clone(), token.to_string());
-        std::thread::spawn(move || {
-            gw.look_up(
-                &auth,
-                &token,
-                LookupParams::paper_default(),
-                CallOptions::default(),
-            )
-        })
+        std::thread::spawn(move || look_up(&gw, &auth, &token))
     };
     let queued_r = warm_caller("republicans");
     eventually("first warm hit queued", || {
