@@ -1,15 +1,16 @@
 //! Experiment B0 — **performance trajectory**: machine-readable numbers
 //! over a seeded corpus, one `BENCH_*.json` file per module at the
 //! workspace root ([`lookup`], [`normalize`], [`ingest`], [`service`],
-//! [`cache`], [`http`]), so successive PRs have comparable numbers (same
-//! seed, same query mix, same machine class).
+//! [`cache`], [`http`], [`perturb`]), so successive PRs have comparable
+//! numbers (same seed, same query mix, same machine class).
 //!
 //! Each module measures its dimension once, gates its live invariants
 //! (engines agree, the storm sheds exactly the excess, warm hits beat the
 //! engine, …) and declares every field once through [`doc`]: pinned if
 //! deterministic (result counts such as `total_hits` and
 //! `corrections_total`, shard routing, gateway and cache counts, served
-//! requests), informational otherwise (timings and machine shape).
+//! requests, Perturbation outcome digests), informational otherwise
+//! (timings and machine shape).
 //!
 //! ```text
 //! cargo run --release -p cryptext-bench --bin exp_bench_json [-- --check]
@@ -30,6 +31,7 @@ mod http;
 mod ingest;
 mod lookup;
 mod normalize;
+mod perturb;
 mod service;
 
 use std::sync::Arc;
@@ -170,6 +172,7 @@ fn run(check: bool) -> Result<(), String> {
         service::run()?,
         cache::run(&corpus.platform)?,
         http::run()?,
+        perturb::run(&corpus)?,
     ];
     let mut pinned = 0;
     for doc in &docs {

@@ -409,11 +409,37 @@ fn sound_mates_naive<'a>(
     Ok(seen.into_iter().map(|id| &records[id as usize]).collect())
 }
 
+/// Look Up's hit order as a sort key: distance ascending, then count
+/// descending, then token ascending. The derived `Ord` compares the fields
+/// in that order. [`hit_order`] sorts owned hits by it; Perturbation sorts
+/// borrowed records by it when it builds a choice list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct HitKey<'a> {
+    distance: usize,
+    count: std::cmp::Reverse<u64>,
+    token: &'a str,
+}
+
+impl<'a> HitKey<'a> {
+    pub(crate) fn new(distance: usize, count: u64, token: &'a str) -> Self {
+        HitKey {
+            distance,
+            count: std::cmp::Reverse(count),
+            token,
+        }
+    }
+
+    fn of(hit: &'a LookupHit) -> Self {
+        HitKey::new(hit.distance, hit.count, &hit.token)
+    }
+
+    pub(crate) fn token(&self) -> &'a str {
+        self.token
+    }
+}
+
 fn hit_order(a: &LookupHit, b: &LookupHit) -> std::cmp::Ordering {
-    a.distance
-        .cmp(&b.distance)
-        .then_with(|| b.count.cmp(&a.count))
-        .then_with(|| a.token.cmp(&b.token))
+    HitKey::of(a).cmp(&HitKey::of(b))
 }
 
 fn sort_hits(hits: &mut [LookupHit]) {

@@ -2,9 +2,10 @@
 //!
 //! [`StageMetrics`] is one shared bundle of counters and histograms for
 //! the engine's hot stages — query encoding, the shard/bucket walk, the
-//! Levenshtein filter, and language-model candidate scoring. The handles
-//! are plain [`cryptext_common::metrics`] cells: cloning is an `Arc`
-//! bump, recording is a relaxed atomic op, and a bundle that was never
+//! Levenshtein filter, language-model candidate scoring, and the
+//! Perturbation choice-list build. The handles are plain
+//! [`cryptext_common::metrics`] cells: cloning is an `Arc` bump,
+//! recording is a relaxed atomic op, and a bundle that was never
 //! attached to a scratch costs the hot path nothing at all (the
 //! `Option<Arc<StageMetrics>>` on [`crate::LookupScratch`] stays `None`
 //! and every instrumentation site is a single branch).
@@ -48,6 +49,12 @@ pub struct StageMetrics {
     pub normalize_rescore_us: Histogram,
     /// Candidate pairs scored by the language model (both paths).
     pub normalize_scored: Counter,
+    /// Perturbation choice-list build on a choice-list cache miss (Look
+    /// Up walk, choice filter, hit-order sort and pack), µs per built
+    /// list. A cache hit records nothing. The walk runs with its
+    /// encode/walk timers detached, as Normalization's nested retrieval
+    /// does.
+    pub perturb_collect_us: Histogram,
 }
 
 impl StageMetrics {
@@ -58,8 +65,9 @@ impl StageMetrics {
 
     /// Register every stage instrument with `registry` under the
     /// workspace naming scheme (`cryptext_lookup_*` /
-    /// `cryptext_normalize_*`). Call once per registry; re-registering
-    /// the same bundle panics on the duplicate names.
+    /// `cryptext_normalize_*` / `cryptext_perturb_*`). Call once per
+    /// registry; re-registering the same bundle panics on the duplicate
+    /// names.
     pub fn register(&self, registry: &MetricsRegistry) {
         registry.register_histogram(
             "cryptext_lookup_encode_us",
@@ -103,6 +111,12 @@ impl StageMetrics {
             &[],
             &self.normalize_scored,
         );
+        registry.register_histogram(
+            "cryptext_perturb_collect_us",
+            "Perturbation choice-list build time per cache miss (microseconds)",
+            &[],
+            &self.perturb_collect_us,
+        );
     }
 }
 
@@ -122,6 +136,7 @@ mod tests {
         stages.lookup_encode_us.observe(3);
         stages.lookup_filter_candidates.add(7);
         stages.normalize_scored.inc();
+        stages.perturb_collect_us.observe(5);
         let snap = registry.snapshot();
         assert_eq!(snap.histogram_count("cryptext_lookup_encode_us"), 1);
         assert_eq!(
@@ -130,6 +145,7 @@ mod tests {
         );
         assert_eq!(snap.counter_total("cryptext_normalize_scored_total"), 1);
         assert_eq!(snap.histogram_count("cryptext_normalize_collect_us"), 0);
+        assert_eq!(snap.histogram_count("cryptext_perturb_collect_us"), 1);
     }
 
     #[test]

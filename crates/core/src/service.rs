@@ -14,14 +14,15 @@
 //!
 //! # Cache tiers
 //!
-//! Tier-1 is always on: three in-process caches (Look Up results,
-//! whole-text Normalization results, and the cross-text Normalization
-//! candidate memo). Tier-2 — the Redis role — is the byte-valued
-//! [`SharedCacheStore`] the candidate memo reads through to and writes
-//! behind. A service has none until the code that assembles it calls
-//! [`CryptextService::attach_tier2`], once, typically with the
-//! process-global [`SharedCacheStore::global`] that a fleet of replicas
-//! shares. Nothing about the tiers is read from the environment.
+//! Tier-1 is always on: four in-process caches (Look Up results,
+//! whole-text Normalization results, the cross-text Normalization
+//! candidate memo, and per-token Perturbation choice lists). Tier-2 — the
+//! Redis role — is the byte-valued [`SharedCacheStore`] the candidate memo
+//! reads through to and writes behind. A service has none until the code
+//! that assembles it calls [`CryptextService::attach_tier2`], once,
+//! typically with the process-global [`SharedCacheStore::global`] that a
+//! fleet of replicas shares. Nothing about the tiers is read from the
+//! environment.
 //!
 //! # Concurrency
 //!
@@ -53,7 +54,9 @@ use crate::normalize::{
     CandidateCache, CandidatePairs, NormalizationResult, NormalizeParams, NormalizeScratch,
     Normalizer,
 };
-use crate::perturb::{PerturbParams, PerturbationOutcome};
+use crate::perturb::{
+    collect_choices, perturb_with, ChoiceList, PerturbParams, PerturbationOutcome,
+};
 use crate::store::TokenStore;
 use crate::CrypText;
 
@@ -286,6 +289,11 @@ pub struct CryptextService<S: TokenStore = TokenDatabase> {
     /// retrieval *and* scoring. Sits in front of the candidate memo; the
     /// memo still serves cross-text token repeats when this misses.
     norm_result_cache: Cache<CacheKey, NormalizationResult>,
+    /// Tier-1 Perturbation choice lists, one per token and choice-rule
+    /// params. A list does not depend on the seed or the ratio, so a token
+    /// repeated across texts and seeds skips the phonetic walk. Tier-1
+    /// only: tier-2 holds candidate pairs alone.
+    perturb_cache: Cache<CacheKey, ChoiceList>,
     /// Optional tier-2 byte store the normalize cache reads through to and
     /// writes behind; possibly shared with replica services.
     tier2: Option<Tier2>,
@@ -318,6 +326,7 @@ impl<S: TokenStore> CryptextService<S> {
         let lookup_cache = Cache::new(tier_config(), Arc::clone(&clock));
         let norm_cache = Cache::new(tier_config(), Arc::clone(&clock));
         let norm_result_cache = Cache::new(tier_config(), Arc::clone(&clock));
+        let perturb_cache = Cache::new(tier_config(), Arc::clone(&clock));
 
         // One registry per service instance: every layer below registers
         // its live cells, so each snapshot/render is a consistent view of
@@ -326,6 +335,7 @@ impl<S: TokenStore> CryptextService<S> {
         lookup_cache.register_metrics(&metrics, "lookup");
         norm_cache.register_metrics(&metrics, "normalize");
         norm_result_cache.register_metrics(&metrics, "normalize_results");
+        perturb_cache.register_metrics(&metrics, "perturb");
         let negative_hits = metrics.counter(
             "cryptext_cache_negative_hits_total",
             "Normalize hits that served a cached negative (no-candidate) entry",
@@ -355,6 +365,7 @@ impl<S: TokenStore> CryptextService<S> {
             lookup_cache,
             norm_cache,
             norm_result_cache,
+            perturb_cache,
             tier2: None,
             generation: AtomicU64::new(0),
             negative_hits,
@@ -415,11 +426,14 @@ impl<S: TokenStore> CryptextService<S> {
         self.generation_gauge.set((old + 1) as i64);
         // Every tier-1 entry carries a generation ≤ old in its key and is
         // now unreachable; drop rather than letting stale entries LRU out.
-        let mut flushed =
-            self.lookup_cache.len() + self.norm_cache.len() + self.norm_result_cache.len();
+        let mut flushed = self.lookup_cache.len()
+            + self.norm_cache.len()
+            + self.norm_result_cache.len()
+            + self.perturb_cache.len();
         self.lookup_cache.clear();
         self.norm_cache.clear();
         self.norm_result_cache.clear();
+        self.perturb_cache.clear();
         if let Some(t2) = &self.tier2 {
             flushed += t2.store.invalidate_namespace(t2.namespace(old));
         }
@@ -563,6 +577,23 @@ impl<S: TokenStore> CryptextService<S> {
         })
     }
 
+    /// The Perturbation choice-list key: the raw token bytes and the
+    /// params that shape its choice list (`k`, `d`, the case mode,
+    /// `observed_only`), never the seed or the ratio. The caller reads the
+    /// generation once per text, so every token of one request keys on the
+    /// same data version.
+    fn perturb_choices_key(&self, generation: u64, token: &str, params: PerturbParams) -> CacheKey {
+        two_point_hash(|h| {
+            h.write_u8(b'P');
+            h.write_u64(generation);
+            h.write_usize(params.k);
+            h.write_usize(params.d);
+            h.write_u8(params.case_sensitive as u8);
+            h.write_u8(params.observed_only as u8);
+            h.write(token.as_bytes());
+        })
+    }
+
     /// Look Up endpoint (cached).
     pub fn look_up(
         &self,
@@ -663,13 +694,39 @@ impl<S: TokenStore> CryptextService<S> {
     }
 
     /// Perturbation after external authorization (see
-    /// [`Self::look_up_prechecked_traced`]).
+    /// [`Self::look_up_prechecked_traced`]), and the core every
+    /// Perturbation endpoint funnels through. The outcome is byte-identical
+    /// to [`crate::Perturber::perturb`]'s: the same draws over the same
+    /// choice lists, each list read from the tier-1 choice-list cache or,
+    /// on a miss, built from borrowed Look Up records and inserted. A miss
+    /// walks with the Look Up stage instruments detached, as
+    /// Normalization's nested retrieval does, and records one
+    /// `cryptext_perturb_collect_us` sample for the whole build.
     pub fn perturb_prechecked(
         &self,
         text: &str,
         params: PerturbParams,
     ) -> Result<PerturbationOutcome> {
-        self.system.perturb(text, params)
+        let generation = self.generation();
+        perturb_with(text, params, |token| {
+            let key = self.perturb_choices_key(generation, token, params);
+            if let Some(list) = self.perturb_cache.get(&key) {
+                return Ok(list);
+            }
+            // The Look Up endpoints detach their stages before returning,
+            // so this scratch walks on the no-op branch.
+            let list = LOOKUP_SCRATCH.with(|scratch| {
+                let _t = self.stages.perturb_collect_us.start_timer();
+                collect_choices(
+                    self.system.database(),
+                    token,
+                    params,
+                    &mut scratch.borrow_mut(),
+                )
+            })?;
+            self.perturb_cache.insert(key, list.clone());
+            Ok(list)
+        })
     }
 
     /// Bulk Look Up: one authorization for the whole batch, fanned out
@@ -746,7 +803,8 @@ impl<S: TokenStore> CryptextService<S> {
         })
     }
 
-    /// Perturbation endpoint.
+    /// Perturbation endpoint (per-token choice lists cached; see
+    /// [`Self::perturb_prechecked`]).
     pub fn perturb(
         &self,
         auth: &ApiToken,
@@ -754,7 +812,7 @@ impl<S: TokenStore> CryptextService<S> {
         params: PerturbParams,
     ) -> Result<PerturbationOutcome> {
         self.authorize(auth)?;
-        self.system.perturb(text, params)
+        self.perturb_prechecked(text, params)
     }
 
     /// Look Up cache statistics (the Fig. 5 architecture experiment
@@ -778,7 +836,8 @@ impl<S: TokenStore> CryptextService<S> {
     pub fn sweep_caches(&self) -> usize {
         let mut reaped = self.lookup_cache.sweep_expired()
             + self.norm_cache.sweep_expired()
-            + self.norm_result_cache.sweep_expired();
+            + self.norm_result_cache.sweep_expired()
+            + self.perturb_cache.sweep_expired();
         if let Some(t2) = &self.tier2 {
             reaped += t2.store.sweep_expired();
         }
@@ -1555,5 +1614,276 @@ mod tests {
             )
             .unwrap();
         assert_eq!(bulk.len(), 2);
+    }
+
+    /// The series perfbench's hot guard and layer trace read: every
+    /// `cryptext_lookup_*` instrument and every counter of the `lookup`,
+    /// `normalize` and `normalize_results` tiers, rendered for comparison.
+    fn guarded_series(svc: &CryptextService) -> Vec<String> {
+        let guarded_tier = |labels: &[(&str, &str)]| {
+            labels.iter().any(|&(k, v)| {
+                k == "tier" && matches!(v, "lookup" | "normalize" | "normalize_results")
+            })
+        };
+        let snap = svc.metrics().snapshot();
+        snap.samples
+            .iter()
+            .filter(|s| {
+                s.name.starts_with("cryptext_lookup_")
+                    || (s.name.starts_with("cryptext_cache_") && guarded_tier(&s.labels))
+            })
+            .map(|s| format!("{s:?}"))
+            .collect()
+    }
+
+    #[test]
+    fn perturb_traffic_moves_only_its_own_tier() {
+        let (svc, _) = service(100);
+        let tok = svc.issue_token("tier");
+        svc.look_up(&tok, "democrats", LookupParams::paper_default())
+            .unwrap();
+        svc.normalize(&tok, "the demokRATs won", NormalizeParams::default())
+            .unwrap();
+        let before = guarded_series(&svc);
+        assert_eq!(before.len(), 4 + 3 * 5, "four instruments, three tiers");
+
+        // Three eligible tokens, all cold.
+        let params = PerturbParams::with_ratio(1.0);
+        svc.perturb(&tok, "the democrats won", params).unwrap();
+        assert_eq!(tier_count(&svc, "misses", "perturb"), 3);
+        assert_eq!(tier_count(&svc, "inserts", "perturb"), 3);
+        assert_eq!(tier_count(&svc, "hits", "perturb"), 0);
+        // A new text and seed: the repeated tokens hit, the new ones fill.
+        let text = "democrats and the vaccine";
+        let out = svc.perturb(&tok, text, params.seeded(7)).unwrap();
+        let reference = crate::Perturber::new(svc.system().database())
+            .perturb(text, params.seeded(7))
+            .unwrap();
+        assert_eq!(out, reference);
+        assert_eq!(tier_count(&svc, "hits", "perturb"), 2);
+        assert_eq!(tier_count(&svc, "misses", "perturb"), 5);
+        assert_eq!(tier_count(&svc, "inserts", "perturb"), 5);
+
+        assert_eq!(
+            guarded_series(&svc),
+            before,
+            "no other tier or lookup instrument moved"
+        );
+    }
+
+    #[test]
+    fn each_choice_rule_param_keys_its_own_list() {
+        // One service, params changed one at a time. Each change changes
+        // the miss count, so a key that dropped the changed param would
+        // serve the previous set's lists and the outcome would differ.
+        let mut db = TokenDatabase::in_memory();
+        db.ingest_text("the demokRATs and democrats argue about lesbian losbian");
+        db.upsert_token("dem0crats", 0);
+        db.upsert_token("arguee", 0);
+        let svc = CryptextService::new(
+            CrypText::new(db),
+            ServiceConfig::default(),
+            Arc::new(SimClock::new(0)),
+        );
+        let reference = crate::Perturber::new(svc.system().database());
+        let text = "democrats lesbian argue";
+        let base = PerturbParams::with_ratio(1.0).seeded(1);
+        let variants = [
+            (base, 2),
+            (PerturbParams { k: 0, ..base }, 1),
+            (PerturbParams { k: 0, d: 0, ..base }, 3),
+            (
+                PerturbParams {
+                    observed_only: false,
+                    ..base
+                },
+                1,
+            ),
+        ];
+        for (params, misses) in variants {
+            let want = reference.perturb(text, params).unwrap();
+            assert_eq!(want.misses, misses, "{params:?}");
+            assert_eq!(svc.perturb_prechecked(text, params).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn the_collect_timer_samples_each_built_list_once() {
+        let (svc, _) = service(100);
+        let samples = || {
+            svc.metrics()
+                .snapshot()
+                .histogram_count("cryptext_perturb_collect_us")
+        };
+        let params = PerturbParams::with_ratio(1.0);
+        svc.perturb_prechecked("the democrats won", params).unwrap();
+        assert_eq!(samples(), 3, "one per distinct cold token");
+        svc.perturb_prechecked("won the democrats", params.seeded(9))
+            .unwrap();
+        assert_eq!(samples(), 3, "tier hits record nothing");
+        // Within one text too: the second `vaccine` reads the list the
+        // first one built.
+        svc.perturb_prechecked("vaccine and vaccine", params)
+            .unwrap();
+        assert_eq!(samples(), 5);
+    }
+
+    #[test]
+    fn an_invalid_level_errors_like_the_reference() {
+        let (svc, _) = service(100);
+        let params = PerturbParams {
+            k: 9,
+            ..PerturbParams::with_ratio(0.5)
+        };
+        let reference = crate::Perturber::new(svc.system().database());
+        for text in ["", "a b", "the democrats won"] {
+            assert!(matches!(
+                reference.perturb(text, params),
+                Err(Error::InvalidArgument(_))
+            ));
+            assert!(
+                matches!(
+                    svc.perturb_prechecked(text, params),
+                    Err(Error::InvalidArgument(_))
+                ),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bump_flushes_and_counts_the_perturb_tier_and_a_sweep_reaps_it() {
+        let (svc, clock) = service(100);
+        let params = PerturbParams::with_ratio(1.0);
+        let first = svc.perturb_prechecked("the democrats won", params).unwrap();
+        assert_eq!(svc.bump_generation(), 1);
+        assert_eq!(cache_count(&svc, "invalidated_entries"), 3, "three lists");
+        let again = svc.perturb_prechecked("the democrats won", params).unwrap();
+        assert_eq!(first, again);
+        assert_eq!(tier_count(&svc, "hits", "perturb"), 0);
+        assert_eq!(tier_count(&svc, "misses", "perturb"), 6, "rebuilt");
+        clock.advance(ServiceConfig::default().cache_ttl_ms + 1);
+        assert_eq!(svc.sweep_caches(), 3, "the perturb tier is swept");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::perturb::Perturber;
+    use crate::shard::ShardedTokenDatabase;
+    use cryptext_common::SimClock;
+    use proptest::prelude::*;
+
+    /// Case variants, leet glyphs and sound-alike dictionary words, so
+    /// every branch of the choice rule is reachable; `lesbian`/`losbian`
+    /// share a sound at `k = 0` but not at `k = 1`.
+    const VOCAB: [&str; 22] = [
+        "democrats",
+        "DEMOCRATS",
+        "DemoCrats",
+        "demokRATs",
+        "dem0crats",
+        "vaccine",
+        "VACCINE",
+        "vacc1ne",
+        "vacc!ne",
+        "the",
+        "they",
+        "thee",
+        "Th3",
+        "bad",
+        "BAD",
+        "b@d",
+        "bed",
+        "bedd",
+        "lesbian",
+        "losbian",
+        "l3sbian",
+        "LESBIAN",
+    ];
+
+    fn word() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0..VOCAB.len()).prop_map(|i| VOCAB[i].to_string()),
+            "[a-eA-E1@O]{2,8}",
+        ]
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec((word(), "[ ,.!]{1,2}"), 0..10)
+            .prop_map(|parts| parts.into_iter().map(|(w, sep)| w + &sep).collect())
+    }
+
+    proptest! {
+        /// The served fast path returns `Perturber::perturb`'s outcome
+        /// byte for byte: cold, from the tier (same seeds, then new
+        /// seeds), and again after a generation bump, over 1–8 shards
+        /// with and without a tier-2 attached. Several parameter sets
+        /// share one service, so a key that dropped one of them would
+        /// serve another set's lists.
+        #[test]
+        fn the_fast_path_equals_the_reference(
+            observed in proptest::collection::vec(word(), 1..24),
+            unobserved in proptest::collection::vec(0..VOCAB.len(), 0..6),
+            texts in proptest::collection::vec(text(), 1..4),
+            shards in 1usize..=8,
+            modes in proptest::collection::vec(
+                (0usize..=2, 0usize..=4, any::<bool>(), any::<bool>(), 0u32..=100),
+                1..4,
+            ),
+            seed in any::<u64>(),
+            tier2 in any::<bool>(),
+        ) {
+            let mut db = TokenDatabase::in_memory();
+            for t in &observed {
+                db.ingest_token(t);
+            }
+            // Lexicon-style entries (count 0), which `observed_only` drops.
+            for &i in &unobserved {
+                db.upsert_token(VOCAB[i], 0);
+            }
+            let reference = Perturber::new(&db);
+            let store = ShardedTokenDatabase::from_database(&db, shards);
+            let mut svc = CryptextService::new(
+                CrypText::with_store(store),
+                ServiceConfig::default(),
+                Arc::new(SimClock::new(0)),
+            );
+            if tier2 {
+                let store = SharedCacheStore::new(CacheConfig::default(), svc.clock());
+                svc.attach_tier2(Arc::new(store));
+            }
+            let misses = || svc.metrics().snapshot().counter_labeled(
+                "cryptext_cache_misses_total", "tier", "perturb");
+            // Pass 0 fills the tier; pass 1 repeats its seeds, so every
+            // list comes from the tier; pass 2 draws new seeds over cached
+            // lists; pass 3 runs after a bump.
+            for pass in 0..4u64 {
+                if pass == 3 {
+                    svc.bump_generation();
+                }
+                let misses_before = misses();
+                for (m, &(k, d, case_sensitive, observed_only, ratio_pct)) in modes.iter().enumerate() {
+                    for (i, text) in texts.iter().enumerate() {
+                        let salt = if pass == 1 { 0 } else { pass };
+                        let params = PerturbParams {
+                            ratio: f64::from(ratio_pct) / 100.0,
+                            k,
+                            d,
+                            case_sensitive,
+                            observed_only,
+                            seed: seed ^ (salt << 32) ^ ((m as u64) << 16) ^ i as u64,
+                        };
+                        let fast = svc.perturb_prechecked(text, params).unwrap();
+                        let want = reference.perturb(text, params).unwrap();
+                        prop_assert_eq!(&fast, &want, "pass {} text {:?} {:?}", pass, text, params);
+                    }
+                }
+                if pass == 1 {
+                    prop_assert_eq!(misses(), misses_before, "a repeat reads the tier");
+                }
+            }
+        }
     }
 }

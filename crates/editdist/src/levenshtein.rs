@@ -217,7 +217,7 @@ fn banded_dp<T: Copy + PartialEq>(
     for (i, &lc) in long.iter().enumerate() {
         let row = i + 1;
         let lo = row.saturating_sub(max);
-        let hi = (row + max).min(n);
+        let hi = row.saturating_add(max).min(n);
         if lo > hi {
             return None;
         }
@@ -327,7 +327,7 @@ pub fn levenshtein_bounded_chars(a: &[char], b: &[char], max: usize) -> Option<u
         // Band for row i+1: columns where |(i+1) - j| <= max.
         let row = i + 1;
         let lo = row.saturating_sub(max);
-        let hi = (row + max).min(n);
+        let hi = row.saturating_add(max).min(n);
         if lo > hi {
             return None;
         }
@@ -558,6 +558,33 @@ mod tests {
                 levenshtein_bounded(&a, &b, max),
                 "max {max}"
             );
+        }
+    }
+
+    #[test]
+    fn huge_bounds_saturate_the_band() {
+        // A client-supplied `d` can be any usize. The band's right edge
+        // `row + max` overflowed on the banded paths (non-ASCII pairs, and
+        // ASCII pairs whose shorter side exceeds 64 bytes after trimming).
+        let mut scratch = EditScratch::new();
+        let a: String = (0..80).map(|i| char::from(b'a' + (i % 7) as u8)).collect();
+        let b: String = (0..83).map(|i| char::from(b'a' + (i % 5) as u8)).collect();
+        for (a, b) in [("ãbcdë", "xbcdy"), (a.as_str(), b.as_str())] {
+            let want = Some(levenshtein(a, b));
+            let (a_chars, b_chars): (Vec<char>, Vec<char>) =
+                (a.chars().collect(), b.chars().collect());
+            for max in [usize::MAX, usize::MAX - 1] {
+                assert_eq!(
+                    levenshtein_bounded_scratch(a, b, max, &mut scratch),
+                    want,
+                    "scratch path, {a:?} vs {b:?} at max {max}"
+                );
+                assert_eq!(
+                    levenshtein_bounded_chars(&a_chars, &b_chars, max),
+                    want,
+                    "chars path, {a:?} vs {b:?} at max {max}"
+                );
+            }
         }
     }
 

@@ -45,8 +45,9 @@ pub fn each_layout(mut check: impl FnMut(Layout)) {
     }
 }
 
-/// The crawled corpus, built once per test binary.
-fn corpus() -> &'static TokenDatabase {
+/// The crawled corpus, built once per test binary; every layout's store
+/// is built from it, so it doubles as the naive references' database.
+pub fn corpus() -> &'static TokenDatabase {
     static CORPUS: OnceLock<TokenDatabase> = OnceLock::new();
     CORPUS.get_or_init(|| {
         let platform = SocialPlatform::simulate(StreamConfig {

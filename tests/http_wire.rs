@@ -23,12 +23,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use common::{each_layout, service, Layout};
+use common::{corpus, each_layout, service, Layout};
 use cryptext::cache::{CacheConfig, SharedCacheStore};
 use cryptext::common::SimClock;
+use cryptext::core::perturb::{PerturbParams, Perturber};
 use cryptext::core::service::CryptextService;
-use cryptext::core::ShardedTokenDatabase;
-use cryptext::gateway::{Gateway, GatewayConfig};
+use cryptext::core::{look_up_naive, LookupParams, ShardedTokenDatabase};
+use cryptext::gateway::{Gateway, GatewayConfig, RouteOutput};
 use cryptext::http::{HttpConfig, HttpServer, ServeReport, ShutdownHandle};
 
 // ---------------------------------------------------------------- fixture
@@ -277,6 +278,50 @@ fn api_surface_over_the_wire() {
         let report = srv.finish();
         assert_eq!(report.requests_served, 3);
         assert!(report.drain.quiesced);
+    });
+}
+
+/// A client may send any `d`. At `usize::MAX` the bounded Levenshtein's
+/// band edge overflowed on non-ASCII pairs (a panic in debug builds, a
+/// wrong distance in release ones); both routes now answer with exactly
+/// what the naive references return.
+#[test]
+fn a_maximal_edit_bound_answers_like_the_references() {
+    let d = usize::MAX;
+    let text = "the vãccine mandate and the democrats";
+    let perturb = PerturbParams {
+        d,
+        ..PerturbParams::with_ratio(1.0).seeded(3)
+    };
+    let lookup_json = look_up_naive(corpus(), "vãccine", LookupParams::new(1, d))
+        .map(RouteOutput::Lookup)
+        .unwrap()
+        .to_json();
+    let perturb_json = Perturber::new(corpus())
+        .perturb(text, perturb)
+        .map(RouteOutput::Perturb)
+        .unwrap()
+        .to_json();
+    each_layout(|layout| {
+        let srv = server(layout);
+        let mut c = Client::connect(srv.addr);
+        c.send(&get_req(
+            &format!("/lookup?q=v%C3%A3ccine&d={d}"),
+            Some(&srv.token),
+        ));
+        let resp = c.read_response();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(resp.body, lookup_json);
+
+        c.send(&post_req(
+            &format!("/perturb?seed=3&d={d}"),
+            &srv.token,
+            text,
+        ));
+        let resp = c.read_response();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(resp.body, perturb_json);
+        srv.finish();
     });
 }
 
