@@ -141,15 +141,16 @@ pub fn look_up<S: TokenStore>(db: &S, token: &str, params: LookupParams) -> Resu
 }
 
 /// The SMS hit filter shared by every retrieval path: `None` when the
-/// candidate cannot be a hit, `Some(distance)` otherwise. Pure apart from
-/// the reusable edit scratch, so the sharded fan-out may run it on pool
-/// workers.
+/// candidate cannot be a hit or the caller's `keep` rejects it,
+/// `Some(distance)` otherwise. Pure apart from the reusable edit scratch,
+/// so the sharded fan-out may run it on pool workers.
 #[inline]
-fn hit_distance(
+fn hit_distance<P: Fn(&TokenRecord) -> bool>(
     rec: &TokenRecord,
     query_folded: &str,
     query_chars: usize,
     params: LookupParams,
+    keep: &P,
     edit: &mut EditScratch,
 ) -> Option<usize> {
     if params.observed_only && rec.count == 0 {
@@ -160,6 +161,9 @@ fn hit_distance(
         return None;
     }
     if params.exclude_identity && rec.folded == query_folded {
+        return None;
+    }
+    if !keep(rec) {
         return None;
     }
     levenshtein_bounded_scratch(query_folded, &rec.folded, params.d, edit)
@@ -213,10 +217,33 @@ pub fn for_each_hit_until<'a, S, F>(
     token: &str,
     params: LookupParams,
     scratch: &mut LookupScratch,
+    f: F,
+) -> Result<()>
+where
+    S: TokenStore,
+    F: FnMut(u32, &'a TokenRecord, usize) -> ControlFlow<()>,
+{
+    for_each_hit_where(db, token, params, scratch, |_| true, f)
+}
+
+/// [`for_each_hit_until`] visiting only the hits whose record satisfies
+/// `keep`: exactly the unfiltered sequence with the rejected records
+/// removed (same ids, distances and order). `keep` runs after the cheap
+/// pre-filters and before the bounded Levenshtein, in the single walk and
+/// inside the fan-out's map on pool workers (hence `Sync`), so a rejected
+/// record never pays for an edit distance. The examined-candidates tally
+/// still counts every walked record.
+pub(crate) fn for_each_hit_where<'a, S, P, F>(
+    db: &'a S,
+    token: &str,
+    params: LookupParams,
+    scratch: &mut LookupScratch,
+    keep: P,
     mut f: F,
 ) -> Result<()>
 where
     S: TokenStore,
+    P: Fn(&TokenRecord) -> bool + Sync,
     F: FnMut(u32, &'a TokenRecord, usize) -> ControlFlow<()>,
 {
     let LookupScratch {
@@ -248,7 +275,7 @@ where
         let mut seen: u64 = 0;
         let _ = db.for_each_sound_mate(query, sound, |id, rec| {
             seen += 1;
-            match hit_distance(rec, query_folded, query_chars, params, edit) {
+            match hit_distance(rec, query_folded, query_chars, params, &keep, edit) {
                 Some(distance) => {
                     hits += 1;
                     f(id, rec, distance)
@@ -274,6 +301,7 @@ where
                         query_folded,
                         query_chars,
                         params,
+                        &keep,
                         &mut edit.borrow_mut(),
                     )
                     .map(|distance| (id, rec, distance))
@@ -682,6 +710,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::shard::ShardedTokenDatabase;
     use proptest::prelude::*;
 
     fn small_db(tokens: &[String]) -> TokenDatabase {
@@ -690,6 +719,50 @@ mod proptests {
             db.ingest_token(t);
         }
         db
+    }
+
+    /// Dictionary words with case variants and leet spellings of them, so
+    /// one bucket mixes dictionary records with their perturbations.
+    const VOCAB: [&str; 16] = [
+        "bad", "BAD", "b@d", "Bad", "dumb", "DUMB", "dumbb", "the", "The", "th3", "thee", "they",
+        "vaccine", "VACCINE", "vacc1ne", "vaccin",
+    ];
+
+    fn corpus_word() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0..VOCAB.len()).prop_map(|i| VOCAB[i].to_string()),
+            "[a-eA-E1@O]{2,9}",
+        ]
+    }
+
+    /// Every `(id, distance, is_english)` the walk visits, in visit order:
+    /// the unfiltered walk for `None`, else the predicate walk keeping the
+    /// records whose `is_english` equals `english`.
+    fn visits<S: TokenStore>(
+        db: &S,
+        query: &str,
+        params: LookupParams,
+        english: Option<bool>,
+    ) -> Vec<(u32, usize, bool)> {
+        let mut scratch = LookupScratch::new();
+        let mut out = Vec::new();
+        let visit = |id: u32, rec: &TokenRecord, distance: usize| {
+            out.push((id, distance, rec.is_english));
+            ControlFlow::Continue(())
+        };
+        match english {
+            None => for_each_hit_until(db, query, params, &mut scratch, visit),
+            Some(want) => for_each_hit_where(
+                db,
+                query,
+                params,
+                &mut scratch,
+                |rec| rec.is_english == want,
+                visit,
+            ),
+        }
+        .unwrap();
+        out
     }
 
     proptest! {
@@ -781,6 +854,53 @@ mod proptests {
             // The thread-local convenience wrapper agrees too.
             let wrapped = look_up(&db, &query, params).unwrap();
             prop_assert_eq!(&wrapped, &slow);
+        }
+
+        /// The record-predicate walk visits exactly the unfiltered walk's
+        /// `(id, distance)` sequence with the rejected records removed,
+        /// for a predicate and its negation, on the flat backend and at
+        /// 1–8 shards (where the predicate runs inside the fan-out map).
+        #[test]
+        fn predicate_walk_filters_the_unfiltered_sequence(
+            observed in proptest::collection::vec(corpus_word(), 1..24),
+            queries in proptest::collection::vec(corpus_word(), 1..4),
+            shards in 1usize..=8,
+            k in 0usize..=2,
+            d in 0usize..=4,
+            exclude_identity in proptest::arbitrary::any::<bool>(),
+            observed_only in proptest::arbitrary::any::<bool>(),
+        ) {
+            // Lexicon words arrive as count-0 records, which
+            // `observed_only` drops; ingested words count from 1.
+            let mut flat = TokenDatabase::with_lexicon();
+            for t in &observed {
+                flat.ingest_token(t);
+            }
+            let wide = ShardedTokenDatabase::from_database(&flat, shards);
+            let mut params = LookupParams::new(k, d);
+            params.exclude_identity = exclude_identity;
+            params.observed_only = observed_only;
+
+            for q in &queries {
+                for sharded in [false, true] {
+                    let walk = |english| if sharded {
+                        visits(&wide, q, params, english)
+                    } else {
+                        visits(&flat, q, params, english)
+                    };
+                    let all = walk(None);
+                    // `is_english`, then its negation.
+                    for want in [true, false] {
+                        let expected: Vec<_> =
+                            all.iter().filter(|v| v.2 == want).copied().collect();
+                        prop_assert_eq!(
+                            walk(Some(want)), expected,
+                            "query {:?} params {:?} sharded {} english {}",
+                            q, params, sharded, want
+                        );
+                    }
+                }
+            }
         }
     }
 }

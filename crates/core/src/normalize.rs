@@ -24,9 +24,12 @@
 //! tables for every candidate of every token. The hot path now mirrors the
 //! Look Up engine's zero-copy discipline:
 //!
-//! * **Candidates stream through [`for_each_hit`]** — no intermediate
-//!   owned hit vector; non-English records are skipped before any scoring.
-//!   Each out-of-dictionary token is encoded into an
+//! * **Candidates stream through the Look Up visitor walk** (the one
+//!   behind [`crate::lookup::for_each_hit_until`]) — no intermediate owned
+//!   hit vector. The walk takes a dictionary-only record predicate, so
+//!   non-English records (most of a bucket in a database harvested from
+//!   the wild) are skipped before the edit distance. Each
+//!   out-of-dictionary token is encoded into an
 //!   [`crate::database::EncodedQuery`] exactly once, so a sharded backend
 //!   walks all of its shards (Bloom-routed, possibly in parallel) on one
 //!   encoding — Normalization inherits the sharded Look Up fan-out wholesale.
@@ -45,13 +48,14 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 
 use cryptext_common::Result;
 use cryptext_lm::{CoherencyCache, NgramLm};
 use cryptext_tokenizer::{splice, tokenize, tokenize_spans, Token};
 
 use crate::database::TokenDatabase;
-use crate::lookup::{for_each_hit, look_up, LookupParams, LookupScratch};
+use crate::lookup::{for_each_hit_where, look_up, LookupParams, LookupScratch};
 use crate::store::TokenStore;
 
 /// Parameters of a Normalization pass.
@@ -159,8 +163,9 @@ thread_local! {
 /// deduped `(word, distance)` pairs in ascending word order, exactly as
 /// they stand after `Normalizer::collect_candidates`' dedup and before
 /// context scoring reorders and truncates them. An **empty** list is a
-/// negative entry — the token is out-of-dictionary with no candidates,
-/// which is precisely the retrieval that dominates uncached p99.
+/// negative entry — the token is out-of-dictionary with no candidates.
+/// The walk skips non-dictionary records before the edit distance, so a
+/// negative entry is not the expensive retrieval.
 ///
 /// Equal words imply equal folds, distances, and (given a context) scores,
 /// so replaying these pairs through the scorer reproduces the uncached
@@ -270,28 +275,35 @@ impl<'a> Normalizer<'a> {
         // direct Look Up calls only).
         let _t = stages.map(|s| s.normalize_collect_us.start_timer());
         let retrieval = LookupParams::new(params.k, params.d);
-        let walked = for_each_hit(db, token, retrieval, lookup, |_, rec, distance| {
-            if !rec.is_english {
-                return;
-            }
-            // The reference lowercases the raw surface form with
-            // `to_ascii_lowercase`; for ASCII tokens that equals the
-            // record's precomputed Unicode fold, so borrow it.
-            let word: Cow<'d, str> = if rec.token.is_ascii() {
-                Cow::Borrowed(rec.folded.as_str())
-            } else {
-                Cow::Owned(rec.token.to_ascii_lowercase())
-            };
-            let coherency = self.lm.coherency_cached(&word, left, right, lm_cache);
-            let prior = self.lm.unigram_log_prob(&word);
-            let score =
-                coherency - params.edit_penalty * distance as f64 + params.prior_weight * prior;
-            buf.push(ScoredCand {
-                word,
-                score,
-                distance,
-            });
-        });
+        // Only dictionary records can become candidates, so the walk drops
+        // the rest before their edit distance is computed.
+        let walked = for_each_hit_where(
+            db,
+            token,
+            retrieval,
+            lookup,
+            |rec| rec.is_english,
+            |_, rec, distance| {
+                // The reference lowercases the raw surface form with
+                // `to_ascii_lowercase`; for ASCII tokens that equals the
+                // record's precomputed Unicode fold, so borrow it.
+                let word: Cow<'d, str> = if rec.token.is_ascii() {
+                    Cow::Borrowed(rec.folded.as_str())
+                } else {
+                    Cow::Owned(rec.token.to_ascii_lowercase())
+                };
+                let coherency = self.lm.coherency_cached(&word, left, right, lm_cache);
+                let prior = self.lm.unigram_log_prob(&word);
+                let score =
+                    coherency - params.edit_penalty * distance as f64 + params.prior_weight * prior;
+                buf.push(ScoredCand {
+                    word,
+                    score,
+                    distance,
+                });
+                ControlFlow::Continue(())
+            },
+        );
         // Reattach before the `?` so an error cannot leave the caller's
         // scratch permanently detached.
         lookup.stages = stages_owned;

@@ -212,7 +212,10 @@ pub(crate) fn read_request(
         None => (target, ""),
     };
 
-    // Headers.
+    // Headers. A field name is a token with nothing between it and the
+    // colon (RFC 9112 §5.1): a lenient parser that trimmed
+    // `Content-Length : 3` would frame the body differently from a strict
+    // one upstream of it.
     let mut headers = Vec::new();
     for line in lines {
         if line.is_empty() {
@@ -221,22 +224,22 @@ pub(crate) fn read_request(
         let Some((name, value)) = line.split_once(':') else {
             return ReadOutcome::Reject(Reject::new(400, "malformed header line"));
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        if name.is_empty() || !name.bytes().all(is_tchar) {
+            return ReadOutcome::Reject(Reject::new(400, "invalid header field name"));
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    // Body framing: Content-Length only. Chunked bodies are refused
-    // explicitly rather than misparsed.
-    if let Some(te) = headers.iter().find(|(n, _)| n == "transfer-encoding") {
-        if !te.1.eq_ignore_ascii_case("identity") {
-            return ReadOutcome::Reject(Reject::new(501, "transfer codings are not supported"));
-        }
+    // Body framing: Content-Length only. Any Transfer-Encoding field is
+    // refused rather than misparsed: RFC 9112 dropped `identity`, so there
+    // is no coding left to accept, and a proxy that honours a later
+    // `chunked` would frame the body differently from this reader.
+    if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        return ReadOutcome::Reject(Reject::new(501, "transfer codings are not supported"));
     }
-    let content_length: usize = match headers.iter().find(|(n, _)| n == "content-length") {
-        None => 0,
-        Some((_, v)) => match v.parse() {
-            Ok(n) => n,
-            Err(_) => return ReadOutcome::Reject(Reject::new(400, "invalid Content-Length")),
-        },
+    let content_length = match content_length(&headers) {
+        Ok(n) => n,
+        Err(reject) => return ReadOutcome::Reject(reject),
     };
     if content_length > config.max_body_bytes {
         return ReadOutcome::Reject(Reject::new(413, "body exceeds the size limit"));
@@ -272,6 +275,32 @@ pub(crate) fn read_request(
         body,
         keep_alive,
     })
+}
+
+/// A `tchar` of RFC 9110 §5.6.2: the bytes a header field name may hold.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
+}
+
+/// The declared body length: 0 without a `Content-Length` field. Every
+/// such field must be `1*DIGIT` and, when repeated, carry the same value
+/// (RFC 9112 §6.3). Otherwise the framing is invalid: a reader that took
+/// one of two differing values, or parsed `+3` as 3, would leave bytes of
+/// the body in the carry buffer to be answered as a smuggled request.
+fn content_length(headers: &[(String, String)]) -> Result<usize, Reject> {
+    let mut length = None;
+    for (_, value) in headers.iter().filter(|(n, _)| n == "content-length") {
+        let n: usize = match value.parse() {
+            // `usize::from_str` alone would accept a leading `+`.
+            Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(Reject::new(400, "invalid Content-Length")),
+        };
+        if length.is_some_and(|l| l != n) {
+            return Err(Reject::new(400, "conflicting Content-Length values"));
+        }
+        length = Some(n);
+    }
+    Ok(length.unwrap_or(0))
 }
 
 /// Percent-decode, with `+` as space (query convention; harmless in

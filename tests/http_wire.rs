@@ -385,6 +385,71 @@ fn torn_and_malformed_request_lines() {
     });
 }
 
+/// Request-smuggling framings are refused and close (RFC 9112 §6.1,
+/// §6.3 and §5.1): differing duplicate `Content-Length` values, a value
+/// that is not `1*DIGIT` and whitespace between a field name and its colon
+/// are `400`; any `Transfer-Encoding` field is `501`, whatever else the
+/// request declares. Each request below hides a second one after a 3-byte
+/// body. A parser that framed it as 3 bytes would answer the hidden
+/// `/healthz` on the same connection; here it gets exactly one refusal,
+/// then EOF.
+#[test]
+fn smuggling_framings_are_refused_and_close() {
+    let smuggled = get_req("/healthz", None);
+    let total = 3 + smuggled.len();
+    let framings = [
+        (
+            format!("Content-Length: 3\r\nContent-Length: {total}\r\n"),
+            400,
+            "bad_request",
+        ),
+        (
+            format!("Content-Length: {total}\r\nContent-Length: 3\r\n"),
+            400,
+            "bad_request",
+        ),
+        ("Content-Length: +3\r\n".to_string(), 400, "bad_request"),
+        ("Content-Length : 3\r\n".to_string(), 400, "bad_request"),
+        (
+            "Transfer-Encoding: identity\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n"
+                .to_string(),
+            501,
+            "not_implemented",
+        ),
+        (
+            "Transfer-Encoding: identity\r\nContent-Length: 3\r\n".to_string(),
+            501,
+            "not_implemented",
+        ),
+    ];
+    each_layout(|layout| {
+        let srv = server(layout);
+        for (framing, status, label) in &framings {
+            let mut c = Client::connect(srv.addr);
+            c.send(&format!(
+                "POST /normalize HTTP/1.1\r\nHost: loopback\r\nAuthorization: Bearer {}\r\n{framing}\r\nabc{smuggled}",
+                srv.token
+            ));
+            let resp = c.read_response();
+            assert_eq!(resp.status, *status, "{framing:?}: {}", resp.body);
+            assert!(resp.body.contains(label), "{framing:?}: {}", resp.body);
+            assert_eq!(resp.header("Connection"), Some("close"));
+            let rest = c.read_to_eof();
+            assert!(
+                rest.is_empty(),
+                "{framing:?}: the hidden request was answered: {}",
+                String::from_utf8_lossy(&rest)
+            );
+        }
+
+        let mut fresh = Client::connect(srv.addr);
+        fresh.send(&post_req("/normalize", &srv.token, "the vacc1ne mandate"));
+        let resp = fresh.read_response();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        srv.finish();
+    });
+}
+
 /// Declared oversized bodies are refused with `413` (before the body is
 /// read), oversized header blocks with `431`.
 #[test]
