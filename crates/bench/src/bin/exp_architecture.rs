@@ -11,6 +11,7 @@
 //! ```
 
 use cryptext_bench::{build_platform, pct};
+use cryptext_core::database::PERSIST_BLOCK_RECORDS;
 use cryptext_core::ingest::Crawler;
 use cryptext_core::service::{CryptextService, ServiceConfig};
 use cryptext_core::{CrypText, LookupParams, TokenDatabase};
@@ -45,8 +46,12 @@ fn main() {
     let store = Database::open(&dir, DbOptions::default()).expect("open store");
     db.persist_to(&store, "tokens").expect("persist");
     store.checkpoint().expect("checkpoint");
-    let on_disk = store.len("tokens").expect("len");
-    println!("docstore: {on_disk} token documents persisted (WAL + snapshot, checkpointed)");
+    let blocks = store.len("tokens").expect("len");
+    println!(
+        "docstore: {} tokens persisted in {blocks} block(s) of up to {PERSIST_BLOCK_RECORDS} \
+         records (WAL + snapshot, checkpointed)",
+        db.stats().unique_tokens
+    );
 
     // 3. Crash-recover: reopen and rebuild the in-memory database.
     drop(store);

@@ -68,8 +68,14 @@
 //!
 //! [`TokenDatabase::persist_to`] and [`TokenDatabase::load_from`] move the
 //! whole database through the embedded document store (the MongoDB
-//! substitute), with the `codes_k*` array fields secondary-indexed so
-//! bucket queries stay cheap on the persistent side too.
+//! substitute) as a snapshot: the records in id order, packed into block
+//! documents of at most [`PERSIST_BLOCK_RECORDS`] records each. A block
+//! holds parallel arrays — the raw tokens, their counts, and each record's
+//! level-1 Soundex codes as a check value — and no secondary index, so a
+//! persist writes one document (one WAL frame) per few thousand records.
+//! Everything else (folds, codes at every level, `is_english`, the `H_k`
+//! buckets) is recomputed on load; the docstore is the durable copy, the
+//! in-memory layout above is the one that answers queries.
 
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -78,12 +84,37 @@ use cryptext_common::failpoint;
 use cryptext_common::hash::{fx_hash_str, Bloom, FxHashMap};
 use cryptext_common::par::par_map;
 use cryptext_common::{Error, Result};
-use cryptext_docstore::{Database, Document, Filter, Value};
+use cryptext_docstore::{Database, Document, Value};
 use cryptext_phonetics::{CustomSoundex, SoundexCode, MAX_PHONETIC_LEVEL};
 use cryptext_tokenizer::tokenize_spans;
 
 /// Number of materialized phonetic levels (`k = 0, 1, 2`).
 pub const NUM_LEVELS: usize = MAX_PHONETIC_LEVEL + 1;
+
+/// Most records one persisted block document holds. A block is one WAL
+/// frame, so this bounds a frame (~150 KB of tokens and codes) while a
+/// 2M-token database still persists as a few hundred documents.
+pub const PERSIST_BLOCK_RECORDS: usize = 4096;
+
+/// Block field: the records' raw tokens, in id order.
+const BLOCK_TOKENS: &str = "tokens";
+/// Block field: the records' occurrence counts, index-aligned.
+const BLOCK_COUNTS: &str = "counts";
+/// Block field: each record's level-1 codes (see [`write_code_check`]),
+/// compared with the recomputed codes on load.
+const BLOCK_CODES_K1: &str = "codes_k1";
+
+/// Write a record's stored `codes_k1` check value into `out`: its level-1
+/// Soundex codes, space-separated (codes are ASCII letters and digits).
+fn write_code_check(codes: &[SoundexCode], out: &mut String) {
+    out.clear();
+    for (i, code) in codes.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(code.as_str());
+    }
+}
 
 /// One stored token with its phonetic signature.
 #[derive(Debug, Clone, PartialEq)]
@@ -800,12 +831,13 @@ impl TokenDatabase {
         Ok(out)
     }
 
-    /// Persist every record into `store[collection]`, creating the
-    /// collection and per-level code indexes. Existing contents of the
-    /// collection are replaced — including the per-shard collections of a
-    /// previous *sharded* persist under the same name, so switching a
-    /// deployment from the sharded backend to the single instance never
-    /// leaks a stale corpus copy.
+    /// Persist every record into `store[collection]`: the records in id
+    /// order, [`PERSIST_BLOCK_RECORDS`] to a block document (see the module
+    /// docs for the layout). Existing contents of the collection are
+    /// replaced — including the per-shard collections of a previous
+    /// *sharded* persist under the same name, so switching a deployment
+    /// from the sharded backend to the single instance never leaks a stale
+    /// corpus copy.
     ///
     /// Crash-safe: the new state is built in full under a staging name and
     /// committed by a single atomic collection rename; a crash at any point
@@ -818,21 +850,27 @@ impl TokenDatabase {
             store.drop_collection(&staging)?;
         }
         store.create_collection(&staging)?;
-        for k in 0..NUM_LEVELS {
-            store.create_index(&staging, &format!("codes_k{k}"))?;
-        }
-        store.create_index(&staging, "token")?;
-        for rec in &self.records {
-            let mut doc = Document::new()
-                .with("token", rec.token.as_str())
-                .with("count", rec.count as i64)
-                .with("is_english", rec.is_english);
-            for (k, codes) in rec.codes.iter().enumerate() {
-                doc.set(
-                    format!("codes_k{k}"),
-                    Value::Array(codes.iter().map(|c| Value::from(c.as_str())).collect()),
-                );
+        let mut check = String::new();
+        for block in self.records.chunks(PERSIST_BLOCK_RECORDS) {
+            let mut tokens = Vec::with_capacity(block.len());
+            let mut counts = Vec::with_capacity(block.len());
+            let mut checks = Vec::with_capacity(block.len());
+            for rec in block {
+                let count = i64::try_from(rec.count).map_err(|_| {
+                    Error::invalid(format!(
+                        "count {} of token {} exceeds the persisted range",
+                        rec.count, rec.token
+                    ))
+                })?;
+                tokens.push(Value::from(rec.token.as_str()));
+                counts.push(Value::Int(count));
+                write_code_check(&rec.codes[1], &mut check);
+                checks.push(Value::from(check.as_str()));
             }
+            let doc = Document::new()
+                .with(BLOCK_TOKENS, Value::Array(tokens))
+                .with(BLOCK_COUNTS, Value::Array(counts))
+                .with(BLOCK_CODES_K1, Value::Array(checks));
             store.insert(&staging, doc)?;
         }
         failpoint::check("persist.commit")?;
@@ -848,34 +886,84 @@ impl TokenDatabase {
 
     /// Rebuild a database from `store[collection]` (inverse of
     /// [`TokenDatabase::persist_to`]). Clean sentences are not persisted.
+    ///
+    /// The blocks are read in id order in place (no document is cloned)
+    /// and each record is rebuilt by the ingest path's own upsert, so
+    /// codes, folds and `is_english` are recomputed; the stored `codes_k1`
+    /// check must agree with the recomputed codes. Anything `persist_to`
+    /// never writes — a missing or non-array block field, ragged arrays, a
+    /// value of the wrong type, a negative count, a token stored twice, a
+    /// code mismatch, any other layout — is an [`Error::Corrupt`], never a
+    /// silently repaired record.
     pub fn load_from(store: &Database, collection: &str) -> Result<TokenDatabase> {
-        let mut db = TokenDatabase::in_memory();
-        let docs = store.find(collection, &Filter::All)?;
-        for (_, doc) in docs {
-            let token = doc
-                .get("token")
-                .and_then(Value::as_str)
-                .ok_or_else(|| Error::corrupt("token field missing"))?
-                .to_string();
-            let count = doc
-                .get("count")
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::corrupt("count field missing"))?;
-            let id = db.upsert_token(&token, count.max(0) as u64);
-            // Trust recomputed codes over stored ones (algorithm is the
-            // source of truth), but verify agreement for corruption safety.
-            let rec = &db.records[id as usize];
-            if let Some(stored) = doc.get("codes_k1").and_then(Value::as_array) {
-                let recomputed: Vec<&str> = rec.codes[1].iter().map(|c| c.as_str()).collect();
-                let stored_strs: Vec<&str> = stored.iter().filter_map(Value::as_str).collect();
-                if recomputed != stored_strs {
-                    return Err(Error::corrupt(format!(
-                        "code mismatch for token {token}: {stored_strs:?} vs {recomputed:?}"
-                    )));
-                }
+        store.read_collection(collection, |blocks| {
+            let mut docs: Vec<_> = blocks.scan().collect();
+            docs.sort_unstable_by_key(|&(id, _)| id);
+            let mut db = TokenDatabase::in_memory();
+            let mut check = String::new();
+            for (id, block) in docs {
+                db.load_block(block, &mut check)
+                    .map_err(|why| Error::corrupt(format!("{collection} block {id}: {why}")))?;
+            }
+            Ok(db)
+        })?
+    }
+
+    /// Append one persisted block's records (see
+    /// [`TokenDatabase::load_from`]); the error says what is corrupt.
+    /// `check` is scratch for the recomputed code check.
+    fn load_block(
+        &mut self,
+        block: &Document,
+        check: &mut String,
+    ) -> std::result::Result<(), String> {
+        let field = |name: &str| {
+            block
+                .get(name)
+                .and_then(Value::as_array)
+                .ok_or_else(|| format!("no {name} array"))
+        };
+        let (tokens, counts, checks) = (
+            field(BLOCK_TOKENS)?,
+            field(BLOCK_COUNTS)?,
+            field(BLOCK_CODES_K1)?,
+        );
+        if counts.len() != tokens.len() || checks.len() != tokens.len() {
+            return Err(format!(
+                "ragged arrays: {} tokens, {} counts, {} code checks",
+                tokens.len(),
+                counts.len(),
+                checks.len()
+            ));
+        }
+        for (i, ((token, count), stored)) in tokens.iter().zip(counts).zip(checks).enumerate() {
+            let token = token
+                .as_str()
+                .ok_or_else(|| format!("token {i} is not a string: {token}"))?;
+            let count = count
+                .as_int()
+                .ok_or_else(|| format!("count of token {token} is not an int: {count}"))?;
+            let count = u64::try_from(count)
+                .map_err(|_| format!("negative count {count} for token {token}"))?;
+            let stored = stored
+                .as_str()
+                .ok_or_else(|| format!("code check of token {token} is not a string: {stored}"))?;
+            let before = self.records.len();
+            let id = self.upsert_token(token, count);
+            if self.records.len() == before {
+                return Err(format!("token {token} stored twice"));
+            }
+            // Trust recomputed codes over stored ones (the algorithm is
+            // the source of truth), but verify agreement for corruption
+            // safety.
+            write_code_check(&self.records[id as usize].codes[1], check);
+            if check != stored {
+                return Err(format!(
+                    "code mismatch for token {token}: stored {stored:?}, recomputed {check:?}"
+                ));
             }
         }
-        Ok(db)
+        Ok(())
     }
 }
 
@@ -1023,31 +1111,15 @@ mod tests {
         let db = table1_db();
         let store = Database::in_memory();
         db.persist_to(&store, "tokens").unwrap();
-        assert_eq!(store.len("tokens").unwrap(), 7);
+        assert_eq!(store.len("tokens").unwrap(), 1, "7 records fit one block");
 
         let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
+        assert_eq!(restored.records(), db.records());
         assert_eq!(restored.stats(), db.stats());
-        assert_eq!(
-            restored.get("repubLIEcans").unwrap().count,
-            db.get("repubLIEcans").unwrap().count
-        );
         assert_eq!(
             restored.hashmap_view(1).unwrap(),
             db.hashmap_view(1).unwrap()
         );
-    }
-
-    #[test]
-    fn persisted_codes_queryable_through_store_index() {
-        let db = table1_db();
-        let store = Database::in_memory();
-        db.persist_to(&store, "tokens").unwrap();
-        // Query the docstore directly by H1 code — exercises the
-        // array-valued secondary index.
-        let hits = store
-            .find("tokens", &Filter::eq("codes_k1", "TH000"))
-            .unwrap();
-        assert_eq!(hits.len(), 2);
     }
 
     #[test]
@@ -1056,15 +1128,175 @@ mod tests {
         let store = Database::in_memory();
         db.persist_to(&store, "tokens").unwrap();
         db.persist_to(&store, "tokens").unwrap();
-        assert_eq!(store.len("tokens").unwrap(), 7, "no duplicates");
+        assert_eq!(store.len("tokens").unwrap(), 1, "one block, no duplicates");
         // Regression: double-persist then load must reconstruct the exact
         // database, not an appended/duplicated one.
         let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
-        assert_eq!(restored.stats(), db.stats());
+        assert_eq!(restored.records(), db.records());
         assert_eq!(
             restored.hashmap_view(1).unwrap(),
             db.hashmap_view(1).unwrap()
         );
+    }
+
+    /// `n` distinct lowercase letter-only tokens (each has phonetic
+    /// content).
+    fn many_tokens(n: usize) -> Vec<String> {
+        (0..n)
+            .map(|mut i| {
+                let mut t = String::from("qu");
+                loop {
+                    t.push((b'a' + (i % 26) as u8) as char);
+                    i /= 26;
+                    if i == 0 {
+                        break t;
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn persist_spans_blocks_in_id_order_flat_and_sharded() {
+        use crate::shard::ShardedTokenDatabase;
+        use crate::store::TokenStore;
+
+        let mut flat = TokenDatabase::with_lexicon();
+        let mut wide = ShardedTokenDatabase::in_memory(2);
+        TokenStore::seed_lexicon(&mut wide);
+        for (i, t) in many_tokens(3 * PERSIST_BLOCK_RECORDS).iter().enumerate() {
+            let t = if i % 4 == 0 {
+                t.to_uppercase()
+            } else {
+                t.clone()
+            };
+            for _ in 0..=i % 3 {
+                flat.ingest_token(&t);
+                TokenStore::ingest_token(&mut wide, &t);
+            }
+        }
+
+        // Flat: several blocks, loaded back in id order.
+        let n = flat.records().len();
+        assert!(n > 3 * PERSIST_BLOCK_RECORDS);
+        let store = Database::in_memory();
+        flat.persist_to(&store, "tokens").unwrap();
+        assert_eq!(
+            store.len("tokens").unwrap(),
+            n.div_ceil(PERSIST_BLOCK_RECORDS)
+        );
+        let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
+        assert_eq!(restored.records(), flat.records());
+
+        // Sharded: each shard's collection spans blocks of its own.
+        TokenStore::persist_to(&wide, &store, "wide").unwrap();
+        let shards = store.collections_with_prefix("wide__g");
+        assert_eq!(shards.len(), 2);
+        for (s, name) in shards.iter().enumerate() {
+            let records = wide.shard(s).records().len();
+            assert!(records > PERSIST_BLOCK_RECORDS, "shard {s}: {records}");
+            assert_eq!(
+                store.len(name).unwrap(),
+                records.div_ceil(PERSIST_BLOCK_RECORDS)
+            );
+        }
+        let restored = ShardedTokenDatabase::load_from(&store, "wide").unwrap();
+        for s in 0..2 {
+            assert_eq!(restored.shard(s).records(), wide.shard(s).records());
+        }
+    }
+
+    /// Persist the Table I corpus, rewrite its one block through `tamper`,
+    /// and load: every tampering is a corrupt-data error, never a panic
+    /// or a silently repaired record.
+    fn load_tampered(tamper: impl FnOnce(&mut Document)) -> Error {
+        let store = Database::in_memory();
+        table1_db().persist_to(&store, "tokens").unwrap();
+        let (id, mut block) = store
+            .find_one("tokens", &cryptext_docstore::Filter::All)
+            .unwrap()
+            .unwrap();
+        tamper(&mut block);
+        store.update("tokens", id, block).unwrap();
+        let err = TokenDatabase::load_from(&store, "tokens").unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        err
+    }
+
+    /// Replace entry `i` of a block's `field` array.
+    fn set_entry(block: &mut Document, field: &str, i: usize, v: Value) {
+        let mut items = block.get(field).unwrap().as_array().unwrap().to_vec();
+        items[i] = v;
+        block.set(field, Value::Array(items));
+    }
+
+    #[test]
+    fn load_rejects_a_negative_count_naming_the_token() {
+        // Before the block layout a negative count loaded as 0.
+        let err = load_tampered(|b| set_entry(b, BLOCK_COUNTS, 0, Value::Int(-3)));
+        assert!(
+            err.to_string().contains("negative count -3 for token the"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_token_stored_twice() {
+        // Before the block layout a duplicate merged into one record with
+        // summed counts. Record 1 is "dirrty"; its codes_k1 check is
+        // copied along so only the duplication is wrong.
+        let err = load_tampered(|b| {
+            let check = b.get(BLOCK_CODES_K1).unwrap().as_array().unwrap()[0].clone();
+            set_entry(b, BLOCK_TOKENS, 1, Value::from("the"));
+            set_entry(b, BLOCK_CODES_K1, 1, check);
+        });
+        assert!(err.to_string().contains("token the stored twice"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_a_code_mismatch() {
+        let err = load_tampered(|b| set_entry(b, BLOCK_CODES_K1, 0, Value::from("ZZ999")));
+        assert!(
+            err.to_string().contains("code mismatch for token the"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn load_rejects_ragged_arrays_and_wrong_types() {
+        let err = load_tampered(|b| {
+            let mut counts = b.get(BLOCK_COUNTS).unwrap().as_array().unwrap().to_vec();
+            counts.pop();
+            b.set(BLOCK_COUNTS, Value::Array(counts));
+        });
+        assert!(err.to_string().contains("ragged"), "{err}");
+        load_tampered(|b| set_entry(b, BLOCK_TOKENS, 2, Value::Int(7)));
+        load_tampered(|b| set_entry(b, BLOCK_COUNTS, 2, Value::from("3")));
+        load_tampered(|b| set_entry(b, BLOCK_CODES_K1, 2, Value::Null));
+        load_tampered(|b| b.set(BLOCK_TOKENS, Value::from("the")));
+        load_tampered(|b| {
+            b.remove(BLOCK_CODES_K1);
+        });
+    }
+
+    #[test]
+    fn load_rejects_the_per_record_layout() {
+        // One document per token, the layout before block documents: it
+        // has no block arrays, so it does not load.
+        let store = Database::in_memory();
+        store.create_collection("tokens").unwrap();
+        store
+            .insert(
+                "tokens",
+                Document::new()
+                    .with("token", "the")
+                    .with("count", 2i64)
+                    .with("is_english", true)
+                    .with("codes_k1", vec!["TH000"]),
+            )
+            .unwrap();
+        let err = TokenDatabase::load_from(&store, "tokens").unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
     }
 
     #[test]
@@ -1271,5 +1503,74 @@ mod tests {
         par.ingest_texts(&texts);
         assert_eq!(par.records(), seq.records());
         assert_eq!(par.get("demokRATs").unwrap().count, 2);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use cryptext_docstore::DbOptions;
+    use proptest::prelude::*;
+
+    /// Texts over case variants and leet spellings (`1`/`@`/`3`/`$` read
+    /// as letters), so records carry several codes per level.
+    fn text_strategy() -> impl Strategy<Value = String> {
+        proptest::collection::vec("[a-eA-E1@3$]{1,8}", 0..8).prop_map(|ws| ws.join(" "))
+    }
+
+    fn corpus(texts: &[String], lexicon: bool) -> TokenDatabase {
+        let mut db = if lexicon {
+            TokenDatabase::with_lexicon()
+        } else {
+            TokenDatabase::in_memory()
+        };
+        db.ingest_texts(texts);
+        db
+    }
+
+    proptest! {
+        /// A persist/load round trip reproduces every record exactly —
+        /// id order, token, count, codes at every level, fold and
+        /// `is_english` — including the count-0 lexicon records.
+        #[test]
+        fn persist_load_reproduces_records_in_memory(
+            texts in proptest::collection::vec(text_strategy(), 0..12),
+            lexicon in any::<bool>(),
+        ) {
+            let db = corpus(&texts, lexicon);
+            let store = Database::in_memory();
+            db.persist_to(&store, "tokens").unwrap();
+            let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
+            prop_assert_eq!(restored.records(), db.records());
+        }
+
+        /// The same through a persistent docstore reopened from disk: the
+        /// blocks survive WAL replay, and a checkpointed snapshot too.
+        #[test]
+        fn persist_load_reproduces_records_across_reopen(
+            texts in proptest::collection::vec(text_strategy(), 0..12),
+            lexicon in any::<bool>(),
+            checkpoint in any::<bool>(),
+        ) {
+            let db = corpus(&texts, lexicon);
+            let dir = std::env::temp_dir().join(format!(
+                "cryptext-db-blocks-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            {
+                let store = Database::open(&dir, DbOptions::default()).unwrap();
+                db.persist_to(&store, "tokens").unwrap();
+                if checkpoint {
+                    store.checkpoint().unwrap();
+                }
+            }
+            let store = Database::open(&dir, DbOptions::default()).unwrap();
+            let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+            prop_assert_eq!(restored.records(), db.records());
+        }
     }
 }

@@ -26,12 +26,15 @@
 //!   that never crashed.
 //! * **Compaction** — [`DurableTokenStore::compact`] folds the logs into
 //!   a fresh epoch snapshot (`tokens__e{E}`, written with the crash-safe
-//!   staged persist), atomically swaps the `tokens__ingest` manifest
-//!   (epoch, shard count, `included_batch`) via a staging-collection
-//!   rename, then truncates the logs and sweeps stale epochs. The
-//!   manifest swap is the only commit point; `batch_seq` never resets, so
-//!   frames surviving a crash mid-truncation are filtered by the
-//!   watermark on the next open.
+//!   staged persist: the records as a few block documents of
+//!   [`crate::database::PERSIST_BLOCK_RECORDS`] each, one collection per
+//!   shard for a sharded store), atomically swaps the `tokens__ingest`
+//!   manifest (epoch, shard count, `included_batch`) via a
+//!   staging-collection rename, then truncates the logs and sweeps stale
+//!   epochs. With `sync_every_batch` on, the docstore WAL is fsynced
+//!   between the swap and the truncation. The manifest swap is the only
+//!   commit point; `batch_seq` never resets, so frames surviving a crash
+//!   mid-truncation are filtered by the watermark on the next open.
 //! * **Live resharding** — [`DurableTokenStore::grow_one_shard`] compacts
 //!   at N shards, grows the in-memory store (moving only jump-hash
 //!   movers, see [`ShardedTokenDatabase::grow_one_shard`]), opens the new
@@ -55,7 +58,8 @@
 //!
 //! Every boundary here is a [`cryptext_common::failpoint`] site
 //! (`delta.append`, `delta.commit`, `compact.manifest.swap`,
-//! `compact.truncate`, plus the docstore's own), and the tests below kill
+//! `compact.truncate`, plus the persist's `persist.commit` and the
+//! docstore's own, `db.sync` among them), and the tests below kill
 //! at *every* boundary of a mixed workload and assert recovery lands on a
 //! committed-batch prefix, byte-identical to the reference.
 
@@ -534,8 +538,10 @@ impl<S: DeltaStore> DurableTokenStore<S> {
     ///
     /// Steps: (1) persist the in-memory store under `tokens__e{E+1}`
     /// (itself a staged, crash-safe persist); (2) atomically swap the
-    /// manifest — the commit point; (3) truncate the logs; (4) sweep
-    /// stale epochs and checkpoint the docstore. A crash before (2)
+    /// manifest — the commit point; (3) with `sync_every_batch` on, fsync
+    /// the docstore WAL, so the truncation cannot outlive the new epoch
+    /// on power loss; (4) truncate the logs; (5) sweep stale epochs and
+    /// checkpoint the docstore. A crash before (2)
     /// changes nothing (the next open replays snapshot `E` + logs); a
     /// crash after (2) is cosmetic (surviving frames sit at or below the
     /// new `included_batch` watermark and are filtered on replay).
@@ -552,6 +558,12 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         // Committed: failures past this point poison the handle (writer
         // state is being replaced) but can never lose data.
         let truncate = |this: &mut Self| -> Result<()> {
+            if this.sync_every_batch {
+                // The new epoch and the manifest swap sit in the docstore's
+                // OS-buffered WAL; the logs hold the only power-loss-safe
+                // copy of their batches until that WAL is on disk.
+                this.store.sync()?;
+            }
             for s in 0..this.logs.len() {
                 failpoint::check("compact.truncate")?;
                 let p = Self::log_path_in(&this.dir, s);
@@ -1054,6 +1066,55 @@ mod tests {
         drop(dur);
         let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(3)).unwrap();
         assert!(same_sharded(&mono_loaded, dur.inner()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Power-loss durability of compaction in sync mode: the truncation
+    /// must wait until the docstore WAL holding the new epoch is synced.
+    /// A kill at that sync leaves every log whole, and a reopen recovers
+    /// every batch.
+    #[test]
+    fn sync_mode_compaction_syncs_the_snapshot_before_truncating() {
+        let dir = tmp_dir("sync-compact");
+        let sync_opts = DurableOptions {
+            shards: 2,
+            sync_every_batch: true,
+        };
+        let batches = ingest_batches();
+        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, sync_opts).unwrap();
+        for batch in &batches {
+            dur.try_ingest_texts(batch).unwrap();
+        }
+        let mut logs: Vec<PathBuf> = (0..2)
+            .map(|s| DurableTokenStore::<ShardedTokenDatabase>::log_path_in(&dir, s))
+            .collect();
+        logs.push(DurableTokenStore::<ShardedTokenDatabase>::commit_path_in(
+            &dir,
+        ));
+        for p in &logs {
+            assert!(
+                std::fs::metadata(p).unwrap().len() > 0,
+                "{p:?} holds frames"
+            );
+        }
+
+        failpoint::reset_hits();
+        let guard = failpoint::arm("db.sync", "kill@1");
+        let err = dur.compact().unwrap_err();
+        assert!(failpoint::is_injected(&err));
+        assert!(dur.poisoned());
+        drop(guard);
+        drop(dur);
+        for p in &logs {
+            assert!(
+                std::fs::metadata(p).unwrap().len() > 0,
+                "{p:?} not truncated before the sync"
+            );
+        }
+
+        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, sync_opts).unwrap();
+        let want: ShardedTokenDatabase = prefix_store(2, batches.len());
+        assert!(same_sharded(&want, dur.inner()), "every batch recovered");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

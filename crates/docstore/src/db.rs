@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use bytes::BytesMut;
 use cryptext_common::failpoint;
 use cryptext_common::{Error, Result};
 use parking_lot::{Mutex, RwLock};
@@ -16,7 +17,7 @@ use crate::collection::{Collection, DocId};
 use crate::filter::Filter;
 use crate::snapshot;
 use crate::value::Document;
-use crate::wal::{read_wal, WalOp, WalWriter};
+use crate::wal::{encode_doc_op, read_wal, WalOp, WalWriter, OP_INSERT, OP_UPDATE};
 
 /// Whether WAL appends fsync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -148,8 +149,14 @@ impl Database {
     }
 
     fn log(&self, op: &WalOp) -> Result<()> {
+        self.log_encoded(|| op.encode())
+    }
+
+    /// Append one record whose payload `encode` builds — only when there is
+    /// a WAL to append to, so an in-memory database encodes nothing.
+    fn log_encoded(&self, encode: impl FnOnce() -> BytesMut) -> Result<()> {
         if let Some(p) = &self.persistence {
-            p.wal.lock().append(op)?;
+            p.wal.lock().append_payload(&encode())?;
         }
         Ok(())
     }
@@ -257,22 +264,14 @@ impl Database {
             .ok_or_else(|| Error::not_found(format!("collection {collection}")))?;
         let mut guard = coll.write();
         let id = guard.next_id();
-        self.log(&WalOp::Insert {
-            collection: collection.into(),
-            id,
-            doc: doc.clone(),
-        })?;
+        self.log_encoded(|| encode_doc_op(OP_INSERT, collection, id, &doc))?;
         guard.insert_with_id(id, doc);
         Ok(DocId(id))
     }
 
     /// Replace the document at `id`.
     pub fn update(&self, collection: &str, id: DocId, doc: Document) -> Result<()> {
-        self.log(&WalOp::Update {
-            collection: collection.into(),
-            id: id.0,
-            doc: doc.clone(),
-        })?;
+        self.log_encoded(|| encode_doc_op(OP_UPDATE, collection, id.0, &doc))?;
         self.with_collection(collection, |c| c.write().update(id, doc))?
     }
 
@@ -342,6 +341,18 @@ impl Database {
         std::fs::write(&wal_path, [])?;
         *wal_guard = WalWriter::open(&wal_path, p.sync_mode == WalSync::EveryAppend)?;
         Ok(())
+    }
+
+    /// Force the WAL to stable storage (`fsync`) whatever the
+    /// [`WalSync`] mode: on return, every mutation logged so far survives
+    /// power loss. A no-op in memory. Fires the `db.sync` failpoint first,
+    /// so crash tests can kill the process just before the flush.
+    pub fn sync(&self) -> Result<()> {
+        let Some(p) = &self.persistence else {
+            return Ok(());
+        };
+        failpoint::check("db.sync")?;
+        p.wal.lock().sync()
     }
 
     /// Is this database persistent?
@@ -495,6 +506,25 @@ mod tests {
                 .len(),
             2
         );
+    }
+
+    #[test]
+    fn sync_flushes_and_is_a_failpoint_boundary() {
+        let dir = tmp_dir("sync-call");
+        let db = Database::open(&dir, DbOptions::default()).unwrap();
+        seed(&db);
+        db.sync().unwrap();
+        {
+            cryptext_common::failpoint::reset_hits();
+            let _g = cryptext_common::failpoint::arm("db.sync", "kill@1");
+            let err = db.sync().unwrap_err();
+            assert!(cryptext_common::failpoint::is_injected(&err));
+            // In memory there is no WAL to flush and no boundary to hit.
+            Database::in_memory().sync().unwrap();
+        }
+        drop(db);
+        let db = Database::open(&dir, DbOptions::default()).unwrap();
+        assert_eq!(db.len("tokens").unwrap(), 3);
     }
 
     #[test]

@@ -45,14 +45,22 @@ pub fn encode_value(v: &Value, buf: &mut BytesMut) {
                 encode_value(item, buf);
             }
         }
-        Value::Object(map) => {
-            buf.put_u8(TAG_OBJECT);
-            buf.put_u32_le(map.len() as u32);
-            for (k, val) in map {
-                put_str(buf, k);
-                encode_value(val, buf);
-            }
-        }
+        Value::Object(map) => encode_object(map.len(), map.iter(), buf),
+    }
+}
+
+/// Append an object's encoding from borrowed fields (`n` of them, in
+/// iteration order).
+fn encode_object<'a>(
+    n: usize,
+    fields: impl Iterator<Item = (&'a String, &'a Value)>,
+    buf: &mut BytesMut,
+) {
+    buf.put_u8(TAG_OBJECT);
+    buf.put_u32_le(n as u32);
+    for (k, val) in fields {
+        put_str(buf, k);
+        encode_value(val, buf);
     }
 }
 
@@ -107,9 +115,11 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
     })
 }
 
-/// Encode a document (as its object value).
+/// Encode a document (as its object value), straight from its fields:
+/// the bytes equal `encode_value(&doc.to_value(), buf)` without cloning
+/// the field map first.
 pub fn encode_document(doc: &Document, buf: &mut BytesMut) {
-    encode_value(&doc.to_value(), buf);
+    encode_object(doc.len(), doc.iter(), buf);
 }
 
 /// Decode a document; errors when the value is not an object.
@@ -326,6 +336,20 @@ mod proptests {
             let out = decode_value(&mut bytes).expect("decode");
             prop_assert!(bytes.is_empty());
             prop_assert_eq!(out, v);
+        }
+
+        /// A document encodes from borrows to exactly the bytes of its
+        /// cloned object value.
+        #[test]
+        fn encode_document_matches_its_object_value(
+            fields in proptest::collection::btree_map("[a-z_]{1,8}", value_strategy(), 0..6),
+        ) {
+            let doc = Document::from_value(Value::Object(fields)).expect("object");
+            let mut borrowed = BytesMut::new();
+            encode_document(&doc, &mut borrowed);
+            let mut cloned = BytesMut::new();
+            encode_value(&doc.to_value(), &mut cloned);
+            prop_assert_eq!(borrowed.to_vec(), cloned.to_vec());
         }
 
         /// Corrupting any single byte of an encoded value either still

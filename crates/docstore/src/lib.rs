@@ -30,6 +30,9 @@
 //!   and survives both). Appends are framed `[len][crc32][payload]`, so a
 //!   crash mid-append leaves at worst a *torn tail*: recovery keeps the
 //!   intact frame prefix and discards the tear — never a partial record.
+//! * **After [`Database::sync`] returns** — every record appended so far
+//!   is `fsync`ed, whatever the [`WalSync`] mode: the way to make one
+//!   commit point power-loss durable without paying an fsync per append.
 //! * **After a torn write** — [`wal::read_wal`]/[`wal::read_frames`] stop
 //!   at the first bad frame and report `truncated_tail`; reopening a
 //!   writer ([`wal::FrameWriter::open`]) truncates the torn bytes *before*

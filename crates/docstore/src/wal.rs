@@ -89,8 +89,8 @@ pub enum WalOp {
 const OP_CREATE_COLLECTION: u8 = 1;
 const OP_DROP_COLLECTION: u8 = 2;
 const OP_CREATE_INDEX: u8 = 3;
-const OP_INSERT: u8 = 4;
-const OP_UPDATE: u8 = 5;
+pub(crate) const OP_INSERT: u8 = 4;
+pub(crate) const OP_UPDATE: u8 = 5;
 const OP_DELETE: u8 = 6;
 const OP_RENAME_COLLECTION: u8 = 7;
 
@@ -116,22 +116,12 @@ impl WalOp {
                 collection,
                 id,
                 doc,
-            } => {
-                buf.put_u8(OP_INSERT);
-                put_str(&mut buf, collection);
-                buf.put_u64_le(*id);
-                encode_document(doc, &mut buf);
-            }
+            } => return encode_doc_op(OP_INSERT, collection, *id, doc),
             WalOp::Update {
                 collection,
                 id,
                 doc,
-            } => {
-                buf.put_u8(OP_UPDATE);
-                put_str(&mut buf, collection);
-                buf.put_u64_le(*id);
-                encode_document(doc, &mut buf);
-            }
+            } => return encode_doc_op(OP_UPDATE, collection, *id, doc),
             WalOp::Delete { collection, id } => {
                 buf.put_u8(OP_DELETE);
                 put_str(&mut buf, collection);
@@ -208,6 +198,19 @@ impl WalOp {
         }
         Ok(op)
     }
+}
+
+/// The payload of an insert (`tag` [`OP_INSERT`]) or update
+/// ([`OP_UPDATE`]) record, encoded from borrows: the same bytes as the
+/// owned [`WalOp`]'s [`WalOp::encode`], without cloning the document into
+/// one first.
+pub(crate) fn encode_doc_op(tag: u8, collection: &str, id: u64, doc: &Document) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(64);
+    buf.put_u8(tag);
+    put_str(&mut buf, collection);
+    buf.put_u64_le(id);
+    encode_document(doc, &mut buf);
+    buf
 }
 
 /// Scan raw log bytes, returning `(intact_len, frames)`: the byte length
@@ -375,7 +378,12 @@ impl WalWriter {
     /// Append one framed record; flushes (and optionally fsyncs) before
     /// returning, so a successful append is at worst torn, never silent.
     pub fn append(&mut self, op: &WalOp) -> Result<()> {
-        self.inner.append_frame(&op.encode())
+        self.append_payload(&op.encode())
+    }
+
+    /// Append one already-encoded record payload (see [`encode_doc_op`]).
+    pub(crate) fn append_payload(&mut self, payload: &[u8]) -> Result<()> {
+        self.inner.append_frame(payload)
     }
 
     /// Records appended through this handle.

@@ -139,9 +139,15 @@ fn durable_ingest_under_env_failpoints_never_corrupts() {
 /// insists on a failure for the names it is known to hit.
 fn spec_reachable() -> bool {
     let spec = std::env::var(failpoint::ENV_VAR).unwrap_or_default();
-    ["delta.append", "delta.commit", "wal.append", "*"]
-        .iter()
-        .any(|name| spec.split([';', ',']).any(|p| p.trim().starts_with(name)))
+    [
+        "delta.append",
+        "delta.commit",
+        "wal.append",
+        "persist.commit",
+        "*",
+    ]
+    .iter()
+    .any(|name| spec.split([';', ',']).any(|p| p.trim().starts_with(name)))
 }
 
 #[test]
