@@ -273,8 +273,13 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    // The size check comes first: `max_threads` reads the environment and
+    // the host's CPU quota, which costs more than mapping one item.
+    if items.len() < MIN_PARALLEL_ITEMS || IS_POOL_WORKER.with(|flag| flag.get()) {
+        return items.iter().map(f).collect();
+    }
     let workers = max_threads().min(items.len());
-    if workers <= 1 || items.len() < MIN_PARALLEL_ITEMS || IS_POOL_WORKER.with(|flag| flag.get()) {
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
     par_map_pooled(items, workers, f)

@@ -60,11 +60,15 @@
 //!   this query's codes be indexed here?" without probing the map — the
 //!   skip-empty shard routing of `shard.rs` is built on it.
 //!
-//! Ingest can be parallelized with [`TokenDatabase::ingest_texts`], which
-//! computes tokenization and phonetic codes for a batch of texts across
-//! cores and then merges sequentially in input order, producing a database
-//! byte-identical to one built by calling
-//! [`TokenDatabase::ingest_text`] per text.
+//! Ingest runs through one batch prepare shared by every backend,
+//! [`PreparedBatch`]: each text is tokenized once, across cores; each word
+//! passes the ingest gates (at least 2 chars; some phonetic content when
+//! new to its shard), is routed to its shard (always shard 0 here) and,
+//! when new, is encoded at every level once, giving one word queue per
+//! shard. [`TokenDatabase::ingest_texts`] merges the queue in input order,
+//! byte-identical to calling [`TokenDatabase::ingest_text`] per text,
+//! whose words pass the same gates one at a time. The durable store writes
+//! its delta-log frames from the same prepared batch before merging it.
 //!
 //! [`TokenDatabase::persist_to`] and [`TokenDatabase::load_from`] move the
 //! whole database through the embedded document store (the MongoDB
@@ -87,6 +91,9 @@ use cryptext_common::{Error, Result};
 use cryptext_docstore::{Database, Document, Value};
 use cryptext_phonetics::{CustomSoundex, SoundexCode, MAX_PHONETIC_LEVEL};
 use cryptext_tokenizer::tokenize_spans;
+
+use crate::durable::DeltaStore;
+use crate::store::TokenStore;
 
 /// Number of materialized phonetic levels (`k = 0, 1, 2`).
 pub const NUM_LEVELS: usize = MAX_PHONETIC_LEVEL + 1;
@@ -365,32 +372,192 @@ thread_local! {
     static SHARED_SOUND_SCRATCH: RefCell<SoundScratch> = RefCell::new(SoundScratch::new());
 }
 
-/// A word token prepared off-thread during parallel ingest. Shared with
-/// the shard router, which prepares against the routed shard's state and
-/// scatters the words into per-shard merge queues.
-pub(crate) enum PreparedWord {
-    /// Too short or no phonetic content; counts toward the token total but
-    /// is not stored.
-    Skip,
-    /// Already in the database when the batch was prepared; the record id
-    /// was resolved during the parallel phase, so the sequential merge
-    /// bumps the count directly without re-probing `by_token` (the extra
-    /// probe per token used to make batch ingest slower than sequential on
-    /// single-core hosts).
-    Known(u32),
-    /// Repeat of a new token first seen earlier in the same text; its
-    /// `Fresh` occurrence merges first, so the merge resolves this one
-    /// against `by_token`.
-    Repeat(String),
-    /// New token with phonetic codes precomputed in the parallel phase.
-    Fresh(String, Box<[Vec<SoundexCode>; NUM_LEVELS]>),
+/// A word of a prepared batch, queued for the shard that owns it. Each
+/// variant carries the word itself, borrowed from the batch's input.
+pub(crate) enum PreparedWord<'t> {
+    /// Stored in its shard when the batch was prepared, at this record id,
+    /// so the merge bumps the count without a second `by_token` probe.
+    Known(&'t str, u32),
+    /// A new word first prepared earlier in the same input; that `Fresh`
+    /// occurrence merges first, so the merge resolves this one against
+    /// `by_token`.
+    Repeat(&'t str),
+    /// A new word with its codes at every level.
+    Fresh(&'t str, Box<[Vec<SoundexCode>; NUM_LEVELS]>),
 }
 
-/// One text prepared off-thread during parallel ingest.
-struct PreparedText {
-    words: Vec<PreparedWord>,
-    any_word: bool,
-    all_english: bool,
+impl<'t> PreparedWord<'t> {
+    /// The word as it appeared in the input.
+    pub(crate) fn token(&self) -> &'t str {
+        match *self {
+            PreparedWord::Known(t, _) | PreparedWord::Repeat(t) | PreparedWord::Fresh(t, _) => t,
+        }
+    }
+}
+
+/// What the inputs of a [`PreparedBatch`] are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inputs {
+    /// Texts: tokenized; a text with at least one word, all of them
+    /// dictionary words, is kept as an LM training sentence.
+    Texts,
+    /// Raw token occurrences, one word each, never a sentence.
+    Tokens,
+}
+
+/// A batch of ingest input prepared against one store state: every input
+/// tokenized once, every word through the ingest gates, routed to its
+/// shard and, when new, encoded at every level once. It borrows the
+/// inputs and must be merged into the state it was prepared against.
+/// Built and merged only inside this crate (see
+/// [`crate::durable::DeltaStore`]).
+pub struct PreparedBatch<'t> {
+    /// One queue per shard: the words it merges, in input order.
+    pub(crate) queues: Vec<Queue<'t>>,
+    /// Texts that pass the clean-sentence rule, in input order.
+    pub(crate) clean: Vec<&'t str>,
+    /// Word tokens in the batch, gated-out ones included.
+    pub(crate) words: usize,
+}
+
+/// A shard's merge queue: its words in input order, as runs. A single
+/// shard's runs are the inputs' own word lists, moved out of the parallel
+/// prepare uncopied; several shards gather each queue into one run.
+pub(crate) type Queue<'t> = Vec<Vec<PreparedWord<'t>>>;
+
+/// Per-input memo of the batch prepare, so a word repeated within one
+/// input routes and encodes once.
+#[derive(Default)]
+struct WordMemo<'t> {
+    /// Word → owning shard (multi-shard stores only).
+    routed: FxHashMap<&'t str, usize>,
+    /// New word → whether it has phonetic content (`Fresh` was emitted).
+    fresh: FxHashMap<&'t str, bool>,
+}
+
+impl<'t> WordMemo<'t> {
+    /// The ingest rule for one word occurrence, and the only copy of its
+    /// gates: a word is stored only if it has at least 2 chars and, when
+    /// its shard does not store it yet, some phonetic content (a level-0
+    /// code). Returns the owning shard (`route` is not called for a single
+    /// shard) and the prepared word, or `None` when the word is gated out.
+    fn prepare_word(
+        &mut self,
+        t: &'t str,
+        shards: &[TokenDatabase],
+        route: &impl Fn(&str) -> usize,
+    ) -> Option<(usize, PreparedWord<'t>)> {
+        if t.chars().count() < 2 {
+            return None;
+        }
+        let s = if shards.len() == 1 {
+            0
+        } else {
+            *self.routed.entry(t).or_insert_with(|| route(t))
+        };
+        let shard = &shards[s];
+        if let Some(&id) = shard.by_token.get(t) {
+            return Some((s, PreparedWord::Known(t, id)));
+        }
+        let word = match self.fresh.get(t) {
+            Some(true) => PreparedWord::Repeat(t),
+            Some(false) => return None,
+            None => {
+                let codes = shard.compute_codes(t);
+                let sounds = !codes[0].is_empty();
+                self.fresh.insert(t, sounds);
+                if !sounds {
+                    return None;
+                }
+                PreparedWord::Fresh(t, Box::new(codes))
+            }
+        };
+        Some((s, word))
+    }
+}
+
+impl<'t> PreparedBatch<'t> {
+    /// Prepare `inputs` against `shards`, routing each word with `route`
+    /// (not called for a single shard, which owns every word). Inputs are
+    /// prepared in parallel and scattered into the shard queues in input
+    /// order; every word resolves against the pre-batch state.
+    pub(crate) fn new(
+        inputs: impl IntoIterator<Item = &'t str>,
+        kind: Inputs,
+        shards: &[TokenDatabase],
+        route: impl Fn(&str) -> usize + Sync,
+    ) -> Self {
+        let inputs: Vec<&'t str> = inputs.into_iter().collect();
+        let prepared = par_map(&inputs, |&input| {
+            let mut memo = WordMemo::default();
+            // The input's words, and with several shards each one's owner.
+            let (mut words, mut owners) = (Vec::new(), Vec::new());
+            let mut add = |t| {
+                if let Some((s, word)) = memo.prepare_word(t, shards, &route) {
+                    words.push(word);
+                    if shards.len() > 1 {
+                        owners.push(s);
+                    }
+                }
+            };
+            let (n, clean) = match kind {
+                Inputs::Tokens => {
+                    add(input);
+                    (1, false)
+                }
+                Inputs::Texts => {
+                    let (mut n, mut all_english) = (0, true);
+                    for tok in tokenize_spans(input) {
+                        if tok.is_word() {
+                            let t = tok.text(input);
+                            n += 1;
+                            all_english &= cryptext_corpus::is_english_word(t);
+                            add(t);
+                        }
+                    }
+                    (n, n > 0 && all_english)
+                }
+            };
+            (n, clean, words, owners)
+        });
+        // One shard: each input's words are a run of its queue, moved as
+        // they are. Several: each shard's words gather into one run, sized
+        // up front.
+        let mut gathered: Vec<Vec<PreparedWord<'t>>> = Vec::new();
+        if shards.len() > 1 {
+            let mut lens = vec![0; shards.len()];
+            for &s in prepared.iter().flat_map(|(_, _, _, owners)| owners) {
+                lens[s] += 1;
+            }
+            gathered = lens.into_iter().map(Vec::with_capacity).collect();
+        }
+        let mut batch = PreparedBatch {
+            queues: shards.iter().map(|_| Vec::new()).collect(),
+            clean: Vec::new(),
+            words: 0,
+        };
+        for (input, (n, clean, words, owners)) in inputs.into_iter().zip(prepared) {
+            batch.words += n;
+            if clean {
+                batch.clean.push(input);
+            }
+            if shards.len() == 1 {
+                if !words.is_empty() {
+                    batch.queues[0].push(words);
+                }
+            } else {
+                for (word, s) in words.into_iter().zip(owners) {
+                    gathered[s].push(word);
+                }
+            }
+        }
+        for (queue, run) in batch.queues.iter_mut().zip(gathered) {
+            if !run.is_empty() {
+                queue.push(run);
+            }
+        }
+        batch
+    }
 }
 
 /// Cap on accumulated LM training sentences, shared by both
@@ -407,7 +574,6 @@ pub struct TokenDatabase {
     buckets: [CodeIndex; NUM_LEVELS],
     /// Clean sentences accumulated for LM training (bounded).
     clean_sentences: Vec<String>,
-    max_clean_sentences: usize,
 }
 
 impl Default for TokenDatabase {
@@ -433,7 +599,6 @@ impl TokenDatabase {
                 CodeIndex::default(),
             ],
             clean_sentences: Vec::new(),
-            max_clean_sentences: MAX_CLEAN_SENTENCES,
         }
     }
 
@@ -500,94 +665,60 @@ impl TokenDatabase {
     }
 
     /// Ingest one raw token occurrence (case-sensitive, as the paper's
-    /// curation does). Tokens without letter interpretation are skipped.
+    /// curation does) through the batch prepare's gates, so tokens without
+    /// letter interpretation are skipped.
     pub fn ingest_token(&mut self, token: &str) {
-        if token.chars().count() < 2 {
-            return;
+        let word = WordMemo::default().prepare_word(token, std::slice::from_ref(self), &|_| 0);
+        if let Some((_, word)) = word {
+            self.merge_word(word);
         }
-        if self.soundex[0].encode(token).is_none() {
-            return; // no phonetic content
-        }
-        self.upsert_token(token, 1);
     }
 
     /// Tokenize `text` and ingest every word token. Returns how many
     /// tokens were ingested. If the sentence is fully in-dictionary it is
-    /// also recorded as LM training material.
+    /// also recorded as LM training material. This is
+    /// [`TokenStore::ingest_text`]'s sequential reference loop.
     pub fn ingest_text(&mut self, text: &str) -> usize {
-        let mut n = 0;
-        let mut all_english = true;
-        let mut any_word = false;
-        for tok in tokenize_spans(text) {
-            if tok.is_word() {
-                let word = tok.text(text);
-                any_word = true;
-                self.ingest_token(word);
-                if !cryptext_corpus::is_english_word(word) {
-                    all_english = false;
-                }
-                n += 1;
-            }
-        }
-        if any_word && all_english && self.clean_sentences.len() < self.max_clean_sentences {
-            self.clean_sentences.push(text.to_string());
-        }
-        n
+        TokenStore::ingest_text(self, text)
     }
 
-    /// Ingest a batch of texts, parallelizing the expensive per-token work
-    /// (tokenization, confusable folding, Soundex encoding at all levels)
-    /// across cores and merging sequentially in input order. Tokens already
-    /// present when the batch is prepared carry their resolved record id
-    /// into the merge, so the sequential phase is a plain count bump per
-    /// known token — no second `by_token` probe.
+    /// Ingest a batch of texts: one [`PreparedBatch`] (tokenization,
+    /// confusable folding and Soundex encoding at all levels, across
+    /// cores), merged sequentially in input order. Tokens already present
+    /// when the batch is prepared carry their resolved record id into the
+    /// merge, so the sequential phase is a plain count bump per known
+    /// token — no second `by_token` probe.
     ///
     /// The resulting database state — record ids, bucket posting order,
     /// counts, clean sentences — is **identical** to calling
     /// [`TokenDatabase::ingest_text`] on each text in order. Returns the
     /// total word-token count, i.e. the sum of the per-text returns.
     pub fn ingest_texts<S: AsRef<str> + Sync>(&mut self, texts: &[S]) -> usize {
-        let prepared: Vec<PreparedText> = par_map(texts, |text| self.prepare_text(text.as_ref()));
-
-        let mut n = 0;
-        for (text, prep) in texts.iter().zip(prepared) {
-            n += prep.words.len();
-            for word in prep.words {
-                self.merge_prepared_word(word);
-            }
-            if prep.any_word
-                && prep.all_english
-                && self.clean_sentences.len() < self.max_clean_sentences
-            {
-                self.clean_sentences.push(text.as_ref().to_string());
-            }
-        }
-        n
+        self.merge(self.prepare(texts.iter().map(AsRef::as_ref), Inputs::Texts))
     }
 
-    /// Apply one prepared word to the store — the sequential half of batch
-    /// ingest. Shared with the shard router, which merges each shard's
-    /// scattered word queue through this in parallel.
-    pub(crate) fn merge_prepared_word(&mut self, word: PreparedWord) {
+    /// Apply one prepared word — the sequential half of batch ingest.
+    /// Shared with the shard router, which merges each shard's queue
+    /// through this in parallel.
+    pub(crate) fn merge_word(&mut self, word: PreparedWord<'_>) {
         match word {
-            PreparedWord::Skip => {}
-            PreparedWord::Known(id) => {
+            PreparedWord::Known(_, id) => {
                 self.records[id as usize].count += 1;
             }
             PreparedWord::Repeat(t) => {
                 let id = *self
                     .by_token
-                    .get(t.as_str())
-                    .expect("Repeat follows its Fresh within one text");
+                    .get(t)
+                    .expect("Repeat follows its Fresh within one input");
                 self.records[id as usize].count += 1;
             }
             PreparedWord::Fresh(t, codes) => {
-                // An earlier text in this batch may have inserted it
+                // An earlier input in this batch may have inserted it
                 // already; fall back to a plain count bump.
-                if let Some(&id) = self.by_token.get(t.as_str()) {
+                if let Some(&id) = self.by_token.get(t) {
                     self.records[id as usize].count += 1;
                 } else {
-                    self.insert_new(&t, 1, *codes);
+                    self.insert_new(t, 1, *codes);
                 }
             }
         }
@@ -615,14 +746,6 @@ impl TokenDatabase {
         self.records.push(rec);
     }
 
-    /// Is `token` stored, and at which dense record id? Crate internal:
-    /// the shard router's batch-prepare resolves ids against the routed
-    /// shard before the merge phase.
-    #[inline]
-    pub(crate) fn id_of_token(&self, token: &str) -> Option<u32> {
-        self.by_token.get(token).copied()
-    }
-
     /// Distinct interned code names at level `k`, in interning order.
     /// Crate internal: the shard router unions these across shards for
     /// [`TokenDatabase::stats`]-compatible sound counts.
@@ -630,60 +753,10 @@ impl TokenDatabase {
         &self.buckets[k].names
     }
 
-    /// The read-only, parallel-safe half of ingest: tokenize and encode.
-    /// Token text is borrowed from `text` throughout; owned `String`s are
-    /// materialized only for genuinely new tokens.
-    fn prepare_text(&self, text: &str) -> PreparedText {
-        let mut words = Vec::new();
-        let mut any_word = false;
-        let mut all_english = true;
-        // New tokens already encoded earlier in this text: true = emitted
-        // as `Fresh` (later occurrences just count), false = unencodable
-        // (later occurrences skip). Avoids re-running the 3-level encoder
-        // for every repeat of the same new word.
-        let mut local: FxHashMap<&str, bool> = FxHashMap::default();
-        for tok in tokenize_spans(text) {
-            if !tok.is_word() {
-                continue;
-            }
-            let t = tok.text(text);
-            any_word = true;
-            if !cryptext_corpus::is_english_word(t) {
-                all_english = false;
-            }
-            let word = if t.chars().count() < 2 {
-                PreparedWord::Skip
-            } else if let Some(&id) = self.by_token.get(t) {
-                PreparedWord::Known(id)
-            } else {
-                match local.get(t) {
-                    Some(true) => PreparedWord::Repeat(t.to_string()),
-                    Some(false) => PreparedWord::Skip,
-                    None => {
-                        let codes = self.compute_codes(t);
-                        if codes[0].is_empty() {
-                            local.insert(t, false);
-                            PreparedWord::Skip // no phonetic content
-                        } else {
-                            local.insert(t, true);
-                            PreparedWord::Fresh(t.to_string(), Box::new(codes))
-                        }
-                    }
-                }
-            };
-            words.push(word);
-        }
-        PreparedText {
-            words,
-            any_word,
-            all_english,
-        }
-    }
-
     /// Record a known-clean sentence for LM training without ingesting
     /// perturbations (used when gold clean text is available).
     pub fn record_clean_sentence(&mut self, text: &str) {
-        if self.clean_sentences.len() < self.max_clean_sentences {
+        if self.clean_sentences.len() < MAX_CLEAN_SENTENCES {
             self.clean_sentences.push(text.to_string());
         }
     }
@@ -964,6 +1037,40 @@ impl TokenDatabase {
             }
         }
         Ok(())
+    }
+}
+
+/// A single instance is one shard: every word routes to it.
+impl DeltaStore for TokenDatabase {
+    fn fresh(_shards: usize) -> Self {
+        TokenDatabase::in_memory()
+    }
+
+    fn prepare<'t>(
+        &self,
+        inputs: impl IntoIterator<Item = &'t str>,
+        kind: Inputs,
+    ) -> PreparedBatch<'t> {
+        PreparedBatch::new(inputs, kind, std::slice::from_ref(self), |_| 0)
+    }
+
+    /// The sequential merge, in input order.
+    fn merge(&mut self, batch: PreparedBatch<'_>) -> usize {
+        for word in batch.queues.into_iter().flatten().flatten() {
+            self.merge_word(word);
+        }
+        for text in batch.clean {
+            self.record_clean_sentence(text);
+        }
+        batch.words
+    }
+
+    fn apply_upsert(&mut self, token: &str, delta: u64) {
+        self.upsert_token(token, delta);
+    }
+
+    fn seed_shard(&mut self, _shard: usize) {
+        self.seed_lexicon();
     }
 }
 

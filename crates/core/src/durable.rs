@@ -8,10 +8,14 @@
 //! ([`cryptext_docstore::wal::FrameWriter`]) for append-only **delta
 //! logs**:
 //!
-//! * **One delta log per shard** — each ingest batch scatters its applied
-//!   `(token, +count)` upserts into the logs of the shards that own them
-//!   (a flat [`TokenDatabase`] is one shard). An append is O(batch), not
-//!   O(corpus).
+//! * **One delta log per shard** — an ingest batch is prepared once by the
+//!   inner store ([`PreparedBatch`]: tokenized, gated, routed, encoded),
+//!   and each touched shard's word queue, coalesced by token in
+//!   first-occurrence order, becomes one `(token, +count)` frame in that
+//!   shard's log (a flat [`crate::TokenDatabase`] is one shard). The same
+//!   prepared batch is then merged, so the frames recovery replays and the
+//!   state live ingest applies come from one prepare. An append is
+//!   O(batch), not O(corpus).
 //! * **Two-phase batch commit** — the per-shard frames carry a monotonic
 //!   `batch_seq`; a record in the separate **commit log**, appended
 //!   *after* every shard frame, is the batch's atomicity point. Recovery
@@ -71,11 +75,10 @@ use cryptext_common::hash::{FxHashMap, FxHashSet};
 use cryptext_common::metrics::{Histogram, MetricsRegistry};
 use cryptext_common::{Error, Result};
 use cryptext_docstore::wal::{read_frames, FrameWriter};
-use cryptext_docstore::{Database, DbOptions, Document, Filter, Value};
+use cryptext_docstore::{Database, DbOptions, Document, Value};
 use cryptext_phonetics::CustomSoundex;
-use cryptext_tokenizer::tokenize_spans;
 
-use crate::database::{EncodedQuery, SoundScratch, TokenDatabase, TokenRecord, TokenStats};
+use crate::database::{EncodedQuery, Inputs, PreparedBatch, SoundScratch, TokenRecord, TokenStats};
 use crate::shard::ShardedTokenDatabase;
 use crate::store::TokenStore;
 
@@ -91,59 +94,34 @@ const FRAME_DELTAS: u8 = 1;
 const FRAME_SEED: u8 = 2;
 
 /// A [`TokenStore`] whose ingest the durable layer can log and replay.
+/// Each backend implements it next to its own code.
 ///
-/// The contract: `apply_upsert(token, 1)` in scatter order reproduces the
-/// store's own ingest application exactly (both backends funnel into the
-/// same `upsert_token`), and `route_token` is the stable shard assignment
-/// the delta logs are keyed by.
+/// The contract: ingest is a [`PreparedBatch`] — one queue of words per
+/// shard, each already routed to the shard (the delta log) that owns it —
+/// merged into the state it was prepared against; the store's own
+/// `ingest_texts` is exactly that. The durable layer writes its frames
+/// from the prepared batch between the two steps. Replaying a frame's
+/// `apply_upsert(token, count)` calls in order reproduces the merge of
+/// that shard's queue (both funnel into the same record insert, in
+/// first-occurrence order).
 pub trait DeltaStore: TokenStore + Sized {
     /// An empty store over `shards` shards (ignored by single-instance
     /// backends).
     fn fresh(shards: usize) -> Self;
-    /// The delta log that owns `token`'s upserts (always 0 for a single
-    /// instance).
-    fn route_token(&self, token: &str) -> usize;
+    /// Prepare a batch against the current state.
+    fn prepare<'t>(
+        &self,
+        inputs: impl IntoIterator<Item = &'t str>,
+        kind: Inputs,
+    ) -> PreparedBatch<'t>;
+    /// Merge a batch prepared against the current state; returns its
+    /// word-token count.
+    fn merge(&mut self, batch: PreparedBatch<'_>) -> usize;
     /// Apply one replayed count delta (insert-or-increment).
     fn apply_upsert(&mut self, token: &str, delta: u64);
     /// Seed the slice of the English lexicon owned by `shard` — the exact
     /// subsequence a live [`TokenStore::seed_lexicon`] routes there.
     fn seed_shard(&mut self, shard: usize);
-}
-
-impl DeltaStore for TokenDatabase {
-    fn fresh(_shards: usize) -> Self {
-        TokenDatabase::in_memory()
-    }
-
-    fn route_token(&self, _token: &str) -> usize {
-        0
-    }
-
-    fn apply_upsert(&mut self, token: &str, delta: u64) {
-        self.upsert_token(token, delta);
-    }
-
-    fn seed_shard(&mut self, _shard: usize) {
-        TokenDatabase::seed_lexicon(self);
-    }
-}
-
-impl DeltaStore for ShardedTokenDatabase {
-    fn fresh(shards: usize) -> Self {
-        ShardedTokenDatabase::in_memory(shards)
-    }
-
-    fn route_token(&self, token: &str) -> usize {
-        self.route(token)
-    }
-
-    fn apply_upsert(&mut self, token: &str, delta: u64) {
-        self.upsert_routed(token, delta);
-    }
-
-    fn seed_shard(&mut self, shard: usize) {
-        self.seed_lexicon_shard(shard);
-    }
 }
 
 /// Tuning knobs for [`DurableTokenStore::open`].
@@ -210,7 +188,7 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         let (epoch, shards, included) = match Self::read_manifest(&store)? {
             Some(m) => m,
             None => {
-                // First open (or a crash before the first manifest insert
+                // First open (or a crash before the first manifest swap
                 // landed — no batch can have been logged yet): pin the
                 // shard count before any log is written.
                 Self::swap_manifest(&store, 0, opts.shards.max(1), 0)?;
@@ -365,23 +343,33 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         rest[..end].parse().ok()
     }
 
+    /// The live manifest's `(epoch, shards, included_batch)`, or `None`
+    /// when there is no manifest collection yet — the only first-open
+    /// state, since the collection is created by a rename of a staged,
+    /// complete document. A document missing, or a field missing, of the
+    /// wrong type or out of range, is [`Error::Corrupt`] naming it: opening
+    /// over it as a first open would drop every record of the live epoch.
     fn read_manifest(store: &Database) -> Result<Option<(u64, usize, u64)>> {
         if !store.has_collection(MANIFEST) {
             return Ok(None);
         }
-        let Some((_, doc)) = store.find_one(MANIFEST, &Filter::All)? else {
-            return Ok(None);
-        };
-        let epoch = doc.get("epoch").and_then(Value::as_int).unwrap_or(-1);
-        let shards = doc.get("shards").and_then(Value::as_int).unwrap_or(0);
-        let included = doc
-            .get("included_batch")
-            .and_then(Value::as_int)
-            .unwrap_or(-1);
-        if epoch < 0 || shards <= 0 || included < 0 {
-            return Ok(None);
-        }
-        Ok(Some((epoch as u64, shards as usize, included as u64)))
+        store.read_collection(MANIFEST, |docs| {
+            let (_, doc) = docs
+                .scan()
+                .min_by_key(|&(id, _)| id)
+                .ok_or_else(|| Error::corrupt(format!("manifest {MANIFEST} has no document")))?;
+            let field = |name: &str, min: i64| match doc.get(name) {
+                Some(Value::Int(v)) if *v >= min => Ok(*v as u64),
+                Some(v) => Err(Error::corrupt(format!(
+                    "manifest {MANIFEST}: {name} is {v}, not an integer >= {min}"
+                ))),
+                None => Err(Error::corrupt(format!("manifest {MANIFEST} has no {name}"))),
+            };
+            let epoch = field("epoch", 0)?;
+            let shards = field("shards", 1)? as usize;
+            let included = field("included_batch", 0)?;
+            Ok(Some((epoch, shards, included)))
+        })?
     }
 
     /// Build the manifest under a staging name and rename it over the
@@ -438,87 +426,32 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         }
     }
 
-    /// The upserts a batch of texts will apply, scattered per shard:
-    /// word tokens passing the ingest gates (≥ 2 chars, phonetic
-    /// content), coalesced by token at first-occurrence position — which
-    /// preserves the id-assignment order of uncoalesced ingest.
-    fn batch_ops<'t>(
-        &self,
-        texts: impl Iterator<Item = &'t str>,
-    ) -> Result<Vec<Vec<(String, u64)>>> {
-        let sx = self.inner.soundex(0)?;
-        let n = self.inner.num_shards();
-        let mut per_shard: Vec<Vec<(String, u64)>> = (0..n).map(|_| Vec::new()).collect();
-        // token → None (gated out) or (shard, index in that shard's ops).
-        let mut seen: FxHashMap<String, Option<(usize, usize)>> = FxHashMap::default();
-        for text in texts {
-            for tok in tokenize_spans(text) {
-                if !tok.is_word() {
-                    continue;
-                }
-                let t = tok.text(text);
-                if t.chars().count() < 2 {
-                    continue;
-                }
-                match seen.get(t).copied() {
-                    Some(None) => {}
-                    Some(Some((s, i))) => per_shard[s][i].1 += 1,
-                    None => {
-                        if sx.encode(t).is_none() {
-                            seen.insert(t.to_string(), None);
-                        } else {
-                            let s = self.inner.route_token(t);
-                            per_shard[s].push((t.to_string(), 1));
-                            seen.insert(t.to_string(), Some((s, per_shard[s].len() - 1)));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(per_shard)
+    /// Log a prepared batch — one delta frame per touched shard, then the
+    /// commit record — and merge it. On `Err` nothing was applied.
+    fn log_and_merge(&mut self, batch: PreparedBatch<'_>) -> Result<usize> {
+        self.log_batch(delta_frames(self.next_batch, &batch))?;
+        Ok(self.inner.merge(batch))
     }
 
-    fn delta_frames(&self, per_shard: &[Vec<(String, u64)>]) -> Vec<(usize, Vec<u8>)> {
-        let seq = self.next_batch;
-        per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, ops)| !ops.is_empty())
-            .map(|(s, ops)| (s, encode_delta_frame(seq, ops)))
-            .collect()
-    }
-
-    /// Durably ingest one batch of texts: log first (one frame per
-    /// touched shard + the commit record), then apply through the inner
-    /// store's parallel batch path. On `Err` nothing was applied.
+    /// Durably ingest one batch of texts: prepare it once in the inner
+    /// store, log it (one frame per touched shard + the commit record),
+    /// then merge the same prepared batch. On `Err` nothing was applied.
     pub fn try_ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> Result<usize> {
         self.ensure_live()?;
-        let per_shard = self.batch_ops(texts.iter().map(AsRef::as_ref))?;
-        let frames = self.delta_frames(&per_shard);
-        self.log_batch(frames)?;
-        Ok(self.inner.ingest_texts(texts))
+        let texts = texts.iter().map(AsRef::as_ref);
+        self.log_and_merge(self.inner.prepare(texts, Inputs::Texts))
     }
 
     /// Durably ingest one text as one batch. On `Err` nothing was applied.
     pub fn try_ingest_text(&mut self, text: &str) -> Result<usize> {
-        self.ensure_live()?;
-        let per_shard = self.batch_ops(std::iter::once(text))?;
-        let frames = self.delta_frames(&per_shard);
-        self.log_batch(frames)?;
-        Ok(self.inner.ingest_text(text))
+        self.try_ingest_texts(&[text])
     }
 
     /// Durably ingest one raw token occurrence (its own tiny batch).
     pub fn try_ingest_token(&mut self, token: &str) -> Result<()> {
         self.ensure_live()?;
-        if token.chars().count() < 2 || self.inner.soundex(0)?.encode(token).is_none() {
-            return Ok(()); // gated out: nothing to log or apply
-        }
-        let s = self.inner.route_token(token);
-        let frame = encode_delta_frame(self.next_batch, &[(token.to_string(), 1)]);
-        self.log_batch(vec![(s, frame)])?;
-        self.inner.ingest_token(token);
-        Ok(())
+        self.log_and_merge(self.inner.prepare([token], Inputs::Tokens))
+            .map(drop)
     }
 
     /// Durably seed the English lexicon: one marker frame per shard log
@@ -742,7 +675,35 @@ impl<S: DeltaStore> TokenStore for DurableTokenStore<S> {
     }
 }
 
-fn encode_delta_frame(seq: u64, ops: &[(String, u64)]) -> Vec<u8> {
+/// One delta frame per touched shard of a prepared batch: the shard's
+/// queue coalesced by token at first occurrence, which preserves the
+/// id-assignment order of the uncoalesced merge.
+fn delta_frames(seq: u64, batch: &PreparedBatch<'_>) -> Vec<(usize, Vec<u8>)> {
+    let mut at: FxHashMap<&str, usize> = FxHashMap::default();
+    let mut ops: Vec<(&str, u64)> = Vec::new();
+    let mut frames = Vec::new();
+    for (s, queue) in batch.queues.iter().enumerate() {
+        if queue.is_empty() {
+            continue;
+        }
+        at.clear();
+        ops.clear();
+        for word in queue.iter().flatten() {
+            let token = word.token();
+            match at.get(token) {
+                Some(&i) => ops[i].1 += 1,
+                None => {
+                    at.insert(token, ops.len());
+                    ops.push((token, 1));
+                }
+            }
+        }
+        frames.push((s, encode_delta_frame(seq, &ops)));
+    }
+    frames
+}
+
+fn encode_delta_frame(seq: u64, ops: &[(&str, u64)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(13 + ops.len() * 20);
     out.extend_from_slice(&seq.to_le_bytes());
     out.push(FRAME_DELTAS);
@@ -828,12 +789,14 @@ fn decode_commit_frame(frame: &[u8]) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::TokenDatabase;
     use crate::ingest::Crawler;
     use crate::lookup::LookupParams;
     use crate::CrypText;
+    use cryptext_docstore::Filter;
     use cryptext_stream::{SocialPlatform, StreamConfig};
 
-    fn tmp_dir(name: &str) -> PathBuf {
+    pub(super) fn tmp_dir(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!(
             "cryptext-durable-{name}-{}-{:?}",
             std::process::id(),
@@ -843,7 +806,7 @@ mod tests {
         p
     }
 
-    fn opts(shards: usize) -> DurableOptions {
+    pub(super) fn opts(shards: usize) -> DurableOptions {
         DurableOptions {
             shards,
             sync_every_batch: false,
@@ -1333,6 +1296,153 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Decode a hex string into bytes.
+    fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The delta-log bytes of one batch into a fresh, lexicon-seeded
+    /// 2-shard store are pinned. The batch repeats `dirrty` within and
+    /// across texts, holds the 1-char `a` (a stored lexicon word, still
+    /// under the 2-char gate), lexicon words already stored (`the`,
+    /// `democrats`, `and`) and `漢字`/`ёё` (no phonetic content). Each log
+    /// holds its shard's seed frame (batch 1), then the batch's frame
+    /// (batch 2) with its tokens coalesced in first-occurrence order:
+    /// shard 0 `the`×2, `republicans`, `democrats`, `and`, `vacc1ne`×2;
+    /// shard 1 `dirrty`×4. A frame is a little-endian length and CRC, the
+    /// batch sequence and the frame kind (2 seed, 1 deltas: op count, then
+    /// length-prefixed token and count per op).
+    #[test]
+    fn delta_log_bytes_are_pinned() {
+        let dir = tmp_dir("golden");
+        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+        dur.try_seed_lexicon().unwrap();
+        dur.try_ingest_texts(&[
+            "the dirrty dirrty republicans a",
+            "dirrty 漢字 democrats and ёё vacc1ne",
+            "a vacc1ne the dirrty",
+        ])
+        .unwrap();
+        drop(dur);
+        let read = |p: PathBuf| std::fs::read(p).unwrap();
+        let log = |s| {
+            read(DurableTokenStore::<ShardedTokenDatabase>::log_path_in(
+                &dir, s,
+            ))
+        };
+        let seed_frame = "09000000c1617c1f010000000000000002";
+        let delta_0 = [
+            seed_frame,
+            "6a000000e7b858fc02000000000000000105000000", // 5 ops
+            "030000007468650200000000000000",             // the ×2
+            "0b00000072657075626c6963616e730100000000000000", // republicans
+            "0900000064656d6f63726174730100000000000000", // democrats
+            "03000000616e640100000000000000",             // and
+            "0700000076616363316e650200000000000000",     // vacc1ne ×2
+        ];
+        let delta_1 = [
+            seed_frame,
+            "1f000000c83521a302000000000000000101000000", // 1 op
+            "060000006469727274790400000000000000",       // dirrty ×4
+        ];
+        let commit = [
+            "08000000f7df88a90100000000000000", // batch 1
+            "0800000014d807270200000000000000", // batch 2
+        ];
+        assert_eq!(log(0), hex(&delta_0.concat()));
+        assert_eq!(log(1), hex(&delta_1.concat()));
+        assert_eq!(
+            read(DurableTokenStore::<ShardedTokenDatabase>::commit_path_in(
+                &dir
+            )),
+            hex(&commit.concat())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch killed at its commit record — its shard frame whole on
+    /// disk, its commit record missing — never comes back: the next open
+    /// numbers new batches past it, so a later batch's commit record can
+    /// never adopt its frame, even across a second open without a
+    /// compaction in between.
+    #[test]
+    fn a_batch_killed_at_its_commit_record_never_comes_back() {
+        let dir = tmp_dir("commit-kill");
+        let (a, b, c) = (
+            "the dirrty republicans",
+            "vacc1ne mandate",
+            "thinking about suic1de",
+        );
+        let log = DurableTokenStore::<TokenDatabase>::log_path_in(&dir, 0);
+        let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        dur.try_ingest_text(a).unwrap();
+        let log_after_a = std::fs::metadata(&log).unwrap().len();
+
+        failpoint::reset_hits();
+        let guard = failpoint::arm("delta.commit", "kill@1");
+        let err = dur.try_ingest_text(b).unwrap_err();
+        assert!(failpoint::is_injected(&err));
+        drop(guard);
+        drop(dur);
+        assert!(
+            std::fs::metadata(&log).unwrap().len() > log_after_a,
+            "the killed batch's shard frame is on disk"
+        );
+
+        let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        dur.try_ingest_text(c).unwrap();
+        drop(dur);
+        let dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let mut want = TokenDatabase::in_memory();
+        want.ingest_text(a);
+        want.ingest_text(c);
+        assert_eq!(dur.inner().records(), want.records());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Only a missing manifest collection is a first open. A manifest
+    /// whose fields a swap never writes is corrupt, naming the field —
+    /// opening it as a fresh store would drop the live epoch's records.
+    #[test]
+    fn a_bad_manifest_is_corrupt_not_a_first_open() {
+        let dir = tmp_dir("bad-manifest");
+        {
+            let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+            dur.try_ingest_text("the dirrty republicans").unwrap();
+            dur.compact().unwrap();
+        }
+        let snapshots = dir.join("snapshots");
+        let manifest = {
+            let store = Database::open(&snapshots, DbOptions::default()).unwrap();
+            store.find_one(MANIFEST, &Filter::All).unwrap().unwrap().1
+        };
+        // Write the manifest back through `tamper`, then open.
+        let open_tampered = |tamper: &dyn Fn(&mut Document)| {
+            {
+                let store = Database::open(&snapshots, DbOptions::default()).unwrap();
+                let (id, _) = store.find_one(MANIFEST, &Filter::All).unwrap().unwrap();
+                let mut doc = manifest.clone();
+                tamper(&mut doc);
+                store.update(MANIFEST, id, doc).unwrap();
+            }
+            let err = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1))
+                .err()
+                .expect("a tampered manifest must not open");
+            assert!(matches!(err, Error::Corrupt(_)), "{err}");
+            err.to_string()
+        };
+        let err = open_tampered(&|m| m.set("shards", Value::Int(0)));
+        assert!(err.contains("shards is 0"), "{err}");
+        let err = open_tampered(&|m| {
+            m.remove("included_batch");
+        });
+        assert!(err.contains("has no included_batch"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn load_from_refuses_durable_stores() {
         let store = Database::in_memory();
@@ -1346,7 +1456,57 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::database::TokenDatabase;
     use proptest::prelude::*;
+
+    /// Ingest words: perturbation-shaped strings (some a single char),
+    /// dictionary words the seeded lexicon already stores (`a` among them,
+    /// under the 2-char gate), and words with no phonetic content.
+    fn word() -> impl Strategy<Value = String> {
+        const STORED: [&str; 6] = ["the", "democrats", "and", "a", "vaccine", "dirty"];
+        const NO_SOUND: [&str; 2] = ["漢字", "ёё"];
+        prop_oneof![
+            "[a-eA-E1@3$]{1,6}",
+            (0..STORED.len()).prop_map(|i| STORED[i].to_string()),
+            (0..NO_SOUND.len()).prop_map(|i| NO_SOUND[i].to_string()),
+        ]
+    }
+
+    fn batches() -> impl Strategy<Value = Vec<Vec<String>>> {
+        let text = proptest::collection::vec(word(), 0..6).prop_map(|ws| ws.join(" "));
+        proptest::collection::vec(proptest::collection::vec(text, 1..4), 1..4)
+    }
+
+    /// Log the batches durably (seeding the lexicon first, compacting
+    /// after batch `compact_after`), reopen, and return the recovered
+    /// store next to the in-memory `ingest_texts` reference.
+    fn recover<S: DeltaStore>(
+        shards: usize,
+        batches: &[Vec<String>],
+        lexicon: bool,
+        compact_after: Option<usize>,
+    ) -> (S, S) {
+        let mut want = S::fresh(shards);
+        let dir = super::tests::tmp_dir(&format!("prop-{shards}"));
+        let mut dur = DurableTokenStore::<S>::open(&dir, super::tests::opts(shards)).unwrap();
+        if lexicon {
+            TokenStore::seed_lexicon(&mut want);
+            dur.try_seed_lexicon().unwrap();
+        }
+        for (i, batch) in batches.iter().enumerate() {
+            TokenStore::ingest_texts(&mut want, batch);
+            dur.try_ingest_texts(batch).unwrap();
+            if compact_after == Some(i) {
+                dur.compact().unwrap();
+            }
+        }
+        drop(dur);
+        let got = DurableTokenStore::<S>::open(&dir, super::tests::opts(shards))
+            .unwrap()
+            .into_inner();
+        let _ = std::fs::remove_dir_all(&dir);
+        (got, want)
+    }
 
     proptest! {
         /// CRC framing vouches for integrity, but decoding must never
@@ -1365,12 +1525,15 @@ mod proptests {
             tokens in proptest::collection::vec("[a-z@1]{1,8}", 0..6),
             deltas in proptest::collection::vec(1u64..1_000, 0..6),
         ) {
-            let ops: Vec<(String, u64)> = tokens.into_iter().zip(deltas).collect();
+            let ops: Vec<(&str, u64)> = tokens.iter().map(String::as_str).zip(deltas).collect();
             let frame = encode_delta_frame(seq, &ops);
             let (got_seq, body) = decode_shard_frame(&frame).unwrap();
             prop_assert_eq!(got_seq, seq);
             match body {
-                FrameBody::Deltas(got) => prop_assert_eq!(got, ops),
+                FrameBody::Deltas(got) => {
+                    let got: Vec<(&str, u64)> = got.iter().map(|(t, d)| (t.as_str(), *d)).collect();
+                    prop_assert_eq!(got, ops);
+                }
                 FrameBody::SeedLexicon => prop_assert!(false, "wrong frame kind"),
             }
             let seed = encode_seed_frame(seq);
@@ -1378,6 +1541,28 @@ mod proptests {
                 decode_shard_frame(&seed),
                 Ok((s, FrameBody::SeedLexicon)) if s == seq
             ));
+        }
+
+        /// Reopening lands on exactly the records in-memory ingest of the
+        /// same batches produces: the flat store (`shards == 0`) and 1–4
+        /// shards, with and without a seeded lexicon and a compaction.
+        #[test]
+        fn reopen_equals_in_memory_ingest(
+            batches in batches(),
+            shards in 0usize..=4,
+            lexicon in any::<bool>(),
+            compact_after in proptest::option::of(0usize..4),
+        ) {
+            if shards == 0 {
+                let (got, want) = recover::<TokenDatabase>(1, &batches, lexicon, compact_after);
+                prop_assert_eq!(got.records(), want.records());
+            } else {
+                let (got, want) =
+                    recover::<ShardedTokenDatabase>(shards, &batches, lexicon, compact_after);
+                for s in 0..shards {
+                    prop_assert_eq!(got.shard(s).records(), want.shard(s).records(), "shard {}", s);
+                }
+            }
         }
     }
 }

@@ -37,10 +37,11 @@
 //!   observes exactly the sequential walk's sequence — early-exit
 //!   [`ControlFlow`] semantics included. Single-matching-shard queries
 //!   bypass the pool entirely.
-//! * **Batch ingest** — the parallel prepare phase (tokenize, confusable
-//!   fold, 3-level Soundex) runs per text through
-//!   [`cryptext_common::par`], then the prepared words scatter into
-//!   per-shard queues that merge **in parallel, one worker per shard**.
+//! * **Batch ingest** — the one batch prepare shared with the single
+//!   instance, [`crate::database::PreparedBatch`] (tokenize, gate,
+//!   confusable fold, 3-level Soundex, per text through
+//!   [`cryptext_common::par`]), routes every word as above into per-shard
+//!   queues that merge **in parallel, one worker per touched shard**.
 //! * **Persistence** — one document-store collection per shard plus a
 //!   manifest record carrying the shard count and a **generation**
 //!   number; persist and load fan out across shards through the same
@@ -61,19 +62,19 @@ use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
 use cryptext_common::failpoint;
-use cryptext_common::hash::{FxHashMap, FxHashSet, ShardRing};
+use cryptext_common::hash::{FxHashSet, ShardRing};
 use cryptext_common::metrics::{Counter, MetricsRegistry};
 use cryptext_common::par::{par_map, try_par_map};
 use cryptext_common::{Error, Result};
-use cryptext_docstore::{Database, Document, Filter, Value};
-use cryptext_phonetics::{CustomSoundex, SoundexCode};
-use cryptext_tokenizer::tokenize_spans;
+use cryptext_docstore::{Database, Document, Value};
+use cryptext_phonetics::CustomSoundex;
 use parking_lot::Mutex;
 
 use crate::database::{
-    EncodedQuery, PreparedWord, SoundScratch, TokenDatabase, TokenRecord, TokenStats,
+    EncodedQuery, Inputs, PreparedBatch, SoundScratch, TokenDatabase, TokenRecord, TokenStats,
     MAX_CLEAN_SENTENCES, NUM_LEVELS,
 };
+use crate::durable::DeltaStore;
 use crate::store::TokenStore;
 
 thread_local! {
@@ -81,17 +82,6 @@ thread_local! {
     /// worker (and the participating caller) dedups its shard walks
     /// through its own visited set, so no scratch crosses threads.
     static FAN_OUT_SCRATCH: RefCell<SoundScratch> = RefCell::new(SoundScratch::new());
-}
-
-/// One text prepared off-thread during parallel sharded ingest: the
-/// routed, encoded words plus the clean-sentence gate bits.
-struct ShardPreparedText {
-    /// `(shard, word)` for every word that reaches a shard; `Skip`s are
-    /// counted in `n_words` but not scattered.
-    words: Vec<(u32, PreparedWord)>,
-    n_words: usize,
-    any_word: bool,
-    all_english: bool,
 }
 
 /// A token database split across consistent-hash shards. See the module
@@ -153,8 +143,8 @@ impl ShardedTokenDatabase {
 
     /// The shard that owns `token`: jump hash of the primary `H_1` code,
     /// falling back to the raw token for strings without phonetic content.
-    /// Crate internal beyond this module: the durable ingest layer routes
-    /// delta-log records with it.
+    /// The batch prepare routes every word with it, so the delta logs of a
+    /// durable store are keyed by it too.
     #[inline]
     pub(crate) fn route(&self, token: &str) -> usize {
         match self.soundex[1].encode(token) {
@@ -236,96 +226,6 @@ impl ShardedTokenDatabase {
         ControlFlow::Continue(())
     }
 
-    fn compute_codes(&self, token: &str) -> [Vec<SoundexCode>; NUM_LEVELS] {
-        [
-            self.soundex[0].encode_all(token),
-            self.soundex[1].encode_all(token),
-            self.soundex[2].encode_all(token),
-        ]
-    }
-
-    /// The read-only, parallel-safe half of sharded batch ingest: route,
-    /// gate, and encode every word of one text against the pre-batch
-    /// shard states. Mirrors `TokenDatabase::prepare_text` word for word,
-    /// with the routed shard standing in for the single instance.
-    fn prepare_text(&self, text: &str) -> ShardPreparedText {
-        let mut words = Vec::new();
-        let mut n_words = 0usize;
-        let mut any_word = false;
-        let mut all_english = true;
-        // New tokens already encoded earlier in this text (routing is
-        // deterministic, so a repeated token always targets one shard).
-        let mut local: FxHashMap<&str, bool> = FxHashMap::default();
-        // Routing runs a Soundex encode, so memoize it per distinct token:
-        // a word repeated through a text routes once, not per occurrence.
-        let mut routed: FxHashMap<&str, u32> = FxHashMap::default();
-        for tok in tokenize_spans(text) {
-            if !tok.is_word() {
-                continue;
-            }
-            let t = tok.text(text);
-            any_word = true;
-            if !cryptext_corpus::is_english_word(t) {
-                all_english = false;
-            }
-            n_words += 1;
-            if t.chars().count() < 2 {
-                continue; // Skip: counted, never stored.
-            }
-            let s = match routed.get(t) {
-                Some(&s) => s,
-                None => {
-                    let s = self.route(t) as u32;
-                    routed.insert(t, s);
-                    s
-                }
-            };
-            if let Some(id) = self.shards[s as usize].id_of_token(t) {
-                words.push((s, PreparedWord::Known(id)));
-                continue;
-            }
-            match local.get(t) {
-                Some(true) => words.push((s, PreparedWord::Repeat(t.to_string()))),
-                Some(false) => {}
-                None => {
-                    let codes = self.compute_codes(t);
-                    if codes[0].is_empty() {
-                        local.insert(t, false); // no phonetic content
-                    } else {
-                        local.insert(t, true);
-                        words.push((s, PreparedWord::Fresh(t.to_string(), Box::new(codes))));
-                    }
-                }
-            }
-        }
-        ShardPreparedText {
-            words,
-            n_words,
-            any_word,
-            all_english,
-        }
-    }
-
-    /// Apply one replayed count delta to the routed shard. Crate internal:
-    /// the durable ingest layer's recovery path (`crate::durable`) replays
-    /// delta-log records through this, reproducing live ingest exactly.
-    pub(crate) fn upsert_routed(&mut self, token: &str, delta: u64) {
-        let s = self.route(token);
-        self.shards[s].upsert_token(token, delta);
-    }
-
-    /// Seed the slice of the English lexicon owned by `shard` — the exact
-    /// subsequence (in lexicon order) that [`Self::seed_lexicon_impl`]
-    /// would route there. Crate internal: delta-log replay re-seeds one
-    /// shard at a time.
-    pub(crate) fn seed_lexicon_shard(&mut self, shard: usize) {
-        for w in cryptext_corpus::english_lexicon() {
-            if self.route(w) == shard {
-                self.shards[shard].upsert_token(w, 0);
-            }
-        }
-    }
-
     fn record_clean_sentence_impl(&mut self, text: &str) {
         if self.clean_sentences.len() < MAX_CLEAN_SENTENCES {
             self.clean_sentences.push(text.to_string());
@@ -382,27 +282,26 @@ impl ShardedTokenDatabase {
 
     /// Read the `(shard_count, generation)` pair recorded by a sharded
     /// persist of `collection`, or `None` when the collection is absent or
-    /// not a sharded layout.
+    /// not a sharded layout. The fields are read in place from the
+    /// lowest-id document: on a flat layout that is a whole record block,
+    /// which is never cloned.
     fn manifest_meta(store: &Database, collection: &str) -> Result<Option<(usize, u64)>> {
         if !store.has_collection(collection) {
             return Ok(None);
         }
-        let Some((_, doc)) = store.find_one(collection, &Filter::All)? else {
-            return Ok(None);
-        };
-        let Some(n) = doc
-            .get("shard_manifest")
-            .and_then(Value::as_int)
-            .filter(|&n| n > 0)
-        else {
-            return Ok(None);
-        };
-        let g = doc
-            .get("generation")
-            .and_then(Value::as_int)
-            .unwrap_or(0)
-            .max(0) as u64;
-        Ok(Some((n as usize, g)))
+        store.read_collection(collection, |docs| {
+            let (_, doc) = docs.scan().min_by_key(|&(id, _)| id)?;
+            let n = doc
+                .get("shard_manifest")
+                .and_then(Value::as_int)
+                .filter(|&n| n > 0)?;
+            let g = doc
+                .get("generation")
+                .and_then(Value::as_int)
+                .unwrap_or(0)
+                .max(0) as u64;
+            Some((n as usize, g))
+        })
     }
 
     /// Read the shard count recorded by a sharded persist of `collection`,
@@ -610,14 +509,8 @@ impl TokenStore for ShardedTokenDatabase {
     }
 
     fn ingest_token(&mut self, token: &str) {
-        if token.chars().count() < 2 {
-            return;
-        }
-        if self.soundex[0].encode(token).is_none() {
-            return; // no phonetic content
-        }
         let s = self.route(token);
-        self.shards[s].upsert_token(token, 1);
+        self.shards[s].ingest_token(token);
     }
 
     // `ingest_text` uses the trait's default implementation: the canonical
@@ -626,39 +519,7 @@ impl TokenStore for ShardedTokenDatabase {
     // the two can never drift.
 
     fn ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> usize {
-        let prepared: Vec<ShardPreparedText> =
-            par_map(texts, |text| self.prepare_text(text.as_ref()));
-
-        // Scatter into per-shard merge queues in input order, collecting
-        // clean sentences at the router (the gate is per text, not per
-        // shard).
-        let mut queues: Vec<Vec<PreparedWord>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut n = 0;
-        for (text, prep) in texts.iter().zip(prepared) {
-            n += prep.n_words;
-            for (s, word) in prep.words {
-                queues[s as usize].push(word);
-            }
-            if prep.any_word && prep.all_english {
-                self.record_clean_sentence_impl(text.as_ref());
-            }
-        }
-
-        // Parallel per-shard merge: shards are disjoint, so each queue
-        // applies independently. Each Mutex is locked exactly once, by the
-        // worker that owns that shard's merge.
-        let jobs: Vec<Mutex<(TokenDatabase, Vec<PreparedWord>)>> =
-            self.shards.drain(..).zip(queues).map(Mutex::new).collect();
-        par_map(&jobs, |job| {
-            let mut guard = job.lock();
-            let (shard, queue) = &mut *guard;
-            for word in queue.drain(..) {
-                shard.merge_prepared_word(word);
-            }
-        });
-        self.shards = jobs.into_iter().map(|job| job.into_inner().0).collect();
-        n
+        self.merge(self.prepare(texts.iter().map(AsRef::as_ref), Inputs::Texts))
     }
 
     fn record_clean_sentence(&mut self, text: &str) {
@@ -733,6 +594,58 @@ impl TokenStore for ShardedTokenDatabase {
         let mut out = Self::in_memory(n);
         out.shards = shards;
         Ok(out)
+    }
+}
+
+impl DeltaStore for ShardedTokenDatabase {
+    fn fresh(shards: usize) -> Self {
+        ShardedTokenDatabase::in_memory(shards)
+    }
+
+    fn prepare<'t>(
+        &self,
+        inputs: impl IntoIterator<Item = &'t str>,
+        kind: Inputs,
+    ) -> PreparedBatch<'t> {
+        PreparedBatch::new(inputs, kind, &self.shards, |t| self.route(t))
+    }
+
+    /// Clean sentences at the router (the rule is per text, not per
+    /// shard), then each touched shard's queue on its own worker — shards
+    /// are disjoint, so each queue applies independently.
+    fn merge(&mut self, batch: PreparedBatch<'_>) -> usize {
+        for text in batch.clean {
+            self.record_clean_sentence_impl(text);
+        }
+        // Each Mutex is locked exactly once, by the worker that owns that
+        // shard's merge.
+        let jobs: Vec<Mutex<_>> = self
+            .shards
+            .iter_mut()
+            .zip(batch.queues)
+            .filter(|(_, queue)| !queue.is_empty())
+            .map(Mutex::new)
+            .collect();
+        par_map(&jobs, |job| {
+            let (shard, queue) = &mut *job.lock();
+            for word in queue.drain(..).flatten() {
+                shard.merge_word(word);
+            }
+        });
+        batch.words
+    }
+
+    fn apply_upsert(&mut self, token: &str, delta: u64) {
+        let s = self.route(token);
+        self.shards[s].upsert_token(token, delta);
+    }
+
+    fn seed_shard(&mut self, shard: usize) {
+        for w in cryptext_corpus::english_lexicon() {
+            if self.route(w) == shard {
+                self.shards[shard].upsert_token(w, 0);
+            }
+        }
     }
 }
 

@@ -130,15 +130,17 @@ pub trait TokenStore: Sync {
     fn hashmap_view(&self, k: usize) -> Result<Vec<(String, Vec<String>)>>;
 
     /// Ingest one raw token occurrence (gates: ≥ 2 chars, phonetic
-    /// content).
+    /// content — the batch prepare's own, see
+    /// [`crate::database::PreparedBatch`]).
     fn ingest_token(&mut self, token: &str);
 
     /// Tokenize and ingest one text; returns the word-token count. The
-    /// default implementation defines the canonical loop — word tokens
-    /// through [`TokenStore::ingest_token`], fully-in-dictionary sentences
-    /// recorded for LM training — so backends cannot drift from each
-    /// other; [`TokenDatabase`] overrides it with its original (identical)
-    /// inherent method.
+    /// default implementation is the sequential reference loop — word
+    /// tokens through [`TokenStore::ingest_token`], fully-in-dictionary
+    /// sentences recorded for LM training — that the batch-ingest tests
+    /// compare [`TokenStore::ingest_texts`] against. Both backends use it
+    /// ([`TokenDatabase::ingest_text`] delegates here); the durable store
+    /// overrides it with a logged one-text batch.
     fn ingest_text(&mut self, text: &str) -> usize {
         let mut n = 0;
         let mut all_english = true;
@@ -235,9 +237,8 @@ impl TokenStore for TokenDatabase {
         TokenDatabase::ingest_token(self, token)
     }
 
-    fn ingest_text(&mut self, text: &str) -> usize {
-        TokenDatabase::ingest_text(self, text)
-    }
+    // `ingest_text` is the trait's default loop, which the inherent
+    // `TokenDatabase::ingest_text` delegates to.
 
     fn ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> usize {
         TokenDatabase::ingest_texts(self, texts)
@@ -267,25 +268,30 @@ mod tests {
 
     #[test]
     fn switching_sharded_to_single_persist_drops_shard_collections() {
-        // Persist sharded under "tokens", then persist the single instance
-        // under the same name: the shard collections (a full corpus copy)
-        // and the shard-count manifest must be swept, leaving a flat
-        // layout that loads back as the single instance.
+        // Persist sharded, then the single instance, then sharded again,
+        // all under "tokens": each persist replaces the previous layout
+        // whole. The flat persist sweeps the shard collections (a full
+        // corpus copy) and the shard-count manifest; the sharded persist
+        // over it reads the flat layout's first block, finds no manifest,
+        // and swaps its own in. After each, the layout loads back exactly.
         let mut db = TokenDatabase::in_memory();
         db.ingest_text("the dirrty republicans");
+        let wide = ShardedTokenDatabase::from_database(&db, 6);
         let store = Database::in_memory();
-        TokenStore::persist_to(
-            &ShardedTokenDatabase::from_database(&db, 6),
-            &store,
-            "tokens",
-        )
-        .unwrap();
-        assert_eq!(store.collections_with_prefix("tokens__g").len(), 6);
-        assert_eq!(
-            ShardedTokenDatabase::manifest_shards(&store, "tokens").unwrap(),
-            Some(6)
-        );
+        let persist_sharded = || {
+            TokenStore::persist_to(&wide, &store, "tokens").unwrap();
+            assert_eq!(store.collections_with_prefix("tokens__g").len(), 6);
+            assert_eq!(
+                ShardedTokenDatabase::manifest_shards(&store, "tokens").unwrap(),
+                Some(6)
+            );
+            let restored = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
+            for s in 0..6 {
+                assert_eq!(restored.shard(s).records(), wide.shard(s).records());
+            }
+        };
 
+        persist_sharded();
         db.persist_to(&store, "tokens").unwrap();
         assert!(store.collections_with_prefix("tokens__g").is_empty());
         assert_eq!(
@@ -294,10 +300,11 @@ mod tests {
             "the flat persist leaves no shard manifest behind"
         );
         let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
-        assert_eq!(restored.stats(), db.stats());
+        assert_eq!(restored.records(), db.records());
         assert_eq!(
             restored.hashmap_view(1).unwrap(),
             db.hashmap_view(1).unwrap()
         );
+        persist_sharded();
     }
 }
