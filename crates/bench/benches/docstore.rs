@@ -1,8 +1,8 @@
 //! Embedded document-store benchmarks: insert throughput (with and
-//! without WAL), indexed vs scan queries, and recovery time.
+//! without WAL) and recovery time.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use cryptext_docstore::{Database, DbOptions, Document, Filter};
+use cryptext_docstore::{Database, DbOptions, Document};
 
 fn seed_doc(i: usize) -> Document {
     Document::new()
@@ -20,7 +20,6 @@ fn bench_docstore(c: &mut Criterion) {
             || {
                 let db = Database::in_memory();
                 db.create_collection("t").unwrap();
-                db.create_index("t", "codes").unwrap();
                 db
             },
             |db| {
@@ -40,7 +39,6 @@ fn bench_docstore(c: &mut Criterion) {
                 let _ = std::fs::remove_dir_all(&dir);
                 let db = Database::open(&dir, DbOptions::default()).unwrap();
                 db.create_collection("t").unwrap();
-                db.create_index("t", "codes").unwrap();
                 db
             },
             |db| {
@@ -54,30 +52,12 @@ fn bench_docstore(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    // Query benchmarks on a prepared store.
-    let indexed = Database::in_memory();
-    indexed.create_collection("t").unwrap();
-    indexed.create_index("t", "codes").unwrap();
-    let unindexed = Database::in_memory();
-    unindexed.create_collection("t").unwrap();
-    for i in 0..10_000 {
-        indexed.insert("t", seed_doc(i)).unwrap();
-        unindexed.insert("t", seed_doc(i)).unwrap();
-    }
-    group.bench_function("find_indexed_10k", |b| {
-        b.iter(|| black_box(indexed.find("t", &Filter::eq("codes", "C042")).unwrap()))
-    });
-    group.bench_function("find_scan_10k", |b| {
-        b.iter(|| black_box(unindexed.find("t", &Filter::eq("codes", "C042")).unwrap()))
-    });
-
     // Recovery: replay a 5k-op WAL.
     let dir = std::env::temp_dir().join(format!("cxbench-recover-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
         let db = Database::open(&dir, DbOptions::default()).unwrap();
         db.create_collection("t").unwrap();
-        db.create_index("t", "codes").unwrap();
         for i in 0..5_000 {
             db.insert("t", seed_doc(i)).unwrap();
         }

@@ -1320,8 +1320,11 @@ mod tests {
         let store = Database::in_memory();
         table1_db().persist_to(&store, "tokens").unwrap();
         let (id, mut block) = store
-            .find_one("tokens", &cryptext_docstore::Filter::All)
-            .unwrap()
+            .read_collection("tokens", |blocks| {
+                assert_eq!(blocks.len(), 1, "one block");
+                let (id, block) = blocks.scan().next().unwrap();
+                (id, block.clone())
+            })
             .unwrap();
         tamper(&mut block);
         store.update("tokens", id, block).unwrap();

@@ -793,7 +793,6 @@ mod tests {
     use crate::ingest::Crawler;
     use crate::lookup::LookupParams;
     use crate::CrypText;
-    use cryptext_docstore::Filter;
     use cryptext_stream::{SocialPlatform, StreamConfig};
 
     pub(super) fn tmp_dir(name: &str) -> PathBuf {
@@ -1415,15 +1414,24 @@ mod tests {
             dur.compact().unwrap();
         }
         let snapshots = dir.join("snapshots");
+        // The manifest collection's one document, as `read_manifest` reads it.
+        let first = |store: &Database| {
+            store
+                .read_collection(MANIFEST, |docs| {
+                    let (id, doc) = docs.scan().min_by_key(|&(id, _)| id).unwrap();
+                    (id, doc.clone())
+                })
+                .unwrap()
+        };
         let manifest = {
             let store = Database::open(&snapshots, DbOptions::default()).unwrap();
-            store.find_one(MANIFEST, &Filter::All).unwrap().unwrap().1
+            first(&store).1
         };
         // Write the manifest back through `tamper`, then open.
         let open_tampered = |tamper: &dyn Fn(&mut Document)| {
             {
                 let store = Database::open(&snapshots, DbOptions::default()).unwrap();
-                let (id, _) = store.find_one(MANIFEST, &Filter::All).unwrap().unwrap();
+                let (id, _) = first(&store);
                 let mut doc = manifest.clone();
                 tamper(&mut doc);
                 store.update(MANIFEST, id, doc).unwrap();

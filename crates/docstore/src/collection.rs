@@ -1,12 +1,8 @@
-//! A collection: primary-key document storage plus secondary indexes.
+//! A collection: documents stored under primary keys.
 
-use std::collections::BTreeMap;
-
-use cryptext_common::hash::{FxHashMap, FxHashSet};
+use cryptext_common::hash::FxHashMap;
 use cryptext_common::{Error, Result};
 
-use crate::filter::Filter;
-use crate::index::HashIndex;
 use crate::value::Document;
 
 /// Identifier of a document within its collection, assigned at insert.
@@ -21,43 +17,8 @@ impl std::fmt::Display for DocId {
     }
 }
 
-/// Options for [`Collection::find_with`]: sorting and pagination.
-#[derive(Debug, Clone, Default)]
-pub struct FindOptions {
-    /// Sort by this (dotted) field; `None` = id order.
-    pub sort_by: Option<String>,
-    /// Reverse the sort.
-    pub descending: bool,
-    /// Skip this many results.
-    pub skip: usize,
-    /// Return at most this many results (0 = unlimited).
-    pub limit: usize,
-}
-
-impl FindOptions {
-    /// Sort ascending by `field`.
-    pub fn sorted_by(field: impl Into<String>) -> Self {
-        FindOptions {
-            sort_by: Some(field.into()),
-            ..Default::default()
-        }
-    }
-
-    /// Builder: descending order.
-    pub fn desc(mut self) -> Self {
-        self.descending = true;
-        self
-    }
-
-    /// Builder: pagination.
-    pub fn page(mut self, skip: usize, limit: usize) -> Self {
-        self.skip = skip;
-        self.limit = limit;
-        self
-    }
-}
-
-/// An in-memory collection of documents with hash indexes.
+/// An in-memory collection of documents, read by id or by a full
+/// [`scan`](Collection::scan).
 ///
 /// `Collection` is a plain data structure; concurrency and durability are
 /// layered on by [`Database`](crate::db::Database), which serializes
@@ -66,7 +27,6 @@ impl FindOptions {
 pub struct Collection {
     name: String,
     docs: FxHashMap<u64, Document>,
-    indexes: BTreeMap<String, HashIndex>,
     next_id: u64,
 }
 
@@ -76,7 +36,6 @@ impl Collection {
         Collection {
             name: name.into(),
             docs: FxHashMap::default(),
-            indexes: BTreeMap::new(),
             next_id: 0,
         }
     }
@@ -123,14 +82,10 @@ impl Collection {
     /// Insert under an explicit id (WAL replay / snapshot load). Advances
     /// `next_id` past `id`. Replaces any existing document at `id`.
     pub fn insert_with_id(&mut self, id: u64, doc: Document) {
-        if let Some(old) = self.docs.remove(&id) {
-            for idx in self.indexes.values_mut() {
-                idx.remove_doc(id, &old);
-            }
-        }
-        for idx in self.indexes.values_mut() {
-            idx.insert_doc(id, &doc);
-        }
+        // Remove, then insert (here and in `update`): a replaced document
+        // takes a fresh slot, and the slots set the order a snapshot
+        // writes documents in, so its bytes stay those of older writers.
+        self.docs.remove(&id);
         self.docs.insert(id, doc);
         self.next_id = self.next_id.max(id + 1);
     }
@@ -142,139 +97,16 @@ impl Collection {
 
     /// Replace the document at `id`.
     pub fn update(&mut self, id: DocId, doc: Document) -> Result<()> {
-        let old = self
-            .docs
+        self.docs
             .remove(&id.0)
             .ok_or_else(|| Error::not_found(format!("{}{id}", self.name)))?;
-        for idx in self.indexes.values_mut() {
-            idx.remove_doc(id.0, &old);
-            idx.insert_doc(id.0, &doc);
-        }
         self.docs.insert(id.0, doc);
         Ok(())
     }
 
     /// Delete by id; true when a document was removed.
     pub fn delete(&mut self, id: DocId) -> bool {
-        match self.docs.remove(&id.0) {
-            None => false,
-            Some(old) => {
-                for idx in self.indexes.values_mut() {
-                    idx.remove_doc(id.0, &old);
-                }
-                true
-            }
-        }
-    }
-
-    /// Create a hash index over `field` (dotted paths allowed), backfilling
-    /// existing documents. Idempotent.
-    pub fn create_index(&mut self, field: impl Into<String>) {
-        let field = field.into();
-        if self.indexes.contains_key(&field) {
-            return;
-        }
-        let mut idx = HashIndex::new(field.clone());
-        for (&id, doc) in &self.docs {
-            idx.insert_doc(id, doc);
-        }
-        self.indexes.insert(field, idx);
-    }
-
-    /// Is `field` indexed?
-    pub fn has_index(&self, field: &str) -> bool {
-        self.indexes.contains_key(field)
-    }
-
-    /// Names of indexed fields.
-    pub fn index_fields(&self) -> Vec<String> {
-        self.indexes.keys().cloned().collect()
-    }
-
-    /// Find matching documents (cloned), index-accelerated when the filter
-    /// pins an indexed field via `Eq`/`In`. Results are sorted by id for
-    /// determinism.
-    pub fn find(&self, filter: &Filter) -> Vec<(DocId, Document)> {
-        let mut out: Vec<(DocId, Document)> = self
-            .find_ids(filter)
-            .into_iter()
-            .map(|id| (id, self.docs[&id.0].clone()))
-            .collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
-    }
-
-    /// Find matching document ids.
-    pub fn find_ids(&self, filter: &Filter) -> Vec<DocId> {
-        // Index acceleration path.
-        if let Some((field, values)) = filter.index_probe() {
-            if let Some(idx) = self.indexes.get(field) {
-                let mut candidates: FxHashSet<u64> = FxHashSet::default();
-                for v in values {
-                    candidates.extend(idx.lookup(v));
-                }
-                let mut ids: Vec<DocId> = candidates
-                    .into_iter()
-                    .filter(|id| filter.matches(&self.docs[id]))
-                    .map(DocId)
-                    .collect();
-                ids.sort_unstable();
-                return ids;
-            }
-        }
-        // Full scan.
-        let mut ids: Vec<DocId> = self
-            .docs
-            .iter()
-            .filter(|(_, doc)| filter.matches(doc))
-            .map(|(&id, _)| DocId(id))
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Find with sort/skip/limit options. Sorting uses
-    /// [`Value::cmp_total`](crate::value::Value::cmp_total) on the given
-    /// field (documents missing the field sort first), with id as the
-    /// deterministic tie-breaker.
-    pub fn find_with(&self, filter: &Filter, opts: &FindOptions) -> Vec<(DocId, Document)> {
-        let mut out = self.find(filter);
-        if let Some(field) = &opts.sort_by {
-            out.sort_by(|(ida, a), (idb, b)| {
-                let ord = match (a.get(field), b.get(field)) {
-                    (None, None) => std::cmp::Ordering::Equal,
-                    (None, Some(_)) => std::cmp::Ordering::Less,
-                    (Some(_), None) => std::cmp::Ordering::Greater,
-                    (Some(x), Some(y)) => x.cmp_total(y),
-                };
-                let ord = if opts.descending { ord.reverse() } else { ord };
-                ord.then(ida.cmp(idb))
-            });
-        }
-        let end = if opts.limit == 0 {
-            out.len()
-        } else {
-            (opts.skip + opts.limit).min(out.len())
-        };
-        let start = opts.skip.min(out.len());
-        out.drain(..start);
-        out.truncate(end.saturating_sub(start));
-        out
-    }
-
-    /// Find the first match, if any (lowest id).
-    pub fn find_one(&self, filter: &Filter) -> Option<(DocId, Document)> {
-        self.find_ids(filter)
-            .first()
-            .map(|&id| (id, self.docs[&id.0].clone()))
-    }
-
-    /// Count matches without cloning documents.
-    pub fn count(&self, filter: &Filter) -> usize {
-        if matches!(filter, Filter::All) {
-            return self.docs.len();
-        }
-        self.find_ids(filter).len()
+        self.docs.remove(&id.0).is_some()
     }
 
     /// Iterate all `(id, document)` pairs in unspecified order.
@@ -329,202 +161,15 @@ mod tests {
     }
 
     #[test]
-    fn find_with_index_matches_scan() {
-        let mut with_idx = Collection::new("a");
-        let mut without = Collection::new("b");
-        with_idx.create_index("codes");
-        for (t, codes) in [
-            ("the", vec!["TH000"]),
-            ("thee", vec!["TH000"]),
-            ("dirty", vec!["DI630"]),
-            ("suic1de", vec!["SU243", "SU230"]),
-        ] {
-            with_idx.insert(token_doc(t, codes.clone(), 1));
-            without.insert(token_doc(t, codes, 1));
-        }
-        for code in ["TH000", "DI630", "SU230", "SU243", "XX000"] {
-            let f = Filter::eq("codes", code);
-            assert_eq!(
-                with_idx.find(&f),
-                without.find(&f),
-                "index and scan agree for {code}"
-            );
-        }
-    }
-
-    #[test]
-    fn index_backfills_existing_docs() {
-        let mut c = Collection::new("t");
-        c.insert(token_doc("the", vec!["TH000"], 1));
-        c.create_index("token");
-        assert!(c.has_index("token"));
-        let hits = c.find(&Filter::eq("token", "the"));
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn index_stays_consistent_through_update_delete() {
-        let mut c = Collection::new("t");
-        c.create_index("codes");
-        let id = c.insert(token_doc("dirty", vec!["DI630"], 1));
-        c.update(id, token_doc("dirty", vec!["DX999"], 1)).unwrap();
-        assert!(
-            c.find(&Filter::eq("codes", "DI630")).is_empty(),
-            "old key gone"
-        );
-        assert_eq!(c.find(&Filter::eq("codes", "DX999")).len(), 1);
-        c.delete(id);
-        assert!(c.find(&Filter::eq("codes", "DX999")).is_empty());
-    }
-
-    #[test]
-    fn find_ids_sorted_for_determinism() {
-        let mut c = Collection::new("t");
-        for i in 0..50 {
-            c.insert(Document::new().with("v", (i % 5) as i64));
-        }
-        let ids = c.find_ids(&Filter::eq("v", 3i64));
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert_eq!(ids, sorted);
-        assert_eq!(ids.len(), 10);
-    }
-
-    #[test]
-    fn find_one_and_count() {
-        let mut c = Collection::new("t");
-        c.insert(Document::new().with("x", 1i64));
-        c.insert(Document::new().with("x", 1i64));
-        c.insert(Document::new().with("x", 2i64));
-        assert_eq!(c.count(&Filter::eq("x", 1i64)), 2);
-        assert_eq!(c.count(&Filter::All), 3);
-        let (id, _) = c.find_one(&Filter::eq("x", 1i64)).unwrap();
-        assert_eq!(id, DocId(0), "lowest id wins");
-        assert!(c.find_one(&Filter::eq("x", 99i64)).is_none());
-    }
-
-    #[test]
-    fn indexed_find_equals_model_scan_under_random_ops() {
-        // Deterministic mini-fuzz: random inserts/updates/deletes on an
-        // indexed collection; after every step, the index-accelerated find
-        // must agree with a naive full scan for several filters.
-        use cryptext_common::SplitMix64;
-        let mut rng = SplitMix64::new(0xD0C5);
-        let mut c = Collection::new("t");
-        c.create_index("code");
-        let mut live: Vec<DocId> = Vec::new();
-        for step in 0..400 {
-            match rng.index(4) {
-                0 | 1 => {
-                    let id = c.insert(
-                        Document::new()
-                            .with("code", format!("C{}", rng.index(6)))
-                            .with("n", (step % 10) as i64),
-                    );
-                    live.push(id);
-                }
-                2 => {
-                    if let Some(&id) = rng.choose(&live) {
-                        let _ = c.update(
-                            id,
-                            Document::new()
-                                .with("code", format!("C{}", rng.index(6)))
-                                .with("n", (step % 7) as i64),
-                        );
-                    }
-                }
-                _ => {
-                    if !live.is_empty() {
-                        let idx = rng.index(live.len());
-                        let id = live.swap_remove(idx);
-                        c.delete(id);
-                    }
-                }
-            }
-            // Compare indexed path to the model for every code value.
-            for v in 0..6 {
-                let f = Filter::eq("code", format!("C{v}"));
-                let fast: Vec<DocId> = c.find_ids(&f);
-                let mut slow: Vec<DocId> = c
-                    .scan()
-                    .filter(|(_, d)| f.matches(d))
-                    .map(|(id, _)| id)
-                    .collect();
-                slow.sort_unstable();
-                assert_eq!(fast, slow, "step {step}, code C{v}");
-            }
-        }
-    }
-
-    #[test]
     fn insert_with_id_advances_next_id_and_replaces() {
         let mut c = Collection::new("t");
-        c.create_index("x");
         c.insert_with_id(10, Document::new().with("x", 1i64));
         assert_eq!(c.next_id(), 11);
-        // Replaying the same id replaces and keeps the index consistent.
+        // Replaying the same id replaces the document.
         c.insert_with_id(10, Document::new().with("x", 2i64));
         assert_eq!(c.len(), 1);
-        assert!(c.find(&Filter::eq("x", 1i64)).is_empty());
-        assert_eq!(c.find(&Filter::eq("x", 2i64)).len(), 1);
+        assert_eq!(c.get(DocId(10)).unwrap().get("x"), Some(&Value::Int(2)));
         let id = c.insert(Document::new());
         assert_eq!(id, DocId(11));
-    }
-
-    #[test]
-    fn find_with_sorts_and_paginates() {
-        let mut c = Collection::new("t");
-        for (token, count) in [("a", 5i64), ("b", 2), ("c", 9), ("d", 2), ("e", 7)] {
-            c.insert(Document::new().with("token", token).with("count", count));
-        }
-        let by_count = c.find_with(&Filter::All, &FindOptions::sorted_by("count"));
-        let counts: Vec<i64> = by_count
-            .iter()
-            .map(|(_, d)| d.get("count").unwrap().as_int().unwrap())
-            .collect();
-        assert_eq!(counts, vec![2, 2, 5, 7, 9]);
-        // Equal keys tie-break by id (b before d).
-        assert_eq!(by_count[0].1.get("token").unwrap().as_str(), Some("b"));
-
-        let top2 = c.find_with(
-            &Filter::All,
-            &FindOptions::sorted_by("count").desc().page(0, 2),
-        );
-        let tokens: Vec<&str> = top2
-            .iter()
-            .map(|(_, d)| d.get("token").unwrap().as_str().unwrap())
-            .collect();
-        assert_eq!(tokens, vec!["c", "e"]);
-
-        let skipped = c.find_with(&Filter::All, &FindOptions::sorted_by("count").page(3, 10));
-        assert_eq!(skipped.len(), 2);
-    }
-
-    #[test]
-    fn find_with_missing_sort_field_sorts_first() {
-        let mut c = Collection::new("t");
-        c.insert(Document::new().with("x", 1i64));
-        c.insert(Document::new()); // no x
-        let out = c.find_with(&Filter::All, &FindOptions::sorted_by("x"));
-        assert!(out[0].1.get("x").is_none());
-        assert!(out[1].1.get("x").is_some());
-    }
-
-    #[test]
-    fn find_with_skip_past_end_is_empty() {
-        let mut c = Collection::new("t");
-        c.insert(Document::new().with("x", 1i64));
-        let out = c.find_with(&Filter::All, &FindOptions::default().page(5, 3));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn create_index_is_idempotent() {
-        let mut c = Collection::new("t");
-        c.insert(Document::new().with("x", 1i64));
-        c.create_index("x");
-        c.create_index("x");
-        assert_eq!(c.index_fields(), vec!["x".to_string()]);
-        assert_eq!(c.find(&Filter::eq("x", 1i64)).len(), 1);
     }
 }

@@ -2,18 +2,15 @@
 //!
 //! An embedded document database — CrypText's MongoDB substitute.
 //!
-//! The paper stores everything in MongoDB (§III-F): the `H_k` hash maps,
-//! per-token frequency metadata, crawler state and benchmark results. This
-//! crate supplies those capabilities in-process with the shape a database
-//! practitioner expects:
+//! The paper keeps its `H_k` hash maps and per-token metadata in MongoDB
+//! (§III-F). The durable token store needs less than a query engine from
+//! it: named collections of documents it writes whole and reads back whole,
+//! made crash-safe. This crate supplies exactly that in-process:
 //!
 //! * [`Value`]/[`Document`] — a BSON-like dynamic value model.
-//! * [`Filter`] — a small query algebra (`Eq`, `In`, ranges, `Contains`,
-//!   boolean combinators) with index-accelerated execution.
-//! * [`Collection`] — primary-key storage plus secondary [hash
-//!   indexes](index::HashIndex); indexing a field whose value is an array
-//!   indexes *every element* (exactly how a token maps to several Soundex
-//!   codes).
+//! * [`Collection`] — documents under primary keys ([`DocId`]), read by id
+//!   or by a scan ([`Collection::scan`]); there is no query language and
+//!   no secondary index.
 //! * [`Database`] — named collections, a write-ahead log with CRC-framed
 //!   records, point-in-time [snapshots](snapshot), and crash recovery that
 //!   replays the WAL over the latest snapshot and tolerates a torn tail.
@@ -34,16 +31,24 @@
 //!   is `fsync`ed, whatever the [`WalSync`] mode: the way to make one
 //!   commit point power-loss durable without paying an fsync per append.
 //! * **After a torn write** — [`wal::read_wal`]/[`wal::read_frames`] stop
-//!   at the first bad frame and report `truncated_tail`; reopening a
-//!   writer ([`wal::FrameWriter::open`]) truncates the torn bytes *before*
-//!   appending, so post-crash appends stay reachable. Nothing before the
-//!   tear is ever lost; nothing after it is ever half-applied.
+//!   at the first bad frame, or at a zero-filled tail (what a crash leaves
+//!   when a file's new size reached the disk before its data), and report
+//!   `truncated_tail`; reopening a writer ([`wal::FrameWriter::open`])
+//!   truncates the torn bytes *before* appending, so post-crash appends
+//!   stay reachable. Nothing before the tear is ever lost; nothing after
+//!   it is ever half-applied.
+//! * **Never a guess** — a CRC-valid record this version cannot decode
+//!   (an unknown or retired op tag, such as tag 3, which recorded a
+//!   secondary index's creation) cannot come from a crash, only from
+//!   another writer. [`Database::open`] refuses it as
+//!   [`Error::Corrupt`](cryptext_common::Error::Corrupt) and leaves the
+//!   files as it found them, as it refuses a snapshot that declares
+//!   secondary indexes: replaying around either would drop state.
 //! * **After `checkpoint` returns** — the snapshot file alone reconstructs
-//!   the full state (collections, documents, id counters, index
-//!   definitions) and has been `fsync`ed. A crash *between* the snapshot
-//!   rename and the WAL truncation is benign: replaying the stale WAL over
-//!   the new snapshot is idempotent (explicit document ids; inserts
-//!   replace).
+//!   the full state (collections, documents, id counters) and has been
+//!   `fsync`ed. A crash *between* the snapshot rename and the WAL
+//!   truncation is benign: replaying the stale WAL over the new snapshot
+//!   is idempotent (explicit document ids; inserts replace).
 //! * **Rename as commit point** — [`Database::rename_collection`] is a
 //!   single WAL record with replace semantics. Crash-safe bulk rebuilds
 //!   write into a staging collection and rename over the live name; a
@@ -59,13 +64,10 @@
 pub mod collection;
 pub mod db;
 pub mod encoding;
-pub mod filter;
-pub mod index;
 pub mod snapshot;
 pub mod value;
 pub mod wal;
 
-pub use collection::{Collection, DocId, FindOptions};
+pub use collection::{Collection, DocId};
 pub use db::{Database, DbOptions, WalSync};
-pub use filter::Filter;
 pub use value::{Document, Value};

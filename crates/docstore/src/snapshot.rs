@@ -1,19 +1,22 @@
 //! Point-in-time snapshots.
 //!
-//! A snapshot is a single file capturing every collection (documents,
-//! next-id counters, index definitions). Layout:
+//! A snapshot is a single file capturing every collection (documents and
+//! next-id counters). Layout:
 //!
 //! ```text
 //! magic "CXDB" | version u32 | body... | crc32(body) u32
 //! body := n_collections u32, then per collection:
-//!         name | next_id u64 | n_indexes u32, field*  | n_docs u64, (id u64, doc)*
+//!         name | next_id u64 | n_indexes u32 (always 0) | n_docs u64, (id u64, doc)*
 //! ```
+//!
+//! `n_indexes` is always 0: collections have no secondary indexes. A
+//! snapshot that declares any (a field name each, after the count) was
+//! written by a store that had them, and is refused as corrupt rather than
+//! loaded without them.
 //!
 //! Snapshots are written to a temporary file and atomically renamed into
 //! place, so a crash during checkpointing leaves the previous snapshot
-//! intact. Index *contents* are not serialized — they are rebuilt from the
-//! documents on load, which keeps the format trivially forward-compatible
-//! with index implementation changes.
+//! intact.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -35,11 +38,7 @@ pub fn encode_snapshot(collections: &[&Collection]) -> Vec<u8> {
     for coll in collections {
         put_str(&mut body, coll.name());
         body.put_u64_le(coll.next_id());
-        let fields = coll.index_fields();
-        body.put_u32_le(fields.len() as u32);
-        for f in &fields {
-            put_str(&mut body, f);
-        }
+        body.put_u32_le(0); // n_indexes
         let docs: Vec<_> = coll.scan().collect();
         body.put_u64_le(docs.len() as u64);
         for (id, doc) in docs {
@@ -56,7 +55,7 @@ pub fn encode_snapshot(collections: &[&Collection]) -> Vec<u8> {
     out
 }
 
-/// Parse snapshot bytes back into collections (indexes rebuilt).
+/// Parse snapshot bytes back into collections.
 pub fn decode_snapshot(data: &[u8]) -> Result<Vec<Collection>> {
     if data.len() < 12 {
         return Err(Error::corrupt("snapshot too small"));
@@ -102,27 +101,18 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Vec<Collection>> {
         if buf.remaining() < 4 {
             return Err(Error::corrupt("snapshot index header truncated"));
         }
-        let n_indexes = buf.get_u32_le() as usize;
-        // Same bound as above: every index field costs ≥ 4 bytes.
-        if n_indexes > buf.remaining() {
+        let n_indexes = buf.get_u32_le();
+        if n_indexes != 0 {
             return Err(Error::corrupt(format!(
-                "snapshot claims {n_indexes} indexes in {} bytes",
-                buf.remaining()
+                "snapshot collection {name} declares {n_indexes} secondary indexes, \
+                 which this version no longer keeps"
             )));
-        }
-        let mut coll = Collection::new(name);
-        let mut fields = Vec::with_capacity(n_indexes);
-        for _ in 0..n_indexes {
-            fields.push(get_str(&mut buf)?);
         }
         if buf.remaining() < 8 {
             return Err(Error::corrupt("snapshot doc count truncated"));
         }
         let n_docs = buf.get_u64_le() as usize;
-        // Create indexes before inserts so they populate incrementally.
-        for f in fields {
-            coll.create_index(f);
-        }
+        let mut coll = Collection::new(name);
         for _ in 0..n_docs {
             if buf.remaining() < 8 {
                 return Err(Error::corrupt("snapshot doc id truncated"));
@@ -196,7 +186,6 @@ pub fn read_snapshot(path: &Path) -> Result<Vec<Collection>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::Filter;
     use crate::value::Document;
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -208,7 +197,6 @@ mod tests {
 
     fn build_collection() -> Collection {
         let mut c = Collection::new("tokens");
-        c.create_index("codes");
         c.insert(
             Document::new()
                 .with("token", "the")
@@ -238,9 +226,10 @@ mod tests {
         assert_eq!(r.name(), "tokens");
         assert_eq!(r.len(), 2);
         assert_eq!(r.next_id(), c.next_id(), "id counter survives deletes");
-        assert!(r.has_index("codes"));
-        // Index works after rebuild.
-        assert_eq!(r.find(&Filter::eq("codes", "TH000")).len(), 1);
+        // Every document comes back under its id.
+        for (id, doc) in c.scan() {
+            assert_eq!(r.get(id), Some(doc));
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::fmt;
 /// A dynamically-typed database value.
 ///
 /// Deliberately small: the CrypText schema needs strings, numbers, bools,
-/// arrays and nested objects. `Float` keeps raw `f64`; index keys canonicalize
-/// NaN separately (see [`crate::index`]).
+/// arrays and nested objects. `Float` keeps the raw `f64` bits, NaN
+/// included, and the binary encoding writes them unchanged.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum Value {
     /// Absent/None.
@@ -98,62 +98,6 @@ impl Value {
             current = current.as_object()?.get(seg)?;
         }
         Some(current)
-    }
-
-    /// Total order across all values, used by range filters: by type rank
-    /// first (null < bool < numbers < str < array < object), numerics
-    /// compared cross-type, NaN greater than every number.
-    pub fn cmp_total(&self, other: &Value) -> std::cmp::Ordering {
-        use std::cmp::Ordering::*;
-        use Value::*;
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Null => 0,
-                Bool(_) => 1,
-                Int(_) | Float(_) => 2,
-                Str(_) => 3,
-                Array(_) => 4,
-                Object(_) => 5,
-            }
-        }
-        match (self, other) {
-            (Null, Null) => Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (a @ (Int(_) | Float(_)), b @ (Int(_) | Float(_))) => {
-                let fa = a.as_float().expect("numeric");
-                let fb = b.as_float().expect("numeric");
-                fa.partial_cmp(&fb).unwrap_or_else(|| {
-                    // NaN sorts above all numbers; two NaNs tie.
-                    match (fa.is_nan(), fb.is_nan()) {
-                        (true, true) => Equal,
-                        (true, false) => Greater,
-                        (false, true) => Less,
-                        (false, false) => unreachable!("partial_cmp covered"),
-                    }
-                })
-            }
-            (Str(a), Str(b)) => a.cmp(b),
-            (Array(a), Array(b)) => {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    let ord = x.cmp_total(y);
-                    if ord != Equal {
-                        return ord;
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            (Object(a), Object(b)) => {
-                for ((ka, va), (kb, vb)) in a.iter().zip(b.iter()) {
-                    let ord = ka.cmp(kb).then_with(|| va.cmp_total(vb));
-                    if ord != Equal {
-                        return ord;
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            (a, b) => rank(a).cmp(&rank(b)),
-        }
     }
 }
 
@@ -339,40 +283,6 @@ mod tests {
         assert_eq!(doc.get("stats.inner.x"), Some(&Value::Int(9)));
         assert_eq!(doc.get("stats.missing"), None);
         assert_eq!(doc.get("stats.count.deeper"), None, "non-object dead end");
-    }
-
-    #[test]
-    fn cmp_total_numeric_cross_type() {
-        use std::cmp::Ordering::*;
-        assert_eq!(Value::Int(2).cmp_total(&Value::Float(2.5)), Less);
-        assert_eq!(Value::Float(3.0).cmp_total(&Value::Int(3)), Equal);
-        assert_eq!(Value::Float(f64::NAN).cmp_total(&Value::Int(1)), Greater);
-        assert_eq!(
-            Value::Float(f64::NAN).cmp_total(&Value::Float(f64::NAN)),
-            Equal
-        );
-    }
-
-    #[test]
-    fn cmp_total_type_ranking() {
-        use std::cmp::Ordering::*;
-        assert_eq!(Value::Null.cmp_total(&Value::Bool(false)), Less);
-        assert_eq!(Value::Str("a".into()).cmp_total(&Value::Int(999)), Greater);
-        assert_eq!(
-            Value::Array(vec![]).cmp_total(&Value::Str("zzz".into())),
-            Greater
-        );
-    }
-
-    #[test]
-    fn cmp_total_arrays_lexicographic() {
-        use std::cmp::Ordering::*;
-        let a = Value::from(vec![1i64, 2]);
-        let b = Value::from(vec![1i64, 3]);
-        let c = Value::from(vec![1i64, 2, 0]);
-        assert_eq!(a.cmp_total(&b), Less);
-        assert_eq!(a.cmp_total(&c), Less, "prefix sorts first");
-        assert_eq!(a.cmp_total(&a), Equal);
     }
 
     #[test]

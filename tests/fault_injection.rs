@@ -152,7 +152,7 @@ fn spec_reachable() -> bool {
 
 #[test]
 fn docstore_checkpoint_under_env_failpoints_never_corrupts() {
-    use cryptext::docstore::{Database, DbOptions, Document, Filter};
+    use cryptext::docstore::{Database, DbOptions, Document};
 
     let dir = tmp_dir("docstore");
     let run = || -> cryptext::common::Result<()> {
@@ -177,14 +177,20 @@ fn docstore_checkpoint_under_env_failpoints_never_corrupts() {
     // documents are a prefix of the insertion order.
     let store = Database::open(&dir, DbOptions::default()).expect("docstore recovery");
     if store.has_collection("t") {
-        let n = store.len("t").unwrap();
-        for i in 0..n as i64 {
-            assert_eq!(
-                store.count("t", &Filter::eq("i", i)).unwrap(),
-                1,
-                "docs survive in insertion order"
-            );
-        }
+        let mut survivors: Vec<i64> = store
+            .read_collection("t", |c| {
+                c.scan()
+                    .map(|(_, d)| d.get("i").and_then(|i| i.as_int()).expect("int i"))
+                    .collect()
+            })
+            .unwrap();
+        survivors.sort_unstable();
+        let n = store.len("t").unwrap() as i64;
+        assert_eq!(
+            survivors,
+            (0..n).collect::<Vec<_>>(),
+            "docs survive in insertion order"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
