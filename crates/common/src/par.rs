@@ -14,7 +14,9 @@
 //! **persistent**: a process-wide pool starts lazily on the first parallel
 //! call, grows on demand up to the current [`max_threads`] reading (so
 //! `CRYPTEXT_THREADS` keeps working, and keeps working even when it changes
-//! between calls), and parks idle workers on a shared job channel. A
+//! between calls), and parks idle workers on a shared job channel. Without
+//! the variable, the reading is the host's parallelism, taken once at first
+//! use (a later affinity or CPU-quota change is not observed). A
 //! dispatch is one channel send instead of a thread spawn, so batches as
 //! small as two items can fan out profitably.
 //!
@@ -43,15 +45,23 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Upper bound on worker threads, respecting `CRYPTEXT_THREADS` when set.
+///
+/// The variable is read on every call, so a change between calls takes
+/// effect. The host's reading (`available_parallelism`, which on Linux
+/// reads the cgroup CPU quota and costs tens of microseconds) is taken
+/// once, at first use: a later affinity or quota change is not observed.
 pub fn max_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
     if let Ok(v) = std::env::var("CRYPTEXT_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
             return n.max(1);
         }
     }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Below this batch size even a pool dispatch (a channel send plus a latch
@@ -273,8 +283,8 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    // The size check comes first: `max_threads` reads the environment and
-    // the host's CPU quota, which costs more than mapping one item.
+    // The size check comes first: `max_threads` reads the environment,
+    // which costs more than mapping one item.
     if items.len() < MIN_PARALLEL_ITEMS || IS_POOL_WORKER.with(|flag| flag.get()) {
         return items.iter().map(f).collect();
     }

@@ -679,8 +679,11 @@ impl<S: DeltaStore> TokenStore for DurableTokenStore<S> {
 /// queue coalesced by token at first occurrence, which preserves the
 /// id-assignment order of the uncoalesced merge.
 fn delta_frames(seq: u64, batch: &PreparedBatch<'_>) -> Vec<(usize, Vec<u8>)> {
-    let mut at: FxHashMap<&str, usize> = FxHashMap::default();
-    let mut ops: Vec<(&str, u64)> = Vec::new();
+    // Sized once for the batch: no queue holds more entries than the
+    // batch has words, so no shard's coalescing grows either.
+    let mut at: FxHashMap<&str, usize> =
+        FxHashMap::with_capacity_and_hasher(batch.words, Default::default());
+    let mut ops: Vec<(&str, u64)> = Vec::with_capacity(batch.words);
     let mut frames = Vec::new();
     for (s, queue) in batch.queues.iter().enumerate() {
         if queue.is_empty() {

@@ -9,6 +9,8 @@
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
+use cryptext_common::hash::FxHashSet;
+
 /// Topic of a generated document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Topic {
@@ -790,13 +792,17 @@ pub fn english_lexicon() -> &'static [&'static str] {
 }
 
 /// Is `w` (case-insensitively) a dictionary word?
+///
+/// Probes an Fx-hashed set of the lexicon's own `&'static str`s. The set
+/// holds only lexicon words and never grows: input words are looked up,
+/// never inserted, so none can be chosen to lengthen a probe chain.
 pub fn is_english_word(w: &str) -> bool {
-    static SET: OnceLock<HashSet<String>> = OnceLock::new();
-    let set = SET.get_or_init(|| english_lexicon().iter().map(|s| s.to_string()).collect());
+    static SET: OnceLock<FxHashSet<&'static str>> = OnceLock::new();
+    let set = SET.get_or_init(|| english_lexicon().iter().copied().collect());
     // Tokens on the Normalization/ingest hot paths are usually already
     // lowercase; skip the per-probe String allocation for them.
     if w.bytes().any(|b| b.is_ascii_uppercase()) {
-        set.contains(&w.to_ascii_lowercase())
+        set.contains(w.to_ascii_lowercase().as_str())
     } else {
         set.contains(w)
     }

@@ -156,27 +156,83 @@ fn ensure(buf: &Bytes, n: usize) -> Result<()> {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) used to frame WAL records and
 /// validate snapshots. Implemented locally to stay inside the approved
-/// dependency set; table generated at first use.
+/// dependency set.
+///
+/// Slicing-by-8: each step folds eight input bytes through eight lookup
+/// tables (built at compile time), and the last `len % 8` bytes go one at
+/// a time through the first table, which is the classic bytewise one. The
+/// checksums are exactly the bytewise algorithm's, so every stored frame
+/// and snapshot keeps its bytes.
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
+    let t = &CRC32_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+/// `CRC32_TABLES[0][b]` is the CRC register after shifting byte `b`
+/// through the reflected polynomial; `CRC32_TABLES[k][b]` is that after
+/// `k` further zero bytes, so table `k` accounts for a byte `k` positions
+/// before the end of an 8-byte word.
+static CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// The one-bit-at-a-time CRC-32 the tables are derived from: the
+/// reference [`crc32`] is held to.
+#[cfg(test)]
+fn crc32_bitwise(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                0xEDB8_8320 ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+        }
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -302,6 +358,21 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
     }
+
+    #[test]
+    fn crc32_equals_the_bitwise_reference_at_every_short_length_and_alignment() {
+        let buf: Vec<u8> = (0..72u32).map(|i| (i * 151 + 7) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bitwise(data),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -327,6 +398,17 @@ mod proptests {
     }
 
     proptest! {
+        /// Slicing-by-8 computes the one-bit-at-a-time checksum over any
+        /// bytes, from any start offset.
+        #[test]
+        fn crc32_equals_the_bitwise_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..1024),
+            skip in 0usize..8,
+        ) {
+            let data = &data[skip.min(data.len())..];
+            prop_assert_eq!(crc32(data), crc32_bitwise(data));
+        }
+
         /// Every value round-trips bit-exactly through the binary encoding.
         #[test]
         fn encode_decode_round_trip(v in value_strategy()) {

@@ -368,12 +368,9 @@ mod tests {
             },
             Join::Leader => panic!("leader already exists"),
         });
-        while sf.in_flight() == 0 {
-            std::thread::sleep(WAIT_SLICE);
-        }
-        // Give the follower a moment to attach; broadcast works whether
-        // or not it has (Done is observed on next wake).
-        std::thread::sleep(WAIT_SLICE);
+        // Settle only once the follower has attached: one that joined
+        // after the flight retired would lead a flight of its own.
+        await_waiters(&sf, 1, 1);
         let err = Error::InvalidArgument("k too large".into());
         assert_eq!(sf.settle(1, &Err(err)), Settled::Done);
         match follower.join().unwrap() {

@@ -18,10 +18,37 @@ pub fn is_emoticon(s: &str) -> bool {
     EMOTICONS.contains(&s)
 }
 
+/// `STARTS[b]`: does some [`EMOTICONS`] entry begin with byte `b`? Built
+/// from the table itself, so the two cannot drift apart.
+const STARTS: [bool; 256] = {
+    let mut starts = [false; 256];
+    let mut i = 0;
+    while i < EMOTICONS.len() {
+        starts[EMOTICONS[i].as_bytes()[0] as usize] = true;
+        i += 1;
+    }
+    starts
+};
+
 /// If `rest` *starts with* an emoticon followed by a boundary (whitespace,
 /// end, or punctuation that cannot extend the emoticon), return its byte
 /// length.
+///
+/// The tokenizer asks at nearly every token start, so a first byte that
+/// begins no listed emoticon (most letters, every digit and every
+/// non-ASCII character) answers `None` from one table lookup; only the
+/// rest scan the list.
 pub fn match_emoticon_at(rest: &str) -> Option<usize> {
+    let &first = rest.as_bytes().first()?;
+    if !STARTS[first as usize] {
+        return None;
+    }
+    scan_emoticons(rest)
+}
+
+/// The ungated scan behind [`match_emoticon_at`]: the first listed
+/// emoticon that prefixes `rest` and ends at a boundary.
+pub(crate) fn scan_emoticons(rest: &str) -> Option<usize> {
     for e in EMOTICONS {
         if let Some(after) = rest.strip_prefix(e) {
             let boundary = match after.chars().next() {
@@ -82,6 +109,19 @@ mod tests {
     fn no_match_inside_words() {
         assert_eq!(match_emoticon_at("no emoticon"), None);
         assert_eq!(match_emoticon_at("x"), None);
+    }
+
+    #[test]
+    fn every_listed_emoticon_passes_the_first_byte_gate() {
+        for e in EMOTICONS {
+            assert!(STARTS[e.as_bytes()[0] as usize], "{e} is gated out");
+            assert_eq!(match_emoticon_at(e), Some(e.len()), "{e}");
+        }
+        // And the gate admits nothing else.
+        for b in 0..=u8::MAX {
+            let listed = EMOTICONS.iter().any(|e| e.as_bytes()[0] == b);
+            assert_eq!(STARTS[b as usize], listed, "byte {b:#04x}");
+        }
     }
 
     #[test]

@@ -133,20 +133,22 @@ pub fn tokenize(input: &str) -> Vec<Token> {
 /// straight out of the input through [`TokenSpan::text`].
 pub fn tokenize_spans(input: &str) -> Vec<TokenSpan> {
     let mut tokens = Vec::new();
-    let bytes_len = input.len();
-    let mut iter = input.char_indices().peekable();
+    // A byte cursor: each token's end is a char boundary, and the next
+    // scan starts there.
+    let mut pos = 0;
 
-    while let Some(&(start, c)) = iter.peek() {
+    while let Some(c) = input[pos..].chars().next() {
+        let start = pos;
         // Whitespace: skip.
         if c.is_whitespace() {
-            iter.next();
+            pos += c.len_utf8();
             continue;
         }
 
         // URLs.
         if let Some(end) = match_url(input, start) {
             push_span(&mut tokens, start..end, TokenKind::Url);
-            advance_to(&mut iter, end);
+            pos = end;
             continue;
         }
 
@@ -158,7 +160,7 @@ pub fn tokenize_spans(input: &str) -> Vec<TokenSpan> {
         if !prev_is_word {
             if let Some(len) = match_emoticon_at(&input[start..]) {
                 push_span(&mut tokens, start..start + len, TokenKind::Emoticon);
-                advance_to(&mut iter, start + len);
+                pos = start + len;
                 continue;
             }
         }
@@ -174,7 +176,7 @@ pub fn tokenize_spans(input: &str) -> Vec<TokenSpan> {
                     TokenKind::Hashtag
                 };
                 push_span(&mut tokens, start..body_end, kind);
-                advance_to(&mut iter, body_end);
+                pos = body_end;
                 continue;
             }
         }
@@ -206,14 +208,13 @@ pub fn tokenize_spans(input: &str) -> Vec<TokenSpan> {
                 TokenKind::Punct
             };
             push_span(&mut tokens, start..end, kind);
-            advance_to(&mut iter, end);
+            pos = end;
             continue;
         }
 
         // Single punctuation char.
-        let end = (start + c.len_utf8()).min(bytes_len);
-        push_span(&mut tokens, start..end, TokenKind::Punct);
-        iter.next();
+        pos = start + c.len_utf8();
+        push_span(&mut tokens, start..pos, TokenKind::Punct);
     }
     tokens
 }
@@ -261,15 +262,6 @@ fn push_span(tokens: &mut Vec<TokenSpan>, span: Range<usize>, kind: TokenKind) {
     tokens.push(TokenSpan { kind, span });
 }
 
-fn advance_to(iter: &mut std::iter::Peekable<std::str::CharIndices>, end: usize) {
-    while let Some(&(i, _)) = iter.peek() {
-        if i >= end {
-            break;
-        }
-        iter.next();
-    }
-}
-
 fn scan_while(input: &str, from: usize, pred: impl Fn(char) -> bool) -> usize {
     let mut end = from;
     for (i, c) in input[from..].char_indices() {
@@ -295,6 +287,102 @@ fn match_url(input: &str, start: usize) -> Option<usize> {
         !c.is_whitespace() && c != '"' && c != '<' && c != '>'
     });
     (end > start + prefix_len).then_some(end)
+}
+
+/// The reference the proptests hold [`tokenize_spans`] to: the same rules
+/// over a `Peekable<CharIndices>` walk that steps through every token char
+/// by char, with the ungated emoticon scan at each boundary.
+#[cfg(test)]
+pub(crate) fn tokenize_spans_reference(input: &str) -> Vec<TokenSpan> {
+    fn advance_to(iter: &mut std::iter::Peekable<std::str::CharIndices>, end: usize) {
+        while let Some(&(i, _)) = iter.peek() {
+            if i >= end {
+                break;
+            }
+            iter.next();
+        }
+    }
+    let mut tokens = Vec::new();
+    let bytes_len = input.len();
+    let mut iter = input.char_indices().peekable();
+
+    while let Some(&(start, c)) = iter.peek() {
+        // Whitespace: skip.
+        if c.is_whitespace() {
+            iter.next();
+            continue;
+        }
+
+        // URLs.
+        if let Some(end) = match_url(input, start) {
+            push_span(&mut tokens, start..end, TokenKind::Url);
+            advance_to(&mut iter, end);
+            continue;
+        }
+
+        // Emoticons (only at a non-word boundary position).
+        let prev_is_word = input[..start]
+            .chars()
+            .next_back()
+            .is_some_and(is_word_interior);
+        if !prev_is_word {
+            if let Some(len) = emoticons::scan_emoticons(&input[start..]) {
+                push_span(&mut tokens, start..start + len, TokenKind::Emoticon);
+                advance_to(&mut iter, start + len);
+                continue;
+            }
+        }
+
+        // Mentions and hashtags.
+        if (c == '@' || c == '#') && !prev_is_word {
+            let body_start = start + c.len_utf8();
+            let body_end = scan_while(input, body_start, |c| c.is_alphanumeric() || c == '_');
+            if body_end > body_start {
+                let kind = if c == '@' {
+                    TokenKind::Mention
+                } else {
+                    TokenKind::Hashtag
+                };
+                push_span(&mut tokens, start..body_end, kind);
+                advance_to(&mut iter, body_end);
+                continue;
+            }
+        }
+
+        // Words (including perturbed forms) and numbers.
+        if is_word_start(c) {
+            let mut end = scan_while(input, start, is_word_interior);
+            // Trim trailing sentence punctuation, but never below one char.
+            while end > start {
+                let last = input[start..end].chars().next_back().expect("non-empty");
+                if is_trim_trailing(last) && end - last.len_utf8() > start {
+                    end -= last.len_utf8();
+                } else {
+                    break;
+                }
+            }
+            let text = &input[start..end];
+            let kind = if text
+                .chars()
+                .all(|c| c.is_ascii_digit() || matches!(c, '.' | ','))
+            {
+                TokenKind::Number
+            } else if text.chars().any(char::is_alphanumeric) {
+                TokenKind::Word
+            } else {
+                TokenKind::Punct
+            };
+            push_span(&mut tokens, start..end, kind);
+            advance_to(&mut iter, end);
+            continue;
+        }
+
+        // Single punctuation char.
+        let end = (start + c.len_utf8()).min(bytes_len);
+        push_span(&mut tokens, start..end, TokenKind::Punct);
+        iter.next();
+    }
+    tokens
 }
 
 #[cfg(test)]
@@ -531,7 +619,47 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Text dense in what the tokenizer branches on: every listed
+    /// emoticon and URL prefix whole, and single characters among
+    /// emoticon, mention and hashtag starts, word-interior and trailing
+    /// symbols, digits, one- and multi-byte whitespace, and accented,
+    /// confusable (Cyrillic `а`, `€`, `¡`), zero-width and overlay
+    /// characters.
+    fn dense_text() -> impl Strategy<Value = String> {
+        let emoticon = proptest::strategy::Union::new(
+            emoticons::EMOTICONS
+                .iter()
+                .map(|e| Just(e.to_string()).boxed())
+                .collect(),
+        );
+        let symbol = "[:;=<>^_oOTxXDP()3/|*@#w.htps$!+',0-9 \té€£¢ñüаı¡\u{A0}\u{3000}\u{200B}\u{200C}\u{200D}\u{336}\u{FEFF}-]";
+        let piece = prop_oneof![
+            symbol,
+            symbol,
+            "[a-z]{1,4}",
+            emoticon,
+            prop_oneof!["https://", "http://", "www."],
+        ];
+        // Pieces abut, or are parted by a boundary an emoticon needs.
+        let parted = (piece, "[ \t.,!?]{0,1}").prop_map(|(piece, sep)| piece + &sep);
+        proptest::collection::vec(parted, 0..24).prop_map(|parts| parts.concat())
+    }
+
     proptest! {
+        /// The byte-cursor tokenizer yields exactly the reference's spans
+        /// and kinds, and never panics, over printable text.
+        #[test]
+        fn spans_equal_the_reference(input in "\\PC{0,60}") {
+            prop_assert_eq!(tokenize_spans(&input), tokenize_spans_reference(&input));
+        }
+
+        /// Same, over text dense in emoticon, URL, mention and confusable
+        /// starts.
+        #[test]
+        fn spans_equal_the_reference_on_dense_text(input in dense_text()) {
+            prop_assert_eq!(tokenize_spans(&input), tokenize_spans_reference(&input));
+        }
+
         /// Every token's text is exactly the source slice at its span.
         #[test]
         fn span_integrity(input in "\\PC{0,60}") {
