@@ -232,12 +232,6 @@ impl HumanPerturber {
         }
     }
 
-    /// Custom mixture; weights need not sum to 1.
-    pub fn with_weights(strategies: Vec<(Strategy, f64)>) -> Self {
-        assert!(!strategies.is_empty(), "at least one strategy");
-        HumanPerturber { strategies }
-    }
-
     /// The strategies and weights in play.
     pub fn strategies(&self) -> &[(Strategy, f64)] {
         &self.strategies

@@ -52,7 +52,7 @@ pub fn run(corpus: &Corpus, norm_opt: &Measured) -> Doc {
 
     // The same workload over the sharded backend at every count: identical
     // hits, plus the Bloom routing's deterministic skip statistics (shard
-    // walks issued vs skipped) and the fan-out width on this machine.
+    // walks issued vs skipped).
     let shards = SHARD_COUNTS
         .into_iter()
         .map(|n| {
@@ -72,7 +72,6 @@ pub fn run(corpus: &Corpus, norm_opt: &Measured) -> Doc {
                 .float("p50_us", m.p50_us, 2)
                 .float("p99_us", m.p99_us, 2)
                 .pin("total_hits", m.total_hits)
-                .info("fan_out_threads", threads.min(n))
                 .pin("shard_walks", walks)
                 .pin("skipped_shard_walks", skipped)
                 .float("skip_rate", skipped as f64 / walks as f64, 2)

@@ -180,11 +180,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         }
     }
 
-    /// Convenience constructor with the system clock.
-    pub fn with_system_clock(config: CacheConfig) -> Self {
-        Cache::new(config, cryptext_common::system_clock())
-    }
-
     fn shard_for(&self, key: &K) -> &Mutex<Shard<K, V>> {
         let mut h = FxHasher::default();
         key.hash(&mut h);

@@ -331,10 +331,6 @@ impl EncodedQuery {
 pub struct SoundScratch {
     visited: Vec<u32>,
     epoch: u32,
-    /// Matching-shard buffer for the sharded fan-out dispatch, kept here
-    /// so routing a query allocates nothing (the shard router borrows it
-    /// via `mem::take` around its walk).
-    pub(crate) fan_out: Vec<u32>,
 }
 
 impl SoundScratch {

@@ -578,21 +578,6 @@ impl<S: DeltaStore> TokenStore for DurableTokenStore<S> {
         self.inner.for_each_sound_mate(query, scratch, f)
     }
 
-    fn fan_out_sound_mates<'a, M, R, F>(
-        &'a self,
-        query: &EncodedQuery,
-        scratch: &mut SoundScratch,
-        map: M,
-        sink: F,
-    ) -> ControlFlow<()>
-    where
-        M: Fn(u32, &'a TokenRecord) -> Option<R> + Sync,
-        R: Send,
-        F: FnMut(R) -> ControlFlow<()>,
-    {
-        self.inner.fan_out_sound_mates(query, scratch, map, sink)
-    }
-
     fn get(&self, token: &str) -> Option<&TokenRecord> {
         self.inner.get(token)
     }

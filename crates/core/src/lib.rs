@@ -96,11 +96,6 @@ impl<S: TokenStore> CrypText<S> {
         &self.db
     }
 
-    /// Mutable access (for incremental ingest).
-    pub fn database_mut(&mut self) -> &mut S {
-        &mut self.db
-    }
-
     /// The normalization language model.
     pub fn language_model(&self) -> &cryptext_lm::NgramLm {
         &self.lm

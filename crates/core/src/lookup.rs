@@ -8,7 +8,6 @@
 
 use std::cell::RefCell;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cryptext_common::Result;
@@ -120,13 +119,6 @@ impl LookupScratch {
 
 thread_local! {
     static SHARED_LOOKUP_SCRATCH: RefCell<LookupScratch> = RefCell::new(LookupScratch::new());
-    /// Edit-distance scratch for the *parallel* hit filter: the distance
-    /// runs inside [`crate::store::TokenStore::fan_out_sound_mates`]'s
-    /// `map` on pool workers (and on the participating caller), so it
-    /// cannot borrow the caller's [`LookupScratch`]. Distinct from
-    /// `SHARED_LOOKUP_SCRATCH` so a caller mid-borrow of that scratch can
-    /// still participate as a fan-out worker.
-    static FAN_OUT_EDIT_SCRATCH: RefCell<EditScratch> = RefCell::new(EditScratch::new());
 }
 
 /// Execute a Look Up against any [`TokenStore`] backend. Hits are ordered
@@ -142,8 +134,7 @@ pub fn look_up<S: TokenStore>(db: &S, token: &str, params: LookupParams) -> Resu
 
 /// The SMS hit filter shared by every retrieval path: `None` when the
 /// candidate cannot be a hit or the caller's `keep` rejects it,
-/// `Some(distance)` otherwise. Pure apart from the reusable edit scratch,
-/// so the sharded fan-out may run it on pool workers.
+/// `Some(distance)` otherwise.
 #[inline]
 fn hit_distance<P: Fn(&TokenRecord) -> bool>(
     rec: &TokenRecord,
@@ -188,8 +179,8 @@ fn hit_distance<P: Fn(&TokenRecord) -> bool>(
 /// off its record, a length-difference pre-filter skips hopeless
 /// candidates before any distance work, and the bounded Levenshtein runs
 /// bit-parallel (Myers) through reusable scratch. Sharded backends skip
-/// shards via their Bloom summaries and may fan the per-shard filter work
-/// out across the worker pool — results are byte-identical either way.
+/// shards via their Bloom summaries and walk the rest one after another
+/// on the caller's thread, filtering each candidate as it is visited.
 pub fn for_each_hit<'a, S, F>(
     db: &'a S,
     token: &str,
@@ -208,10 +199,11 @@ where
 }
 
 /// [`for_each_hit`] with an early-exit visitor: returning
-/// [`ControlFlow::Break`] stops the retrieval. The visited prefix is
-/// identical to what the non-breaking visitor would have seen — pinned
-/// across backends and across the sequential/parallel fan-out paths by the
-/// proptests in `shard.rs`.
+/// [`ControlFlow::Break`] stops the retrieval at that hit, on every
+/// backend, so the candidates after it (later shards included) are never
+/// examined. The visited prefix is identical to what the non-breaking
+/// visitor would have seen — pinned across backends by the proptests in
+/// `shard.rs`.
 pub fn for_each_hit_until<'a, S, F>(
     db: &'a S,
     token: &str,
@@ -229,10 +221,9 @@ where
 /// [`for_each_hit_until`] visiting only the hits whose record satisfies
 /// `keep`: exactly the unfiltered sequence with the rejected records
 /// removed (same ids, distances and order). `keep` runs after the cheap
-/// pre-filters and before the bounded Levenshtein, in the single walk and
-/// inside the fan-out's map on pool workers (hence `Sync`), so a rejected
-/// record never pays for an edit distance. The examined-candidates tally
-/// still counts every walked record.
+/// pre-filters and before the bounded Levenshtein, so a rejected record
+/// never pays for an edit distance. The examined-candidates tally still
+/// counts every walked record.
 pub(crate) fn for_each_hit_where<'a, S, P, F>(
     db: &'a S,
     token: &str,
@@ -243,7 +234,7 @@ pub(crate) fn for_each_hit_where<'a, S, P, F>(
 ) -> Result<()>
 where
     S: TokenStore,
-    P: Fn(&TokenRecord) -> bool + Sync,
+    P: Fn(&TokenRecord) -> bool,
     F: FnMut(u32, &'a TokenRecord, usize) -> ControlFlow<()>,
 {
     let LookupScratch {
@@ -263,95 +254,47 @@ where
     let query_chars = query.folded_chars();
 
     // Volume tallies accumulate locally and flush as one atomic add per
-    // walk — never per candidate (the fan-out map runs on pool workers,
-    // where a shared hot cell would bounce between cores).
-    let track = stages.is_some();
-    let examined = AtomicU64::new(0);
+    // walk, never per candidate.
+    let mut examined: u64 = 0;
     let mut hits: u64 = 0;
     let _walk = stages.map(|s| s.lookup_walk_us.start_timer());
-
-    if db.num_shards() <= 1 {
-        // Single walk: filter inline with the caller's edit scratch.
-        let mut seen: u64 = 0;
-        let _ = db.for_each_sound_mate(query, sound, |id, rec| {
-            seen += 1;
-            match hit_distance(rec, query_folded, query_chars, params, &keep, edit) {
-                Some(distance) => {
-                    hits += 1;
-                    f(id, rec, distance)
-                }
-                None => ControlFlow::Continue(()),
-            }
-        });
-        examined.store(seen, Ordering::Relaxed);
-    } else {
-        // Sharded: one encoding feeds every shard; the store may run the
-        // filter map per shard on pool workers (thread-local edit
-        // scratch), with Bloom routing skipping shards that cannot match.
-        let _ = db.fan_out_sound_mates(
-            query,
-            sound,
-            |id, rec| {
-                if track {
-                    examined.fetch_add(1, Ordering::Relaxed);
-                }
-                FAN_OUT_EDIT_SCRATCH.with(|edit| {
-                    hit_distance(
-                        rec,
-                        query_folded,
-                        query_chars,
-                        params,
-                        &keep,
-                        &mut edit.borrow_mut(),
-                    )
-                    .map(|distance| (id, rec, distance))
-                })
-            },
-            |(id, rec, distance)| {
+    let _ = db.for_each_sound_mate(query, sound, |id, rec| {
+        examined += 1;
+        match hit_distance(rec, query_folded, query_chars, params, &keep, edit) {
+            Some(distance) => {
                 hits += 1;
                 f(id, rec, distance)
-            },
-        );
-    }
+            }
+            None => ControlFlow::Continue(()),
+        }
+    });
     if let Some(s) = stages {
-        s.lookup_filter_candidates
-            .add(examined.load(Ordering::Relaxed));
+        s.lookup_filter_candidates.add(examined);
         s.lookup_hits.add(hits);
     }
     Ok(())
 }
 
-/// [`look_up`] with caller-provided scratch buffers: drives
-/// [`for_each_hit`] and materializes the sorted public hit list.
+/// [`look_up`] with caller-provided scratch buffers: the
+/// [`look_up_cancellable`] walk with a probe that never fires.
 pub fn look_up_with<S: TokenStore>(
     db: &S,
     token: &str,
     params: LookupParams,
     scratch: &mut LookupScratch,
 ) -> Result<Vec<LookupHit>> {
-    let mut hits: Vec<LookupHit> = Vec::with_capacity(16);
-    for_each_hit(db, token, params, scratch, |_, rec, distance| {
-        hits.push(LookupHit {
-            token: rec.token.clone(),
-            count: rec.count,
-            distance,
-            is_english: rec.is_english,
-        });
-    })?;
-    // Hit keys are unique (one record per token string), so an unstable
-    // sort yields the same order as the reference's stable sort.
-    hits.sort_unstable_by(hit_order);
-    Ok(hits)
+    look_up_cancellable(db, token, params, scratch, &mut || None)
 }
 
-/// [`look_up_with`] with a cooperative cancellation probe, for callers
-/// whose request carries a deadline (the service gateway): `cancel` is
-/// consulted before each candidate hit is accepted, and the first
-/// `Some(err)` it returns aborts the walk mid-bucket — through
-/// [`for_each_hit_until`]'s early-exit plumbing, so a cancelled query
-/// stops paying for shard walks it no longer wants — and surfaces `err`
-/// to the caller. A query that is never cancelled returns exactly what
-/// [`look_up_with`] would.
+/// Look Up with caller-provided scratch and a cooperative cancellation
+/// probe, for callers whose request carries a deadline (the service
+/// gateway), and the one place the sorted public hit list is built.
+/// `cancel` is consulted before each candidate hit is accepted, and the
+/// first `Some(err)` it returns stops the walk at that hit — through
+/// [`for_each_hit_until`]'s early exit, so the candidates after it, later
+/// shards included, are never examined — and surfaces `err` to the
+/// caller. A query that is never cancelled returns the whole sorted hit
+/// list.
 pub fn look_up_cancellable<S: TokenStore>(
     db: &S,
     token: &str,
@@ -377,6 +320,8 @@ pub fn look_up_cancellable<S: TokenStore>(
     if let Some(err) = aborted {
         return Err(err);
     }
+    // Hit keys are unique (one record per token string), so an unstable
+    // sort yields the same order as the reference's stable sort.
     hits.sort_unstable_by(hit_order);
     Ok(hits)
 }
@@ -859,7 +804,7 @@ mod proptests {
         /// The record-predicate walk visits exactly the unfiltered walk's
         /// `(id, distance)` sequence with the rejected records removed,
         /// for a predicate and its negation, on the flat backend and at
-        /// 1–8 shards (where the predicate runs inside the fan-out map).
+        /// 1–8 shards.
         #[test]
         fn predicate_walk_filters_the_unfiltered_sequence(
             observed in proptest::collection::vec(corpus_word(), 1..24),

@@ -31,8 +31,8 @@
 //!   the wild) are skipped before the edit distance. Each
 //!   out-of-dictionary token is encoded into an
 //!   [`crate::database::EncodedQuery`] exactly once, so a sharded backend
-//!   walks all of its shards (Bloom-routed, possibly in parallel) on one
-//!   encoding — Normalization inherits the sharded Look Up fan-out wholesale.
+//!   walks all of its Bloom-routed shards on one encoding, in the same
+//!   single walk Look Up uses.
 //! * **Candidate words borrow the database** (`Cow::Borrowed` into each
 //!   record's precomputed fold for the ASCII common case); owned `String`s
 //!   are materialized only for the final, truncated candidate list.

@@ -649,14 +649,7 @@ impl<S: TokenStore> CryptextService<S> {
     /// memo hits still count as cold, the *result* was assembled fresh).
     /// The engine is not internally cancellable, so deadline checks
     /// happen at the gateway's layer boundaries instead.
-    pub fn normalize_prechecked_traced(
-        &self,
-        text: &str,
-        params: NormalizeParams,
-    ) -> Result<(NormalizationResult, Served)> {
-        self.normalize_through_cache(text, params)
-    }
-
+    ///
     /// The cached Normalization core every endpoint funnels through. Two
     /// layers: the whole-text result cache answers exact repeats without
     /// touching retrieval or scoring at all, and below it per-token
@@ -666,7 +659,7 @@ impl<S: TokenStore> CryptextService<S> {
     /// finished output verbatim, and the candidate memo holds only the
     /// context-independent `(word, distance)` retrieval pairs with scoring
     /// run fresh per context.
-    fn normalize_through_cache(
+    pub fn normalize_prechecked_traced(
         &self,
         text: &str,
         params: NormalizeParams,
@@ -786,7 +779,8 @@ impl<S: TokenStore> CryptextService<S> {
         params: NormalizeParams,
     ) -> Result<NormalizationResult> {
         self.authorize(auth)?;
-        self.normalize_through_cache(text, params).map(|(r, _)| r)
+        self.normalize_prechecked_traced(text, params)
+            .map(|(r, _)| r)
     }
 
     /// Bulk Normalization, fanned out across cores with results in input
@@ -799,7 +793,7 @@ impl<S: TokenStore> CryptextService<S> {
     ) -> Result<Vec<NormalizationResult>> {
         self.authorize(auth)?;
         try_par_map(texts, |t| {
-            self.normalize_through_cache(t, params).map(|(r, _)| r)
+            self.normalize_prechecked_traced(t, params).map(|(r, _)| r)
         })
     }
 

@@ -30,13 +30,14 @@
 //!   summaries admit at least one of its codes
 //!   ([`TokenDatabase::may_match`]); a ruled-out shard could not have
 //!   produced a hit, so skipping it is invisible to results.
-//! * **Per-query parallel fan-out** —
-//!   [`TokenStore::fan_out_sound_mates`] runs the matching shards' walks
-//!   through the [`cryptext_common::par`] pool (per-worker scratch,
-//!   per-shard result buffers) and merges in shard order, so the sink
-//!   observes exactly the sequential walk's sequence — early-exit
-//!   [`ControlFlow`] semantics included. Single-matching-shard queries
-//!   bypass the pool entirely.
+//! * **One sequential walk per query** —
+//!   [`TokenStore::for_each_sound_mate`] walks the matching shards one
+//!   after another in shard order on the caller's thread and scratch, so
+//!   a visitor's [`ControlFlow::Break`] (a deadline probe, a capped
+//!   result) stops the walk at that candidate and leaves the later shards
+//!   unwalked. Served requests already run on pool workers, and bulk
+//!   endpoints parallelize across queries; a query does not fan out
+//!   across shards.
 //! * **Batch ingest** — the one batch prepare shared with the single
 //!   instance, [`crate::database::PreparedBatch`] (tokenize, gate,
 //!   confusable fold, 3-level Soundex, per text through
@@ -57,7 +58,6 @@
 //!   re-encoding) and the result is pinned byte-identical to a fresh
 //!   (N+1)-shard build of the same corpus.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
@@ -76,13 +76,6 @@ use crate::database::{
 };
 use crate::durable::DeltaStore;
 use crate::store::TokenStore;
-
-thread_local! {
-    /// Per-worker walk scratch for the parallel fan-out path: each pool
-    /// worker (and the participating caller) dedups its shard walks
-    /// through its own visited set, so no scratch crosses threads.
-    static FAN_OUT_SCRATCH: RefCell<SoundScratch> = RefCell::new(SoundScratch::new());
-}
 
 /// A token database split across consistent-hash shards. See the module
 /// docs for the routing and id-space design; the public surface is the
@@ -180,50 +173,6 @@ impl ShardedTokenDatabase {
     /// `skip-rate` statistic of the bench's `shards` dimension.
     pub fn skipped_shards(&self, query: &EncodedQuery) -> usize {
         self.shards.iter().filter(|s| !s.may_match(query)).count()
-    }
-
-    /// The parallel half of [`TokenStore::fan_out_sound_mates`]: run every
-    /// matching shard's walk (candidate visit + `map`) on the worker pool,
-    /// buffering per-shard results, then feed the buffers to `sink` in
-    /// shard order. Because shards are disjoint and `map` is pure, the
-    /// sink observes exactly the sequence the sequential walk produces —
-    /// including under early exit, where later results are simply
-    /// discarded. Kept separate from the dispatch heuristic so tests can
-    /// pin this path against the sequential walk regardless of core count.
-    fn fan_out_collected<'a, M, R, F>(
-        &'a self,
-        query: &EncodedQuery,
-        matching: &[u32],
-        map: &M,
-        mut sink: F,
-    ) -> ControlFlow<()>
-    where
-        M: Fn(u32, &'a TokenRecord) -> Option<R> + Sync,
-        R: Send,
-        F: FnMut(R) -> ControlFlow<()>,
-    {
-        let n = self.shards.len() as u32;
-        let per_shard: Vec<Vec<R>> = par_map(matching, |&s| {
-            FAN_OUT_SCRATCH.with(|scratch| {
-                let scratch = &mut *scratch.borrow_mut();
-                let mut out: Vec<R> = Vec::new();
-                let flow =
-                    self.shards[s as usize].for_each_sound_mate(query, scratch, |local, rec| {
-                        if let Some(r) = map(local * n + s, rec) {
-                            out.push(r);
-                        }
-                        ControlFlow::Continue(())
-                    });
-                debug_assert!(flow.is_continue());
-                out
-            })
-        });
-        for results in per_shard {
-            for r in results {
-                sink(r)?;
-            }
-        }
-        ControlFlow::Continue(())
     }
 
     fn record_clean_sentence_impl(&mut self, text: &str) {
@@ -399,48 +348,6 @@ impl TokenStore for ShardedTokenDatabase {
         }
         self.shard_walks.add(walked);
         self.shard_skips.add(skipped);
-        flow
-    }
-
-    fn fan_out_sound_mates<'a, M, R, F>(
-        &'a self,
-        query: &EncodedQuery,
-        scratch: &mut SoundScratch,
-        map: M,
-        mut sink: F,
-    ) -> ControlFlow<()>
-    where
-        M: Fn(u32, &'a TokenRecord) -> Option<R> + Sync,
-        R: Send,
-        F: FnMut(R) -> ControlFlow<()>,
-    {
-        let n = self.shards.len() as u32;
-        // Route through the scratch's reusable shard buffer — the hot
-        // path stays allocation-free per query.
-        let mut matching = std::mem::take(&mut scratch.fan_out);
-        matching.clear();
-        matching.extend((0..n).filter(|&s| self.shards[s as usize].may_match(query)));
-        self.shard_walks.add(matching.len() as u64);
-        self.shard_skips.add(n as u64 - matching.len() as u64);
-        let flow = if matching.len() <= 1 {
-            // Nothing to fan out: walk the (at most one) matching shard
-            // inline on the caller's scratch, no per-shard buffers.
-            let mut walk = || -> ControlFlow<()> {
-                for &s in &matching {
-                    self.shards[s as usize].for_each_sound_mate(query, scratch, |local, rec| {
-                        match map(local * n + s, rec) {
-                            Some(r) => sink(r),
-                            None => ControlFlow::Continue(()),
-                        }
-                    })?;
-                }
-                ControlFlow::Continue(())
-            };
-            walk()
-        } else {
-            self.fan_out_collected(query, &matching, &map, sink)
-        };
-        scratch.fan_out = matching;
         flow
     }
 
@@ -779,98 +686,93 @@ mod tests {
         assert!(wide.record(u32::MAX).is_none());
     }
 
-    /// Reference sequence: the sequential shard-order walk with the map
-    /// applied inline — what `fan_out_sound_mates` must reproduce exactly.
-    fn sequential_reference(
-        wide: &ShardedTokenDatabase,
-        query: &EncodedQuery,
-    ) -> Vec<(u32, String)> {
-        let mut scratch = SoundScratch::new();
-        let mut out = Vec::new();
-        let _ = TokenStore::for_each_sound_mate(wide, query, &mut scratch, |id, rec| {
-            out.push((id, rec.token.clone()));
-            ControlFlow::Continue(())
-        });
-        out
-    }
-
+    /// A walk cut at its first hit examines only the candidates before it:
+    /// whether a deadline probe fires there or a visitor breaks there, the
+    /// examined tally equals the position of that hit in the plain
+    /// sound-mate walk, on queries that match several shards.
     #[test]
-    fn parallel_fan_out_matches_sequential_walk_exactly() {
-        for n in [2usize, 3, 5, 8] {
-            let wide = sharded(n);
-            for token in ["republicans", "the", "suic1de", "democrats", "zzzzzz"] {
-                for k in 0..NUM_LEVELS {
-                    let query = EncodedQuery::for_token(token, k).unwrap();
-                    let reference = sequential_reference(&wide, &query);
+    fn a_walk_cut_at_its_first_hit_examines_only_its_prefix() {
+        use crate::lookup::{for_each_hit, for_each_hit_until, look_up_cancellable, LookupScratch};
+        use crate::metrics::StageMetrics;
+        use cryptext_corpus::{generator::generate, CorpusConfig};
+        use std::sync::Arc;
 
-                    // Drive the parallel collect-then-merge path directly
-                    // (bypassing the ≤1-matching-shard shortcut) so the pin
-                    // holds even on single-core hosts and sparse queries.
-                    let matching = wide.matching_shards(&query);
-                    let mut collected = Vec::new();
-                    let flow = wide.fan_out_collected(
-                        &query,
-                        &matching,
-                        &|id, rec: &TokenRecord| Some((id, rec.token.clone())),
-                        |r| {
-                            collected.push(r);
-                            ControlFlow::Continue(())
-                        },
-                    );
-                    assert!(flow.is_continue());
-                    assert_eq!(
-                        collected, reference,
-                        "{n} shards, {token:?} k={k}: parallel == sequential"
-                    );
+        let texts = generate(CorpusConfig::small(7)).texts();
+        let mut wide = ShardedTokenDatabase::with_lexicon(4);
+        TokenStore::ingest_texts(&mut wide, &texts);
+        let params = LookupParams::new(1, 3);
 
-                    // The public dispatcher agrees too.
-                    let mut scratch = SoundScratch::new();
-                    let mut dispatched = Vec::new();
-                    let _ = wide.fan_out_sound_mates(
-                        &query,
-                        &mut scratch,
-                        |id, rec| Some((id, rec.token.clone())),
-                        |r| {
-                            dispatched.push(r);
-                            ControlFlow::Continue(())
-                        },
-                    );
-                    assert_eq!(dispatched, reference);
+        let mut words: Vec<&str> = Vec::new();
+        let mut seen: FxHashSet<&str> = FxHashSet::default();
+        for text in &texts {
+            for tok in cryptext_tokenizer::tokenize_spans(text) {
+                if tok.is_word() && seen.insert(tok.text(text)) {
+                    words.push(tok.text(text));
                 }
             }
         }
-    }
+        words.truncate(400);
 
-    #[test]
-    fn fan_out_early_exit_yields_exact_prefix() {
-        let wide = sharded(4);
-        let query = EncodedQuery::for_token("republicans", 1).unwrap();
-        let reference = sequential_reference(&wide, &query);
-        assert!(reference.len() >= 3, "fixture has republicans variants");
-        let matching = wide.matching_shards(&query);
-        for cut in 0..=reference.len() {
-            let mut seen = Vec::new();
-            let flow = wide.fan_out_collected(
-                &query,
-                &matching,
-                &|id, rec: &TokenRecord| Some((id, rec.token.clone())),
-                |r| {
-                    seen.push(r);
-                    if seen.len() > cut {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                },
-            );
-            if cut < reference.len() {
-                assert!(flow.is_break(), "cut {cut} breaks");
-                assert_eq!(seen, reference[..cut + 1], "prefix after break at {cut}");
-            } else {
-                assert!(flow.is_continue());
-                assert_eq!(seen, reference);
+        let stages = Arc::new(StageMetrics::new());
+        let mut scratch = LookupScratch::new();
+        scratch.attach_stages(Some(Arc::clone(&stages)));
+        let mut sound = SoundScratch::new();
+        let (mut checked, mut cut_short) = (0usize, 0usize);
+        for word in words {
+            let query = EncodedQuery::for_token(word, params.k).unwrap();
+            if wide.matching_shards(&query).len() < 2 {
+                continue;
             }
+            let mut hits = Vec::new();
+            for_each_hit(&wide, word, params, &mut scratch, |id, _, _| hits.push(id)).unwrap();
+            let Some(&first_hit) = hits.first() else {
+                continue;
+            };
+            // The candidates a plain walk visits up to and including the
+            // first hit, and in total.
+            let (mut prefix, mut total) = (None, 0u64);
+            let _ = TokenStore::for_each_sound_mate(&wide, &query, &mut sound, |id, _| {
+                total += 1;
+                if id == first_hit {
+                    prefix.get_or_insert(total);
+                }
+                ControlFlow::Continue(())
+            });
+            let prefix = prefix.expect("the first hit is a sound mate");
+            checked += 1;
+            cut_short += usize::from(prefix < total);
+
+            let examined = || stages.lookup_filter_candidates.get();
+            let before = examined();
+            let err = look_up_cancellable(&wide, word, params, &mut scratch, &mut || {
+                Some(Error::DeadlineExceeded { budget_ms: 1 })
+            })
+            .unwrap_err();
+            assert!(matches!(err, Error::DeadlineExceeded { .. }));
+            assert_eq!(
+                examined() - before,
+                prefix,
+                "{word:?}: probe fires at the first hit"
+            );
+            let before = examined();
+            for_each_hit_until(&wide, word, params, &mut scratch, |_, _, _| {
+                ControlFlow::Break(())
+            })
+            .unwrap();
+            assert_eq!(
+                examined() - before,
+                prefix,
+                "{word:?}: visitor breaks at the first hit"
+            );
         }
+        assert!(
+            checked >= 20,
+            "only {checked} queries match 2+ shards with hits"
+        );
+        assert!(
+            cut_short > 0,
+            "some first hit must come before the last candidate"
+        );
     }
 
     #[test]
@@ -1294,11 +1196,23 @@ mod proptests {
         proptest::collection::vec("[a-e1@]{2,8}", 0..6).prop_map(|ws| ws.join(" "))
     }
 
+    /// Every `(global id, token)` the sound-mate walk visits, in order.
+    fn walk_sequence(store: &ShardedTokenDatabase, query: &EncodedQuery) -> Vec<(u32, String)> {
+        let mut scratch = SoundScratch::new();
+        let mut out = Vec::new();
+        let _ = TokenStore::for_each_sound_mate(store, query, &mut scratch, |id, rec| {
+            out.push((id, rec.token.clone()));
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
     proptest! {
         /// The tentpole pin: for any corpus and any shard count 1–8, the
         /// sharded backend returns byte-identical Look Up hits, statistics,
         /// and Table-I views to the single instance — including after a
-        /// per-shard persist/load round trip.
+        /// per-shard persist/load round trip, which also keeps the walk's
+        /// exact visit sequence.
         #[test]
         fn sharded_equals_single_reference(
             tokens in proptest::collection::vec("[a-e1@O]{2,9}", 1..25),
@@ -1347,6 +1261,14 @@ mod proptests {
                     look_up(&flat, q, params).unwrap(),
                     "after round trip: query {:?}", q
                 );
+                // The round trip keeps every record's global id and the
+                // walk's visit order, not just the sorted hits.
+                let query = EncodedQuery::for_token(q, k).unwrap();
+                prop_assert_eq!(
+                    walk_sequence(&restored, &query),
+                    walk_sequence(&wide, &query),
+                    "after round trip: walk of {:?}", q
+                );
             }
         }
 
@@ -1373,67 +1295,6 @@ mod proptests {
                     n.normalize(&flat, text, params).unwrap(),
                     "text {:?} shards {}", text, shards
                 );
-            }
-        }
-
-        /// The fan-out pin: for any corpus, shard count, query, and level,
-        /// the Bloom-routed parallel collect-then-merge path produces the
-        /// exact sequence of the sequential shard walk — including after a
-        /// persist/load round trip, and including the prefix an
-        /// early-exiting sink observes.
-        #[test]
-        fn fan_out_equals_sequential_walk(
-            tokens in proptest::collection::vec("[a-e1@O]{2,9}", 1..25),
-            query_str in "[a-e1@O]{2,9}",
-            shards in 1usize..=8,
-            k in 0usize..=2,
-            cut in 0usize..=6,
-        ) {
-            let mut wide = ShardedTokenDatabase::in_memory(shards);
-            for t in &tokens {
-                TokenStore::ingest_token(&mut wide, t);
-            }
-            let query = EncodedQuery::for_token(&query_str, k).unwrap();
-
-            let reference = {
-                let mut scratch = SoundScratch::new();
-                let mut out: Vec<(u32, String)> = Vec::new();
-                let _ = TokenStore::for_each_sound_mate(&wide, &query, &mut scratch, |id, rec| {
-                    out.push((id, rec.token.clone()));
-                    ControlFlow::Continue(())
-                });
-                out
-            };
-
-            for store in [&wide, &ShardedTokenDatabase::load_from(&{
-                let s = Database::in_memory();
-                TokenStore::persist_to(&wide, &s, "tokens").unwrap();
-                s
-            }, "tokens").unwrap()] {
-                // Full parallel path, forced past the dispatch shortcut.
-                let matching = store.matching_shards(&query);
-                let mut collected: Vec<(u32, String)> = Vec::new();
-                let _ = store.fan_out_collected(
-                    &query,
-                    &matching,
-                    &|id, rec: &TokenRecord| Some((id, rec.token.clone())),
-                    |r| { collected.push(r); ControlFlow::Continue(()) },
-                );
-                prop_assert_eq!(&collected, &reference, "parallel == sequential");
-
-                // Early exit after `cut` results sees exactly the prefix.
-                let mut prefix: Vec<(u32, String)> = Vec::new();
-                let _ = store.fan_out_collected(
-                    &query,
-                    &matching,
-                    &|id, rec: &TokenRecord| Some((id, rec.token.clone())),
-                    |r| {
-                        prefix.push(r);
-                        if prefix.len() > cut { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
-                    },
-                );
-                let want = &reference[..reference.len().min(cut + 1)];
-                prop_assert_eq!(&prefix[..], want, "early-exit prefix");
             }
         }
 

@@ -17,13 +17,12 @@
 //! `CrypText::with_store(ShardedTokenDatabase::from_database(&db, n))`);
 //! the integration suites run each test at 1 and at 4 shards.
 //!
-//! Retrieval is **encode-once**: the walk methods take a pre-built
-//! [`EncodedQuery`] (Soundex code set + code hashes + case fold), so a
-//! query's encoding cost is paid once no matter how many shards the
-//! backend walks, and [`TokenStore::fan_out_sound_mates`] lets backends
-//! parallelize the per-candidate filter work while preserving the
-//! sequential walk's exact visit sequence ([`ControlFlow`] early exit
-//! included).
+//! Retrieval is **encode-once**: [`TokenStore::for_each_sound_mate`]
+//! takes a pre-built [`EncodedQuery`] (Soundex code set + code hashes +
+//! case fold), so a query's encoding cost is paid once no matter how many
+//! shards the backend walks. Every backend answers a query with that one
+//! sequential walk, so a [`ControlFlow::Break`] from the visitor stops it
+//! at the candidate where it was returned, on any backend.
 
 use std::ops::ControlFlow;
 
@@ -48,11 +47,11 @@ use crate::database::{EncodedQuery, SoundScratch, TokenDatabase, TokenRecord, To
 ///
 /// # Queries encode once
 ///
-/// The walk methods take a pre-built [`EncodedQuery`] rather than a raw
-/// token: the caller encodes a query's Soundex codes and case fold exactly
-/// once, and a sharded backend's per-shard walks all share that encoding.
+/// The walk takes a pre-built [`EncodedQuery`] rather than a raw token:
+/// the caller encodes a query's Soundex codes and case fold exactly once,
+/// and a sharded backend's per-shard walks all share that encoding.
 /// Construction of the query validates the phonetic level, which is why
-/// the walks are infallible ([`ControlFlow`], not `Result`).
+/// the walk is infallible ([`ControlFlow`], not `Result`).
 pub trait TokenStore: Sync {
     /// How many independent shards back this store (1 for a single
     /// instance).
@@ -73,39 +72,6 @@ pub trait TokenStore: Sync {
     ) -> ControlFlow<()>
     where
         F: FnMut(u32, &'a TokenRecord) -> ControlFlow<()>;
-
-    /// [`TokenStore::for_each_sound_mate`] split into a pure, `Sync`
-    /// per-candidate `map` and a sequential `sink`, so backends may fan
-    /// the expensive per-candidate work (the `map` — e.g. the bounded
-    /// Levenshtein filter) out across shards in parallel.
-    ///
-    /// The contract is **byte-identical** to running
-    /// `for_each_sound_mate` and feeding every `Some` result of `map` to
-    /// `sink` inline, early exit included: `sink` receives results in the
-    /// exact order the sequential walk would produce them, and a
-    /// [`ControlFlow::Break`] from `sink` discards the rest. (`map` must
-    /// be pure — a parallel backend may run it for candidates whose
-    /// results a broken-out-of `sink` never sees.)
-    ///
-    /// The default implementation is the sequential inline form; the
-    /// sharded backend overrides it with Bloom-routed parallel fan-out.
-    fn fan_out_sound_mates<'a, M, R, F>(
-        &'a self,
-        query: &EncodedQuery,
-        scratch: &mut SoundScratch,
-        map: M,
-        mut sink: F,
-    ) -> ControlFlow<()>
-    where
-        M: Fn(u32, &'a TokenRecord) -> Option<R> + Sync,
-        R: Send,
-        F: FnMut(R) -> ControlFlow<()>,
-    {
-        self.for_each_sound_mate(query, scratch, |id, rec| match map(id, rec) {
-            Some(r) => sink(r),
-            None => ControlFlow::Continue(()),
-        })
-    }
 
     /// Fetch a token's record (case-sensitive).
     fn get(&self, token: &str) -> Option<&TokenRecord>;

@@ -28,19 +28,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Type name for diagnostics.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Str(_) => "str",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
     /// As a bool, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

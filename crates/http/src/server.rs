@@ -114,11 +114,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
     }
-
-    /// Has shutdown been requested?
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
-    }
 }
 
 /// What a completed serve loop hands back.
