@@ -48,6 +48,16 @@ fn bench_soundex(c: &mut Criterion) {
         })
     });
 
+    // What the token database runs per new record: every level at once.
+    let levels = [0, 1, 2].map(CustomSoundex::new);
+    group.bench_function("custom_all_levels", |b| {
+        b.iter(|| {
+            for t in TOKENS {
+                black_box(CustomSoundex::encode_all_levels(&levels, black_box(t)));
+            }
+        })
+    });
+
     group.finish();
 }
 

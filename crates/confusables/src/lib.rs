@@ -355,5 +355,18 @@ mod proptests {
                 );
             }
         }
+
+        /// Folding any scalar value never panics, and a fold is always a
+        /// non-empty run of ASCII lowercase letters: the Soundex encoder
+        /// walks folds as letter bytes.
+        #[test]
+        fn fold_char_is_total_and_ascii_lower(c in proptest::char::range('\0', char::MAX)) {
+            if let Some(folded) = fold_char(c) {
+                prop_assert!(
+                    !folded.is_empty() && folded.bytes().all(|b| b.is_ascii_lowercase()),
+                    "{:?} folds to {:?}", c, folded
+                );
+            }
+        }
     }
 }

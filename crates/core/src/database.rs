@@ -64,7 +64,8 @@
 //! [`PreparedBatch`]: each text is tokenized once, across cores; each word
 //! passes the ingest gates (at least 2 chars; some phonetic content when
 //! new to its shard), is routed to its shard (always shard 0 here) and,
-//! when new, is encoded at every level once, giving one word queue per
+//! when new, is encoded at every level from one skeleton expansion
+//! ([`CustomSoundex::encode_all_levels`]), giving one word queue per
 //! shard. [`TokenDatabase::ingest_texts`] merges the queue in input order,
 //! byte-identical to calling [`TokenDatabase::ingest_text`] per text,
 //! whose words pass the same gates one at a time. The durable store writes
@@ -78,8 +79,10 @@
 //! level-1 Soundex codes as a check value — and no secondary index, so a
 //! persist writes one document (one WAL frame) per few thousand records.
 //! Everything else (folds, codes at every level, `is_english`, the `H_k`
-//! buckets) is recomputed on load; the docstore is the durable copy, the
-//! in-memory layout above is the one that answers queries.
+//! buckets) is recomputed on load by the encode ingest runs, all three
+//! levels from one skeleton expansion, and the recomputed level-1 codes
+//! must equal the stored `codes_k1`. The docstore is the durable copy,
+//! the in-memory layout above is the one that answers queries.
 
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -614,12 +617,11 @@ impl TokenDatabase {
         }
     }
 
+    /// A new record's codes at every level, from one skeleton expansion.
+    /// Every record build goes through here: batch prepare, the lexicon
+    /// seed, snapshot load and delta-log replay.
     fn compute_codes(&self, token: &str) -> [Vec<SoundexCode>; NUM_LEVELS] {
-        [
-            self.soundex[0].encode_all(token),
-            self.soundex[1].encode_all(token),
-            self.soundex[2].encode_all(token),
-        ]
+        CustomSoundex::encode_all_levels(&self.soundex, token)
     }
 
     fn insert_new(
@@ -958,11 +960,13 @@ impl TokenDatabase {
     ///
     /// The blocks are read in id order in place (no document is cloned)
     /// and each record is rebuilt by the ingest path's own upsert, so
-    /// codes, folds and `is_english` are recomputed; the stored `codes_k1`
-    /// check must agree with the recomputed codes. Anything `persist_to`
-    /// never writes — a missing or non-array block field, ragged arrays, a
-    /// value of the wrong type, a negative count, a token stored twice, a
-    /// code mismatch, any other layout — is an [`Error::Corrupt`], never a
+    /// codes, folds and `is_english` are recomputed, the codes at all
+    /// three levels from one skeleton expansion; no code is taken from
+    /// disk, and the stored `codes_k1` check must agree with the
+    /// recomputed level-1 codes. Anything `persist_to` never writes — a
+    /// missing or non-array block field, ragged arrays, a value of the
+    /// wrong type, a negative count, a token stored twice, a code
+    /// mismatch, any other layout — is an [`Error::Corrupt`], never a
     /// silently repaired record.
     pub fn load_from(store: &Database, collection: &str) -> Result<TokenDatabase> {
         store.read_collection(collection, |blocks| {

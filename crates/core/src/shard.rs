@@ -151,24 +151,6 @@ impl ShardedTokenDatabase {
         &self.shards[i]
     }
 
-    /// The record behind a global id handed out by
-    /// [`TokenStore::for_each_sound_mate`].
-    pub fn record(&self, global_id: u32) -> Option<&TokenRecord> {
-        let n = self.shards.len() as u32;
-        let shard = self.shards.get((global_id % n) as usize)?;
-        shard.records().get((global_id / n) as usize)
-    }
-
-    /// The shards whose Bloom summaries admit at least one of `query`'s
-    /// codes — the only shards a walk visits. False positives are
-    /// possible (a listed shard may still produce no hits); false
-    /// negatives are not (codes are only ever interned, never removed).
-    pub fn matching_shards(&self, query: &EncodedQuery) -> Vec<u32> {
-        (0..self.shards.len() as u32)
-            .filter(|&s| self.shards[s as usize].may_match(query))
-            .collect()
-    }
-
     /// How many of a query's shard walks the Bloom summaries skip — the
     /// `skip-rate` statistic of the bench's `shards` dimension.
     pub fn skipped_shards(&self, query: &EncodedQuery) -> usize {
@@ -669,12 +651,18 @@ mod tests {
     #[test]
     fn global_ids_decode_back_to_records() {
         let wide = sharded(3);
+        // global = local * n_shards + shard
+        let record = |id: u32| {
+            wide.shard((id % 3) as usize)
+                .records()
+                .get((id / 3) as usize)
+        };
         let mut scratch = SoundScratch::new();
         let query = EncodedQuery::for_token("republicans", 1).unwrap();
         let mut seen = 0;
         let flow = TokenStore::for_each_sound_mate(&wide, &query, &mut scratch, |id, rec| {
             assert_eq!(
-                wide.record(id).expect("global id resolves"),
+                record(id).expect("global id resolves"),
                 rec,
                 "id ↔ record agree through the shard remap"
             );
@@ -683,7 +671,7 @@ mod tests {
         });
         assert!(flow.is_continue());
         assert!(seen >= 3, "all republicans variants visited");
-        assert!(wide.record(u32::MAX).is_none());
+        assert!(record(u32::MAX).is_none());
     }
 
     /// A walk cut at its first hit examines only the candidates before it:
@@ -720,7 +708,7 @@ mod tests {
         let (mut checked, mut cut_short) = (0usize, 0usize);
         for word in words {
             let query = EncodedQuery::for_token(word, params.k).unwrap();
-            if wide.matching_shards(&query).len() < 2 {
+            if (0..4).filter(|&s| wide.shard(s).may_match(&query)).count() < 2 {
                 continue;
             }
             let mut hits = Vec::new();
@@ -783,24 +771,26 @@ mod tests {
         let mut skipped_total = 0usize;
         for token in ["republicans", "democrats", "suic1de", "the", "dirty"] {
             let query = EncodedQuery::for_token(token, 1).unwrap();
-            let matching = wide.matching_shards(&query);
-            skipped_total += wide.skipped_shards(&query);
-            assert_eq!(matching.len() + wide.skipped_shards(&query), 8);
+            let skipped = wide.skipped_shards(&query);
+            skipped_total += skipped;
             // Walk the skipped shards exhaustively: none may contain a hit.
             let mut scratch = SoundScratch::new();
-            for s in 0..8u32 {
-                if matching.contains(&s) {
+            let mut walked_skipped = 0;
+            for s in 0..8 {
+                if wide.shard(s).may_match(&query) {
                     continue;
                 }
+                walked_skipped += 1;
                 let mut found = 0usize;
                 let _ = wide
-                    .shard(s as usize)
+                    .shard(s)
                     .for_each_sound_mate(&query, &mut scratch, |_, _| {
                         found += 1;
                         ControlFlow::Continue(())
                     });
                 assert_eq!(found, 0, "skipped shard {s} had a hit for {token:?}");
             }
+            assert_eq!(walked_skipped, skipped, "skipped_shards counts them");
         }
         assert!(
             skipped_total > 0,
@@ -1161,14 +1151,13 @@ mod tests {
             walks += 8;
             skipped += wide.skipped_shards(&query);
             // Exactness: every shard the router skips truly has no hits.
-            let matching = wide.matching_shards(&query);
-            for s in 0..8u32 {
-                if matching.contains(&s) {
+            for s in 0..8 {
+                if wide.shard(s).may_match(&query) {
                     continue;
                 }
                 let mut found = 0usize;
                 let _ = wide
-                    .shard(s as usize)
+                    .shard(s)
                     .for_each_sound_mate(&query, &mut scratch, |_, _| {
                         found += 1;
                         ControlFlow::Continue(())
@@ -1481,7 +1470,6 @@ mod proptests {
             for p in &probes {
                 for k in 0..NUM_LEVELS {
                     let query = EncodedQuery::for_token(p, k).unwrap();
-                    let matching = wide.matching_shards(&query);
 
                     // The stored probe itself must surface via routing…
                     let mut found_self = false;
@@ -1493,12 +1481,12 @@ mod proptests {
                     prop_assert!(found_self, "probe {:?} lost at level {}", p, k);
 
                     // …and skipped shards must be exactly empty for it.
-                    for s in 0..shards as u32 {
-                        if matching.contains(&s) {
+                    for s in 0..shards {
+                        if wide.shard(s).may_match(&query) {
                             continue;
                         }
                         let mut hits = 0usize;
-                        let _ = wide.shard(s as usize).for_each_sound_mate(
+                        let _ = wide.shard(s).for_each_sound_mate(
                             &query, &mut scratch, |_, _| {
                                 hits += 1;
                                 ControlFlow::Continue(())

@@ -14,7 +14,12 @@
 //!    bucket discrimination for the long political vocabulary the paper
 //!    studies. `max_digits` restores classic truncation when wanted.
 //! 4. Ambiguous leet glyphs (`1` = `l` or `i`) yield *multiple* codes via
-//!    [`CustomSoundex::encode_all`]; the token database indexes every one.
+//!    [`CustomSoundex::encode_all`]; the token database indexes every one,
+//!    at every level, through [`CustomSoundex::encode_all_levels`].
+//!
+//! Every entry point reduces each skeleton reading once to its ASCII
+//! lowercase letter bytes and walks those bytes; a multi-level encode
+//! shares one skeleton expansion across its levels.
 
 use cryptext_confusables::{letter_skeleton, skeleton_variants};
 
@@ -57,8 +62,7 @@ impl CustomSoundex {
     /// Returns `None` when the token has no letter interpretation at all
     /// (pure punctuation, emoji).
     pub fn encode(&self, token: &str) -> Option<SoundexCode> {
-        let sk = letter_skeleton(token);
-        self.encode_skeleton(&sk)
+        self.encode_letters(letter_skeleton(token).as_bytes())
     }
 
     /// Encode *every* visual reading of `token` (ambiguous leet glyphs
@@ -66,53 +70,78 @@ impl CustomSoundex {
     ///
     /// The token database inserts a token under each of these codes, and
     /// Look Up probes each, so `suic1de` is findable from `suicide` even
-    /// though `1`'s primary reading is `l`.
+    /// though `1`'s primary reading is `l`. This is the one-level case of
+    /// [`CustomSoundex::encode_all_levels`], which the database uses to
+    /// encode a record at every level from one skeleton expansion.
     pub fn encode_all(&self, token: &str) -> Vec<SoundexCode> {
-        let mut out: Vec<SoundexCode> = Vec::with_capacity(2);
-        self.encode_all_into(token, &mut out);
-        out
+        let [codes] = Self::encode_all_levels(&[*self], token);
+        codes
     }
 
     /// Like [`CustomSoundex::encode_all`], but clears and fills a
     /// caller-provided buffer so query-side encoding reuses one allocation
-    /// across lookups (the read-path hot loop drives this).
+    /// across lookups (the read-path hot loop drives this). Same
+    /// expansion and byte walk as [`CustomSoundex::encode_all_levels`].
     pub fn encode_all_into(&self, token: &str, out: &mut Vec<SoundexCode>) {
         out.clear();
-        for variant in skeleton_variants(token) {
-            // Variants keep joiners; reduce to letters only.
-            let letters: String = variant.chars().filter(char::is_ascii_lowercase).collect();
-            if let Some(code) = self.encode_skeleton(&letters) {
-                if !out.contains(&code) {
-                    out.push(code);
-                }
+        for_each_reading(token, |letters| self.push_new_code(letters, out));
+    }
+
+    /// [`CustomSoundex::encode_all`] at each of `levels`, from one pass:
+    /// the token's skeleton readings are expanded once, each is reduced
+    /// once to its letters, and every level's code list is built from
+    /// those letters. Entry `i` equals `levels[i].encode_all(token)`.
+    ///
+    /// The token database encodes every record at its three phonetic
+    /// levels through this, on ingest and when it rebuilds a snapshot.
+    pub fn encode_all_levels<const N: usize>(
+        levels: &[CustomSoundex; N],
+        token: &str,
+    ) -> [Vec<SoundexCode>; N] {
+        let mut out: [Vec<SoundexCode>; N] = std::array::from_fn(|_| Vec::with_capacity(2));
+        for_each_reading(token, |letters| {
+            for (sx, codes) in levels.iter().zip(&mut out) {
+                sx.push_new_code(letters, codes);
+            }
+        });
+        out
+    }
+
+    /// Append the code of one reading's letters unless `out` has it.
+    fn push_new_code(&self, letters: &[u8], out: &mut Vec<SoundexCode>) {
+        if let Some(code) = self.encode_letters(letters) {
+            if !out.contains(&code) {
+                out.push(code);
             }
         }
     }
 
-    /// Encode a pre-computed lowercase-letter skeleton.
-    fn encode_skeleton(&self, sk: &str) -> Option<SoundexCode> {
-        if sk.is_empty() {
+    /// Encode one reading's letter skeleton: ASCII lowercase bytes.
+    fn encode_letters(&self, letters: &[u8]) -> Option<SoundexCode> {
+        if letters.is_empty() {
             return None;
         }
-        debug_assert!(sk.bytes().all(|b| b.is_ascii_lowercase()));
-        let chars: Vec<char> = sk.chars().collect();
-        let prefix_len = (self.k + 1).min(chars.len());
+        debug_assert!(letters.iter().all(u8::is_ascii_lowercase));
+        let prefix_len = (self.k + 1).min(letters.len());
 
         let mut out = String::with_capacity(prefix_len + 6);
-        for &c in &chars[..prefix_len] {
-            out.push(c.to_ascii_uppercase());
-        }
+        out.extend(
+            letters[..prefix_len]
+                .iter()
+                .map(|b| char::from(b.to_ascii_uppercase())),
+        );
 
         // Walk the whole skeleton so duplicate suppression seeds correctly
         // across the prefix boundary, but emit digits only past the prefix.
         let mut last_digit: Option<u8> = None;
         let mut digits = 0usize;
         let cap = self.max_digits.unwrap_or(usize::MAX);
-        for (i, &c) in chars.iter().enumerate() {
+        for (i, &b) in letters.iter().enumerate() {
+            let c = char::from(b);
             match soundex_digit(c) {
                 Some(d) => {
                     if i >= prefix_len && last_digit != Some(d) && digits < cap {
-                        out.push((b'0' + d) as char);
+                        out.push(char::from(b'0' + d));
                         digits += 1;
                     }
                     last_digit = Some(d);
@@ -131,6 +160,17 @@ impl CustomSoundex {
             digits += 1;
         }
         Some(SoundexCode::from_string(out))
+    }
+}
+
+/// Call `f` with the letters of every skeleton reading of `token`, primary
+/// first: each reading keeps only its ASCII lowercase bytes, in place, so
+/// joiners and unfoldable characters drop out.
+fn for_each_reading(token: &str, mut f: impl FnMut(&[u8])) {
+    for variant in skeleton_variants(token) {
+        let mut letters = variant.into_bytes();
+        letters.retain(u8::is_ascii_lowercase);
+        f(&letters);
     }
 }
 
@@ -297,12 +337,138 @@ mod tests {
     }
 }
 
+/// The per-level encoder the byte walk replaced, kept as the differential
+/// reference: every level expands the token's skeleton readings itself,
+/// collects each reading's letters into a `String` and walks them as a
+/// `Vec<char>`.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn encode(sx: &CustomSoundex, token: &str) -> Option<SoundexCode> {
+        encode_skeleton(sx, &letter_skeleton(token))
+    }
+
+    pub fn encode_all(sx: &CustomSoundex, token: &str) -> Vec<SoundexCode> {
+        let mut out: Vec<SoundexCode> = Vec::with_capacity(2);
+        for variant in skeleton_variants(token) {
+            let letters: String = variant.chars().filter(char::is_ascii_lowercase).collect();
+            if let Some(code) = encode_skeleton(sx, &letters) {
+                if !out.contains(&code) {
+                    out.push(code);
+                }
+            }
+        }
+        out
+    }
+
+    fn encode_skeleton(sx: &CustomSoundex, sk: &str) -> Option<SoundexCode> {
+        if sk.is_empty() {
+            return None;
+        }
+        let chars: Vec<char> = sk.chars().collect();
+        let prefix_len = (sx.k + 1).min(chars.len());
+
+        let mut out = String::with_capacity(prefix_len + 6);
+        for &c in &chars[..prefix_len] {
+            out.push(c.to_ascii_uppercase());
+        }
+        let mut last_digit: Option<u8> = None;
+        let mut digits = 0usize;
+        let cap = sx.max_digits.unwrap_or(usize::MAX);
+        for (i, &c) in chars.iter().enumerate() {
+            match soundex_digit(c) {
+                Some(d) => {
+                    if i >= prefix_len && last_digit != Some(d) && digits < cap {
+                        out.push((b'0' + d) as char);
+                        digits += 1;
+                    }
+                    last_digit = Some(d);
+                }
+                None => {
+                    if is_separator(c) {
+                        last_digit = None;
+                    }
+                }
+            }
+        }
+        let pad_to = 3.min(cap);
+        while digits < pad_to {
+            out.push('0');
+            digits += 1;
+        }
+        Some(SoundexCode::from_string(out))
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Tokens dense in what the encoder folds or drops: ambiguous leet
+    /// glyphs (repeated to weight them), Cyrillic, Greek and fullwidth
+    /// homoglyphs, accented letters, the ligatures `æ œ ß`, U+212A KELVIN
+    /// SIGN, U+0130, joiners and emoji. A `-` must close the class.
+    const DENSE: &str =
+        "[a-zA-Z1!|03457@$1!|1!|аеорсхіАЕОРСΑΕΟαοιυρＡＥＫａｅｏéüçñøłÅæœßÆKİ_'🙂👍🏽-]{0,24}";
+
+    /// Some cases cap the digits, as classic-shaped encoders do.
+    fn max_digits() -> impl Strategy<Value = Option<usize>> {
+        prop_oneof![Just(None), Just(None), (0usize..5).prop_map(Some)]
+    }
+
+    fn levels(max_digits: [Option<usize>; 3]) -> [CustomSoundex; 3] {
+        std::array::from_fn(|k| {
+            let sx = CustomSoundex::new(k);
+            max_digits[k].map_or(sx, |md| sx.with_max_digits(md))
+        })
+    }
+
+    /// Every entry point equals the per-level reference on `token`.
+    fn agrees_with_reference(token: &str, levels: [CustomSoundex; 3]) {
+        let expected = levels.map(|sx| reference::encode_all(&sx, token));
+        prop_assert_eq!(
+            CustomSoundex::encode_all_levels(&levels, token),
+            expected.clone(),
+            "all levels of {:?}",
+            token
+        );
+        let mut reused = vec![SoundexCode::from("STALE0")];
+        for (sx, expected) in levels.iter().zip(&expected) {
+            prop_assert_eq!(&sx.encode_all(token), expected, "encode_all {:?}", token);
+            sx.encode_all_into(token, &mut reused);
+            prop_assert_eq!(&reused, expected, "encode_all_into {:?}", token);
+            prop_assert_eq!(
+                sx.encode(token),
+                reference::encode(sx, token),
+                "encode {:?} at {:?}",
+                token,
+                sx
+            );
+        }
+    }
+
     proptest! {
+        /// One skeleton expansion for every level encodes exactly what
+        /// each level's reference does, on printable text.
+        #[test]
+        fn encoder_equals_reference(
+            s in "\\PC{0,24}",
+            md in (max_digits(), max_digits(), max_digits()),
+        ) {
+            agrees_with_reference(&s, levels([md.0, md.1, md.2]));
+        }
+
+        /// The same over tokens dense in confusables and joiners.
+        #[test]
+        fn encoder_equals_reference_on_confusables(
+            s in DENSE,
+            md in (max_digits(), max_digits(), max_digits()),
+        ) {
+            agrees_with_reference(&s, levels([md.0, md.1, md.2]));
+        }
+
         /// Codes have an uppercase-alphabetic prefix followed by digits only.
         #[test]
         fn code_shape(s in "\\PC{0,24}", k in 0usize..=2) {

@@ -18,6 +18,9 @@
 //! [`CustomSoundex`] implements the customized encoder; because some leet
 //! glyphs are ambiguous (`1` is both `l` and `i`), [`CustomSoundex::encode_all`]
 //! returns *every* reading's code and the token database indexes each.
+//! [`CustomSoundex::encode_all_levels`] does the same at several phonetic
+//! levels from one skeleton expansion, which is how the database encodes
+//! each record at all of its levels `k ≤ MAX_PHONETIC_LEVEL`.
 
 #![warn(missing_docs)]
 
