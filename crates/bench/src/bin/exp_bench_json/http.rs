@@ -1,16 +1,15 @@
 //! `BENCH_http.json`: the HTTP wire dimension — the gateway Look Up mix
 //! over a real loopback socket (one keep-alive connection through
-//! `cryptext-http`) vs the same gateway call made where the HTTP handler
-//! makes it, so the difference is the wire tax alone: parse, route,
-//! serialize and two kernel crossings. Result shapes (wire hits == direct
-//! hits) and the served-request count are deterministic; the latencies
-//! are not.
+//! `cryptext-http`) vs the same gateway call made directly, inline on the
+//! calling thread as the HTTP handler makes it, so the difference is the
+//! wire tax alone: parse, route, serialize and two kernel crossings.
+//! Result shapes (wire hits == direct hits) and the served-request count
+//! are deterministic; the latencies are not.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
-use cryptext_common::par;
 use cryptext_gateway::GatewayConfig;
 use cryptext_http::{HttpConfig, HttpServer};
 
@@ -37,19 +36,11 @@ pub fn run() -> Result<Doc, String> {
     measure(&GATE_QUERIES, WARMUP_ROUNDS, &mut wire);
     let wire = measure(&GATE_QUERIES, HTTP_ROUNDS, wire);
 
-    // The server runs each connection's handler on a pool worker, where the
-    // gateway executes requests inline (the pool refuses to hand work to
-    // itself). Time the direct calls there too, as one pool job, so the
-    // baseline pays no pool handoff the wire path never pays. (Before the
-    // shutdown below, which drains the gateway.)
-    let direct = on_pool_worker({
-        let (gw, auth) = (Arc::clone(&gw), auth.clone());
-        move || {
-            let mut direct = |q: &str| gateway_hits(&gw, &auth, q);
-            measure(&GATE_QUERIES, WARMUP_ROUNDS, &mut direct);
-            measure(&GATE_QUERIES, HTTP_ROUNDS, direct)
-        }
-    });
+    // The direct baseline, timed before the shutdown below drains the
+    // gateway.
+    let mut direct = |q: &str| gateway_hits(&gw, &auth, q);
+    measure(&GATE_QUERIES, WARMUP_ROUNDS, &mut direct);
+    let direct = measure(&GATE_QUERIES, HTTP_ROUNDS, direct);
     drop(conn);
     handle.shutdown();
     let requests_served = serve.join().expect("serve thread").requests_served;
@@ -93,19 +84,6 @@ pub fn run() -> Result<Doc, String> {
             )
             .pin("requests_served", requests_served),
     ))
-}
-
-/// Run `job` as one pool job and wait for its result; inline if the pool
-/// refuses it.
-fn on_pool_worker<R: Send + 'static>(job: impl FnOnce() -> R + Send + 'static) -> R {
-    let (tx, rx) = mpsc::channel();
-    let job = move || {
-        let _ = tx.send(job());
-    };
-    if let Err(job) = par::spawn(job) {
-        job();
-    }
-    rx.recv().expect("the pool job panicked")
 }
 
 /// One Look Up over an open keep-alive connection; returns the hit count

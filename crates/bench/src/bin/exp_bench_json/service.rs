@@ -96,7 +96,7 @@ pub fn run() -> Result<Doc, String> {
     }
 
     // Admission overhead: the same Look Up mix through the full layer
-    // onion (admission → auth → coalescing → deadline → pool dispatch)
+    // onion (admission → auth → coalescing → deadline → inline execution)
     // vs the direct service endpoint, uncontended and sequential so the
     // difference is pure layering cost.
     let (svc, gw) = fixture(GatewayConfig::default());

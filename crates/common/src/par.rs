@@ -384,18 +384,6 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Grow the shared worker pool to at least `want` workers (capped at the
-/// pool's hard maximum) and return how many live workers exist afterwards.
-///
-/// Long-lived dispatchers (the service gateway) call this once at
-/// construction, sized to their concurrency budget, so steady-state
-/// [`spawn`] dispatches never pay a thread spawn. Unlike [`par_map`]'s
-/// sizing this is independent of [`max_threads`]: a dispatcher's budget
-/// counts *waiting* capacity, not compute parallelism.
-pub fn ensure_pool_capacity(want: usize) -> usize {
-    pool().ensure_workers(want)
-}
-
 /// Dispatch one fire-and-forget job to the shared worker pool. `Ok(())`
 /// means the pool took the job; `Err(job)` hands it back untouched when
 /// the caller must run it inline instead: either no worker could be
@@ -652,13 +640,6 @@ mod tests {
             !rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap(),
             "nested spawn must be refused"
         );
-    }
-
-    #[test]
-    fn ensure_pool_capacity_grows_and_reports() {
-        let live = ensure_pool_capacity(3);
-        assert!(live >= 3, "pool grew to request: {live}");
-        assert!(ensure_pool_capacity(MAX_POOL_WORKERS + 100) <= MAX_POOL_WORKERS);
     }
 
     #[test]

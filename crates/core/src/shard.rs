@@ -35,8 +35,8 @@
 //!   after another in shard order on the caller's thread and scratch, so
 //!   a visitor's [`ControlFlow::Break`] (a deadline probe, a capped
 //!   result) stops the walk at that candidate and leaves the later shards
-//!   unwalked. Served requests already run on pool workers, and bulk
-//!   endpoints parallelize across queries; a query does not fan out
+//!   unwalked. Each served request runs on its connection's thread, and
+//!   bulk endpoints parallelize across queries; a query does not fan out
 //!   across shards.
 //! * **Batch ingest** — the one batch prepare shared with the single
 //!   instance, [`crate::database::PreparedBatch`] (tokenize, gate,

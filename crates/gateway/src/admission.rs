@@ -52,9 +52,8 @@ pub(crate) struct Acquired {
 }
 
 /// An execution slot on one route. Dropping it frees the slot and wakes
-/// queued waiters — the drop may happen on a pool worker long after the
-/// admitting caller detached, which is exactly how a detached request
-/// keeps counting against the lane until it truly finishes.
+/// queued waiters; the gateway drops it once the request body has
+/// finished and its flight is settled.
 pub struct Permit {
     route: Arc<RouteAdmission>,
 }
@@ -75,8 +74,9 @@ impl Drop for Permit {
 }
 
 /// Lock that shrugs off poisoning: admission state is two counters whose
-/// updates never unwind mid-change, and execution panics are caught on
-/// the worker, so a poisoned mutex here carries no torn state.
+/// updates never unwind mid-change, and execution panics are caught by
+/// the gateway's execution core, so a poisoned mutex here carries no torn
+/// state.
 fn lock<'a>(m: &'a Mutex<AdmState>) -> MutexGuard<'a, AdmState> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }

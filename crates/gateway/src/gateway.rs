@@ -1,16 +1,16 @@
 //! The gateway proper: the layer onion assembled over one
-//! [`CryptextService`], plus the pool-backed execution core and the
-//! graceful-drain path.
+//! [`CryptextService`], plus the execution core, which runs each request
+//! on its caller's thread, and the graceful-drain path.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
 use cryptext_common::hash::fx_hash_bytes;
 use cryptext_common::metrics::{MetricsRegistry, MetricsSnapshot};
-use cryptext_common::{failpoint, par, Error, Result};
+use cryptext_common::{failpoint, Error, Result};
 use cryptext_core::database::TokenDatabase;
 use cryptext_core::service::{ApiToken, CryptextService, Served};
 use cryptext_core::TokenStore;
@@ -55,8 +55,7 @@ impl CallOptions {
 /// A request through the front half of the onion — admission passed,
 /// authorization passed — carrying everything the execution core needs:
 /// the lane permit, the request deadline, and the remaining retry
-/// budget. (Previously an anonymous `(Permit, Deadline, u32)` tuple
-/// load-bearing at three call sites.)
+/// budget.
 struct Admitted {
     permit: Permit,
     deadline: Deadline,
@@ -82,71 +81,22 @@ pub struct DrainReport {
     pub cache_expired_reaped: usize,
 }
 
-/// The caller side of one dispatched execution: a slot the pool worker
-/// fills and a condvar the (possibly detaching) caller waits on.
-struct Completion<V> {
-    slot: Mutex<Option<Result<V>>>,
-    cv: Condvar,
-}
-
-impl<V> Completion<V> {
-    fn new() -> Self {
-        Completion {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, result: Result<V>) {
-        *lock(&self.slot) = Some(result);
-        self.cv.notify_all();
-    }
-
-    /// Wait for the worker under the caller's deadline; `None` means the
-    /// deadline expired first and the caller detaches (the worker still
-    /// finishes and releases its resources).
-    fn wait(&self, deadline: &Deadline) -> Option<Result<V>> {
-        let mut slot = lock(&self.slot);
-        loop {
-            if let Some(result) = slot.take() {
-                return Some(result);
-            }
-            if deadline.expired() {
-                return None;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(slot, WAIT_SLICE)
-                .unwrap_or_else(|e| e.into_inner());
-            slot = guard;
-        }
-    }
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The shared, retryable request body every layer hands down: invoked
-/// once per attempt with the service and the request's deadline.
-type RequestBody<S, V> = Arc<dyn Fn(&CryptextService<S>, &Deadline) -> Result<V> + Send + Sync>;
-
 /// The overload-resilient front-end. See the crate docs for the layer
 /// walk; construction wires every layer over one shared service.
-pub struct Gateway<S: TokenStore + Send + Sync + 'static = TokenDatabase> {
+pub struct Gateway<S: TokenStore = TokenDatabase> {
     service: Arc<CryptextService<S>>,
     config: GatewayConfig,
-    routes: [Arc<RouteAdmission>; 4],
+    routes: [Arc<RouteAdmission>; 3],
     /// One coalescing group for every cacheable route: keys are prefixed
     /// with the route name, so lanes can't collide, and carrying the
     /// [`Served`] provenance in the flight value means coalesced
     /// followers inherit their leader's cache disposition.
-    flights: Arc<SingleFlight<(RouteOutput, Served)>>,
+    flights: SingleFlight<(RouteOutput, Served)>,
     draining: AtomicBool,
-    stats: Arc<GatewayStats>,
+    stats: GatewayStats,
 }
 
-impl<S: TokenStore + Send + Sync + 'static> std::fmt::Debug for Gateway<S> {
+impl<S: TokenStore> std::fmt::Debug for Gateway<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Gateway")
             .field("config", &self.config)
@@ -155,27 +105,24 @@ impl<S: TokenStore + Send + Sync + 'static> std::fmt::Debug for Gateway<S> {
     }
 }
 
-impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
-    /// Front `service` with the gateway, pre-growing the shared worker
-    /// pool to the configured concurrency so steady-state dispatches
-    /// never pay a thread spawn. The gateway's counters and queue-wait
-    /// histograms register with the service's [`MetricsRegistry`] here —
-    /// one gateway per service instance (duplicate registration panics).
+impl<S: TokenStore> Gateway<S> {
+    /// Front `service` with the gateway. The gateway's counters and
+    /// queue-wait histograms register with the service's
+    /// [`MetricsRegistry`] here — one gateway per service instance
+    /// (duplicate registration panics).
     pub fn new(service: Arc<CryptextService<S>>, config: GatewayConfig) -> Self {
-        par::ensure_pool_capacity(config.total_concurrency());
         let routes = [
             RouteAdmission::new(config.lookup),
             RouteAdmission::new(config.normalize),
             RouteAdmission::new(config.perturb),
-            RouteAdmission::new(config.listening),
         ];
-        let stats = Arc::new(GatewayStats::default());
+        let stats = GatewayStats::default();
         stats.register(service.metrics());
         Gateway {
             service,
             config,
             routes,
-            flights: Arc::new(SingleFlight::new()),
+            flights: SingleFlight::new(),
             draining: AtomicBool::new(false),
             stats,
         }
@@ -242,10 +189,10 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
     // ---- the layer onion ------------------------------------------------
 
     /// Run `f` through every layer except coalescing: admission on
-    /// `route`, authorization for `auth`, then pool execution under a
-    /// deadline with bounded retries. `f` may run multiple times (once
-    /// per retry) and must be self-contained (`'static`): it receives
-    /// the service and the request deadline each attempt.
+    /// `route`, authorization for `auth`, then execution on this thread
+    /// under a deadline with bounded retries. `f` may run multiple times
+    /// (once per retry): it receives the service and the request
+    /// deadline each attempt.
     pub fn call<V, F>(
         &self,
         route: RouteClass,
@@ -254,15 +201,11 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
         f: F,
     ) -> Result<V>
     where
-        V: Clone + Send + 'static,
-        F: Fn(&CryptextService<S>, &Deadline) -> Result<V> + Send + Sync + 'static,
+        V: Clone,
+        F: Fn(&CryptextService<S>, &Deadline) -> Result<V>,
     {
-        let Admitted {
-            permit,
-            deadline,
-            retries,
-        } = self.admit_and_authorize(route, auth, opts)?;
-        self.execute::<V>(permit, deadline, retries, None, Arc::new(f))
+        let admitted = self.admit_and_authorize(route, auth, opts)?;
+        self.execute(admitted, None, &f)
     }
 
     /// [`Self::call`] plus single-flight coalescing in `flights` under
@@ -280,53 +223,31 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
         key: u64,
         auth: &ApiToken,
         opts: CallOptions,
-        flights: &Arc<SingleFlight<V>>,
+        flights: &SingleFlight<V>,
         f: F,
     ) -> Result<V>
     where
-        V: Clone + Send + 'static,
-        F: Fn(&CryptextService<S>, &Deadline) -> Result<V> + Send + Sync + 'static,
+        V: Clone,
+        F: Fn(&CryptextService<S>, &Deadline) -> Result<V>,
     {
-        let Admitted {
-            permit,
-            deadline,
-            retries,
-        } = self.admit_and_authorize(route, auth, opts)?;
-        let f: RequestBody<S, V> = Arc::new(f);
-        match flights.join(key) {
-            Join::Leader => self.execute(
-                permit,
-                deadline,
-                retries,
-                Some((key, Arc::clone(flights))),
-                f,
-            ),
-            Join::Follower(flight) => {
-                self.stats.coalesced_followers.inc();
-                match flights.wait(&flight, &deadline) {
-                    FollowerOutcome::Settled(result) => {
-                        self.count_outcome(&result);
-                        result
-                    }
-                    FollowerOutcome::Promoted => {
-                        self.stats.promoted_followers.inc();
-                        self.execute(
-                            permit,
-                            deadline,
-                            retries,
-                            Some((key, Arc::clone(flights))),
-                            f,
-                        )
-                    }
-                    FollowerOutcome::TimedOut => {
-                        self.stats.deadline_exceeded.inc();
-                        Err(Error::DeadlineExceeded {
-                            budget_ms: deadline.budget_ms(),
-                        })
-                    }
+        let admitted = self.admit_and_authorize(route, auth, opts)?;
+        if let Join::Follower(flight) = flights.join(key) {
+            self.stats.coalesced_followers.inc();
+            match flights.wait(&flight, &admitted.deadline) {
+                FollowerOutcome::Settled(result) => {
+                    self.count_outcome(&result);
+                    return result;
+                }
+                FollowerOutcome::Promoted => self.stats.promoted_followers.inc(),
+                FollowerOutcome::TimedOut => {
+                    self.stats.deadline_exceeded.inc();
+                    return Err(Error::DeadlineExceeded {
+                        budget_ms: admitted.deadline.budget_ms(),
+                    });
                 }
             }
         }
+        self.execute(admitted, Some((key, flights)), &f)
     }
 
     /// Admission + authorization, the shared front half of every call.
@@ -381,57 +302,69 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
         })
     }
 
-    /// The execution core: hand the request body to a pool worker, wait
-    /// under the caller's deadline, detach on expiry. The worker owns the
-    /// admission permit and the flight settlement, so a detached caller
-    /// never leaks a slot or strands a cohort.
-    fn execute<V: Clone + Send + 'static>(
+    /// The execution core, on the caller's thread: the attempt loop (a
+    /// panic fails the request cleanly with [`Error::Internal`]), then the
+    /// flight settled and the admission slot released, in that order.
+    fn execute<V: Clone>(
         &self,
-        permit: Permit,
-        deadline: Deadline,
-        max_retries: u32,
-        flight: Option<(u64, Arc<SingleFlight<V>>)>,
-        f: RequestBody<S, V>,
+        admitted: Admitted,
+        flight: Option<(u64, &SingleFlight<V>)>,
+        f: &dyn Fn(&CryptextService<S>, &Deadline) -> Result<V>,
     ) -> Result<V> {
         self.stats.executions.inc();
-        let completion = Arc::new(Completion::new());
-        let job = {
-            let completion = Arc::clone(&completion);
-            let service = Arc::clone(&self.service);
-            let stats = Arc::clone(&self.stats);
-            let backoff_base = self.config.retry_backoff_ms;
-            let deadline = deadline.clone();
-            move || {
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_attempts(&service, &deadline, max_retries, backoff_base, &stats, &*f)
-                }))
-                .unwrap_or_else(|_| {
-                    Err(Error::Internal(
-                        "gateway execution panicked; request failed cleanly".into(),
-                    ))
-                });
-                if let Some((key, flights)) = flight {
-                    flights.settle(key, &result);
-                }
-                drop(permit);
-                completion.complete(result);
-            }
-        };
-        // A refused dispatch (pool exhausted, or we *are* a pool worker)
-        // degrades to inline execution — same semantics, no detach.
-        if let Err(job) = par::spawn(job) {
-            job();
+        let Admitted {
+            permit,
+            deadline,
+            retries,
+        } = admitted;
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.run_attempts(&deadline, retries, f)
+        }))
+        .unwrap_or_else(|_| {
+            Err(Error::Internal(
+                "gateway execution panicked; request failed cleanly".into(),
+            ))
+        });
+        if let Some((key, flights)) = flight {
+            flights.settle(key, &result);
         }
-        match completion.wait(&deadline) {
-            Some(result) => {
-                self.count_outcome(&result);
-                result
+        drop(permit);
+        self.count_outcome(&result);
+        result
+    }
+
+    /// One request's attempt loop: deadline check, the `gateway.execute`
+    /// failpoint (chaos arm: `delay@N:MS` stalls, `kill@N` injects a
+    /// retryable I/O error), the body, then bounded jittered backoff for
+    /// retryable failures while deadline budget remains.
+    fn run_attempts<V>(
+        &self,
+        deadline: &Deadline,
+        max_retries: u32,
+        f: &dyn Fn(&CryptextService<S>, &Deadline) -> Result<V>,
+    ) -> Result<V> {
+        let mut attempt: u32 = 0;
+        loop {
+            if let Some(e) = deadline.probe() {
+                return Err(e);
             }
-            None => {
-                self.stats.deadline_exceeded.inc();
-                Err(Error::DeadlineExceeded {
-                    budget_ms: deadline.budget_ms(),
-                })
+            let result = match failpoint::check("gateway.execute") {
+                Ok(()) => f(&self.service, deadline),
+                Err(e) => Err(e),
+            };
+            match result {
+                Ok(v) => return Ok(v),
+                Err(e) if e.is_retryable() && attempt < max_retries && !deadline.expired() => {
+                    attempt += 1;
+                    self.stats.retries.inc();
+                    let nonce = self.stats.retry_nonce.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(Duration::from_millis(backoff_ms(
+                        self.config.retry_backoff_ms,
+                        attempt,
+                        nonce,
+                    )));
+                }
+                Err(e) => return Err(e),
             }
         }
     }
@@ -467,7 +400,7 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
     /// on [`Response::output`]; wire layers serve [`Response::body_json`]
     /// plus the cache metadata.
     pub fn handle(&self, auth: &ApiToken, req: Request) -> Result<Response> {
-        // Snapshot before dispatch: the result is computed under *at
+        // Snapshot before execution: the result is computed under *at
         // least* this generation (a concurrent bump splits the coalesce
         // key, so a stale flight can't serve a post-bump request).
         let generation = self.service.generation();
@@ -482,14 +415,13 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
                     params.exclude_identity,
                     params.observed_only,
                 ));
-                let flights = Arc::clone(&self.flights);
                 self.call_coalesced(
                     RouteClass::Lookup,
                     key,
                     auth,
                     req.opts,
-                    &flights,
-                    move |svc, deadline| {
+                    &self.flights,
+                    |svc, deadline| {
                         let mut probe = || deadline.probe();
                         svc.look_up_prechecked_traced(&input, params, &mut probe)
                             .map(|(hits, served)| (RouteOutput::Lookup(hits), served))
@@ -506,25 +438,23 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
                     params.prior_weight.to_bits(),
                     params.max_candidates,
                 ));
-                let flights = Arc::clone(&self.flights);
                 self.call_coalesced(
                     RouteClass::Normalize,
                     key,
                     auth,
                     req.opts,
-                    &flights,
-                    move |svc, _| {
+                    &self.flights,
+                    |svc, _| {
                         svc.normalize_prechecked_traced(&input, params)
                             .map(|(r, served)| (RouteOutput::Normalize(r), served))
                     },
                 )?
             }
             RouteParams::Perturb(params) => {
-                let (output, _) =
-                    self.call(RouteClass::Perturb, auth, req.opts, move |svc, _| {
-                        svc.perturb_prechecked(&input, params)
-                            .map(|o| (RouteOutput::Perturb(o), Served::Cold))
-                    })?;
+                let output = self.call(RouteClass::Perturb, auth, req.opts, |svc, _| {
+                    svc.perturb_prechecked(&input, params)
+                        .map(RouteOutput::Perturb)
+                })?;
                 return Ok(Response {
                     output,
                     generation,
@@ -598,47 +528,6 @@ impl<S: TokenStore + Send + Sync + 'static> Gateway<S> {
     }
 }
 
-/// One request's attempt loop, run on the worker: deadline check, the
-/// `gateway.execute` failpoint (chaos arm: `delay@N:MS` stalls, `kill@N`
-/// injects a retryable I/O error), the body, then bounded jittered
-/// backoff for retryable failures while deadline budget remains.
-fn run_attempts<S, V>(
-    service: &CryptextService<S>,
-    deadline: &Deadline,
-    max_retries: u32,
-    backoff_base_ms: u64,
-    stats: &GatewayStats,
-    f: &(dyn Fn(&CryptextService<S>, &Deadline) -> Result<V> + Send + Sync),
-) -> Result<V>
-where
-    S: TokenStore + Send + Sync + 'static,
-{
-    let mut attempt: u32 = 0;
-    loop {
-        if let Some(e) = deadline.probe() {
-            return Err(e);
-        }
-        let result = match failpoint::check("gateway.execute") {
-            Ok(()) => f(service, deadline),
-            Err(e) => Err(e),
-        };
-        match result {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_retryable() && attempt < max_retries && !deadline.expired() => {
-                attempt += 1;
-                stats.retries.inc();
-                let nonce = stats.retry_nonce.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(backoff_ms(
-                    backoff_base_ms,
-                    attempt,
-                    nonce,
-                )));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// Exponential backoff with deterministic-per-nonce jitter: attempt `n`
 /// waits `base * 2^(n-1)` plus up to one extra `base`, capped at
 /// [`MAX_BACKOFF_MS`]. The nonce (the global retry counter) decorrelates
@@ -657,7 +546,7 @@ mod tests {
     use cryptext_core::service::ServiceConfig;
     use cryptext_core::{CrypText, LookupParams, NormalizeParams, PerturbParams};
     use std::sync::atomic::AtomicUsize;
-    use std::sync::mpsc::channel;
+    use std::time::Instant;
 
     fn test_service(limit: u32) -> (Arc<CryptextService<TokenDatabase>>, SimClock) {
         let mut db = TokenDatabase::in_memory();
@@ -744,16 +633,15 @@ mod tests {
     fn retryable_failures_consume_the_retry_budget_then_surface() {
         let (gw, _) = small_gateway(1_000_000);
         let token = gw.service().issue_token("retry");
-        let calls = Arc::new(AtomicUsize::new(0));
+        let calls = AtomicUsize::new(0);
 
         // Fails retryably twice, succeeds on the third attempt.
-        let calls2 = Arc::clone(&calls);
         let out: Result<u32> = gw.call(
-            RouteClass::Listening,
+            RouteClass::Perturb,
             &token,
             CallOptions::default(),
-            move |_, _| {
-                if calls2.fetch_add(1, Ordering::SeqCst) < 2 {
+            |_, _| {
+                if calls.fetch_add(1, Ordering::SeqCst) < 2 {
                     Err(Error::Overloaded { retry_after_ms: 1 })
                 } else {
                     Ok(7)
@@ -767,7 +655,7 @@ mod tests {
         // Non-retryable errors surface immediately, no retry spent.
         let before = count(&gw.stats(), "retries");
         let out: Result<u32> = gw.call(
-            RouteClass::Listening,
+            RouteClass::Perturb,
             &token,
             CallOptions::default(),
             |_, _| Err(Error::InvalidArgument("nope".into())),
@@ -777,47 +665,36 @@ mod tests {
     }
 
     #[test]
-    fn caller_detaches_on_deadline_and_the_worker_still_releases_the_slot() {
-        // Real clock so the caller's wait can actually expire.
+    fn a_body_that_overruns_its_deadline_returns_its_own_result() {
+        // Real clock, so the 30ms deadline really passes while the body
+        // runs. The deadline is checked before each attempt and probed by
+        // the store walk; a body that ignores it runs to the end on the
+        // caller's thread and its result is the call's result.
         let svc = Arc::new(CryptextService::new(
             CrypText::new(TokenDatabase::in_memory()),
             ServiceConfig::default(),
             Arc::new(SystemClock),
         ));
-        let gw: Arc<Gateway<TokenDatabase>> = Arc::new(Gateway::new(svc, GatewayConfig::default()));
+        let gw = Gateway::new(svc, GatewayConfig::default());
         let token = gw.service().issue_token("slow");
-
-        let (release_tx, release_rx) = channel::<()>();
-        let release_rx = Arc::new(Mutex::new(release_rx));
-        let out: Result<u32> = gw.call(
-            RouteClass::Listening,
+        let caller = std::thread::current().id();
+        let started = Instant::now();
+        let out: Result<std::thread::ThreadId> = gw.call(
+            RouteClass::Perturb,
             &token,
             CallOptions::with_deadline_ms(30).no_retries(),
-            move |_, _| {
-                let _ = lock(&release_rx).recv_timeout(Duration::from_secs(10));
-                Ok(1)
+            |_, deadline| {
+                std::thread::sleep(Duration::from_millis(60));
+                assert!(deadline.expired(), "the body outlived its deadline");
+                Ok(std::thread::current().id())
             },
         );
-        assert!(matches!(
-            out,
-            Err(Error::DeadlineExceeded { budget_ms: 30 })
-        ));
-        assert_eq!(count(&gw.stats(), "deadline_exceeded"), 1);
-
-        // The detached worker still holds the slot until released…
-        assert_eq!(gauge(&gw.stats(), "active_now"), 1);
-        release_tx.send(()).unwrap();
-        while gauge(&gw.stats(), "active_now") != 0 {
-            std::thread::sleep(WAIT_SLICE);
-        }
-        // …and a fresh request then sails through.
-        let ok: Result<u32> = gw.call(
-            RouteClass::Listening,
-            &token,
-            CallOptions::default(),
-            |_, _| Ok(2),
-        );
-        assert_eq!(ok.unwrap(), 2);
+        assert_eq!(out.unwrap(), caller, "the body ran on the caller's thread");
+        assert!(started.elapsed() >= Duration::from_millis(60));
+        let s = gw.stats();
+        assert_eq!(count(&s, "deadline_exceeded"), 0);
+        assert_eq!(count(&s, "completed_ok"), 1);
+        assert_eq!(gauge(&s, "active_now"), 0, "the slot is free on return");
     }
 
     #[test]
@@ -898,7 +775,7 @@ mod tests {
         let (gw, _) = small_gateway(1_000_000);
         let token = gw.service().issue_token("lone");
         let clones = Arc::new(AtomicUsize::new(0));
-        let flights = Arc::new(SingleFlight::new());
+        let flights = SingleFlight::new();
         let value = Counted(Arc::clone(&clones));
         let out = gw.call_coalesced(
             RouteClass::Lookup,
@@ -906,13 +783,13 @@ mod tests {
             &token,
             CallOptions::default(),
             &flights,
-            move |_, _| Ok(value.clone()),
+            |_, _| Ok(value.clone()),
         );
         assert!(out.is_ok());
         assert_eq!(
             clones.load(Ordering::SeqCst),
             1,
-            "only the body's own clone: admission, settle and completion copy nothing"
+            "only the body's own clone: admission and settle copy nothing"
         );
         assert_eq!(flights.in_flight(), 0);
     }

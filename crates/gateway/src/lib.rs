@@ -3,9 +3,9 @@
 //! [`Gateway`] is a layered front-end over
 //! [`CryptextService`](cryptext_core::service::CryptextService) — the same
 //! onion-of-layers shape a tower-style HTTP router puts in front of a
-//! backend, built here without an async runtime (the execution core is a
-//! dispatcher over the process-wide worker pool in
-//! [`cryptext_common::par`]). A request crosses the layers outermost-in:
+//! backend, built here without an async runtime: every request runs on
+//! the thread that calls the gateway (under HTTP, its connection's
+//! thread). A request crosses the layers outermost-in:
 //!
 //! 1. **Admission control** ([`admission`]) — per-[`RouteClass`] bounded
 //!    concurrency with a bounded wait queue. A full queue sheds the
@@ -26,9 +26,11 @@
 //!    inside the store walk; retryable failures get a bounded number of
 //!    jitter-backoff retries, but only while the deadline still has
 //!    budget.
-//! 5. **Execution** — the request body runs on a pool worker; the caller
-//!    waits under its deadline and detaches on expiry (the worker still
-//!    finishes, releases its admission slot, and settles any flight).
+//! 5. **Execution** — the request body runs inline on the caller's
+//!    thread. A panic becomes `Error::Internal`; then the flight is
+//!    settled and the admission slot released. A body that overruns its
+//!    deadline returns its own result; the deadline stops work at the
+//!    checks above, not by abandoning a running body.
 //!
 //! Draining reverses the onion: [`Gateway::begin_drain`] stops admissions
 //! (queued waiters shed, new arrivals shed), in-flight requests finish
@@ -63,17 +65,14 @@ pub enum RouteClass {
     Normalize,
     /// Perturbation: rewriting a text with database perturbations.
     Perturb,
-    /// Social Listening: timeline scans over a platform stream.
-    Listening,
 }
 
 impl RouteClass {
     /// All route classes, in lane order.
-    pub const ALL: [RouteClass; 4] = [
+    pub const ALL: [RouteClass; 3] = [
         RouteClass::Lookup,
         RouteClass::Normalize,
         RouteClass::Perturb,
-        RouteClass::Listening,
     ];
 
     pub(crate) fn index(self) -> usize {
@@ -81,7 +80,6 @@ impl RouteClass {
             RouteClass::Lookup => 0,
             RouteClass::Normalize => 1,
             RouteClass::Perturb => 2,
-            RouteClass::Listening => 3,
         }
     }
 
@@ -91,7 +89,6 @@ impl RouteClass {
             RouteClass::Lookup => "lookup",
             RouteClass::Normalize => "normalize",
             RouteClass::Perturb => "perturb",
-            RouteClass::Listening => "listening",
         }
     }
 }
@@ -132,8 +129,6 @@ pub struct GatewayConfig {
     pub normalize: RouteBudget,
     /// Budget for [`RouteClass::Perturb`].
     pub perturb: RouteBudget,
-    /// Budget for [`RouteClass::Listening`].
-    pub listening: RouteBudget,
     /// Deadline granted when [`CallOptions::deadline_ms`] is unset.
     pub default_deadline_ms: u64,
     /// Retries granted to retryable failures when
@@ -155,34 +150,12 @@ impl Default for GatewayConfig {
             lookup: RouteBudget::new(8, 16),
             normalize: RouteBudget::new(4, 8),
             perturb: RouteBudget::new(2, 4),
-            listening: RouteBudget::new(2, 4),
             default_deadline_ms: 2_000,
             max_retries: 2,
             retry_backoff_ms: 5,
             shed_retry_after_ms: 25,
             drain_deadline_ms: 5_000,
         }
-    }
-}
-
-impl GatewayConfig {
-    /// The budget for one route class.
-    pub fn budget(&self, route: RouteClass) -> RouteBudget {
-        match route {
-            RouteClass::Lookup => self.lookup,
-            RouteClass::Normalize => self.normalize,
-            RouteClass::Perturb => self.perturb,
-            RouteClass::Listening => self.listening,
-        }
-    }
-
-    /// Sum of all `max_concurrent` budgets — what the gateway asks the
-    /// worker pool to hold ready.
-    pub fn total_concurrency(&self) -> usize {
-        RouteClass::ALL
-            .iter()
-            .map(|&r| self.budget(r).max_concurrent)
-            .sum()
     }
 }
 
@@ -206,7 +179,7 @@ pub(crate) struct GatewayStats {
     /// Queue wait per admitted-after-waiting request, µs, indexed by
     /// [`RouteClass::index`]. `/stats` reports their summed observation
     /// count as `queue_waits`.
-    pub queue_wait_us: [Histogram; 4],
+    pub queue_wait_us: [Histogram; 3],
     /// Requests executing right now; refreshed on every snapshot/render.
     pub active_now: Gauge,
     /// Requests queued right now; refreshed on every snapshot/render.

@@ -6,8 +6,8 @@
 //! coalescing, deadlines, the tiered result cache, graceful drain — and
 //! this crate puts the socket in front of it: a thread-per-connection
 //! HTTP/1.1 server core on [`std::net::TcpListener`], no async runtime
-//! (consistent with the gateway's pool-dispatch execution model), no
-//! external crates.
+//! (the gateway runs each request on the thread that calls it, here the
+//! connection's own), no external crates.
 //!
 //! ## Shape
 //!
@@ -17,9 +17,8 @@
 //! * [`router`] — the route table: an [`wire::HttpRequest`] becomes a
 //!   typed [`cryptext_gateway::Request`] (or a stats/health route), with
 //!   query-parameter parsing for every knob the paper's GUI exposes.
-//! * [`server`] — the lifecycle: nonblocking accept loop, connections
-//!   handed to the [`cryptext_common::par`] pool (spawn fallback when
-//!   the pool is saturated), and the SIGTERM-style drain path —
+//! * [`server`] — the lifecycle: nonblocking accept loop, one thread per
+//!   accepted connection, and the SIGTERM-style drain path —
 //!   [`server::ShutdownHandle::shutdown`] stops accepts, lets in-flight
 //!   requests settle, runs [`Gateway::drain_with`] (the durable flush
 //!   hook), and only then closes the listener.

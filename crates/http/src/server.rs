@@ -1,14 +1,14 @@
-//! The server lifecycle: accept loop, per-connection workers, and the
+//! The server lifecycle: accept loop, one thread per connection, and the
 //! SIGTERM-style drain path.
 //!
 //! The listener runs nonblocking and the accept loop polls it in short
 //! sleeps, so [`ShutdownHandle::shutdown`] is observed within
-//! milliseconds without signal machinery. Each accepted connection is
-//! handed to the shared [`cryptext_common::par`] pool (falling back to a
-//! dedicated thread when the pool is saturated — an idle keep-alive
-//! connection must never wedge a pool lane the gateway wants for
-//! execution; the gateway itself degrades refused dispatches to inline
-//! execution, so the two layers can share the pool without deadlock).
+//! milliseconds without signal machinery. Each accepted connection gets
+//! a thread of its own for its whole keep-alive life, and the gateway
+//! executes that connection's requests on it, so however many clients
+//! hold connections open, a new one is served as soon as it is accepted.
+//! If the OS refuses a thread, that one connection is closed and the
+//! loop keeps accepting.
 //!
 //! ## Drain lifecycle
 //!
@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use cryptext_common::failpoint::{self, FailAction};
 use cryptext_common::metrics::{self, Counter, Histogram, MetricsRegistry};
-use cryptext_common::{par, Error, Result};
+use cryptext_common::{Error, Result};
 use cryptext_core::database::TokenDatabase;
 use cryptext_core::TokenStore;
 use cryptext_gateway::{CacheDisposition, DrainReport, Gateway};
@@ -194,15 +194,16 @@ impl<S: TokenStore + Send + Sync + 'static> HttpServer<S> {
                     let gateway = Arc::clone(&self.gateway);
                     let config = self.config;
                     let conn_shared = Arc::clone(&shared);
-                    let job = move || {
-                        handle_connection(stream, &gateway, &config, &conn_shared);
-                        conn_shared.open_conns.fetch_sub(1, Ordering::AcqRel);
-                    };
-                    // A connection is long-lived (keep-alive): prefer a
-                    // pool lane, but never block the accept loop waiting
-                    // for one.
-                    if let Err(job) = par::spawn(job) {
-                        std::thread::spawn(job);
+                    let spawned = std::thread::Builder::new()
+                        .name("cryptext-http-conn".into())
+                        .spawn(move || {
+                            handle_connection(stream, &gateway, &config, &conn_shared);
+                            conn_shared.open_conns.fetch_sub(1, Ordering::AcqRel);
+                        });
+                    // No thread (resource exhaustion): the refused closure
+                    // drops the stream, closing that one connection.
+                    if spawned.is_err() {
+                        shared.open_conns.fetch_sub(1, Ordering::AcqRel);
                     }
                 }
                 Err(e)
@@ -253,7 +254,7 @@ fn reject_label(status: u16) -> &'static str {
 /// One connection's lifetime: read requests off the carry buffer until
 /// close/reject/shutdown, answering each in order (pipelining preserved
 /// because reading and writing stay on this one thread).
-fn handle_connection<S: TokenStore + Send + Sync + 'static>(
+fn handle_connection<S: TokenStore>(
     stream: TcpStream,
     gateway: &Gateway<S>,
     config: &HttpConfig,
@@ -309,10 +310,7 @@ fn handle_connection<S: TokenStore + Send + Sync + 'static>(
 
 /// Route + execute one request. The bool is "API route" — the only
 /// writes [`WRITE_FAILPOINT`] applies to.
-fn respond<S: TokenStore + Send + Sync + 'static>(
-    gateway: &Gateway<S>,
-    request: &HttpRequest,
-) -> (WireResponse, bool) {
+fn respond<S: TokenStore>(gateway: &Gateway<S>, request: &HttpRequest) -> (WireResponse, bool) {
     let routed = match router::route(request) {
         Ok(routed) => routed,
         Err(resp) => return (resp, false),

@@ -1,7 +1,8 @@
 //! Integration: the HTTP/1.1 wire layer over a real loopback socket —
 //! the `service_api` semantics re-run end to end over TCP, plus the
 //! wire-only contracts no in-process test can see: keep-alive
-//! pipelining, torn/partial requests, size limits, the slowloris
+//! pipelining, a new connection served however many keep-alive clients
+//! hold theirs open, torn/partial requests, size limits, the slowloris
 //! timeout, the error→status mapping, cache-metadata headers, and the
 //! SIGTERM-style drain (zero dropped in-flight responses, flush hook
 //! run before the listener closes).
@@ -173,7 +174,11 @@ impl Client {
     /// One full response off the stream (headers + `Content-Length`
     /// body); `None` if the peer closed before completing one.
     fn try_read_response(&mut self) -> Option<Resp> {
-        let deadline = Instant::now() + Duration::from_secs(20);
+        self.try_read_response_by(Instant::now() + Duration::from_secs(20))
+    }
+
+    /// [`Self::try_read_response`], panicking once `deadline` passes.
+    fn try_read_response_by(&mut self, deadline: Instant) -> Option<Resp> {
         let header_end = loop {
             if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
                 break pos;
@@ -359,6 +364,59 @@ fn pipelined_keep_alive_requests_answer_in_order() {
 /// Malformed request lines are `400` and close; a torn request (client
 /// hangs up mid-line) is dropped silently; the listener serves the next
 /// connection either way.
+/// Each connection has a server thread of its own, so keep-alive clients
+/// holding theirs open never keep a new one waiting. Twenty holders is
+/// more than the 16 pool workers that used to carry every connection
+/// (sized by the gateway's lane budgets, 8+4+2+2): there the 17th active
+/// connection was never served.
+#[test]
+fn a_new_connection_is_served_past_twenty_keep_alive_holders() {
+    const HOLDERS: usize = 20;
+    let healthz = get_req("/healthz", None);
+    each_layout(|layout| {
+        let srv = server(layout);
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut holders = Vec::new();
+        for i in 0..HOLDERS {
+            let (answered, first_answer) = std::sync::mpsc::channel();
+            let (addr, stop, healthz) = (srv.addr, Arc::clone(&stop), healthz.clone());
+            holders.push(std::thread::spawn(move || {
+                let mut c = Client::connect(addr);
+                while !stop.load(Ordering::Acquire) {
+                    c.send(&healthz);
+                    let resp = c
+                        .try_read_response_by(Instant::now() + Duration::from_secs(3))
+                        .expect("holder connection closed");
+                    assert_eq!(resp.status, 200);
+                    let _ = answered.send(());
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            }));
+            first_answer
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("keep-alive holder {i} was never answered"));
+        }
+
+        let started = Instant::now();
+        let mut extra = Client::connect(srv.addr);
+        extra.send(&healthz);
+        let resp = extra
+            .try_read_response_by(started + Duration::from_secs(3))
+            .expect("extra connection closed");
+        let waited = started.elapsed();
+        assert_eq!(resp.status, 200);
+        assert!(
+            waited < Duration::from_secs(1),
+            "the extra connection waited {waited:?} behind {HOLDERS} holders"
+        );
+
+        stop.store(true, Ordering::Release);
+        for holder in holders {
+            holder.join().expect("holder thread");
+        }
+    });
+}
+
 #[test]
 fn torn_and_malformed_request_lines() {
     each_layout(|layout| {
@@ -828,7 +886,7 @@ fn metrics_endpoint_scrapes_the_live_registry() {
         // free slots (no queue waits on any route).
         assert_eq!(samples["cryptext_gateway_admitted_total"], 2.0);
         assert_eq!(samples["cryptext_gateway_completed_ok_total"], 2.0);
-        for route in ["lookup", "normalize", "perturb", "listening"] {
+        for route in ["lookup", "normalize", "perturb"] {
             assert_eq!(
                 samples[&format!("cryptext_gateway_queue_wait_us_count{{route=\"{route}\"}}")],
                 0.0
@@ -929,7 +987,7 @@ fn stats_and_metrics_agree_on_every_number() {
         let samples = parse_prometheus(&c.read_response().body);
         let series = |key: &str| -> f64 {
             match key.split('.').collect::<Vec<_>>()[..] {
-                ["gateway", "queue_waits"] => ["lookup", "normalize", "perturb", "listening"]
+                ["gateway", "queue_waits"] => ["lookup", "normalize", "perturb"]
                     .iter()
                     .map(|r| {
                         samples[&format!("cryptext_gateway_queue_wait_us_count{{route=\"{r}\"}}")]

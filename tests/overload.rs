@@ -10,8 +10,8 @@
 //! * duplicate in-flight requests coalesce to one execution and share the
 //!   leader's exact bytes; a retryably-failing leader promotes exactly one
 //!   follower; a non-retryable failure broadcasts;
-//! * deadlines are respected before, during (mid-store-walk), and after
-//!   execution dispatch;
+//! * deadlines are respected in the admission queue, before any work, and
+//!   mid-store-walk;
 //! * a token revoked while requests sit in the admission queue rejects
 //!   them deterministically at dequeue;
 //! * rate-limited clients fail fast with a typed, honest
@@ -321,7 +321,7 @@ fn a_retryably_failing_leader_promotes_exactly_one_follower() {
         let gw_for_body = Arc::clone(&gw);
         handles.push(std::thread::spawn(move || {
             gw.call_coalesced(
-                RouteClass::Listening,
+                RouteClass::Perturb,
                 7,
                 &auth,
                 // No self-retries: the leader's failure must surface so the
@@ -657,7 +657,7 @@ fn chaos_drain_quiesces_sheds_and_loses_no_committed_batches() {
         let (gw, auth, latch) = (Arc::clone(&gw), auth.clone(), Arc::clone(&latch));
         std::thread::spawn(move || {
             gw.call(
-                RouteClass::Listening,
+                RouteClass::Perturb,
                 &auth,
                 CallOptions::default(),
                 move |_, _| {
@@ -873,7 +873,7 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
         2,
         "exactly the two queued warm hits are accounted as waits"
     );
-    for other in ["normalize", "perturb", "listening"] {
+    for other in ["normalize", "perturb"] {
         assert_eq!(
             queue_waits_on(&gw, other),
             0,
