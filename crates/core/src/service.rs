@@ -280,15 +280,18 @@ pub struct CryptextService<S: TokenStore = TokenDatabase> {
     clock: Arc<dyn Clock>,
     tokens: RwLock<std::collections::HashMap<String, RateState>>,
     issued: std::sync::atomic::AtomicU64,
-    lookup_cache: Cache<CacheKey, Vec<LookupHit>>,
+    /// Tier-1 Look Up results. Each entry is one shared allocation: a hit
+    /// hands out a reference count, not a copy of the hits.
+    lookup_cache: Cache<CacheKey, Arc<[LookupHit]>>,
     /// Tier-1 cross-text Normalization candidate memo (negative entries
     /// are empty pair lists — the out-of-dictionary p99 path).
     norm_cache: Cache<CacheKey, CandidatePairs>,
     /// Tier-1 whole-text Normalization *result* cache: an exact repeat of
     /// a text (raw bytes — the result echoes the input's casing) skips
     /// retrieval *and* scoring. Sits in front of the candidate memo; the
-    /// memo still serves cross-text token repeats when this misses.
-    norm_result_cache: Cache<CacheKey, NormalizationResult>,
+    /// memo still serves cross-text token repeats when this misses. Like
+    /// the Look Up tier, each entry is shared, not copied, on a hit.
+    norm_result_cache: Cache<CacheKey, Arc<NormalizationResult>>,
     /// Tier-1 Perturbation choice lists, one per token and choice-rule
     /// params. A list does not depend on the seed or the ratio, so a token
     /// repeated across texts and seeds skips the phonetic walk. Tier-1
@@ -602,8 +605,8 @@ impl<S: TokenStore> CryptextService<S> {
         params: LookupParams,
     ) -> Result<Vec<LookupHit>> {
         self.authorize(auth)?;
-        self.look_up_prechecked_traced(token, params, &mut || None)
-            .map(|(hits, _)| hits)
+        self.look_up_shared(token, params, &mut || None)
+            .map(|(hits, _)| hits.to_vec())
     }
 
     /// Look Up *after* the caller already passed [`Self::authorize_request`]
@@ -611,19 +614,21 @@ impl<S: TokenStore> CryptextService<S> {
     /// one admitted request is charged exactly once — and the cached core
     /// every Look Up endpoint funnels through, stage instruments included.
     ///
-    /// `cancel` is a cooperative cancellation probe, consulted per
-    /// candidate during the store walk (through the early-exit visitor),
-    /// so a request whose deadline expired stops burning shard time
-    /// mid-walk and surfaces the probe's error. The [`Served`] half says
-    /// whether tier-1 answered ([`Served::Tier1Hit`]) or the store walk ran
-    /// ([`Served::Cold`]); the gateway's response envelope carries it
-    /// through to wire-level cache headers.
-    pub fn look_up_prechecked_traced(
+    /// The hits are the tier-1 entry itself: a hit returns a reference
+    /// count on the cached allocation, and a miss inserts the allocation
+    /// it returns. `cancel` is a cooperative cancellation probe, consulted
+    /// per candidate during the store walk (through the early-exit
+    /// visitor), so a request whose deadline expired stops burning shard
+    /// time mid-walk and surfaces the probe's error. The [`Served`] half
+    /// says whether tier-1 answered ([`Served::Tier1Hit`]) or the store
+    /// walk ran ([`Served::Cold`]); the gateway's response envelope
+    /// carries it through to wire-level cache headers.
+    pub fn look_up_shared(
         &self,
         token: &str,
         params: LookupParams,
         cancel: &mut dyn FnMut() -> Option<Error>,
-    ) -> Result<(Vec<LookupHit>, Served)> {
+    ) -> Result<(Arc<[LookupHit]>, Served)> {
         let key = self.lookup_cache_key(token, params);
         if let Some(hits) = self.lookup_cache.get(&key) {
             return Ok((hits, Served::Tier1Hit));
@@ -638,12 +643,25 @@ impl<S: TokenStore> CryptextService<S> {
             scratch.attach_stages(None);
             res
         })?;
-        self.lookup_cache.insert(key, hits.clone());
+        let hits: Arc<[LookupHit]> = hits.into();
+        self.lookup_cache.insert(key, Arc::clone(&hits));
         Ok((hits, Served::Cold))
     }
 
+    /// [`Self::look_up_shared`] with the hits copied out of the shared
+    /// allocation.
+    pub fn look_up_prechecked_traced(
+        &self,
+        token: &str,
+        params: LookupParams,
+        cancel: &mut dyn FnMut() -> Option<Error>,
+    ) -> Result<(Vec<LookupHit>, Served)> {
+        self.look_up_shared(token, params, cancel)
+            .map(|(hits, served)| (hits.to_vec(), served))
+    }
+
     /// Normalization after external authorization (see
-    /// [`Self::look_up_prechecked_traced`]), plus provenance: whether the
+    /// [`Self::look_up_shared`]), plus provenance: whether the
     /// whole-text result cache answered ([`Served::Tier1Hit`]) or
     /// retrieval + scoring ran ([`Served::Cold`] — per-token candidate
     /// memo hits still count as cold, the *result* was assembled fresh).
@@ -658,12 +676,13 @@ impl<S: TokenStore> CryptextService<S> {
     /// Byte-identical to the uncached engine — the result cache stores the
     /// finished output verbatim, and the candidate memo holds only the
     /// context-independent `(word, distance)` retrieval pairs with scoring
-    /// run fresh per context.
-    pub fn normalize_prechecked_traced(
+    /// run fresh per context. As with Look Up, the returned result is the
+    /// tier-1 entry itself, shared by reference count.
+    pub fn normalize_shared(
         &self,
         text: &str,
         params: NormalizeParams,
-    ) -> Result<(NormalizationResult, Served)> {
+    ) -> Result<(Arc<NormalizationResult>, Served)> {
         let result_key = self.normalize_result_key(text, params);
         if let Some(result) = self.norm_result_cache.get(&result_key) {
             return Ok((result, Served::Tier1Hit));
@@ -682,12 +701,25 @@ impl<S: TokenStore> CryptextService<S> {
             scratch.attach_stages(None);
             res
         })?;
-        self.norm_result_cache.insert(result_key, result.clone());
+        let result = Arc::new(result);
+        self.norm_result_cache
+            .insert(result_key, Arc::clone(&result));
         Ok((result, Served::Cold))
     }
 
+    /// [`Self::normalize_shared`] with the result copied out of the shared
+    /// allocation.
+    pub fn normalize_prechecked_traced(
+        &self,
+        text: &str,
+        params: NormalizeParams,
+    ) -> Result<(NormalizationResult, Served)> {
+        self.normalize_shared(text, params)
+            .map(|(result, served)| (NormalizationResult::clone(&result), served))
+    }
+
     /// Perturbation after external authorization (see
-    /// [`Self::look_up_prechecked_traced`]), and the core every
+    /// [`Self::look_up_shared`]), and the core every
     /// Perturbation endpoint funnels through. The outcome is byte-identical
     /// to [`crate::Perturber::perturb`]'s: the same draws over the same
     /// choice lists, each list read from the tier-1 choice-list cache or,
@@ -746,27 +778,13 @@ impl<S: TokenStore> CryptextService<S> {
             });
         }
         let computed = try_par_map(&unique, |t| {
-            self.look_up_prechecked_traced(t, params, &mut || None)
+            self.look_up_shared(t, params, &mut || None)
                 .map(|(hits, _)| hits)
         })?;
-        // Scatter back to input order, moving (not cloning) each computed
-        // result into its last output position.
-        let mut remaining: Vec<usize> = vec![0; unique.len()];
-        for t in tokens {
-            remaining[index_of[t]] += 1;
-        }
-        let mut slots: Vec<Option<Vec<LookupHit>>> = computed.into_iter().map(Some).collect();
+        // Scatter back to input order, one copy per input position.
         Ok(tokens
             .iter()
-            .map(|t| {
-                let i = index_of[t];
-                remaining[i] -= 1;
-                if remaining[i] == 0 {
-                    slots[i].take().expect("last use moves the value")
-                } else {
-                    slots[i].clone().expect("earlier uses clone")
-                }
-            })
+            .map(|t| computed[index_of[t]].to_vec())
             .collect())
     }
 
@@ -779,8 +797,8 @@ impl<S: TokenStore> CryptextService<S> {
         params: NormalizeParams,
     ) -> Result<NormalizationResult> {
         self.authorize(auth)?;
-        self.normalize_prechecked_traced(text, params)
-            .map(|(r, _)| r)
+        self.normalize_shared(text, params)
+            .map(|(r, _)| NormalizationResult::clone(&r))
     }
 
     /// Bulk Normalization, fanned out across cores with results in input
@@ -793,7 +811,8 @@ impl<S: TokenStore> CryptextService<S> {
     ) -> Result<Vec<NormalizationResult>> {
         self.authorize(auth)?;
         try_par_map(texts, |t| {
-            self.normalize_prechecked_traced(t, params).map(|(r, _)| r)
+            self.normalize_shared(t, params)
+                .map(|(r, _)| NormalizationResult::clone(&r))
         })
     }
 
@@ -1136,6 +1155,32 @@ mod tests {
         svc.look_up(&tok, "republicans", LookupParams::new(1, 1))
             .unwrap();
         assert_eq!(svc.cache_stats().misses, 2);
+    }
+
+    #[test]
+    fn tier1_hits_share_the_cached_allocation() {
+        let (svc, _) = service(100);
+        let params = LookupParams::paper_default();
+        let (cold, served) = svc
+            .look_up_shared("democrats", params, &mut || None)
+            .unwrap();
+        assert_eq!(served, Served::Cold);
+        assert!(!cold.is_empty());
+        assert_eq!(Arc::strong_count(&cold), 2, "the cache's and the caller's");
+        let (hit, served) = svc
+            .look_up_shared("democrats", params, &mut || None)
+            .unwrap();
+        assert_eq!(served, Served::Tier1Hit);
+        assert!(Arc::ptr_eq(&cold, &hit), "a hit hands out the same hits");
+
+        let (text, params) = ("the demokRATs won", NormalizeParams::default());
+        let (cold, served) = svc.normalize_shared(text, params).unwrap();
+        assert_eq!(served, Served::Cold);
+        assert_eq!(cold.text, "the democrats won");
+        assert_eq!(Arc::strong_count(&cold), 2, "the cache's and the caller's");
+        let (hit, served) = svc.normalize_shared(text, params).unwrap();
+        assert_eq!(served, Served::Tier1Hit);
+        assert!(Arc::ptr_eq(&cold, &hit), "a hit hands out the same result");
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //!
 //! A [`Request`] is route + input + parameters + per-call options; the
 //! route is implied by the parameter variant, so a request can never
-//! pair Lookup parameters with the Normalize lane. A [`Response`] is the
-//! typed output plus the metadata a cache in front of the service needs:
-//! the data generation the result was computed under and a
+//! pair Lookup parameters with the Normalize lane. A [`Response`] is an
+//! output plus the metadata a cache in front of the service needs: the
+//! data generation the result was computed under and a
 //! [`CacheDisposition`] saying whether tier-1 served it.
-//! [`Gateway::handle`](crate::Gateway::handle) is the one entry point that
-//! takes a request; in-process callers match on [`RouteOutput`].
+//!
+//! In-process callers match on the typed [`RouteOutput`]; wire layers
+//! take the JSON body rendered from the shared tier-1 entry. Both bodies
+//! come from the same per-route writers, so the wire format lives in one
+//! place.
+
+use std::sync::Arc;
 
 use cryptext_common::jsonfmt;
 use cryptext_core::lookup::{LookupHit, LookupParams};
@@ -108,98 +113,138 @@ pub enum RouteOutput {
 
 impl RouteOutput {
     /// The wire body: a JSON document per route (see `crates/http`'s
-    /// README for the exact shapes). Written straight into one `String`
-    /// pre-sized from the item count, through the allocation-free
-    /// [`jsonfmt`] writers.
+    /// README for the exact shapes).
     pub fn to_json(&self) -> String {
-        let mut out;
         match self {
-            RouteOutput::Lookup(hits) => {
-                out = String::with_capacity(16 + 80 * hits.len());
-                out.push_str("{\"hits\":[");
-                for (i, h) in hits.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"token\":");
-                    jsonfmt::push_str_escaped(&mut out, &h.token);
-                    out.push_str(",\"count\":");
-                    jsonfmt::push_uint(&mut out, h.count);
-                    out.push_str(",\"distance\":");
-                    jsonfmt::push_uint(&mut out, h.distance as u64);
-                    out.push_str(if h.is_english {
-                        ",\"is_english\":true}"
-                    } else {
-                        ",\"is_english\":false}"
-                    });
-                }
-                out.push_str("]}");
-            }
-            RouteOutput::Normalize(r) => {
-                let candidates: usize = r.corrections.iter().map(|c| c.candidates.len()).sum();
-                out = String::with_capacity(
-                    32 + 2 * r.text.len() + 128 * r.corrections.len() + 64 * candidates,
-                );
-                out.push_str("{\"text\":");
-                jsonfmt::push_str_escaped(&mut out, &r.text);
-                out.push_str(",\"corrections\":[");
-                for (i, c) in r.corrections.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"original\":");
-                    jsonfmt::push_str_escaped(&mut out, &c.original);
-                    out.push_str(",\"replacement\":");
-                    jsonfmt::push_str_escaped(&mut out, &c.replacement);
-                    out.push_str(",\"start\":");
-                    jsonfmt::push_uint(&mut out, c.span.start as u64);
-                    out.push_str(",\"end\":");
-                    jsonfmt::push_uint(&mut out, c.span.end as u64);
-                    out.push_str(",\"score\":");
-                    jsonfmt::push_float(&mut out, c.score);
-                    out.push_str(",\"candidates\":[");
-                    for (j, cand) in c.candidates.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str("{\"word\":");
-                        jsonfmt::push_str_escaped(&mut out, &cand.word);
-                        out.push_str(",\"score\":");
-                        jsonfmt::push_float(&mut out, cand.score);
-                        out.push_str(",\"distance\":");
-                        jsonfmt::push_uint(&mut out, cand.distance as u64);
-                        out.push('}');
-                    }
-                    out.push_str("]}");
-                }
-                out.push_str("]}");
-            }
-            RouteOutput::Perturb(o) => {
-                out = String::with_capacity(48 + 2 * o.text.len() + 96 * o.replacements.len());
-                out.push_str("{\"text\":");
-                jsonfmt::push_str_escaped(&mut out, &o.text);
-                out.push_str(",\"replacements\":[");
-                for (i, r) in o.replacements.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"original\":");
-                    jsonfmt::push_str_escaped(&mut out, &r.original);
-                    out.push_str(",\"replacement\":");
-                    jsonfmt::push_str_escaped(&mut out, &r.replacement);
-                    out.push_str(",\"start\":");
-                    jsonfmt::push_uint(&mut out, r.span.start as u64);
-                    out.push_str(",\"end\":");
-                    jsonfmt::push_uint(&mut out, r.span.end as u64);
-                    out.push('}');
-                }
-                out.push_str("],\"misses\":");
-                jsonfmt::push_uint(&mut out, o.misses as u64);
-                out.push('}');
-            }
+            RouteOutput::Lookup(hits) => lookup_json(hits),
+            RouteOutput::Normalize(r) => normalize_json(r),
+            RouteOutput::Perturb(o) => perturb_json(o),
         }
-        out
     }
+}
+
+/// A route's output as the execution path carries it: the cacheable
+/// routes hold the tier-1 entry itself, shared by reference count, and
+/// Perturbation holds the outcome it just drew. Coalesced followers
+/// receive a clone of this, so they share the leader's entry too.
+#[derive(Debug, Clone)]
+pub(crate) enum SharedOutput {
+    Lookup(Arc<[LookupHit]>),
+    Normalize(Arc<NormalizationResult>),
+    Perturb(PerturbationOutcome),
+}
+
+impl SharedOutput {
+    /// The owned [`RouteOutput`]: copies a shared entry out of tier-1.
+    pub(crate) fn into_owned(self) -> RouteOutput {
+        match self {
+            SharedOutput::Lookup(hits) => RouteOutput::Lookup(hits.to_vec()),
+            SharedOutput::Normalize(r) => RouteOutput::Normalize(NormalizationResult::clone(&r)),
+            SharedOutput::Perturb(o) => RouteOutput::Perturb(o),
+        }
+    }
+
+    /// The wire body, rendered from the borrowed value
+    /// (byte-identical to [`RouteOutput::to_json`]).
+    pub(crate) fn to_json(&self) -> String {
+        match self {
+            SharedOutput::Lookup(hits) => lookup_json(hits),
+            SharedOutput::Normalize(r) => normalize_json(r),
+            SharedOutput::Perturb(o) => perturb_json(o),
+        }
+    }
+}
+
+// The per-route JSON writers: each writes straight into one `String`
+// pre-sized from the item count, through the allocation-free [`jsonfmt`]
+// writers.
+
+fn lookup_json(hits: &[LookupHit]) -> String {
+    let mut out = String::with_capacity(16 + 80 * hits.len());
+    out.push_str("{\"hits\":[");
+    for (i, h) in hits.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"token\":");
+        jsonfmt::push_str_escaped(&mut out, &h.token);
+        out.push_str(",\"count\":");
+        jsonfmt::push_uint(&mut out, h.count);
+        out.push_str(",\"distance\":");
+        jsonfmt::push_uint(&mut out, h.distance as u64);
+        out.push_str(if h.is_english {
+            ",\"is_english\":true}"
+        } else {
+            ",\"is_english\":false}"
+        });
+    }
+    out.push_str("]}");
+    out
+}
+
+fn normalize_json(r: &NormalizationResult) -> String {
+    let candidates: usize = r.corrections.iter().map(|c| c.candidates.len()).sum();
+    let mut out =
+        String::with_capacity(32 + 2 * r.text.len() + 128 * r.corrections.len() + 64 * candidates);
+    out.push_str("{\"text\":");
+    jsonfmt::push_str_escaped(&mut out, &r.text);
+    out.push_str(",\"corrections\":[");
+    for (i, c) in r.corrections.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"original\":");
+        jsonfmt::push_str_escaped(&mut out, &c.original);
+        out.push_str(",\"replacement\":");
+        jsonfmt::push_str_escaped(&mut out, &c.replacement);
+        out.push_str(",\"start\":");
+        jsonfmt::push_uint(&mut out, c.span.start as u64);
+        out.push_str(",\"end\":");
+        jsonfmt::push_uint(&mut out, c.span.end as u64);
+        out.push_str(",\"score\":");
+        jsonfmt::push_float(&mut out, c.score);
+        out.push_str(",\"candidates\":[");
+        for (j, cand) in c.candidates.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"word\":");
+            jsonfmt::push_str_escaped(&mut out, &cand.word);
+            out.push_str(",\"score\":");
+            jsonfmt::push_float(&mut out, cand.score);
+            out.push_str(",\"distance\":");
+            jsonfmt::push_uint(&mut out, cand.distance as u64);
+            out.push('}');
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
+    out
+}
+
+fn perturb_json(o: &PerturbationOutcome) -> String {
+    let mut out = String::with_capacity(48 + 2 * o.text.len() + 96 * o.replacements.len());
+    out.push_str("{\"text\":");
+    jsonfmt::push_str_escaped(&mut out, &o.text);
+    out.push_str(",\"replacements\":[");
+    for (i, r) in o.replacements.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"original\":");
+        jsonfmt::push_str_escaped(&mut out, &r.original);
+        out.push_str(",\"replacement\":");
+        jsonfmt::push_str_escaped(&mut out, &r.replacement);
+        out.push_str(",\"start\":");
+        jsonfmt::push_uint(&mut out, r.span.start as u64);
+        out.push_str(",\"end\":");
+        jsonfmt::push_uint(&mut out, r.span.end as u64);
+        out.push('}');
+    }
+    out.push_str("],\"misses\":");
+    jsonfmt::push_uint(&mut out, o.misses as u64);
+    out.push('}');
+    out
 }
 
 /// How the service answered, from a front cache's perspective.
@@ -238,25 +283,19 @@ impl CacheDisposition {
     }
 }
 
-/// One response from the gateway: the typed output plus the metadata a
-/// CDN-style cache keys on. `body_json` renders the wire body on demand,
-/// so in-process callers (the typed shims, benches) never pay for
-/// serialization they don't use.
+/// One response from the gateway: an output plus the metadata a
+/// CDN-style cache keys on. [`Gateway::handle`](crate::Gateway::handle)
+/// returns the typed [`RouteOutput`];
+/// [`Gateway::handle_json`](crate::Gateway::handle_json) returns the JSON
+/// wire body as a `Response<String>`.
 #[derive(Debug, Clone)]
-pub struct Response {
-    /// The typed route output.
-    pub output: RouteOutput,
+pub struct Response<O = RouteOutput> {
+    /// The route output: typed, or the JSON wire body.
+    pub output: O,
     /// Data generation the result was computed under; bumps on ingest.
     pub generation: u64,
     /// Whether tier-1 served it (drives `Cache-Control`/`Age` hints).
     pub cache: CacheDisposition,
-}
-
-impl Response {
-    /// The JSON wire body.
-    pub fn body_json(&self) -> Vec<u8> {
-        self.output.to_json().into_bytes()
-    }
 }
 
 /// The `format!`-based renderer [`RouteOutput::to_json`] replaced, with
@@ -554,10 +593,26 @@ mod tests {
         ]
     }
 
+    /// The same output as the served path carries it.
+    fn shared(output: &RouteOutput) -> SharedOutput {
+        match output.clone() {
+            RouteOutput::Lookup(hits) => SharedOutput::Lookup(hits.into()),
+            RouteOutput::Normalize(r) => SharedOutput::Normalize(Arc::new(r)),
+            RouteOutput::Perturb(o) => SharedOutput::Perturb(o),
+        }
+    }
+
     proptest! {
+        /// Both renderings, the owned projection's and the served path's,
+        /// equal the reference byte for byte (scores may be NaN, so the
+        /// projection is compared by its bytes too).
         #[test]
         fn to_json_is_byte_identical_to_the_format_reference(output in any_output()) {
-            prop_assert_eq!(output.to_json(), reference::to_json(&output));
+            let want = reference::to_json(&output);
+            prop_assert_eq!(&output.to_json(), &want);
+            let shared = shared(&output);
+            prop_assert_eq!(&shared.to_json(), &want);
+            prop_assert_eq!(&shared.into_owned().to_json(), &want);
         }
     }
 

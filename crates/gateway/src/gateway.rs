@@ -17,7 +17,7 @@ use cryptext_core::TokenStore;
 
 use crate::admission::{Acquired, Permit, RouteAdmission};
 use crate::deadline::{Deadline, WAIT_SLICE};
-use crate::envelope::{CacheDisposition, Request, Response, RouteOutput, RouteParams};
+use crate::envelope::{CacheDisposition, Request, Response, RouteParams, SharedOutput};
 use crate::singleflight::{FollowerOutcome, Join, SingleFlight};
 use crate::{GatewayConfig, GatewayStats, RouteClass};
 
@@ -88,10 +88,11 @@ pub struct Gateway<S: TokenStore = TokenDatabase> {
     config: GatewayConfig,
     routes: [Arc<RouteAdmission>; 3],
     /// One coalescing group for every cacheable route: keys are prefixed
-    /// with the route name, so lanes can't collide, and carrying the
-    /// [`Served`] provenance in the flight value means coalesced
-    /// followers inherit their leader's cache disposition.
-    flights: SingleFlight<(RouteOutput, Served)>,
+    /// with the route name, so lanes can't collide. The flight value is
+    /// the leader's shared tier-1 entry plus its [`Served`] provenance, so
+    /// coalesced followers share the entry and inherit the leader's cache
+    /// disposition.
+    flights: SingleFlight<(SharedOutput, Served)>,
     draining: AtomicBool,
     stats: GatewayStats,
 }
@@ -396,16 +397,38 @@ impl<S: TokenStore> Gateway<S> {
     /// seeded RNG makes byte-identical duplicates rare enough that
     /// sharing buys nothing) and is marked [`CacheDisposition::Bypass`].
     ///
-    /// This is the one route-typed entry point: in-process callers match
-    /// on [`Response::output`]; wire layers serve [`Response::body_json`]
-    /// plus the cache metadata.
+    /// In-process callers match on [`Response::output`], a copy of the
+    /// served value. Wire layers call [`Self::handle_json`] instead, which
+    /// runs the request the same way and renders the body without the
+    /// copy.
     pub fn handle(&self, auth: &ApiToken, req: Request) -> Result<Response> {
+        self.serve(auth, req, SharedOutput::into_owned)
+    }
+
+    /// [`Self::handle`] for wire layers: the response's output is the
+    /// JSON wire body ([`RouteOutput::to_json`]'s bytes), rendered
+    /// straight from the shared tier-1 entry or the fresh Perturbation
+    /// outcome, with the same generation and cache disposition.
+    ///
+    /// [`RouteOutput::to_json`]: crate::RouteOutput::to_json
+    pub fn handle_json(&self, auth: &ApiToken, req: Request) -> Result<Response<String>> {
+        self.serve(auth, req, |output| output.to_json())
+    }
+
+    /// The one execution path behind both entry points: every layer of
+    /// the onion, then `project` applied to the served value.
+    fn serve<O>(
+        &self,
+        auth: &ApiToken,
+        req: Request,
+        project: impl FnOnce(SharedOutput) -> O,
+    ) -> Result<Response<O>> {
         // Snapshot before execution: the result is computed under *at
         // least* this generation (a concurrent bump splits the coalesce
         // key, so a stale flight can't serve a post-bump request).
         let generation = self.service.generation();
         let input = req.input;
-        let (output, served) = match req.params {
+        let (output, cache) = match req.params {
             RouteParams::Lookup(params) => {
                 let key = self.coalesce_key((
                     RouteClass::Lookup,
@@ -415,7 +438,7 @@ impl<S: TokenStore> Gateway<S> {
                     params.exclude_identity,
                     params.observed_only,
                 ));
-                self.call_coalesced(
+                let (output, served) = self.call_coalesced(
                     RouteClass::Lookup,
                     key,
                     auth,
@@ -423,10 +446,11 @@ impl<S: TokenStore> Gateway<S> {
                     &self.flights,
                     |svc, deadline| {
                         let mut probe = || deadline.probe();
-                        svc.look_up_prechecked_traced(&input, params, &mut probe)
-                            .map(|(hits, served)| (RouteOutput::Lookup(hits), served))
+                        svc.look_up_shared(&input, params, &mut probe)
+                            .map(|(hits, served)| (SharedOutput::Lookup(hits), served))
                     },
-                )?
+                )?;
+                (output, CacheDisposition::from_served(served))
             }
             RouteParams::Normalize(params) => {
                 let key = self.coalesce_key((
@@ -438,34 +462,31 @@ impl<S: TokenStore> Gateway<S> {
                     params.prior_weight.to_bits(),
                     params.max_candidates,
                 ));
-                self.call_coalesced(
+                let (output, served) = self.call_coalesced(
                     RouteClass::Normalize,
                     key,
                     auth,
                     req.opts,
                     &self.flights,
                     |svc, _| {
-                        svc.normalize_prechecked_traced(&input, params)
-                            .map(|(r, served)| (RouteOutput::Normalize(r), served))
+                        svc.normalize_shared(&input, params)
+                            .map(|(r, served)| (SharedOutput::Normalize(r), served))
                     },
-                )?
+                )?;
+                (output, CacheDisposition::from_served(served))
             }
             RouteParams::Perturb(params) => {
                 let output = self.call(RouteClass::Perturb, auth, req.opts, |svc, _| {
                     svc.perturb_prechecked(&input, params)
-                        .map(RouteOutput::Perturb)
+                        .map(SharedOutput::Perturb)
                 })?;
-                return Ok(Response {
-                    output,
-                    generation,
-                    cache: CacheDisposition::Bypass,
-                });
+                (output, CacheDisposition::Bypass)
             }
         };
         Ok(Response {
-            output,
+            output: project(output),
             generation,
-            cache: CacheDisposition::from_served(served),
+            cache,
         })
     }
 
@@ -542,6 +563,7 @@ fn backoff_ms(base: u64, attempt: u32, nonce: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RouteOutput;
     use cryptext_common::{SimClock, SystemClock};
     use cryptext_core::service::ServiceConfig;
     use cryptext_core::{CrypText, LookupParams, NormalizeParams, PerturbParams};
@@ -627,6 +649,37 @@ mod tests {
             (gauge(&stats, "active_now"), gauge(&stats, "queued_now")),
             (0, 0)
         );
+    }
+
+    #[test]
+    fn handle_json_renders_the_body_handle_returns() {
+        let (gw, _) = small_gateway(1_000_000);
+        let token = gw.service().issue_token("wire");
+        use CacheDisposition::{Bypass, Cold, Hit};
+        let cases = [
+            (
+                Request::lookup("republicans", LookupParams::paper_default()),
+                [Cold, Hit, Hit],
+            ),
+            (
+                Request::normalize("the vacc1ne mandates", NormalizeParams::default()),
+                [Cold, Hit, Hit],
+            ),
+            (
+                Request::perturb("the dirty republicans", PerturbParams::with_ratio(1.0)),
+                [Bypass; 3],
+            ),
+        ];
+        for (req, dispositions) in cases {
+            let cold = gw.handle_json(&token, req.clone()).unwrap();
+            let typed = gw.handle(&token, req.clone()).unwrap();
+            let hit = gw.handle_json(&token, req.clone()).unwrap();
+            let body = typed.output.to_json();
+            assert_eq!(cold.output, body, "{:?}", req.route());
+            assert_eq!(hit.output, body, "{:?}", req.route());
+            assert_eq!([cold.cache, typed.cache, hit.cache], dispositions);
+            assert_eq!([cold.generation, typed.generation, hit.generation], [0; 3]);
+        }
     }
 
     #[test]

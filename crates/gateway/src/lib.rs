@@ -19,8 +19,9 @@
 //!    sit in the queue rejects them deterministically at dequeue.
 //! 3. **Single-flight coalescing** ([`singleflight`]) — duplicate
 //!    in-flight lookups/normalizations attach to the leader and receive
-//!    the leader's exact result bytes; a leader that fails retryably
-//!    promotes one follower instead of failing the cohort.
+//!    the leader's shared tier-1 entry, not a clone of it; a leader that
+//!    fails retryably promotes one follower instead of failing the
+//!    cohort.
 //! 4. **Deadline + retry budget** ([`deadline`]) — one [`Deadline`] per
 //!    request, checked at every layer boundary and probed cooperatively
 //!    inside the store walk; retryable failures get a bounded number of
@@ -31,6 +32,12 @@
 //!    settled and the admission slot released. A body that overruns its
 //!    deadline returns its own result; the deadline stops work at the
 //!    checks above, not by abandoning a running body.
+//!
+//! Two entry points run a request through these layers and differ only
+//! in what they return. [`Gateway::handle`] returns the typed
+//! [`RouteOutput`], copied out of the tier-1 entry for in-process
+//! callers. [`Gateway::handle_json`] returns the JSON wire body, rendered
+//! from the shared entry itself, for wire layers such as `cryptext-http`.
 //!
 //! Draining reverses the onion: [`Gateway::begin_drain`] stops admissions
 //! (queued waiters shed, new arrivals shed), in-flight requests finish
@@ -223,7 +230,7 @@ impl GatewayStats {
         );
         registry.register_counter(
             "cryptext_gateway_executions_total",
-            "Execution jobs dispatched (leaders and uncoalesced calls)",
+            "Executions run on the caller's thread (leaders, promoted followers and uncoalesced calls)",
             &[],
             &self.executions,
         );
@@ -241,13 +248,13 @@ impl GatewayStats {
         );
         registry.register_counter(
             "cryptext_gateway_failed_total",
-            "Requests that returned an error (sheds and detaches excluded)",
+            "Admitted requests that returned an error, except followers whose wait timed out",
             &[],
             &self.failed,
         );
         registry.register_counter(
             "cryptext_gateway_deadline_exceeded_total",
-            "Callers that detached with DeadlineExceeded",
+            "Coalesced followers whose deadline expired while waiting on their leader",
             &[],
             &self.deadline_exceeded,
         );

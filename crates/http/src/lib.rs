@@ -27,10 +27,14 @@
 //! ([`cryptext_gateway::Request`] / [`cryptext_gateway::Response`]) and
 //! the error vocabulary is `cryptext_common::Error`'s canonical wire
 //! mapping (`status_code()` / `retry_after()`), so the wire layer adds
-//! *transport*, never new semantics. See `README.md` for the wire
+//! *transport*, never new semantics. The server calls
+//! [`Gateway::handle_json`], which renders the body straight from the
+//! tier-1 entry the request was served from, so a cache hit reaches the
+//! socket without a copy of its result. See `README.md` for the wire
 //! grammar, limits, the full status table, and the drain lifecycle.
 //!
 //! [`Gateway::drain_with`]: cryptext_gateway::Gateway::drain_with
+//! [`Gateway::handle_json`]: cryptext_gateway::Gateway::handle_json
 
 pub mod router;
 pub mod server;

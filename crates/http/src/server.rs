@@ -342,9 +342,9 @@ fn respond<S: TokenStore>(gateway: &Gateway<S>, request: &HttpRequest) -> (WireR
                 Ok(token) => token,
                 Err(resp) => return (resp, false),
             };
-            match gateway.handle(&auth, api) {
+            match gateway.handle_json(&auth, api) {
                 Ok(response) => {
-                    let mut resp = WireResponse::json(200, response.output.to_json());
+                    let mut resp = WireResponse::json(200, response.output);
                     resp.header_uint("X-Cryptext-Generation", "", response.generation);
                     resp.header("X-Cryptext-Cache", response.cache.label());
                     if response.cache.cacheable() {

@@ -653,26 +653,34 @@ fn cache_metadata_headers() {
         let srv = server(layout);
         let mut c = Client::connect(srv.addr);
 
-        c.send(&get_req("/lookup?q=democrats", Some(&srv.token)));
-        let cold = c.read_response();
-        assert_eq!(cold.status, 200);
-        assert_eq!(cold.header("X-Cryptext-Cache"), Some("cold"));
-        assert_eq!(cold.header("Age"), Some("0"));
-        assert_eq!(cold.header("Cache-Control"), Some("public, max-age=300"));
-        let generation = cold
-            .header("X-Cryptext-Generation")
-            .expect("generation")
-            .to_string();
+        // Each cacheable route: a cold request, then the same one again.
+        let requests = [
+            get_req("/lookup?q=democrats", Some(&srv.token)),
+            post_req("/normalize", &srv.token, "the vacc1ne mandates"),
+        ];
+        for request in &requests {
+            c.send(request);
+            let cold = c.read_response();
+            assert_eq!(cold.status, 200);
+            assert_eq!(cold.header("X-Cryptext-Cache"), Some("cold"));
+            assert_eq!(cold.header("Age"), Some("0"));
+            assert_eq!(cold.header("Cache-Control"), Some("public, max-age=300"));
+            let generation = cold
+                .header("X-Cryptext-Generation")
+                .expect("generation")
+                .to_string();
 
-        c.send(&get_req("/lookup?q=democrats", Some(&srv.token)));
-        let hit = c.read_response();
-        assert_eq!(hit.header("X-Cryptext-Cache"), Some("hit"));
-        assert_eq!(hit.header("Age"), None, "hits have unknowable age");
-        assert_eq!(
-            hit.header("X-Cryptext-Generation"),
-            Some(generation.as_str())
-        );
-        assert_eq!(hit.body, cold.body, "hit serves the leader's exact bytes");
+            c.send(request);
+            let hit = c.read_response();
+            assert_eq!(hit.status, 200);
+            assert_eq!(hit.header("X-Cryptext-Cache"), Some("hit"));
+            assert_eq!(hit.header("Age"), None, "hits have unknowable age");
+            assert_eq!(
+                hit.header("X-Cryptext-Generation"),
+                Some(generation.as_str())
+            );
+            assert_eq!(hit.body, cold.body, "hit serves the leader's exact bytes");
+        }
 
         c.send(&post_req("/perturb?seed=1", &srv.token, "the vaccine"));
         let bypass = c.read_response();
