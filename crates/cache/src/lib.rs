@@ -13,8 +13,12 @@
 //! * **Sharding** — keys hash to one of `N` shards, each behind its own
 //!   `parking_lot::Mutex`, so concurrent lookups on different tokens do not
 //!   contend.
-//! * **LRU** — every shard maintains a recency index (`BTreeMap<tick, key>`),
-//!   giving `O(log n)` touch/evict without unsafe linked-list code.
+//! * **LRU** — every shard links its entries into a recency list, most
+//!   recently used first. The list lives in a slab of nodes linked by
+//!   index (freed nodes chain into a free list), so a hit relinks one node
+//!   and an evicting insert unlinks the tail and reuses its node: `O(1)`,
+//!   no key clone, no unsafe code. Recency is the order in which
+//!   operations take the shard's lock.
 //! * **TTL** — entries may carry a deadline from the injected
 //!   [`Clock`]; expired entries are never returned
 //!   and are reaped lazily on access, by an insert into a full shard, and
@@ -31,9 +35,7 @@ pub mod store;
 
 pub use store::{SharedCacheStore, SHARED_PUT_FAILPOINT};
 
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cryptext_common::hash::FxHashMap;
@@ -92,12 +94,125 @@ impl CacheStats {
 struct Entry<V> {
     value: V,
     expires_at: Option<Timestamp>,
-    tick: u64,
+    /// The entry's node in its shard's [`Recency`] list.
+    node: u32,
+}
+
+/// End-of-list marker for [`Node`] links.
+const NIL: u32 = u32::MAX;
+
+/// One node of a [`Recency`] list: the key of the entry it stands for
+/// (`None` while the node is free) and its neighbours, `prev` toward the
+/// most recently used end and `next` toward the least.
+struct Node<K> {
+    key: Option<K>,
+    prev: u32,
+    next: u32,
+}
+
+/// A shard's recency order: a doubly linked list over a slab of nodes,
+/// `head` the most recently used entry and `tail` the least. Freed nodes
+/// chain from `free` through `next` and are reused before the slab grows.
+struct Recency<K> {
+    nodes: Vec<Node<K>>,
+    head: u32,
+    tail: u32,
+    free: u32,
+}
+
+impl<K> Recency<K> {
+    fn new() -> Self {
+        Recency {
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+        }
+    }
+
+    /// Link a node for `key` at the most recently used end; returns it.
+    fn push_front(&mut self, key: K) -> u32 {
+        let node = if self.free == NIL {
+            let node = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("a shard holds fewer than u32::MAX entries");
+            self.nodes.push(Node {
+                key: None,
+                prev: NIL,
+                next: NIL,
+            });
+            node
+        } else {
+            let node = self.free;
+            self.free = self.nodes[node as usize].next;
+            node
+        };
+        self.nodes[node as usize].key = Some(key);
+        self.link_front(node);
+        node
+    }
+
+    fn link_front(&mut self, node: u32) {
+        let n = &mut self.nodes[node as usize];
+        n.prev = NIL;
+        n.next = self.head;
+        match self.head {
+            NIL => self.tail = node,
+            head => self.nodes[head as usize].prev = node,
+        }
+        self.head = node;
+    }
+
+    fn unlink(&mut self, node: u32) {
+        let Node { prev, next, .. } = self.nodes[node as usize];
+        match prev {
+            NIL => self.head = next,
+            prev => self.nodes[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.nodes[next as usize].prev = prev,
+        }
+    }
+
+    /// Mark `node` most recently used.
+    fn touch(&mut self, node: u32) {
+        if self.head != node {
+            self.unlink(node);
+            self.link_front(node);
+        }
+    }
+
+    /// Unlink `node` onto the free list; returns its key.
+    fn release(&mut self, node: u32) -> Option<K> {
+        self.unlink(node);
+        let n = &mut self.nodes[node as usize];
+        n.next = self.free;
+        self.free = node;
+        n.key.take()
+    }
+
+    /// Release the least recently used node; returns its key.
+    fn pop_back(&mut self) -> Option<K> {
+        match self.tail {
+            NIL => None,
+            tail => self.release(tail),
+        }
+    }
+
+    /// Free every node, keeping the slab's allocation.
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.free = NIL;
+    }
 }
 
 struct Shard<K, V> {
     map: FxHashMap<K, Entry<V>>,
-    recency: BTreeMap<u64, K>,
+    recency: Recency<K>,
     /// A lower bound on every entry's deadline (`Timestamp::MAX` when no
     /// entry carries one). Inserts lower it, removals leave it alone, and
     /// a reap resets it to the earliest surviving deadline, so while
@@ -110,9 +225,24 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     fn new() -> Self {
         Shard {
             map: FxHashMap::default(),
-            recency: BTreeMap::new(),
+            recency: Recency::new(),
             earliest_expiry: Timestamp::MAX,
         }
+    }
+
+    /// Keep `earliest_expiry` a lower bound once an entry carries
+    /// `expires_at`.
+    fn lower_expiry_bound(&mut self, expires_at: Option<Timestamp>) {
+        if let Some(t) = expires_at {
+            self.earliest_expiry = self.earliest_expiry.min(t);
+        }
+    }
+
+    /// Remove `key`'s entry and free its recency node.
+    fn remove(&mut self, key: &K) -> Option<Entry<V>> {
+        let entry = self.map.remove(key)?;
+        self.recency.release(entry.node);
+        Some(entry)
     }
 
     /// Remove every entry whose deadline is at or before `now`; returns
@@ -131,7 +261,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         let mut earliest = Timestamp::MAX;
         map.retain(|_, e| match e.expires_at {
             Some(t) if t <= now => {
-                recency.remove(&e.tick);
+                recency.release(e.node);
                 false
             }
             Some(t) => {
@@ -152,7 +282,6 @@ pub struct Cache<K, V> {
     per_shard_capacity: usize,
     default_ttl_ms: Option<u64>,
     clock: Arc<dyn Clock>,
-    tick: AtomicU64,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -171,7 +300,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             per_shard_capacity,
             default_ttl_ms: config.default_ttl_ms,
             clock,
-            tick: AtomicU64::new(0),
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
@@ -184,10 +312,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         let mut h = FxHasher::default();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) & self.shard_mask]
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Insert with the configured default TTL.
@@ -205,10 +329,17 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     pub fn insert_opt_ttl(&self, key: K, value: V, ttl_ms: Option<u64>) {
         let now = self.clock.now();
         let expires_at = ttl_ms.map(|t| now.saturating_add(t));
-        let tick = self.next_tick();
-        let mut shard = self.shard_for(&key).lock();
-        if let Some(old) = shard.map.remove(&key) {
-            shard.recency.remove(&old.tick);
+        let mut guard = self.shard_for(&key).lock();
+        let shard = &mut *guard;
+        self.inserts.inc();
+        // Overwrite: the entry takes the new value and deadline and
+        // becomes the most recently used.
+        if let Some(entry) = shard.map.get_mut(&key) {
+            entry.value = value;
+            entry.expires_at = expires_at;
+            shard.recency.touch(entry.node);
+            shard.lower_expiry_bound(expires_at);
+            return;
         }
         // At capacity: reap this shard's expired entries first so a dead
         // entry never forces a live one out. Only then fall back to LRU.
@@ -216,60 +347,47 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             let reaped = shard.reap_expired(now);
             self.expirations.add(reaped as u64);
         }
-        // Evict least-recently-used while still at capacity.
+        // Evict the least recently used entry while still at capacity; its
+        // node is the one the new entry reuses.
         while shard.map.len() >= self.per_shard_capacity {
-            if let Some((&oldest_tick, _)) = shard.recency.iter().next() {
-                if let Some(victim) = shard.recency.remove(&oldest_tick) {
+            match shard.recency.pop_back() {
+                Some(victim) => {
                     shard.map.remove(&victim);
                     self.evictions.inc();
                 }
-            } else {
-                break;
+                None => break,
             }
         }
-        if let Some(t) = expires_at {
-            shard.earliest_expiry = shard.earliest_expiry.min(t);
-        }
-        shard.recency.insert(tick, key.clone());
+        shard.lower_expiry_bound(expires_at);
+        let node = shard.recency.push_front(key.clone());
         shard.map.insert(
             key,
             Entry {
                 value,
                 expires_at,
-                tick,
+                node,
             },
         );
-        self.inserts.inc();
     }
 
     /// Fetch a live entry, refreshing its recency. Expired entries are
     /// removed and counted, then reported as misses.
     pub fn get(&self, key: &K) -> Option<V> {
         let now = self.clock.now();
-        let new_tick = self.next_tick();
-        let mut shard = self.shard_for(key).lock();
-        let expired = match shard.map.get(key) {
-            None => {
-                self.misses.inc();
-                return None;
-            }
-            Some(e) => e.expires_at.is_some_and(|t| t <= now),
+        let mut guard = self.shard_for(key).lock();
+        let shard = &mut *guard;
+        let Some(entry) = shard.map.get(key) else {
+            self.misses.inc();
+            return None;
         };
-        if expired {
-            if let Some(old) = shard.map.remove(key) {
-                shard.recency.remove(&old.tick);
-            }
+        if entry.expires_at.is_some_and(|t| t <= now) {
+            shard.remove(key);
             self.expirations.inc();
             self.misses.inc();
             return None;
         }
-        let entry = shard.map.get_mut(key).expect("checked above");
-        let old_tick = entry.tick;
-        entry.tick = new_tick;
         let value = entry.value.clone();
-        let key_clone = key.clone();
-        shard.recency.remove(&old_tick);
-        shard.recency.insert(new_tick, key_clone);
+        shard.recency.touch(entry.node);
         self.hits.inc();
         Some(value)
     }
@@ -288,9 +406,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
 
     /// Remove a key, returning its value if it was live.
     pub fn remove(&self, key: &K) -> Option<V> {
-        let mut shard = self.shard_for(key).lock();
-        let entry = shard.map.remove(key)?;
-        shard.recency.remove(&entry.tick);
+        let entry = self.shard_for(key).lock().remove(key)?;
         let now = self.clock.now();
         if entry.expires_at.is_some_and(|t| t <= now) {
             self.expirations.inc();
@@ -340,18 +456,16 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     pub fn retain_keys(&self, keep: impl Fn(&K) -> bool) -> usize {
         let mut removed = 0usize;
         for shard in &self.shards {
-            let mut s = shard.lock();
-            let dead: Vec<(u64, K)> = s
-                .map
-                .iter()
-                .filter(|(k, _)| !keep(k))
-                .map(|(k, e)| (e.tick, k.clone()))
-                .collect();
-            for (dead_tick, k) in dead {
-                s.map.remove(&k);
-                s.recency.remove(&dead_tick);
-                removed += 1;
-            }
+            let mut guard = shard.lock();
+            let Shard { map, recency, .. } = &mut *guard;
+            map.retain(|k, e| {
+                let kept = keep(k);
+                if !kept {
+                    recency.release(e.node);
+                    removed += 1;
+                }
+                kept
+            });
         }
         removed
     }
@@ -812,5 +926,109 @@ mod proptests {
                 );
             }
         }
+
+        /// Exact victims: a single-shard cache under capacity pressure
+        /// behaves as a reference LRU, a recency-ordered list of
+        /// `(key, value, deadline)` (most recent first) that keeps expired
+        /// entries until something reaps them. Every `get` hits exactly
+        /// when the reference holds a live entry, with its value, and
+        /// `len()` agrees after every op, so a list that evicts the wrong
+        /// entry or forgets a touch is caught at the next op that can
+        /// tell.
+        #[test]
+        fn evicts_exactly_the_reference_lru_victim(
+            ops in proptest::collection::vec(lru_op_strategy(), 1..160)
+        ) {
+            let clock = SimClock::new(0);
+            let capacity = 6usize;
+            let cache = Cache::<u8, u32>::new(
+                CacheConfig { capacity, default_ttl_ms: None, shards: 1 },
+                Arc::new(clock.clone()),
+            );
+            let mut reference: Vec<(u8, u32, Option<u64>)> = Vec::new();
+            let live = |deadline: Option<u64>, now: u64| deadline.is_none_or(|t| t > now);
+
+            for op in ops {
+                let now = clock.now();
+                match op {
+                    Op::Insert(k, v, ttl) => {
+                        let deadline = ttl.map(|t| now + t as u64);
+                        match ttl {
+                            Some(t) => cache.insert_with_ttl(k, v, t as u64),
+                            None => cache.insert(k, v),
+                        }
+                        if let Some(at) = reference.iter().position(|e| e.0 == k) {
+                            reference.remove(at);
+                        } else if reference.len() >= capacity {
+                            reference.retain(|e| live(e.2, now));
+                            if reference.len() >= capacity {
+                                reference.pop();
+                            }
+                        }
+                        reference.insert(0, (k, v, deadline));
+                    }
+                    Op::Get(k) => {
+                        let expect = match reference.iter().position(|e| e.0 == k) {
+                            Some(at) if live(reference[at].2, now) => {
+                                let entry = reference.remove(at);
+                                reference.insert(0, entry);
+                                Some(entry.1)
+                            }
+                            Some(at) => {
+                                reference.remove(at);
+                                None
+                            }
+                            None => None,
+                        };
+                        prop_assert_eq!(cache.get(&k), expect, "get({})", k);
+                    }
+                    Op::Remove(k) => {
+                        let expect = reference
+                            .iter()
+                            .position(|e| e.0 == k)
+                            .map(|at| reference.remove(at))
+                            .filter(|e| live(e.2, now))
+                            .map(|e| e.1);
+                        prop_assert_eq!(cache.remove(&k), expect, "remove({})", k);
+                    }
+                    Op::Advance(ms) => {
+                        clock.advance(ms as u64);
+                    }
+                    Op::Rewind(ms) => {
+                        clock.set(now.saturating_sub(ms as u64));
+                    }
+                    Op::Sweep => {
+                        let before = reference.len();
+                        reference.retain(|e| live(e.2, now));
+                        prop_assert_eq!(cache.sweep_expired(), before - reference.len());
+                    }
+                    Op::Clear => {
+                        cache.clear();
+                        reference.clear();
+                    }
+                }
+                prop_assert_eq!(cache.len(), reference.len(), "len after {:?}", op);
+            }
+        }
+    }
+
+    /// Ops over 10 keys and short deadlines, weighted toward inserts and
+    /// gets, so a capacity-6 shard keeps evicting and entries expire
+    /// between touches.
+    fn lru_op_strategy() -> impl Strategy<Value = Op> {
+        proptest::strategy::Union::weighted(vec![
+            (
+                30,
+                (0u8..10, any::<u32>(), proptest::option::of(0u16..300))
+                    .prop_map(|(k, v, t)| Op::Insert(k, v, t))
+                    .boxed(),
+            ),
+            (30, (0u8..10).prop_map(Op::Get).boxed()),
+            (6, (0u8..10).prop_map(Op::Remove).boxed()),
+            (8, (0u16..100).prop_map(Op::Advance).boxed()),
+            (4, (0u16..100).prop_map(Op::Rewind).boxed()),
+            (3, Just(Op::Sweep).boxed()),
+            (1, Just(Op::Clear).boxed()),
+        ])
     }
 }

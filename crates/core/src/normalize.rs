@@ -36,6 +36,12 @@
 //! * **Candidate words borrow the database** (`Cow::Borrowed` into each
 //!   record's precomputed fold for the ASCII common case); owned `String`s
 //!   are materialized only for the final, truncated candidate list.
+//! * **Each slot's context is resolved once**: an out-of-dictionary token
+//!   gets one [`cryptext_lm::Slot`], built at its first candidate, which
+//!   holds its four context words as LM symbols. Scoring a candidate then
+//!   takes one vocabulary probe, whose symbol feeds both the coherency
+//!   windows and the unigram prior, on the memo-replay path and on the
+//!   walk path alike.
 //! * **One [`NormalizeScratch`] serves a whole text**: the Look Up scratch
 //!   (visited marks, Myers/DP buffers, query fold) plus a
 //!   generation-marked [`CoherencyCache`] that memoizes LM scores per
@@ -51,7 +57,7 @@ use std::cell::RefCell;
 use std::ops::ControlFlow;
 
 use cryptext_common::Result;
-use cryptext_lm::{CoherencyCache, NgramLm};
+use cryptext_lm::{CoherencyCache, NgramLm, Slot};
 use cryptext_tokenizer::{splice, tokenize, tokenize_spans, Token};
 
 use crate::database::TokenDatabase;
@@ -238,6 +244,14 @@ impl<'a> Normalizer<'a> {
         // overhead gate would charge us for.
         let stages_owned = lookup.stages.take();
         let stages = stages_owned.as_deref();
+        // The token's context, resolved to LM symbols at its first
+        // candidate, so a token without candidates resolves nothing.
+        let mut slot: Option<Slot> = None;
+        let mut score = |word: &str, distance: usize| {
+            let slot = slot.get_or_insert_with(|| self.lm.slot(left, right));
+            let (coherency, prior) = slot.score(word, lm_cache);
+            coherency - params.edit_penalty * distance as f64 + params.prior_weight * prior
+        };
         // Cache hit: replay the memoized word-ascending pairs through the
         // scorer. The stable score sort below starts from the same order
         // the uncached path reaches after its dedup, so ties resolve
@@ -246,13 +260,9 @@ impl<'a> Normalizer<'a> {
             if let Some(pairs) = cache.get(token, params.k, params.d) {
                 let _t = stages.map(|s| s.normalize_rescore_us.start_timer());
                 for (word, distance) in pairs.iter() {
-                    let coherency = self.lm.coherency_cached(word, left, right, lm_cache);
-                    let prior = self.lm.unigram_log_prob(word);
-                    let score = coherency - params.edit_penalty * *distance as f64
-                        + params.prior_weight * prior;
                     buf.push(ScoredCand {
                         word: Cow::Owned(word.clone()),
-                        score,
+                        score: score(word, *distance),
                         distance: *distance,
                     });
                 }
@@ -292,10 +302,7 @@ impl<'a> Normalizer<'a> {
                 } else {
                     Cow::Owned(rec.token.to_ascii_lowercase())
                 };
-                let coherency = self.lm.coherency_cached(&word, left, right, lm_cache);
-                let prior = self.lm.unigram_log_prob(&word);
-                let score =
-                    coherency - params.edit_penalty * distance as f64 + params.prior_weight * prior;
+                let score = score(&word, distance);
                 buf.push(ScoredCand {
                     word,
                     score,

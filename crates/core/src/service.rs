@@ -687,7 +687,7 @@ impl<S: TokenStore> CryptextService<S> {
         if let Some(result) = self.norm_result_cache.get(&result_key) {
             return Ok((result, Served::Tier1Hit));
         }
-        let cache = ServiceCandidateCache { svc: self };
+        let cache = ServiceCandidateCache::new(self);
         let result = NORMALIZE_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.attach_stages(Some(Arc::clone(&self.stages)));
@@ -872,26 +872,71 @@ impl<S: TokenStore> CryptextService<S> {
 /// The service's [`CandidateCache`] adapter: tier-1 typed memo in front,
 /// tier-2 byte store behind (read-through on miss, write-behind on fill,
 /// errors absorbed — an injected tier-2 fault costs a future miss, never
-/// the request).
+/// the request). One adapter serves one Normalization call.
 struct ServiceCandidateCache<'a, S: TokenStore> {
     svc: &'a CryptextService<S>,
+    /// The last `get` that missed both tiers: the `put` that fills it
+    /// reuses its key instead of hashing the token again.
+    last_miss: RefCell<MissedKey>,
+}
+
+/// A memo key with the `(token, k, d)` it was hashed from.
+#[derive(Default)]
+struct MissedKey {
+    token: String,
+    k: usize,
+    d: usize,
+    key: Option<CacheKey>,
+}
+
+impl MissedKey {
+    fn record(&mut self, token: &str, k: usize, d: usize, key: CacheKey) {
+        self.token.clear();
+        self.token.push_str(token);
+        self.k = k;
+        self.d = d;
+        self.key = Some(key);
+    }
+
+    /// The recorded key, if it was hashed from exactly `(token, k, d)`.
+    fn key_for(&self, token: &str, k: usize, d: usize) -> Option<CacheKey> {
+        self.key
+            .filter(|_| self.k == k && self.d == d && self.token == token)
+    }
+}
+
+impl<'a, S: TokenStore> ServiceCandidateCache<'a, S> {
+    fn new(svc: &'a CryptextService<S>) -> Self {
+        ServiceCandidateCache {
+            svc,
+            last_miss: RefCell::default(),
+        }
+    }
+
+    /// Tier-2 read-through: decode the entry under `key` and promote it
+    /// into tier-1 so the next request never leaves process.
+    fn read_through(&self, key: CacheKey) -> Option<CandidatePairs> {
+        let t2 = self.svc.tier2.as_ref()?;
+        let ns = t2.namespace(self.svc.generation());
+        let bytes = t2.store.get(ns, key.as_u128())?;
+        let pairs: CandidatePairs = Arc::new(decode_pairs(&bytes)?);
+        self.svc.norm_cache.insert(key, Arc::clone(&pairs));
+        Some(pairs)
+    }
 }
 
 impl<S: TokenStore> CandidateCache for ServiceCandidateCache<'_, S> {
     fn get(&self, token: &str, k: usize, d: usize) -> Option<CandidatePairs> {
         let key = self.svc.normalize_cache_key(token, k, d);
-        if let Some(pairs) = self.svc.norm_cache.get(&key) {
-            if pairs.is_empty() {
-                self.svc.negative_hits.inc();
-            }
-            return Some(pairs);
-        }
-        let t2 = self.svc.tier2.as_ref()?;
-        let ns = t2.namespace(self.svc.generation());
-        let bytes = t2.store.get(ns, key.as_u128())?;
-        let pairs: CandidatePairs = Arc::new(decode_pairs(&bytes)?);
-        // Promote into tier-1 so the next request never leaves process.
-        self.svc.norm_cache.insert(key, Arc::clone(&pairs));
+        let Some(pairs) = self
+            .svc
+            .norm_cache
+            .get(&key)
+            .or_else(|| self.read_through(key))
+        else {
+            self.last_miss.borrow_mut().record(token, k, d, key);
+            return None;
+        };
         if pairs.is_empty() {
             self.svc.negative_hits.inc();
         }
@@ -899,7 +944,11 @@ impl<S: TokenStore> CandidateCache for ServiceCandidateCache<'_, S> {
     }
 
     fn put(&self, token: &str, k: usize, d: usize, pairs: CandidatePairs) {
-        let key = self.svc.normalize_cache_key(token, k, d);
+        let key = self
+            .last_miss
+            .borrow()
+            .key_for(token, k, d)
+            .unwrap_or_else(|| self.svc.normalize_cache_key(token, k, d));
         self.svc.norm_cache.insert(key, Arc::clone(&pairs));
         if let Some(t2) = &self.svc.tier2 {
             let ns = t2.namespace(self.svc.generation());
@@ -1522,6 +1571,50 @@ mod tests {
             .unwrap();
         assert_eq!(r.corrections[0].replacement, "democrats");
         assert!(tier_count(&svc, "misses", "normalize") > miss_base);
+    }
+
+    #[test]
+    fn a_filled_memo_miss_lands_under_the_key_it_missed() {
+        let (mut svc, _) = service(100);
+        let store = Arc::new(SharedCacheStore::new(
+            cryptext_cache::CacheConfig::default(),
+            svc.clock(),
+        ));
+        svc.attach_tier2(Arc::clone(&store));
+        let t2 = svc.tier2.as_ref().expect("attached");
+        let ns = t2.namespace(svc.generation());
+        let pairs: CandidatePairs = Arc::new(vec![("democrats".to_string(), 2)]);
+
+        // Miss, then fill: the put reuses the miss's key. The memo key
+        // folds ASCII case, so the entry serves the lowercase spelling.
+        let cache = ServiceCandidateCache::new(&svc);
+        assert!(cache.get("demokRATs", 1, 3).is_none());
+        cache.put("demokRATs", 1, 3, Arc::clone(&pairs));
+        let key = svc.normalize_cache_key("demokrats", 1, 3);
+        assert_eq!(svc.norm_cache.get(&key), Some(Arc::clone(&pairs)));
+        let written = store.get(ns, key.as_u128()).expect("written behind");
+        assert_eq!(decode_pairs(&written).as_ref(), Some(&*pairs));
+        let hits = tier_count(&svc, "hits", "normalize");
+        assert_eq!(cache.get("demokrats", 1, 3), Some(Arc::clone(&pairs)));
+        assert_eq!(
+            tier_count(&svc, "hits", "normalize"),
+            hits + 1,
+            "tier-1 hit"
+        );
+
+        // A put for other `(token, k, d)` than the last miss hashes its
+        // own key: nothing lands under the missed one.
+        let cache = ServiceCandidateCache::new(&svc);
+        assert!(cache.get("vacc1ne", 1, 3).is_none());
+        for (token, k, d) in [("vaccine", 1, 3), ("vacc1ne", 0, 3), ("vacc1ne", 1, 2)] {
+            cache.put(token, k, d, Arc::clone(&pairs));
+            let own = svc.normalize_cache_key(token, k, d);
+            assert_eq!(svc.norm_cache.get(&own), Some(Arc::clone(&pairs)));
+            assert!(store.get(ns, own.as_u128()).is_some());
+        }
+        let missed = svc.normalize_cache_key("vacc1ne", 1, 3);
+        assert_eq!(svc.norm_cache.get(&missed), None);
+        assert_eq!(store.get(ns, missed.as_u128()), None);
     }
 
     #[test]

@@ -283,7 +283,7 @@ fn handle_connection<S: TokenStore>(
                 resp.close = true;
                 shared.requests_served.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.status_counter(resp.status).inc();
-                let _ = conn.stream.write_all(&resp.to_bytes());
+                let _ = resp.write_to(&mut conn.stream);
                 return;
             }
             ReadOutcome::Request(request) => {
@@ -378,13 +378,11 @@ fn respond<S: TokenStore>(gateway: &Gateway<S>, request: &HttpRequest) -> (WireR
 /// Returns false when the connection must close (write error or injected
 /// fault) — the caller's loop exits, the listener never notices.
 fn write_response(stream: &mut TcpStream, resp: &WireResponse, api_route: bool) -> bool {
-    let bytes = resp.to_bytes();
     if api_route {
         match failpoint::trigger(WRITE_FAILPOINT) {
             Some(FailAction::Kill) => return false,
             Some(FailAction::Torn(k)) => {
-                let cut = k.min(bytes.len());
-                let _ = stream.write_all(&bytes[..cut]);
+                let _ = resp.write_prefix(stream, k);
                 let _ = stream.flush();
                 return false;
             }
@@ -392,8 +390,5 @@ fn write_response(stream: &mut TcpStream, resp: &WireResponse, api_route: bool) 
             None => {}
         }
     }
-    stream
-        .write_all(&bytes)
-        .and_then(|_| stream.flush())
-        .is_ok()
+    resp.write_to(stream).and_then(|_| stream.flush()).is_ok()
 }

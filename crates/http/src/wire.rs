@@ -1,5 +1,5 @@
 //! The byte layer: reading requests off a TCP stream under limits and
-//! timeouts, and serializing responses.
+//! timeouts, and writing responses.
 //!
 //! Reading is sliced: the stream runs with a short read timeout
 //! (`READ_SLICE`) and the loop re-checks the wall-clock budget and the
@@ -13,7 +13,7 @@
 //! request's end stay in `Conn::carry` and seed the next
 //! `read_request` call without touching the socket.
 
-use std::io::Read;
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -447,10 +447,10 @@ impl WireResponse {
         resp
     }
 
-    /// The status line, headers, and body as one buffer (one socket
-    /// write), sized up front.
-    pub(crate) fn to_bytes(&self) -> Vec<u8> {
-        let mut head = String::with_capacity(128 + self.headers.len() + self.body.len());
+    /// The status line and headers, through the blank line that ends
+    /// them.
+    fn head(&self) -> String {
+        let mut head = String::with_capacity(128 + self.headers.len());
         head.push_str("HTTP/1.1 ");
         jsonfmt::push_uint(&mut head, u64::from(self.status));
         head.push(' ');
@@ -465,10 +465,44 @@ impl WireResponse {
             head.push_str("Connection: close\r\n");
         }
         head.push_str("\r\n");
-        let mut out = head.into_bytes();
-        out.extend_from_slice(&self.body);
-        out
+        head
     }
+
+    /// Write the whole response: the head and the body go out together in
+    /// vectored writes, so the body is never copied behind the head.
+    pub(crate) fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        self.write_prefix(w, usize::MAX)
+    }
+
+    /// Write only the first `limit` bytes of head plus body (a torn write
+    /// when `limit` is short of the whole response).
+    pub(crate) fn write_prefix(&self, w: &mut impl Write, limit: usize) -> io::Result<()> {
+        let head = self.head();
+        let head = &head.as_bytes()[..head.len().min(limit)];
+        let body = &self.body[..self.body.len().min(limit - head.len())];
+        write_all_vectored(w, &mut [IoSlice::new(head), IoSlice::new(body)])
+    }
+}
+
+/// `Write::write_all` over several buffers: `write_vectored` until every
+/// byte is out.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    // Drop leading empty buffers: a zero-byte torn write writes nothing.
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write the whole response",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -499,13 +533,53 @@ mod tests {
         );
     }
 
+    /// Everything `resp.write_prefix(.., limit)` writes.
+    fn written(resp: &WireResponse, limit: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        resp.write_prefix(&mut out, limit).unwrap();
+        out
+    }
+
+    /// A writer that takes at most `chunk` bytes per call, across buffer
+    /// boundaries, so one response needs many vectored writes.
+    struct Trickle {
+        out: Vec<u8>,
+        chunk: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut n = 0;
+            for buf in bufs {
+                let take = buf.len().min(self.chunk - n);
+                self.out.extend_from_slice(&buf[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn lookup_like_response() -> WireResponse {
+        let mut resp = WireResponse::json(200, r#"{"hits":[{"token":"demokRATs"}]}"#.into());
+        resp.header("X-Cache", "HIT");
+        resp
+    }
+
     #[test]
     fn response_serialization_is_well_formed() {
         let mut resp = WireResponse::json(200, "{}".to_string());
         resp.header("X-Test", "1");
         resp.header_uint("X-Gen", "g=", 42);
         resp.close = true;
-        let bytes = resp.to_bytes();
+        let bytes = written(&resp, usize::MAX);
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
@@ -515,6 +589,57 @@ mod tests {
         assert_eq!(resp.header_value("X"), None);
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    #[test]
+    fn vectored_writes_send_the_head_then_the_body() {
+        let resp = lookup_like_response();
+        let whole = written(&resp, usize::MAX);
+        let head = resp.head();
+        assert_eq!(whole, [head.as_bytes(), &resp.body].concat());
+        for chunk in [1, 3, 7, head.len() + 1, 1 << 16] {
+            let mut w = Trickle {
+                out: Vec::new(),
+                chunk,
+            };
+            resp.write_to(&mut w).unwrap();
+            assert_eq!(w.out, whole, "{chunk}-byte writes");
+        }
+        let empty = WireResponse::text(200, "");
+        assert_eq!(written(&empty, usize::MAX), empty.head().into_bytes());
+    }
+
+    #[test]
+    fn a_torn_write_inside_the_head_sends_only_its_first_bytes() {
+        let resp = lookup_like_response();
+        let whole = written(&resp, usize::MAX);
+        let head_len = resp.head().len();
+        for k in [0, 1, 8, head_len - 1] {
+            assert_eq!(written(&resp, k), whole[..k], "torn at {k}");
+            let mut w = Trickle {
+                out: Vec::new(),
+                chunk: 3,
+            };
+            resp.write_prefix(&mut w, k).unwrap();
+            assert_eq!(w.out, whole[..k], "torn at {k}, 3-byte writes");
+        }
+    }
+
+    #[test]
+    fn a_torn_write_inside_the_body_sends_the_head_and_a_body_prefix() {
+        let resp = lookup_like_response();
+        let whole = written(&resp, usize::MAX);
+        let head_len = resp.head().len();
+        for k in [head_len, head_len + 1, whole.len() - 1, whole.len()] {
+            assert_eq!(written(&resp, k), whole[..k], "torn at {k}");
+            let mut w = Trickle {
+                out: Vec::new(),
+                chunk: 5,
+            };
+            resp.write_prefix(&mut w, k).unwrap();
+            assert_eq!(w.out, whole[..k], "torn at {k}, 5-byte writes");
+        }
+        assert_eq!(written(&resp, whole.len() + 10), whole, "past the end");
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //! * [`NgramLm::coherency`] — the masked-position score: the sum of the log
 //!   probabilities of every trigram window that covers the masked slot,
 //!   mirroring how a masked LM scores a fill-in,
-//! * [`NgramLm::coherency_cached`] — the Normalization hot-path variant: a
-//!   caller-held, generation-marked [`CoherencyCache`] memoizes scores per
-//!   resolved `(context, candidate)` symbol window, so candidates repeated
-//!   across the tokens of one text never re-probe the n-gram tables.
+//! * [`NgramLm::slot`] — the Normalization hot-path variant: a [`Slot`]
+//!   resolves one masked position's four context words to symbols once,
+//!   and [`Slot::score`] then scores each candidate from a single
+//!   vocabulary probe, whose symbol feeds both the three trigram windows
+//!   and the unigram prior. A caller-held, generation-marked
+//!   [`CoherencyCache`] memoizes coherency per resolved `(context,
+//!   candidate)` symbol window, so candidates repeated across the tokens
+//!   of one text never re-probe the n-gram tables.
 //!
 //! Scores depend on words only through their interned [`Symbol`]s (unknown
 //! words all resolve to the same "no symbol" state), which is what makes
@@ -380,37 +384,36 @@ impl NgramLm {
     /// `ln P(c | l₋₂ l₋₁) + ln P(r₊₁ | l₋₁ c) + ln P(r₊₂ | c r₊₁)`.
     /// Higher is more coherent. Comparable **only** across candidates for
     /// the same slot.
+    ///
+    /// Resolves the whole window on every call; it is the reference
+    /// [`Slot::score`] is pinned against, so it keeps its own resolution.
     pub fn coherency(&self, candidate: &str, left: &[&str], right: &[&str]) -> f64 {
         self.coherency_syms(self.resolve_window(candidate, left, right))
     }
 
-    /// [`NgramLm::coherency`] memoized through a caller-held
-    /// [`CoherencyCache`]. Returns bit-identical scores: the cache key is
-    /// the resolved symbol window, which fully determines the score (all
-    /// out-of-vocabulary words share one "no symbol" state). Normalization
-    /// holds one cache per text, so a candidate that recurs across tokens
-    /// (or a whole context window that recurs across candidates) is scored
-    /// once.
-    pub fn coherency_cached(
-        &self,
-        candidate: &str,
-        left: &[&str],
-        right: &[&str],
-        cache: &mut CoherencyCache,
-    ) -> f64 {
-        let window = self.resolve_window(candidate, left, right);
-        let key = CoherencyCache::key_of(window);
-        if let Some(v) = cache.get(key) {
-            return v;
+    /// The slot scorer for one masked position: resolves the two context
+    /// words on each side (padded with boundary markers, as in
+    /// [`NgramLm::coherency`]) to symbols once, so that scoring each
+    /// candidate with [`Slot::score`] costs one vocabulary probe.
+    pub fn slot(&self, left: &[&str], right: &[&str]) -> Slot<'_> {
+        let n = left.len();
+        let l2 = if n >= 2 { left[n - 2] } else { BOS };
+        let l1 = if n >= 1 { left[n - 1] } else { BOS };
+        let r1 = right.first().copied().unwrap_or(EOS);
+        let r2 = right.get(1).copied().unwrap_or(EOS);
+        Slot {
+            lm: self,
+            context: [self.sym(l2), self.sym(l1), self.sym(r1), self.sym(r2)],
         }
-        let v = self.coherency_syms(window);
-        cache.put(key, v);
-        v
     }
 
     /// `ln P(w)` under the unigram distribution (with floor).
     pub fn unigram_log_prob(&self, w: &str) -> f64 {
-        let p = self.unigram_count(self.sym(w)) as f64 / self.total_unigrams as f64;
+        self.unigram_log_prob_sym(self.sym(w))
+    }
+
+    fn unigram_log_prob_sym(&self, w: Option<Symbol>) -> f64 {
+        let p = self.unigram_count(w) as f64 / self.total_unigrams as f64;
         let floor = self.weights.l0 / (self.vocab_size as f64 + 1.0);
         (p.max(floor)).ln()
     }
@@ -436,6 +439,41 @@ impl NgramLm {
     }
 }
 
+/// One masked position's context, resolved to symbols by
+/// [`NgramLm::slot`].
+#[derive(Debug, Clone, Copy)]
+pub struct Slot<'m> {
+    lm: &'m NgramLm,
+    /// `[l₋₂, l₋₁, r₊₁, r₊₂]`.
+    context: [Option<Symbol>; 4],
+}
+
+impl Slot<'_> {
+    /// Score `candidate` in this slot: its coherency, memoized through
+    /// `memo`, and its unigram log prior. Bit-identical to
+    /// `(lm.coherency(candidate, left, right), lm.unigram_log_prob(candidate))`
+    /// for the `left` and `right` the slot was built from. The memo key is
+    /// the resolved symbol window, which fully determines the score (all
+    /// out-of-vocabulary words share one "no symbol" state), so a
+    /// candidate that recurs across the tokens of a text in the same
+    /// context is scored once.
+    pub fn score(&self, candidate: &str, memo: &mut CoherencyCache) -> (f64, f64) {
+        let c = self.lm.sym(candidate);
+        let [l2, l1, r1, r2] = self.context;
+        let window = [c, l2, l1, r1, r2];
+        let key = CoherencyCache::key_of(window);
+        let coherency = match memo.get(key) {
+            Some(v) => v,
+            None => {
+                let v = self.lm.coherency_syms(window);
+                memo.put(key, v);
+                v
+            }
+        };
+        (coherency, self.lm.unigram_log_prob_sym(c))
+    }
+}
+
 /// Number of slots in a [`CoherencyCache`] (power of two). A text rarely
 /// produces more than a few hundred distinct `(context, candidate)`
 /// windows, so 512 slots with a short probe window keeps the hit rate high
@@ -452,10 +490,10 @@ struct CoherencySlot {
     val: f64,
 }
 
-/// Generation-marked memo table for [`NgramLm::coherency_cached`].
+/// Generation-marked coherency memo for [`Slot::score`].
 ///
-/// Keys are resolved symbol windows (candidate + four context slots), so a
-/// hit returns the exact `f64` the uncached path would compute. Starting a
+/// Keys are resolved symbol windows (candidate + four context symbols), so
+/// a hit returns the exact `f64` [`NgramLm::coherency`] computes. Starting a
 /// new text is one [`CoherencyCache::begin`] generation bump — no clearing,
 /// mirroring the Look Up engine's visited-set scratch. Stale entries from
 /// earlier generations are simply treated as empty slots.
@@ -769,8 +807,21 @@ mod tests {
         }
     }
 
+    /// `lm.coherency` and `lm.unigram_log_prob` as bit patterns: what
+    /// [`Slot::score`] must return.
+    fn reference_bits(lm: &NgramLm, cand: &str, left: &[&str], right: &[&str]) -> (u64, u64) {
+        (
+            lm.coherency(cand, left, right).to_bits(),
+            lm.unigram_log_prob(cand).to_bits(),
+        )
+    }
+
+    fn bits((coherency, prior): (f64, f64)) -> (u64, u64) {
+        (coherency.to_bits(), prior.to_bits())
+    }
+
     #[test]
-    fn cached_coherency_is_bit_identical() {
+    fn slot_scores_are_bit_identical() {
         let lm = political_lm();
         let mut cache = CoherencyCache::new();
         cache.begin();
@@ -782,11 +833,10 @@ mod tests {
             ("unknownzz", vec!["alsounknown"], vec!["the"]),
         ];
         for (cand, left, right) in &windows {
-            let plain = lm.coherency(cand, left, right);
-            let cached_miss = lm.coherency_cached(cand, left, right, &mut cache);
-            let cached_hit = lm.coherency_cached(cand, left, right, &mut cache);
-            assert_eq!(plain.to_bits(), cached_miss.to_bits(), "{cand}: miss");
-            assert_eq!(plain.to_bits(), cached_hit.to_bits(), "{cand}: hit");
+            let expect = reference_bits(&lm, cand, left, right);
+            let slot = lm.slot(left, right);
+            assert_eq!(bits(slot.score(cand, &mut cache)), expect, "{cand}: miss");
+            assert_eq!(bits(slot.score(cand, &mut cache)), expect, "{cand}: hit");
         }
     }
 
@@ -794,15 +844,16 @@ mod tests {
     fn cache_survives_generation_turnover() {
         let lm = political_lm();
         let mut cache = CoherencyCache::new();
+        let left = ["the"];
+        let slot = lm.slot(&left, &[]);
         for text in 0..50 {
             cache.begin();
             // Same windows every "text": hits within a generation, fresh
             // entries across generations, always the uncached value.
             for cand in ["democrats", "republicans", "neverseen"] {
-                let left = ["the"];
-                let expect = lm.coherency(cand, &left, &[]);
-                let got = lm.coherency_cached(cand, &left, &[], &mut cache);
-                assert_eq!(expect.to_bits(), got.to_bits(), "text {text}, {cand}");
+                let expect = reference_bits(&lm, cand, &left, &[]);
+                let got = bits(slot.score(cand, &mut cache));
+                assert_eq!(expect, got, "text {text}, {cand}");
             }
         }
     }
@@ -815,9 +866,10 @@ mod tests {
         let lm = political_lm();
         let mut cache = CoherencyCache::new();
         cache.begin();
-        let oov_a = lm.coherency_cached("qqqq", &["the"], &[], &mut cache);
-        let oov_b = lm.coherency_cached("wwww", &["the"], &[], &mut cache);
-        let known = lm.coherency_cached("democrats", &["the"], &[], &mut cache);
+        let slot = lm.slot(&["the"], &[]);
+        let (oov_a, _) = slot.score("qqqq", &mut cache);
+        let (oov_b, _) = slot.score("wwww", &mut cache);
+        let (known, _) = slot.score("democrats", &mut cache);
         assert_eq!(oov_a.to_bits(), oov_b.to_bits(), "OOV words score alike");
         assert_ne!(known.to_bits(), oov_a.to_bits());
         assert_eq!(
@@ -881,16 +933,23 @@ mod proptests {
             prop_assert!(lm.coherency(&w, &[&a], &[&b]).is_finite());
         }
 
-        /// The memoized coherency is bit-identical to the plain one over
-        /// random models, windows, and repeat patterns — including cache
-        /// collisions, evictions, and generation reuse.
+        /// Slot scoring is bit-identical to `coherency` plus
+        /// `unigram_log_prob`, on the first (memo-filling) call and on the
+        /// memoized one, over random models, contexts of 0–3 words per
+        /// side and repeat patterns, including memo collisions, evictions
+        /// and generation reuse. Candidates and context words mix
+        /// in-vocabulary words (`[a-e]`), out-of-vocabulary ones (with
+        /// `f`) and ASCII-uppercase spellings of both. Normalization's
+        /// byte-identity pins compare against a naive path that shares
+        /// this model, so this property is what catches a slip in slot
+        /// scoring.
         #[test]
-        fn cached_coherency_equals_plain(
+        fn slot_score_equals_coherency_and_prior(
             seed_sentences in proptest::collection::vec(
-                proptest::collection::vec("[a-e]{1,4}", 1..6), 1..8),
+                proptest::collection::vec("[a-e]{1,3}", 1..6), 1..8),
             queries in proptest::collection::vec(
-                ("[a-f]{1,4}", proptest::collection::vec("[a-f]{1,4}", 0..3),
-                 proptest::collection::vec("[a-f]{1,4}", 0..3)), 1..40),
+                ("[a-fA-F]{1,3}", proptest::collection::vec("[a-fA-F]{1,3}", 0..4),
+                 proptest::collection::vec("[a-fA-F]{1,3}", 0..4)), 1..40),
             texts in 1usize..4,
         ) {
             let mut b = LmBuilder::new();
@@ -904,10 +963,14 @@ mod proptests {
                 for (cand, left, right) in &queries {
                     let left: Vec<&str> = left.iter().map(|s| s.as_str()).collect();
                     let right: Vec<&str> = right.iter().map(|s| s.as_str()).collect();
-                    let plain = lm.coherency(cand, &left, &right);
-                    let cached = lm.coherency_cached(cand, &left, &right, &mut cache);
-                    prop_assert_eq!(plain.to_bits(), cached.to_bits(),
-                        "{} | {:?} | {:?}", cand, left, right);
+                    let coherency = lm.coherency(cand, &left, &right).to_bits();
+                    let prior = lm.unigram_log_prob(cand).to_bits();
+                    let slot = lm.slot(&left, &right);
+                    for call in ["first", "memoized"] {
+                        let (c, p) = slot.score(cand, &mut cache);
+                        prop_assert_eq!((c.to_bits(), p.to_bits()), (coherency, prior),
+                            "{} call: {} | {:?} | {:?}", call, cand, left, right);
+                    }
                 }
             }
         }
