@@ -1,21 +1,12 @@
-//! `BENCH_lookup.json`: Look Up at the paper default, optimized vs naive
-//! and over the sharded backend, plus the database shape and ingest time.
+//! `BENCH_lookup.json`: Look Up at the paper default, optimized vs naive,
+//! plus the database shape and ingest time.
 
 use std::time::Instant;
 
-use cryptext_core::{
-    look_up_naive, look_up_with, EncodedQuery, LookupParams, LookupScratch, ShardedTokenDatabase,
-    TokenDatabase, TokenStore,
-};
+use cryptext_core::{look_up_naive, look_up_with, LookupParams, LookupScratch, TokenDatabase};
 
 use crate::doc::{Doc, Obj};
 use crate::{measure, Corpus, Measured, MEASURE_ROUNDS, QUERIES, WARMUP_ROUNDS};
-
-/// The shard counts of the `shards` dimension: the same Look Up workload
-/// measured over the consistent-hash sharded backend at each count.
-/// Count 1 doubles as the trait-indirection regression check against the
-/// plain `optimized` block.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// `norm_opt` is the Normalization measurement, echoed in this file's
 /// `normalize_default` block.
@@ -50,34 +41,6 @@ pub fn run(corpus: &Corpus, norm_opt: &Measured) -> Doc {
         "engines must retrieve identical result sets"
     );
 
-    // The same workload over the sharded backend at every count: identical
-    // hits, plus the Bloom routing's deterministic skip statistics (shard
-    // walks issued vs skipped).
-    let shards = SHARD_COUNTS
-        .into_iter()
-        .map(|n| {
-            let wide = ShardedTokenDatabase::from_database(db, n);
-            let mut scratch = LookupScratch::new();
-            let mut walk = |q: &str| look_up_with(&wide, q, params, &mut scratch).unwrap().len();
-            measure(&QUERIES, WARMUP_ROUNDS, &mut walk);
-            let m = measure(&QUERIES, MEASURE_ROUNDS, walk);
-            assert_eq!(
-                m.total_hits, optimized.total_hits,
-                "{n}-shard backend must retrieve identical result sets"
-            );
-            let (walks, skipped) = skip_stats(&wide);
-            Obj::inline()
-                .pin("shards", n)
-                .float("queries_per_sec", m.queries_per_sec, 1)
-                .float("p50_us", m.p50_us, 2)
-                .float("p99_us", m.p99_us, 2)
-                .pin("total_hits", m.total_hits)
-                .pin("shard_walks", walks)
-                .pin("skipped_shard_walks", skipped)
-                .float("skip_rate", skipped as f64 / walks as f64, 2)
-        })
-        .collect();
-
     Doc::new(
         "lookup",
         Obj::block()
@@ -107,7 +70,6 @@ pub fn run(corpus: &Corpus, norm_opt: &Measured) -> Doc {
                         2,
                     ),
             )
-            .list("shards", shards)
             .obj(
                 "normalize_default",
                 Obj::block()
@@ -116,21 +78,4 @@ pub fn run(corpus: &Corpus, norm_opt: &Measured) -> Doc {
                     .float("p99_us", norm_opt.p99_us, 2),
             ),
     )
-}
-
-/// Deterministic Bloom-routing statistics of the query mix over one
-/// sharded store: `(shard_walks, skipped_shard_walks)` — how many
-/// per-shard walks the mix would issue without routing, and how many of
-/// those the per-shard code summaries skip.
-fn skip_stats(wide: &ShardedTokenDatabase) -> (usize, usize) {
-    let mut query = EncodedQuery::new();
-    let (mut walks, mut skipped) = (0, 0);
-    for q in QUERIES {
-        query
-            .encode(q, LookupParams::paper_default().k)
-            .expect("valid level");
-        walks += wide.num_shards();
-        skipped += wide.skipped_shards(&query);
-    }
-    (walks, skipped)
 }

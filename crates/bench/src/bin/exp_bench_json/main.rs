@@ -8,8 +8,8 @@
 //! (engines agree, the storm sheds exactly the excess, warm hits beat the
 //! engine, …) and declares every field once through [`doc`]: pinned if
 //! deterministic (result counts such as `total_hits` and
-//! `corrections_total`, shard routing, gateway and cache counts, served
-//! requests, Perturbation outcome digests), informational otherwise
+//! `corrections_total`, gateway and cache counts, served requests,
+//! Perturbation outcome digests), informational otherwise
 //! (timings and machine shape).
 //!
 //! ```text

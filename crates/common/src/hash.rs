@@ -85,197 +85,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Jump consistent hash (Lamping & Veach, 2014): map `key` onto
-/// `[0, buckets)` such that growing the bucket count from `n` to `n + 1`
-/// relocates only `~1/(n + 1)` of the keys — and every relocated key moves
-/// to the *new* bucket, never between existing ones. No ring state, no
-/// virtual nodes, O(ln buckets) time.
-///
-/// This is the shard router of the sharded token database: keys are Fx
-/// hashes of phonetic codes, buckets are shard indexes, and the minimal
-/// relocation property keeps a future shard-count change from reshuffling
-/// the whole corpus.
-#[inline]
-pub fn jump_hash(mut key: u64, buckets: u32) -> u32 {
-    assert!(buckets > 0, "jump_hash needs at least one bucket");
-    let mut b: i64 = -1;
-    let mut j: i64 = 0;
-    while j < buckets as i64 {
-        b = j;
-        // LCG step from the reference implementation.
-        key = key.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
-        j = (((b + 1) as f64) * ((1u64 << 31) as f64 / ((key >> 33) + 1) as f64)) as i64;
-    }
-    b as u32
-}
-
-/// A fixed-size consistent-hash ring over `shards` buckets, routing string
-/// keys (phonetic codes) and raw `u64` keys through [`jump_hash`] on top of
-/// the Fx hash. Stateless and `Copy`; the shard count is the only
-/// configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRing {
-    shards: u32,
-}
-
-impl ShardRing {
-    /// A ring over `shards` buckets (clamped to at least 1).
-    pub fn new(shards: usize) -> Self {
-        ShardRing {
-            shards: (shards.max(1)).min(u32::MAX as usize) as u32,
-        }
-    }
-
-    /// Number of buckets.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.shards as usize
-    }
-
-    /// Route a prehashed key to its bucket.
-    #[inline]
-    pub fn route_key(&self, key: u64) -> usize {
-        jump_hash(key, self.shards) as usize
-    }
-
-    /// Route a string key (e.g. an `H_1` Soundex code) to its bucket.
-    #[inline]
-    pub fn route_str(&self, s: &str) -> usize {
-        self.route_key(fx_hash_str(s))
-    }
-}
-
-/// Initial bits in a [`Bloom`] summary: 2^12 = 4096 bits (512 B). Small
-/// shards stay cheap; a summary that outgrows this is rebuilt larger from
-/// its exact source set (the code interner) via [`Bloom::with_capacity`].
-const INITIAL_BLOOM_BITS: usize = 1 << 12;
-
-/// Target bits-per-item when sizing a rebuilt summary: 16 bits/item keeps
-/// the two-probe false-positive rate around a third of a percent.
-const REBUILD_BITS_PER_ITEM: usize = 16;
-
-/// Fill threshold that signals a rebuild: below 8 bits/item the two-probe
-/// false-positive rate passes ~1.5% and keeps climbing, which erodes the
-/// skip rate of shard routing. Rebuild trigger, not a correctness bound.
-const GROW_BITS_PER_ITEM: usize = 8;
-
-/// A Bloom-style membership summary over pre-hashed `u64` keys.
-///
-/// This is the skip-empty router of the sharded token database: each shard
-/// summarizes the Soundex codes it indexes per phonetic level, and a query
-/// skips every shard whose summary rules out all of its codes. The filter
-/// is insert-only (matching the append-only code interner it mirrors), so
-/// `false` from [`Bloom::may_contain`] is authoritative — a key that was
-/// never inserted — while `true` may be a false positive.
-///
-/// Two probe positions are derived from the low and high halves of the
-/// (already well-mixed) Fx hash, so no rehashing happens per probe.
-///
-/// The filter cannot grow in place (inserted hashes are not retained), but
-/// its *owner* usually can: when [`Bloom::needs_grow`] reports the fill
-/// ratio has crossed the rebuild threshold, rebuild a fresh summary from
-/// the exact source set with [`Bloom::with_capacity`] and re-insert. The
-/// bit count is always a power of two, so probe slots are mask extractions.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Bloom {
-    bits: Vec<u64>,
-    /// `bit count - 1`; the bit count is a power of two.
-    mask: usize,
-    items: usize,
-}
-
-impl Bloom {
-    /// An empty summary at the initial (smallest) size.
-    pub fn new() -> Self {
-        Bloom::with_bits(INITIAL_BLOOM_BITS)
-    }
-
-    /// An empty summary sized for `items` keys at the rebuild target of
-    /// 16 bits/item (clamped to at least the initial size, rounded up to a
-    /// power of two).
-    pub fn with_capacity(items: usize) -> Self {
-        let want = items
-            .saturating_mul(REBUILD_BITS_PER_ITEM)
-            .max(INITIAL_BLOOM_BITS);
-        Bloom::with_bits(want.next_power_of_two())
-    }
-
-    fn with_bits(bits: usize) -> Self {
-        debug_assert!(bits.is_power_of_two() && bits >= 64);
-        Bloom {
-            bits: vec![0u64; bits / 64],
-            mask: bits - 1,
-            items: 0,
-        }
-    }
-
-    #[inline]
-    fn slots(&self, key: u64) -> (usize, usize) {
-        // Low and high 32-bit halves of the mixed hash give two
-        // independent probes (classic double hashing, k = 2).
-        (
-            (key as u32 as usize) & self.mask,
-            ((key >> 32) as usize) & self.mask,
-        )
-    }
-
-    /// Record a key.
-    pub fn insert(&mut self, key: u64) {
-        let (a, b) = self.slots(key);
-        self.bits[a / 64] |= 1u64 << (a % 64);
-        self.bits[b / 64] |= 1u64 << (b % 64);
-        self.items += 1;
-    }
-
-    /// Might `key` have been inserted? `false` is definitive, `true` may
-    /// be a false positive.
-    #[inline]
-    pub fn may_contain(&self, key: u64) -> bool {
-        let (a, b) = self.slots(key);
-        self.bits[a / 64] & (1u64 << (a % 64)) != 0 && self.bits[b / 64] & (1u64 << (b % 64)) != 0
-    }
-
-    /// How many inserts this summary has absorbed (duplicates counted —
-    /// the filter cannot tell them apart).
-    pub fn items(&self) -> usize {
-        self.items
-    }
-
-    /// True when nothing was ever inserted.
-    pub fn is_empty(&self) -> bool {
-        self.items == 0
-    }
-
-    /// The current bit count (a power of two).
-    pub fn bit_count(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Has the fill ratio crossed the rebuild threshold (fewer than 8 bits
-    /// per inserted key)? When this reports `true`, the owner should
-    /// rebuild from its exact key set with [`Bloom::with_capacity`] —
-    /// skipping the rebuild only costs skip opportunities, never
-    /// correctness.
-    pub fn needs_grow(&self) -> bool {
-        self.items.saturating_mul(GROW_BITS_PER_ITEM) > self.bit_count()
-    }
-}
-
-impl Default for Bloom {
-    fn default() -> Self {
-        Bloom::new()
-    }
-}
-
-impl std::fmt::Debug for Bloom {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Bloom")
-            .field("items", &self.items)
-            .field("bits", &self.bit_count())
-            .finish()
-    }
-}
-
 /// Hash an arbitrary byte slice with the Fx algorithm in one call.
 #[inline]
 pub fn fx_hash_bytes(bytes: &[u8]) -> u64 {
@@ -329,139 +138,6 @@ mod tests {
         // Flip one byte in the middle; hash must change.
         b.replace_range(512..513, "y");
         assert_ne!(fx_hash_str(&a), fx_hash_str(&b));
-    }
-
-    #[test]
-    fn jump_hash_is_deterministic_and_in_range() {
-        for key in [0u64, 1, 42, u64::MAX, fx_hash_str("TH000")] {
-            for buckets in [1u32, 2, 3, 8, 100] {
-                let a = jump_hash(key, buckets);
-                assert_eq!(a, jump_hash(key, buckets), "stable per (key, buckets)");
-                assert!(a < buckets);
-            }
-        }
-        assert_eq!(jump_hash(123, 1), 0, "one bucket gets everything");
-    }
-
-    #[test]
-    fn jump_hash_relocates_only_to_new_buckets() {
-        // The consistent-hashing contract: growing n → n+1 either keeps a
-        // key in place or moves it to the brand-new bucket n.
-        for key in 0..5_000u64 {
-            for n in 1..10u32 {
-                let before = jump_hash(key, n);
-                let after = jump_hash(key, n + 1);
-                assert!(
-                    after == before || after == n,
-                    "key {key}: {before} → {after} at n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn jump_hash_distributes_roughly_uniformly() {
-        let buckets = 8u32;
-        let mut counts = [0usize; 8];
-        let n_keys = 80_000u64;
-        for key in 0..n_keys {
-            counts[jump_hash(fx_hash_bytes(&key.to_le_bytes()), buckets) as usize] += 1;
-        }
-        let expected = n_keys as usize / buckets as usize;
-        for (b, &c) in counts.iter().enumerate() {
-            assert!(
-                c > expected / 2 && c < expected * 2,
-                "bucket {b} has {c} of ~{expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_ring_routes_consistently() {
-        let ring = ShardRing::new(4);
-        assert_eq!(ring.shards(), 4);
-        assert_eq!(ring.route_str("TH000"), ring.route_str("TH000"));
-        assert!(ring.route_str("DI630") < 4);
-        // Degenerate counts clamp to one shard.
-        assert_eq!(ShardRing::new(0).shards(), 1);
-        assert_eq!(ShardRing::new(1).route_str("anything"), 0);
-    }
-
-    #[test]
-    fn bloom_no_false_negatives() {
-        let mut b = Bloom::new();
-        assert!(b.is_empty());
-        let keys: Vec<u64> = (0..2_000u64)
-            .map(|i| fx_hash_bytes(&i.to_le_bytes()))
-            .collect();
-        for &k in &keys {
-            b.insert(k);
-        }
-        assert_eq!(b.items(), 2_000);
-        for &k in &keys {
-            assert!(b.may_contain(k), "inserted key must never read absent");
-        }
-    }
-
-    #[test]
-    fn bloom_false_positive_rate_is_low_when_sized_for_the_load() {
-        // ~1k codes per shard level is the realistic fill; a summary
-        // rebuilt at capacity (16 bits/item) rejects the overwhelming
-        // majority of absent keys at that load.
-        let mut b = Bloom::with_capacity(1_000);
-        for i in 0..1_000u64 {
-            b.insert(fx_hash_bytes(&i.to_le_bytes()));
-        }
-        assert!(!b.needs_grow(), "sized for the load");
-        let false_positives = (1_000_000u64..1_010_000)
-            .filter(|i| b.may_contain(fx_hash_bytes(&i.to_le_bytes())))
-            .count();
-        assert!(
-            false_positives < 200,
-            "{false_positives} of 10000 absent keys misread as present"
-        );
-        // Empty filter rejects everything.
-        let empty = Bloom::new();
-        assert!(!empty.may_contain(fx_hash_str("TH000")));
-    }
-
-    #[test]
-    fn bloom_capacity_sizing_is_power_of_two_and_monotone() {
-        assert_eq!(Bloom::new().bit_count(), 4096);
-        assert_eq!(Bloom::with_capacity(0).bit_count(), 4096);
-        assert_eq!(Bloom::with_capacity(256).bit_count(), 4096);
-        // 1000 items * 16 bits = 16000 → next power of two 16384.
-        assert_eq!(Bloom::with_capacity(1_000).bit_count(), 16_384);
-        let mut last = 0;
-        for items in [10, 100, 1_000, 10_000, 100_000] {
-            let bits = Bloom::with_capacity(items).bit_count();
-            assert!(bits.is_power_of_two());
-            assert!(bits >= items * GROW_BITS_PER_ITEM, "no immediate regrow");
-            assert!(bits >= last, "monotone in capacity");
-            last = bits;
-        }
-    }
-
-    #[test]
-    fn bloom_signals_growth_at_the_fill_threshold() {
-        let mut b = Bloom::new(); // 4096 bits → threshold at 512 items.
-        for i in 0..512u64 {
-            assert!(!b.needs_grow(), "below threshold at {i} items");
-            b.insert(fx_hash_bytes(&i.to_le_bytes()));
-        }
-        assert!(!b.needs_grow(), "exactly at threshold");
-        b.insert(fx_hash_bytes(&513u64.to_le_bytes()));
-        assert!(b.needs_grow(), "past threshold");
-        // The owner's rebuild: re-insert the exact set at capacity. No key
-        // is lost and the pressure is relieved.
-        let mut grown = Bloom::with_capacity(b.items());
-        for i in 0..=513u64 {
-            grown.insert(fx_hash_bytes(&i.to_le_bytes()));
-        }
-        assert!(!grown.needs_grow());
-        for i in 0..=513u64 {
-            assert!(grown.may_contain(fx_hash_bytes(&i.to_le_bytes())));
-        }
     }
 
     #[test]

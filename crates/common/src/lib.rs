@@ -15,8 +15,8 @@
 //! * [`clock`] — a simulated clock for the social-stream substrate and cache
 //!   TTL logic, so tests never depend on wall time.
 //! * [`interner`] — a thread-safe string interner used by the token database.
-//! * [`par`] — order-preserving parallel map over scoped threads, backing
-//!   the bulk service endpoints and parallel corpus ingest.
+//! * [`par`] — order-preserving parallel map over a persistent worker
+//!   pool, backing the bulk service endpoints and parallel corpus ingest.
 //! * [`failpoint`] — deterministic fault injection for durability tests
 //!   (kill / torn-write at named crash boundaries).
 //! * [`metrics`] — the workspace-wide observability layer: lock-free

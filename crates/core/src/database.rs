@@ -1,30 +1,15 @@
-//! The human-written token database (§III-A): the single-instance backend
-//! of the [`crate::store::TokenStore`] trait.
+//! The human-written token database (§III-A): the one in-memory store
+//! behind the [`crate::store::TokenStore`] trait.
 //!
 //! Stores **raw case-sensitive tokens** exactly as found in the corpus,
 //! encoded with the customized Soundex at every phonetic level `k ∈
 //! {0, 1, 2}`, and maintains the `H_k` hash maps from Soundex code to the
 //! set of tokens sharing that sound (Table I of the paper).
 //!
-//! # Storage backends
-//!
-//! [`TokenDatabase`] is one of two [`crate::store::TokenStore`] backends:
-//!
-//! * **`TokenDatabase`** (this module) — one in-memory instance, the right
-//!   choice for corpora that fit one machine.
-//! * **[`crate::shard::ShardedTokenDatabase`]** — N independent
-//!   `TokenDatabase` shards behind a consistent-hash router
-//!   ([`cryptext_common::hash::jump_hash`] on the token's primary `H_1`
-//!   Soundex code), for corpora that need to scale out. Every record lives
-//!   in exactly one shard, so shard-local record ids stay dense; the
-//!   router remaps them to globally unique ids at the trait boundary
-//!   (`global = local * n_shards + shard`). Both backends produce
-//!   byte-identical Look Up / Normalization results (proptest-pinned in
-//!   `shard.rs`).
-//!
 //! The engines ([`crate::lookup`], [`crate::normalize`],
 //! [`crate::perturb`], [`crate::listening`], [`crate::ingest`]) are generic
-//! over the trait and never name a backend.
+//! over the trait, so they serve [`TokenDatabase`] directly or through
+//! [`crate::durable::DurableTokenStore`], which logs its ingest.
 //!
 //! # Hot-path data layout
 //!
@@ -51,25 +36,18 @@
 //!   set allocation) instead of the old `Vec::contains` linear scan. The
 //!   visitor may return [`std::ops::ControlFlow::Break`] to stop early.
 //! * **Queries encode once**: the walk takes an [`EncodedQuery`] — level,
-//!   deduplicated code set, code hashes, case fold — built a single time
-//!   per query, so a sharded deployment's N per-shard walks share one
-//!   encoding instead of re-running the multi-variant encoder per shard.
-//! * **Each per-level code interner keeps a [`Bloom`] summary** of its
-//!   interned codes, current by construction (codes are only interned,
-//!   never removed). [`TokenDatabase::may_match`] answers "could any of
-//!   this query's codes be indexed here?" without probing the map — the
-//!   skip-empty shard routing of `shard.rs` is built on it.
+//!   deduplicated code set, case fold — built a single time per query and
+//!   reused by every pass over its candidates.
 //!
-//! Ingest runs through one batch prepare shared by every backend,
-//! [`PreparedBatch`]: each text is tokenized once, across cores; each word
-//! passes the ingest gates (at least 2 chars; some phonetic content when
-//! new to its shard), is routed to its shard (always shard 0 here) and,
+//! Ingest runs through one batch prepare, [`PreparedBatch`]: each text is
+//! tokenized once, across cores; each word passes the ingest gates (at
+//! least 2 chars; some phonetic content when new to the database) and,
 //! when new, is encoded at every level from one skeleton expansion
-//! ([`CustomSoundex::encode_all_levels`]), giving one word queue per
-//! shard. [`TokenDatabase::ingest_texts`] merges the queue in input order,
+//! ([`CustomSoundex::encode_all_levels`]), giving one word queue.
+//! [`TokenDatabase::ingest_texts`] merges the queue in input order,
 //! byte-identical to calling [`TokenDatabase::ingest_text`] per text,
 //! whose words pass the same gates one at a time. The durable store writes
-//! its delta-log frames from the same prepared batch before merging it.
+//! its delta-log frame from the same prepared batch before merging it.
 //!
 //! [`TokenDatabase::persist_to`] and [`TokenDatabase::load_from`] move the
 //! whole database through the embedded document store (the MongoDB
@@ -88,7 +66,7 @@ use std::cell::RefCell;
 use std::ops::ControlFlow;
 
 use cryptext_common::failpoint;
-use cryptext_common::hash::{fx_hash_str, Bloom, FxHashMap};
+use cryptext_common::hash::FxHashMap;
 use cryptext_common::par::par_map;
 use cryptext_common::{Error, Result};
 use cryptext_docstore::{Database, Document, Value};
@@ -162,17 +140,12 @@ pub struct TokenStats {
 
 /// One level's interned code table: dense code ids over append-only
 /// posting lists. The string map is touched once per *query code*; the
-/// per-candidate scan runs over plain `u32` postings. A [`Bloom`] summary
-/// of the interned code set rides along (kept current by `intern`, which
-/// is the only insertion point), so a shard router can rule the whole
-/// level out for a query without probing the map — the skip-empty routing
-/// of [`crate::shard::ShardedTokenDatabase`].
+/// per-candidate scan runs over plain `u32` postings.
 #[derive(Debug, Default)]
 struct CodeIndex {
     ids: FxHashMap<Box<str>, u32>,
     names: Vec<Box<str>>,
     postings: Vec<Vec<u32>>,
-    summary: Bloom,
 }
 
 impl CodeIndex {
@@ -187,27 +160,10 @@ impl CodeIndex {
         }
         let id = self.names.len() as u32;
         let boxed: Box<str> = code.into();
-        self.summary.insert(fx_hash_str(&boxed));
         self.names.push(boxed.clone());
         self.ids.insert(boxed, id);
         self.postings.push(Vec::new());
-        if self.summary.needs_grow() {
-            self.rebuild_summary();
-        }
         id
-    }
-
-    /// Rebuild the Bloom summary from the exact interned code set, sized
-    /// for the current count. The interner is append-only, so the rebuilt
-    /// filter covers precisely the same keys at a healthy fill ratio —
-    /// the growth policy that keeps shard skip rates high as a shard's
-    /// code universe outgrows the summary it started with.
-    fn rebuild_summary(&mut self) {
-        let mut summary = Bloom::with_capacity(self.names.len());
-        for name in &self.names {
-            summary.insert(fx_hash_str(name));
-        }
-        self.summary = summary;
     }
 
     fn add(&mut self, code: &str, record: u32) {
@@ -228,18 +184,12 @@ impl CodeIndex {
 }
 
 /// A Look Up query encoded **exactly once**: the phonetic level, the
-/// deduplicated Soundex codes of every visual reading at that level (with
-/// their Fx hashes, precomputed for Bloom routing), and the case fold the
-/// distance filter compares against.
+/// deduplicated Soundex codes of every visual reading at that level, and
+/// the case fold the distance filter compares against.
 ///
-/// Before this type existed, every shard of a
-/// [`crate::shard::ShardedTokenDatabase`] re-ran the multi-variant Soundex
-/// encoder on the raw token — the dominant per-shard overhead of a
-/// cross-shard query. Engines now build one `EncodedQuery` per query
-/// (reusing its buffers across queries via
-/// [`crate::lookup::LookupScratch`]) and thread it through the
-/// [`crate::store::TokenStore`] walk methods, so the encoding cost is
-/// independent of the shard count.
+/// Engines build one `EncodedQuery` per query (reusing its buffers across
+/// queries via [`crate::lookup::LookupScratch`]) and thread it through the
+/// [`crate::store::TokenStore`] walk methods.
 ///
 /// Construction validates the phonetic level, so every walk taking an
 /// `EncodedQuery` is infallible — the `Result` lives at the encode site.
@@ -247,7 +197,6 @@ impl CodeIndex {
 pub struct EncodedQuery {
     k: usize,
     codes: Vec<SoundexCode>,
-    code_hashes: Vec<u64>,
     folded: String,
     folded_chars: usize,
 }
@@ -265,11 +214,8 @@ impl EncodedQuery {
         TokenDatabase::check_level(k)?;
         self.k = k;
         // The per-level encoders are stateless (`CustomSoundex::new(k)`),
-        // so the query encodes without borrowing any backend.
+        // so the query encodes without borrowing a database.
         CustomSoundex::new(k).encode_all_into(token, &mut self.codes);
-        self.code_hashes.clear();
-        self.code_hashes
-            .extend(self.codes.iter().map(|c| fx_hash_str(c.as_str())));
         // ASCII folding equals `str::to_lowercase` for ASCII input and
         // reuses the buffer; non-ASCII takes the allocating Unicode path
         // (final-sigma etc. must match the reference engines).
@@ -302,13 +248,6 @@ impl EncodedQuery {
     #[inline]
     pub fn codes(&self) -> &[SoundexCode] {
         &self.codes
-    }
-
-    /// Fx hashes of [`EncodedQuery::codes`], index-aligned. These feed the
-    /// per-shard Bloom summaries, so routing never rehashes per shard.
-    #[inline]
-    pub fn code_hashes(&self) -> &[u64] {
-        &self.code_hashes
     }
 
     /// The case-folded form of the encoded token.
@@ -371,11 +310,11 @@ thread_local! {
     static SHARED_SOUND_SCRATCH: RefCell<SoundScratch> = RefCell::new(SoundScratch::new());
 }
 
-/// A word of a prepared batch, queued for the shard that owns it. Each
-/// variant carries the word itself, borrowed from the batch's input.
+/// A word of a prepared batch. Each variant carries the word itself,
+/// borrowed from the batch's input.
 pub(crate) enum PreparedWord<'t> {
-    /// Stored in its shard when the batch was prepared, at this record id,
-    /// so the merge bumps the count without a second `by_token` probe.
+    /// Stored when the batch was prepared, at this record id, so the merge
+    /// bumps the count without a second `by_token` probe.
     Known(&'t str, u32),
     /// A new word first prepared earlier in the same input; that `Fresh`
     /// occurrence merges first, so the merge resolves this one against
@@ -404,32 +343,25 @@ pub enum Inputs {
     Tokens,
 }
 
-/// A batch of ingest input prepared against one store state: every input
-/// tokenized once, every word through the ingest gates, routed to its
-/// shard and, when new, encoded at every level once. It borrows the
-/// inputs and must be merged into the state it was prepared against.
-/// Built and merged only inside this crate (see
-/// [`crate::durable::DeltaStore`]).
+/// A batch of ingest input prepared against one database state: every
+/// input tokenized once, every word through the ingest gates and, when
+/// new, encoded at every level once. It borrows the inputs and must be
+/// merged into the state it was prepared against. Built and merged only
+/// inside this crate (see [`crate::durable::DeltaStore`]).
 pub struct PreparedBatch<'t> {
-    /// One queue per shard: the words it merges, in input order.
-    pub(crate) queues: Vec<Queue<'t>>,
+    /// The words to merge, in input order, as one run per input: each
+    /// input's word list moved out of the parallel prepare uncopied.
+    pub(crate) queue: Vec<Vec<PreparedWord<'t>>>,
     /// Texts that pass the clean-sentence rule, in input order.
     pub(crate) clean: Vec<&'t str>,
     /// Word tokens in the batch, gated-out ones included.
     pub(crate) words: usize,
 }
 
-/// A shard's merge queue: its words in input order, as runs. A single
-/// shard's runs are the inputs' own word lists, moved out of the parallel
-/// prepare uncopied; several shards gather each queue into one run.
-pub(crate) type Queue<'t> = Vec<Vec<PreparedWord<'t>>>;
-
-/// Per-input memo of the batch prepare, so a word repeated within one
-/// input routes and encodes once.
+/// Per-input memo of the batch prepare, so a new word repeated within one
+/// input encodes once.
 #[derive(Default)]
 struct WordMemo<'t> {
-    /// Word → owning shard (multi-shard stores only).
-    routed: FxHashMap<&'t str, usize>,
     /// New word → whether it has phonetic content (`Fresh` was emitted).
     fresh: FxHashMap<&'t str, bool>,
 }
@@ -437,68 +369,42 @@ struct WordMemo<'t> {
 impl<'t> WordMemo<'t> {
     /// The ingest rule for one word occurrence, and the only copy of its
     /// gates: a word is stored only if it has at least 2 chars and, when
-    /// its shard does not store it yet, some phonetic content (a level-0
-    /// code). Returns the owning shard (`route` is not called for a single
-    /// shard) and the prepared word, or `None` when the word is gated out.
-    fn prepare_word(
-        &mut self,
-        t: &'t str,
-        shards: &[TokenDatabase],
-        route: &impl Fn(&str) -> usize,
-    ) -> Option<(usize, PreparedWord<'t>)> {
+    /// `db` does not store it yet, some phonetic content (a level-0 code).
+    /// Returns the prepared word, or `None` when the word is gated out.
+    fn prepare_word(&mut self, t: &'t str, db: &TokenDatabase) -> Option<PreparedWord<'t>> {
         if t.chars().count() < 2 {
             return None;
         }
-        let s = if shards.len() == 1 {
-            0
-        } else {
-            *self.routed.entry(t).or_insert_with(|| route(t))
-        };
-        let shard = &shards[s];
-        if let Some(&id) = shard.by_token.get(t) {
-            return Some((s, PreparedWord::Known(t, id)));
+        if let Some(&id) = db.by_token.get(t) {
+            return Some(PreparedWord::Known(t, id));
         }
-        let word = match self.fresh.get(t) {
-            Some(true) => PreparedWord::Repeat(t),
-            Some(false) => return None,
+        match self.fresh.get(t) {
+            Some(true) => Some(PreparedWord::Repeat(t)),
+            Some(false) => None,
             None => {
-                let codes = shard.compute_codes(t);
+                let codes = db.compute_codes(t);
                 let sounds = !codes[0].is_empty();
                 self.fresh.insert(t, sounds);
-                if !sounds {
-                    return None;
-                }
-                PreparedWord::Fresh(t, Box::new(codes))
+                sounds.then(|| PreparedWord::Fresh(t, Box::new(codes)))
             }
-        };
-        Some((s, word))
+        }
     }
 }
 
 impl<'t> PreparedBatch<'t> {
-    /// Prepare `inputs` against `shards`, routing each word with `route`
-    /// (not called for a single shard, which owns every word). Inputs are
-    /// prepared in parallel and scattered into the shard queues in input
-    /// order; every word resolves against the pre-batch state.
+    /// Prepare `inputs` against `db`. Inputs are prepared in parallel and
+    /// queued in input order; every word resolves against the pre-batch
+    /// state.
     pub(crate) fn new(
         inputs: impl IntoIterator<Item = &'t str>,
         kind: Inputs,
-        shards: &[TokenDatabase],
-        route: impl Fn(&str) -> usize + Sync,
+        db: &TokenDatabase,
     ) -> Self {
         let inputs: Vec<&'t str> = inputs.into_iter().collect();
         let prepared = par_map(&inputs, |&input| {
             let mut memo = WordMemo::default();
-            // The input's words, and with several shards each one's owner.
-            let (mut words, mut owners) = (Vec::new(), Vec::new());
-            let mut add = |t| {
-                if let Some((s, word)) = memo.prepare_word(t, shards, &route) {
-                    words.push(word);
-                    if shards.len() > 1 {
-                        owners.push(s);
-                    }
-                }
-            };
+            let mut words = Vec::new();
+            let mut add = |t| words.extend(memo.prepare_word(t, db));
             let (n, clean) = match kind {
                 Inputs::Tokens => {
                     add(input);
@@ -517,52 +423,28 @@ impl<'t> PreparedBatch<'t> {
                     (n, n > 0 && all_english)
                 }
             };
-            (n, clean, words, owners)
+            (n, clean, words)
         });
-        // One shard: each input's words are a run of its queue, moved as
-        // they are. Several: each shard's words gather into one run, sized
-        // up front.
-        let mut gathered: Vec<Vec<PreparedWord<'t>>> = Vec::new();
-        if shards.len() > 1 {
-            let mut lens = vec![0; shards.len()];
-            for &s in prepared.iter().flat_map(|(_, _, _, owners)| owners) {
-                lens[s] += 1;
-            }
-            gathered = lens.into_iter().map(Vec::with_capacity).collect();
-        }
         let mut batch = PreparedBatch {
-            queues: shards.iter().map(|_| Vec::new()).collect(),
+            queue: Vec::new(),
             clean: Vec::new(),
             words: 0,
         };
-        for (input, (n, clean, words, owners)) in inputs.into_iter().zip(prepared) {
+        for (input, (n, clean, words)) in inputs.into_iter().zip(prepared) {
             batch.words += n;
             if clean {
                 batch.clean.push(input);
             }
-            if shards.len() == 1 {
-                if !words.is_empty() {
-                    batch.queues[0].push(words);
-                }
-            } else {
-                for (word, s) in words.into_iter().zip(owners) {
-                    gathered[s].push(word);
-                }
-            }
-        }
-        for (queue, run) in batch.queues.iter_mut().zip(gathered) {
-            if !run.is_empty() {
-                queue.push(run);
+            if !words.is_empty() {
+                batch.queue.push(words);
             }
         }
         batch
     }
 }
 
-/// Cap on accumulated LM training sentences, shared by both
-/// [`TokenStore`](crate::store::TokenStore) backends so their
-/// `clean_sentences()` output stays byte-identical.
-pub(crate) const MAX_CLEAN_SENTENCES: usize = 50_000;
+/// Cap on accumulated LM training sentences.
+const MAX_CLEAN_SENTENCES: usize = 50_000;
 
 /// The token database.
 pub struct TokenDatabase {
@@ -650,9 +532,9 @@ impl TokenDatabase {
         id
     }
 
-    /// Insert or count a token with an explicit occurrence delta. Crate
-    /// internal: the shard router uses it to reshard existing records and
-    /// to seed lexicons without re-running the ingest gates.
+    /// Insert or count a token with an explicit occurrence delta, without
+    /// the ingest gates. Crate internal: the lexicon seed, snapshot load
+    /// and delta-log replay use it.
     pub(crate) fn upsert_token(&mut self, token: &str, add_count: u64) -> u32 {
         if let Some(&id) = self.by_token.get(token) {
             self.records[id as usize].count += add_count;
@@ -666,8 +548,7 @@ impl TokenDatabase {
     /// curation does) through the batch prepare's gates, so tokens without
     /// letter interpretation are skipped.
     pub fn ingest_token(&mut self, token: &str) {
-        let word = WordMemo::default().prepare_word(token, std::slice::from_ref(self), &|_| 0);
-        if let Some((_, word)) = word {
+        if let Some(word) = WordMemo::default().prepare_word(token, self) {
             self.merge_word(word);
         }
     }
@@ -696,9 +577,7 @@ impl TokenDatabase {
     }
 
     /// Apply one prepared word — the sequential half of batch ingest.
-    /// Shared with the shard router, which merges each shard's queue
-    /// through this in parallel.
-    pub(crate) fn merge_word(&mut self, word: PreparedWord<'_>) {
+    fn merge_word(&mut self, word: PreparedWord<'_>) {
         match word {
             PreparedWord::Known(_, id) => {
                 self.records[id as usize].count += 1;
@@ -720,35 +599,6 @@ impl TokenDatabase {
                 }
             }
         }
-    }
-
-    /// Consume the database, yielding its records in id order. Crate
-    /// internal: live resharding drains a shard and redistributes the
-    /// records without re-running the Soundex encoders.
-    pub(crate) fn into_records(self) -> Vec<TokenRecord> {
-        self.records
-    }
-
-    /// Append a fully-formed record, reusing its stored codes (no
-    /// re-encoding) and assigning the next dense id. Crate internal: live
-    /// resharding rebuilds shards from existing records; the caller
-    /// guarantees the token is not already present.
-    pub(crate) fn insert_record_raw(&mut self, rec: TokenRecord) {
-        let id = self.records.len() as u32;
-        for (k, level_codes) in rec.codes.iter().enumerate() {
-            for code in level_codes {
-                self.buckets[k].add(code.as_str(), id);
-            }
-        }
-        self.by_token.insert(rec.token.clone(), id);
-        self.records.push(rec);
-    }
-
-    /// Distinct interned code names at level `k`, in interning order.
-    /// Crate internal: the shard router unions these across shards for
-    /// [`TokenDatabase::stats`]-compatible sound counts.
-    pub(crate) fn code_names(&self, k: usize) -> &[Box<str>] {
-        &self.buckets[k].names
     }
 
     /// Record a known-clean sentence for LM training without ingesting
@@ -792,25 +642,6 @@ impl TokenDatabase {
         Ok(self.buckets[k].members(code))
     }
 
-    /// Might this database index any of `query`'s codes at the query's
-    /// level? A [`Bloom`]-summary check over the interned code set: `false`
-    /// is authoritative (no bucket can match — the walk would visit
-    /// nothing), `true` may be a false positive. The shard router uses
-    /// this to skip shards that cannot contain a query's codes.
-    #[inline]
-    pub fn may_match(&self, query: &EncodedQuery) -> bool {
-        let summary = &self.buckets[query.level()].summary;
-        query.code_hashes().iter().any(|&h| summary.may_contain(h))
-    }
-
-    /// Bit width of the level-`k` code summary — growth diagnostics: the
-    /// summary starts at a fixed width and is rebuilt wider once the
-    /// interned code set outgrows it, which the shard growth tests pin.
-    #[cfg(test)]
-    pub(crate) fn summary_bits(&self, k: usize) -> usize {
-        self.buckets[k].summary.bit_count()
-    }
-
     /// Visit every record sharing a sound with the pre-encoded `query`
     /// (union over the token's ambiguous readings), including the token
     /// itself if stored. Each record is visited exactly once, in bucket
@@ -819,8 +650,7 @@ impl TokenDatabase {
     /// The visitor may return [`ControlFlow::Break`] to stop the walk
     /// early; the return value reports whether it did. `scratch` carries
     /// the generation-marked visited set; reusing one instance across
-    /// calls makes the walk allocation-free. The query carries its own
-    /// codes, so sharded backends walk N shards with **one** encoding.
+    /// calls makes the walk allocation-free.
     pub fn for_each_sound_mate<'a, F>(
         &'a self,
         query: &EncodedQuery,
@@ -905,15 +735,13 @@ impl TokenDatabase {
     /// Persist every record into `store[collection]`: the records in id
     /// order, [`PERSIST_BLOCK_RECORDS`] to a block document (see the module
     /// docs for the layout). Existing contents of the collection are
-    /// replaced — including the per-shard collections of a previous
-    /// *sharded* persist under the same name, so switching a deployment
-    /// from the sharded backend to the single instance never leaks a stale
-    /// corpus copy.
+    /// replaced.
     ///
     /// Crash-safe: the new state is built in full under a staging name and
     /// committed by a single atomic collection rename; a crash at any point
     /// leaves either the complete previous state or the complete new one.
-    /// Stale collections of other layouts are swept only after the commit.
+    /// A staging collection a crashed persist left behind is dropped
+    /// before the next persist writes its own.
     pub fn persist_to(&self, store: &Database, collection: &str) -> Result<()> {
         let staging = format!("{collection}__staging");
         if store.has_collection(&staging) {
@@ -946,13 +774,7 @@ impl TokenDatabase {
         }
         failpoint::check("persist.commit")?;
         // The commit point: one WAL record swaps staging over live.
-        store.rename_collection(&staging, collection)?;
-        // Sweep stale layouts (old sharded generations, crashed stagings)
-        // strictly after the commit.
-        for name in store.collections_with_prefix(&format!("{collection}__")) {
-            store.drop_collection(&name)?;
-        }
-        Ok(())
+        store.rename_collection(&staging, collection)
     }
 
     /// Rebuild a database from `store[collection]` (inverse of
@@ -1040,9 +862,8 @@ impl TokenDatabase {
     }
 }
 
-/// A single instance is one shard: every word routes to it.
 impl DeltaStore for TokenDatabase {
-    fn fresh(_shards: usize) -> Self {
+    fn fresh() -> Self {
         TokenDatabase::in_memory()
     }
 
@@ -1051,12 +872,12 @@ impl DeltaStore for TokenDatabase {
         inputs: impl IntoIterator<Item = &'t str>,
         kind: Inputs,
     ) -> PreparedBatch<'t> {
-        PreparedBatch::new(inputs, kind, std::slice::from_ref(self), |_| 0)
+        PreparedBatch::new(inputs, kind, self)
     }
 
     /// The sequential merge, in input order.
     fn merge(&mut self, batch: PreparedBatch<'_>) -> usize {
-        for word in batch.queues.into_iter().flatten().flatten() {
+        for word in batch.queue.into_iter().flatten() {
             self.merge_word(word);
         }
         for text in batch.clean {
@@ -1067,10 +888,6 @@ impl DeltaStore for TokenDatabase {
 
     fn apply_upsert(&mut self, token: &str, delta: u64) {
         self.upsert_token(token, delta);
-    }
-
-    fn seed_shard(&mut self, _shard: usize) {
-        self.seed_lexicon();
     }
 }
 
@@ -1264,13 +1081,8 @@ mod tests {
     }
 
     #[test]
-    fn persist_spans_blocks_in_id_order_flat_and_sharded() {
-        use crate::shard::ShardedTokenDatabase;
-        use crate::store::TokenStore;
-
-        let mut flat = TokenDatabase::with_lexicon();
-        let mut wide = ShardedTokenDatabase::in_memory(2);
-        TokenStore::seed_lexicon(&mut wide);
+    fn persist_spans_blocks_in_id_order() {
+        let mut db = TokenDatabase::with_lexicon();
         for (i, t) in many_tokens(3 * PERSIST_BLOCK_RECORDS).iter().enumerate() {
             let t = if i % 4 == 0 {
                 t.to_uppercase()
@@ -1278,39 +1090,48 @@ mod tests {
                 t.clone()
             };
             for _ in 0..=i % 3 {
-                flat.ingest_token(&t);
-                TokenStore::ingest_token(&mut wide, &t);
+                db.ingest_token(&t);
             }
         }
 
-        // Flat: several blocks, loaded back in id order.
-        let n = flat.records().len();
+        // Several blocks, loaded back in id order.
+        let n = db.records().len();
         assert!(n > 3 * PERSIST_BLOCK_RECORDS);
         let store = Database::in_memory();
-        flat.persist_to(&store, "tokens").unwrap();
+        db.persist_to(&store, "tokens").unwrap();
         assert_eq!(
             store.len("tokens").unwrap(),
             n.div_ceil(PERSIST_BLOCK_RECORDS)
         );
         let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
-        assert_eq!(restored.records(), flat.records());
+        assert_eq!(restored.records(), db.records());
+    }
 
-        // Sharded: each shard's collection spans blocks of its own.
-        TokenStore::persist_to(&wide, &store, "wide").unwrap();
-        let shards = store.collections_with_prefix("wide__g");
-        assert_eq!(shards.len(), 2);
-        for (s, name) in shards.iter().enumerate() {
-            let records = wide.shard(s).records().len();
-            assert!(records > PERSIST_BLOCK_RECORDS, "shard {s}: {records}");
-            assert_eq!(
-                store.len(name).unwrap(),
-                records.div_ceil(PERSIST_BLOCK_RECORDS)
-            );
-        }
-        let restored = ShardedTokenDatabase::load_from(&store, "wide").unwrap();
-        for s in 0..2 {
-            assert_eq!(restored.shard(s).records(), wide.shard(s).records());
-        }
+    /// A persist killed at its commit point leaves the previous persist
+    /// loadable, and the next persist replaces the crashed attempt's
+    /// staging collection: nothing under `tokens__` survives it.
+    #[test]
+    fn flat_persist_kill_at_commit_preserves_previous_state() {
+        let store = Database::in_memory();
+        let old = table1_db();
+        old.persist_to(&store, "tokens").unwrap();
+        let mut newer = table1_db();
+        newer.ingest_text("entirely fresh zebra vocabulary");
+
+        let guard = failpoint::arm("persist.commit", "kill");
+        let err = newer.persist_to(&store, "tokens").unwrap_err();
+        assert!(failpoint::is_injected(&err));
+        drop(guard);
+        let loaded = TokenDatabase::load_from(&store, "tokens").unwrap();
+        assert_eq!(loaded.stats(), old.stats(), "old state intact");
+
+        newer.persist_to(&store, "tokens").unwrap();
+        let loaded = TokenDatabase::load_from(&store, "tokens").unwrap();
+        assert_eq!(loaded.stats(), newer.stats());
+        assert!(
+            store.collections_with_prefix("tokens__").is_empty(),
+            "no staging collection survives the commit"
+        );
     }
 
     /// Persist the Table I corpus, rewrite its one block through `tamper`,
@@ -1520,33 +1341,13 @@ mod tests {
                 assert_eq!(
                     q.codes(),
                     db.soundex(k).unwrap().encode_all(token).as_slice(),
-                    "query encoding equals the backend encoder for {token:?} k={k}"
+                    "query encoding equals the database encoder for {token:?} k={k}"
                 );
-                assert_eq!(q.codes().len(), q.code_hashes().len());
                 assert_eq!(q.folded(), token.to_lowercase());
                 assert_eq!(q.folded_chars(), token.to_lowercase().chars().count());
             }
         }
         assert!(EncodedQuery::for_token("the", 9).is_err(), "invalid level");
-    }
-
-    #[test]
-    fn may_match_never_false_negative() {
-        let db = table1_db();
-        for rec in db.records() {
-            for k in 0..NUM_LEVELS {
-                let q = EncodedQuery::for_token(&rec.token, k).unwrap();
-                assert!(
-                    db.may_match(&q),
-                    "stored token {} must pass the level-{k} summary",
-                    rec.token
-                );
-            }
-        }
-        // An empty database rules everything out.
-        let empty = TokenDatabase::in_memory();
-        let q = EncodedQuery::for_token("republicans", 1).unwrap();
-        assert!(!empty.may_match(&q));
     }
 
     #[test]
@@ -1639,6 +1440,24 @@ mod proptests {
     }
 
     proptest! {
+        /// Batch ingest is byte-identical to sequential ingest of the same
+        /// texts in order: records, clean sentences and the word count.
+        #[test]
+        fn batch_ingest_equals_sequential(
+            texts in proptest::collection::vec(text_strategy(), 1..10),
+            lexicon in any::<bool>(),
+        ) {
+            let mut seq = corpus(&[], lexicon);
+            let mut expect_n = 0;
+            for t in &texts {
+                expect_n += seq.ingest_text(t);
+            }
+            let mut batch = corpus(&[], lexicon);
+            prop_assert_eq!(batch.ingest_texts(&texts), expect_n);
+            prop_assert_eq!(batch.records(), seq.records());
+            prop_assert_eq!(batch.clean_sentences(), seq.clean_sentences());
+        }
+
         /// A persist/load round trip reproduces every record exactly —
         /// id order, token, count, codes at every level, fold and
         /// `is_english` — including the count-0 lexicon records.

@@ -1,50 +1,43 @@
-//! Durable streaming ingest: per-shard delta logs + crash recovery.
+//! Durable streaming ingest: a delta log + crash recovery.
 //!
 //! The paper's crawler (§III-F) enriches the token database continuously,
 //! but until now every durability point was a *full* persist — O(corpus)
 //! per save, so a crash between saves lost every batch since the last
 //! one. [`DurableTokenStore`] makes ingest itself durable at batch
 //! granularity, reusing the docstore's CRC-framed WAL layer
-//! ([`cryptext_docstore::wal::FrameWriter`]) for append-only **delta
-//! logs**:
+//! ([`cryptext_docstore::wal::FrameWriter`]) for an append-only **delta
+//! log**:
 //!
-//! * **One delta log per shard** — an ingest batch is prepared once by the
-//!   inner store ([`PreparedBatch`]: tokenized, gated, routed, encoded),
-//!   and each touched shard's word queue, coalesced by token in
-//!   first-occurrence order, becomes one `(token, +count)` frame in that
-//!   shard's log (a flat [`crate::TokenDatabase`] is one shard). The same
-//!   prepared batch is then merged, so the frames recovery replays and the
-//!   state live ingest applies come from one prepare. An append is
+//! * **One delta frame per batch** — an ingest batch is prepared once by
+//!   the inner store ([`PreparedBatch`]: tokenized, gated, encoded), and
+//!   its word queue, coalesced by token in first-occurrence order, becomes
+//!   one `(token, +count)` frame in the delta log (`delta_0.log`). The
+//!   same prepared batch is then merged, so the frames recovery replays
+//!   and the state live ingest applies come from one prepare. An append is
 //!   O(batch), not O(corpus).
-//! * **Two-phase batch commit** — the per-shard frames carry a monotonic
+//! * **Two-phase batch commit** — the delta frame carries a monotonic
 //!   `batch_seq`; a record in the separate **commit log**, appended
-//!   *after* every shard frame, is the batch's atomicity point. Recovery
+//!   *after* the delta frame, is the batch's atomicity point. Recovery
 //!   replays only committed batches, so a crash mid-batch yields exactly
 //!   the pre-batch state — never a half-applied batch.
 //! * **Snapshot + log recovery** — [`DurableTokenStore::open`] loads the
 //!   newest epoch snapshot from the embedded docstore, then replays
 //!   committed delta frames with `batch_seq` beyond the snapshot's
-//!   `included_batch` watermark, in `(batch, shard)` order. Replaying an
-//!   upsert reproduces live ingest exactly (same insert order, same
-//!   counts, same codes), so the recovered store is byte-identical to one
-//!   that never crashed.
+//!   `included_batch` watermark, in batch order. Replaying an upsert
+//!   reproduces live ingest exactly (same insert order, same counts, same
+//!   codes), so the recovered store is byte-identical to one that never
+//!   crashed.
 //! * **Compaction** — [`DurableTokenStore::compact`] folds the logs into
 //!   a fresh epoch snapshot (`tokens__e{E}`, written with the crash-safe
 //!   staged persist: the records as a few block documents of
-//!   [`crate::database::PERSIST_BLOCK_RECORDS`] each, one collection per
-//!   shard for a sharded store), atomically swaps the `tokens__ingest`
-//!   manifest (epoch, shard count, `included_batch`) via a
-//!   staging-collection rename, then truncates the logs and sweeps stale
-//!   epochs. With `sync_every_batch` on, the docstore WAL is fsynced
-//!   between the swap and the truncation. The manifest swap is the only
-//!   commit point; `batch_seq` never resets, so frames surviving a crash
-//!   mid-truncation are filtered by the watermark on the next open.
-//! * **Live resharding** — [`DurableTokenStore::grow_one_shard`] compacts
-//!   at N shards, grows the in-memory store (moving only jump-hash
-//!   movers, see [`ShardedTokenDatabase::grow_one_shard`]), opens the new
-//!   shard's log, and compacts again at N+1. The second compaction's
-//!   manifest swap commits the reshard; a crash anywhere else recovers at
-//!   N shards with nothing lost and the grow simply reruns.
+//!   [`crate::database::PERSIST_BLOCK_RECORDS`] each), atomically swaps
+//!   the `tokens__ingest` manifest (epoch, delta-log count, always 1,
+//!   and `included_batch`) via a staging-collection rename, then truncates
+//!   the logs and sweeps stale epochs. With `sync_every_batch` on, the
+//!   docstore WAL is fsynced between the swap and the truncation. The
+//!   manifest swap is the only commit point; `batch_seq` never resets, so
+//!   frames surviving a crash mid-truncation are filtered by the watermark
+//!   on the next open.
 //!
 //! # Failure semantics
 //!
@@ -54,11 +47,11 @@
 //! tail, and appending after them would shadow every later frame from
 //! recovery (the frame scan stops at the first bad frame). The store
 //! therefore **poisons** itself on any log-write failure — subsequent
-//! ingests, compactions, and grows fail fast until the store is reopened,
-//! which truncates the torn tail and resumes cleanly. The fallible
-//! `try_*` ingest methods surface these errors; the infallible
-//! [`TokenStore`] ingest surface applies *nothing* on failure and leaves
-//! the error visible through [`DurableTokenStore::poisoned`].
+//! ingests and compactions fail fast until the store is reopened, which
+//! truncates the torn tail and resumes cleanly. The fallible `try_*`
+//! ingest methods surface these errors; the infallible [`TokenStore`]
+//! ingest surface applies *nothing* on failure and leaves the error
+//! visible through [`DurableTokenStore::poisoned`].
 //!
 //! Every boundary here is a [`cryptext_common::failpoint`] site
 //! (`delta.append`, `delta.commit`, `compact.manifest.swap`,
@@ -79,35 +72,37 @@ use cryptext_docstore::{Database, DbOptions, Document, Value};
 use cryptext_phonetics::CustomSoundex;
 
 use crate::database::{EncodedQuery, Inputs, PreparedBatch, SoundScratch, TokenRecord, TokenStats};
-use crate::shard::ShardedTokenDatabase;
 use crate::store::TokenStore;
 
-/// The manifest collection: one document holding `epoch`, `shards`, and
-/// `included_batch` (the highest batch folded into the live snapshot).
+/// The manifest collection: one document holding `epoch`, `shards` (the
+/// delta-log count, always [`DELTA_LOGS`]), and `included_batch` (the
+/// highest batch folded into the live snapshot).
 const MANIFEST: &str = "tokens__ingest";
 /// Staging name the manifest is built under before the atomic rename.
 const MANIFEST_STAGING: &str = "tokens__ingest_staging";
+/// The manifest's `shards` value: the store keeps one delta log,
+/// `delta_0.log`. A manifest that names another count describes logs this
+/// store would not read, so it opens as [`Error::Corrupt`].
+const DELTA_LOGS: i64 = 1;
 
-/// Shard-frame kind: a batch of `(token, delta)` upserts.
+/// Log-frame kind: a batch of `(token, delta)` upserts.
 const FRAME_DELTAS: u8 = 1;
-/// Shard-frame kind: seed this shard's slice of the English lexicon.
+/// Log-frame kind: seed the English lexicon.
 const FRAME_SEED: u8 = 2;
 
 /// A [`TokenStore`] whose ingest the durable layer can log and replay.
-/// Each backend implements it next to its own code.
+/// [`crate::TokenDatabase`] implements it next to its own code.
 ///
-/// The contract: ingest is a [`PreparedBatch`] — one queue of words per
-/// shard, each already routed to the shard (the delta log) that owns it —
+/// The contract: ingest is a [`PreparedBatch`] — one queue of words —
 /// merged into the state it was prepared against; the store's own
-/// `ingest_texts` is exactly that. The durable layer writes its frames
+/// `ingest_texts` is exactly that. The durable layer writes its frame
 /// from the prepared batch between the two steps. Replaying a frame's
 /// `apply_upsert(token, count)` calls in order reproduces the merge of
-/// that shard's queue (both funnel into the same record insert, in
+/// the batch's queue (both funnel into the same record insert, in
 /// first-occurrence order).
 pub trait DeltaStore: TokenStore + Sized {
-    /// An empty store over `shards` shards (ignored by single-instance
-    /// backends).
-    fn fresh(shards: usize) -> Self;
+    /// An empty store.
+    fn fresh() -> Self;
     /// Prepare a batch against the current state.
     fn prepare<'t>(
         &self,
@@ -119,47 +114,31 @@ pub trait DeltaStore: TokenStore + Sized {
     fn merge(&mut self, batch: PreparedBatch<'_>) -> usize;
     /// Apply one replayed count delta (insert-or-increment).
     fn apply_upsert(&mut self, token: &str, delta: u64);
-    /// Seed the slice of the English lexicon owned by `shard` — the exact
-    /// subsequence a live [`TokenStore::seed_lexicon`] routes there.
-    fn seed_shard(&mut self, shard: usize);
 }
 
 /// Tuning knobs for [`DurableTokenStore::open`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DurableOptions {
-    /// Shard count when creating a store with no on-disk state. An
-    /// existing store's manifest always wins (the logs are routed under
-    /// its count).
-    pub shards: usize,
-    /// `fsync` the touched delta logs and the commit log at every batch
-    /// commit. Off, a batch survives process death (writes are flushed in
-    /// commit order) but not power loss.
+    /// `fsync` the delta log and the commit log at every batch commit.
+    /// Off, a batch survives process death (writes are flushed in commit
+    /// order) but not power loss.
     pub sync_every_batch: bool,
 }
 
-impl Default for DurableOptions {
-    fn default() -> Self {
-        DurableOptions {
-            shards: 1,
-            sync_every_batch: false,
-        }
-    }
-}
-
-/// One decoded shard-log frame.
+/// One decoded delta-log frame.
 enum FrameBody {
     Deltas(Vec<(String, u64)>),
     SeedLexicon,
 }
 
 /// A crash-recoverable token store: an in-memory [`DeltaStore`] backed by
-/// per-shard delta logs, a commit log, and epoch snapshots in an embedded
-/// docstore. See the module docs for the protocol.
+/// a delta log, a commit log, and epoch snapshots in an embedded docstore.
+/// See the module docs for the protocol.
 pub struct DurableTokenStore<S: DeltaStore> {
     inner: S,
     store: Database,
     dir: PathBuf,
-    logs: Vec<FrameWriter>,
+    log: FrameWriter,
     commit: FrameWriter,
     /// Sequence the next batch will commit under (monotonic forever).
     next_batch: u64,
@@ -167,7 +146,7 @@ pub struct DurableTokenStore<S: DeltaStore> {
     epoch: u64,
     poisoned: bool,
     sync_every_batch: bool,
-    /// Batch append latency (shard frames + commit record, per-batch
+    /// Batch append latency (delta frame + commit record, per-batch
     /// fsyncs included when enabled), µs.
     append_us: Histogram,
     /// Explicit drain-flush [`DurableTokenStore::sync`] latency, µs.
@@ -185,19 +164,18 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         std::fs::create_dir_all(dir)?;
         let store = Database::open(&dir.join("snapshots"), DbOptions::default())?;
 
-        let (epoch, shards, included) = match Self::read_manifest(&store)? {
+        let (epoch, included) = match Self::read_manifest(&store)? {
             Some(m) => m,
             None => {
                 // First open (or a crash before the first manifest swap
-                // landed — no batch can have been logged yet): pin the
-                // shard count before any log is written.
-                Self::swap_manifest(&store, 0, opts.shards.max(1), 0)?;
-                (0, opts.shards.max(1), 0)
+                // landed — no batch can have been logged yet).
+                Self::swap_manifest(&store, 0, 0)?;
+                (0, 0)
             }
         };
 
         let mut inner = if epoch == 0 {
-            S::fresh(shards)
+            S::fresh()
         } else {
             S::load_from(&store, &Self::epoch_collection(epoch))?
         };
@@ -213,51 +191,39 @@ impl<S: DeltaStore> DurableTokenStore<S> {
             max_seq = max_seq.max(seq);
         }
 
-        // Replay committed frames beyond the snapshot watermark in
-        // (batch, shard) order — shards are disjoint, so that reproduces
-        // the per-shard application order of live ingest.
-        let mut pending: Vec<(u64, usize, FrameBody)> = Vec::new();
-        for s in 0..shards {
-            for frame in read_frames(&Self::log_path_in(dir, s))?.frames {
-                let (seq, body) = decode_shard_frame(&frame)?;
-                // Every observed sequence — committed or not — bounds the
-                // next batch number, so a torn batch's number is never
-                // reused (a reused number would resurrect its stale
-                // frames on the next replay).
-                max_seq = max_seq.max(seq);
-                if seq > included && committed.contains(&seq) {
-                    pending.push((seq, s, body));
-                }
+        // Replay committed frames beyond the snapshot watermark. A frame's
+        // sequence is always past every sequence already in the log, so
+        // log order is batch order, the order live ingest applied them.
+        let log_path = Self::log_path_in(dir);
+        for frame in read_frames(&log_path)?.frames {
+            let (seq, body) = decode_log_frame(&frame)?;
+            // Every observed sequence — committed or not — bounds the
+            // next batch number, so a torn batch's number is never reused
+            // (a reused number would resurrect its stale frame on the next
+            // replay).
+            max_seq = max_seq.max(seq);
+            if seq <= included || !committed.contains(&seq) {
+                continue;
             }
-        }
-        pending.sort_by_key(|&(seq, s, _)| (seq, s));
-        for (_, s, body) in pending {
             match body {
                 FrameBody::Deltas(ops) => {
                     for (token, delta) in ops {
                         inner.apply_upsert(&token, delta);
                     }
                 }
-                FrameBody::SeedLexicon => inner.seed_shard(s),
+                FrameBody::SeedLexicon => inner.seed_lexicon(),
             }
         }
 
         // Opening the writers truncates any torn tail before appending.
-        let mut logs = Vec::with_capacity(shards);
-        for s in 0..shards {
-            logs.push(FrameWriter::open(
-                &Self::log_path_in(dir, s),
-                false,
-                "delta.append",
-            )?);
-        }
+        let log = FrameWriter::open(&log_path, false, "delta.append")?;
         let commit = FrameWriter::open(&commit_path, false, "delta.commit")?;
 
         Ok(DurableTokenStore {
             inner,
             store,
             dir: dir.to_path_buf(),
-            logs,
+            log,
             commit,
             next_batch: max_seq + 1,
             epoch,
@@ -291,7 +257,7 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         self.poisoned
     }
 
-    /// Force-fsync every delta log and the commit log, regardless of the
+    /// Force-fsync the delta log and the commit log, regardless of the
     /// per-batch sync setting — the flush half of a graceful drain: after
     /// admissions stop and in-flight batches land, one `sync` makes every
     /// committed batch power-loss durable before the process exits.
@@ -301,9 +267,7 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         self.ensure_live()?;
         failpoint::check("drain.flush")?;
         let _t = self.fsync_us.start_timer();
-        for log in &mut self.logs {
-            log.sync()?;
-        }
+        self.log.sync()?;
         self.commit.sync()
     }
 
@@ -316,8 +280,8 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         Ok(())
     }
 
-    fn log_path_in(dir: &Path, shard: usize) -> PathBuf {
-        dir.join(format!("delta_{shard}.log"))
+    fn log_path_in(dir: &Path) -> PathBuf {
+        dir.join("delta_0.log")
     }
 
     fn commit_path_in(dir: &Path) -> PathBuf {
@@ -329,9 +293,9 @@ impl<S: DeltaStore> DurableTokenStore<S> {
     }
 
     /// Parse the epoch out of a `tokens__e{E}`-prefixed collection name
-    /// (the epoch snapshot itself or any of its nested shard/generation
-    /// collections). Number-parsing, not string-prefixing: `e1` must not
-    /// swallow `e10`.
+    /// (the epoch snapshot itself, or the staging collection a crashed
+    /// persist of it left behind). Number-parsing, not string-prefixing:
+    /// `e1` must not swallow `e10`.
     fn collection_epoch(name: &str) -> Option<u64> {
         let rest = name.strip_prefix("tokens__e")?;
         let end = rest
@@ -343,13 +307,15 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         rest[..end].parse().ok()
     }
 
-    /// The live manifest's `(epoch, shards, included_batch)`, or `None`
-    /// when there is no manifest collection yet — the only first-open
-    /// state, since the collection is created by a rename of a staged,
-    /// complete document. A document missing, or a field missing, of the
-    /// wrong type or out of range, is [`Error::Corrupt`] naming it: opening
-    /// over it as a first open would drop every record of the live epoch.
-    fn read_manifest(store: &Database) -> Result<Option<(u64, usize, u64)>> {
+    /// The live manifest's `(epoch, included_batch)`, or `None` when there
+    /// is no manifest collection yet — the only first-open state, since
+    /// the collection is created by a rename of a staged, complete
+    /// document. A document missing, or a field missing, of the wrong type
+    /// or out of range, is [`Error::Corrupt`] naming it: opening over it as
+    /// a first open would drop every record of the live epoch. So is a
+    /// delta-log count other than [`DELTA_LOGS`]: replay would skip the
+    /// logs past the first.
+    fn read_manifest(store: &Database) -> Result<Option<(u64, u64)>> {
         if !store.has_collection(MANIFEST) {
             return Ok(None);
         }
@@ -366,15 +332,20 @@ impl<S: DeltaStore> DurableTokenStore<S> {
                 None => Err(Error::corrupt(format!("manifest {MANIFEST} has no {name}"))),
             };
             let epoch = field("epoch", 0)?;
-            let shards = field("shards", 1)? as usize;
+            let logs = field("shards", 1)?;
+            if logs != DELTA_LOGS as u64 {
+                return Err(Error::corrupt(format!(
+                    "manifest {MANIFEST}: shards is {logs}, but this store keeps {DELTA_LOGS} delta log"
+                )));
+            }
             let included = field("included_batch", 0)?;
-            Ok(Some((epoch, shards, included)))
+            Ok(Some((epoch, included)))
         })?
     }
 
     /// Build the manifest under a staging name and rename it over the
     /// live one — a single WAL record, the durable layer's commit point.
-    fn swap_manifest(store: &Database, epoch: u64, shards: usize, included: u64) -> Result<()> {
+    fn swap_manifest(store: &Database, epoch: u64, included: u64) -> Result<()> {
         if store.has_collection(MANIFEST_STAGING) {
             store.drop_collection(MANIFEST_STAGING)?;
         }
@@ -383,30 +354,23 @@ impl<S: DeltaStore> DurableTokenStore<S> {
             MANIFEST_STAGING,
             Document::new()
                 .with("epoch", epoch as i64)
-                .with("shards", shards as i64)
+                .with("shards", DELTA_LOGS)
                 .with("included_batch", included as i64),
         )?;
         failpoint::check("compact.manifest.swap")?;
         store.rename_collection(MANIFEST_STAGING, MANIFEST)
     }
 
-    /// Append this batch's shard frames, then its commit record. Any
-    /// failure (injected or real) poisons the handle: nothing was
-    /// applied, and the tail of some log may be torn.
-    fn log_batch(&mut self, frames: Vec<(usize, Vec<u8>)>) -> Result<()> {
-        if frames.is_empty() {
-            return Ok(());
-        }
+    /// Append one batch's log frame, then its commit record. Any failure
+    /// (injected or real) poisons the handle: nothing was applied, and the
+    /// tail of either log may be torn.
+    fn log_batch(&mut self, frame: &[u8]) -> Result<()> {
         let _t = self.append_us.start_timer();
         let seq = self.next_batch;
         let res = (|| -> Result<()> {
-            for (s, payload) in &frames {
-                self.logs[*s].append_frame(payload)?;
-            }
+            self.log.append_frame(frame)?;
             if self.sync_every_batch {
-                for (s, _) in &frames {
-                    self.logs[*s].sync()?;
-                }
+                self.log.sync()?;
             }
             self.commit.append_frame(&seq.to_le_bytes())?;
             if self.sync_every_batch {
@@ -426,16 +390,19 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         }
     }
 
-    /// Log a prepared batch — one delta frame per touched shard, then the
-    /// commit record — and merge it. On `Err` nothing was applied.
+    /// Log a prepared batch — its delta frame, unless it stores no word,
+    /// then the commit record — and merge it. On `Err` nothing was
+    /// applied.
     fn log_and_merge(&mut self, batch: PreparedBatch<'_>) -> Result<usize> {
-        self.log_batch(delta_frames(self.next_batch, &batch))?;
+        if let Some(frame) = delta_frame(self.next_batch, &batch) {
+            self.log_batch(&frame)?;
+        }
         Ok(self.inner.merge(batch))
     }
 
     /// Durably ingest one batch of texts: prepare it once in the inner
-    /// store, log it (one frame per touched shard + the commit record),
-    /// then merge the same prepared batch. On `Err` nothing was applied.
+    /// store, log it (its delta frame + the commit record), then merge the
+    /// same prepared batch. On `Err` nothing was applied.
     pub fn try_ingest_texts<T: AsRef<str> + Sync>(&mut self, texts: &[T]) -> Result<usize> {
         self.ensure_live()?;
         let texts = texts.iter().map(AsRef::as_ref);
@@ -454,15 +421,11 @@ impl<S: DeltaStore> DurableTokenStore<S> {
             .map(drop)
     }
 
-    /// Durably seed the English lexicon: one marker frame per shard log
-    /// (replay re-derives each shard's slice deterministically).
+    /// Durably seed the English lexicon: one marker frame (replay seeds
+    /// the same lexicon).
     pub fn try_seed_lexicon(&mut self) -> Result<()> {
         self.ensure_live()?;
-        let seq = self.next_batch;
-        let frames = (0..self.inner.num_shards())
-            .map(|s| (s, encode_seed_frame(seq)))
-            .collect();
-        self.log_batch(frames)?;
+        self.log_batch(&encode_seed_frame(self.next_batch))?;
         self.inner.seed_lexicon();
         Ok(())
     }
@@ -485,7 +448,7 @@ impl<S: DeltaStore> DurableTokenStore<S> {
         let included = self.next_batch - 1;
         self.inner
             .persist_to(&self.store, &Self::epoch_collection(new_epoch))?;
-        Self::swap_manifest(&self.store, new_epoch, self.inner.num_shards(), included)?;
+        Self::swap_manifest(&self.store, new_epoch, included)?;
         self.epoch = new_epoch;
 
         // Committed: failures past this point poison the handle (writer
@@ -497,12 +460,10 @@ impl<S: DeltaStore> DurableTokenStore<S> {
                 // copy of their batches until that WAL is on disk.
                 this.store.sync()?;
             }
-            for s in 0..this.logs.len() {
-                failpoint::check("compact.truncate")?;
-                let p = Self::log_path_in(&this.dir, s);
-                std::fs::write(&p, [])?;
-                this.logs[s] = FrameWriter::open(&p, false, "delta.append")?;
-            }
+            failpoint::check("compact.truncate")?;
+            let p = Self::log_path_in(&this.dir);
+            std::fs::write(&p, [])?;
+            this.log = FrameWriter::open(&p, false, "delta.append")?;
             failpoint::check("compact.truncate")?;
             let p = Self::commit_path_in(&this.dir);
             std::fs::write(&p, [])?;
@@ -524,48 +485,11 @@ impl<S: DeltaStore> DurableTokenStore<S> {
     }
 }
 
-impl DurableTokenStore<ShardedTokenDatabase> {
-    /// Grow the durable store by one shard while keeping every guarantee:
-    /// compact at N (so no N-routed frame outlives the old routing), grow
-    /// the in-memory store (movers only — see
-    /// [`ShardedTokenDatabase::grow_one_shard`]), open the new shard's
-    /// log, and compact at N+1. The second compaction's manifest swap is
-    /// the reshard's commit point: a crash anywhere earlier recovers at N
-    /// shards with all data, and the grow reruns. Returns the number of
-    /// records moved.
-    pub fn grow_one_shard(&mut self) -> Result<usize> {
-        self.compact()?;
-        let moved = self.inner.grow_one_shard();
-        let grown = (|| -> Result<()> {
-            let s = self.logs.len();
-            let p = Self::log_path_in(&self.dir, s);
-            std::fs::write(&p, [])?;
-            self.logs
-                .push(FrameWriter::open(&p, false, "delta.append")?);
-            self.compact()
-        })();
-        match grown {
-            Ok(()) => Ok(moved),
-            Err(e) => {
-                // The in-memory store is at N+1 but the durable state is
-                // still N: block further writes so nothing is logged
-                // under a routing the manifest does not record.
-                self.poisoned = true;
-                Err(e)
-            }
-        }
-    }
-}
-
 /// The infallible [`TokenStore`] surface: reads delegate to the inner
 /// store; writes go through the durable `try_*` paths and, on a log
 /// failure, apply **nothing** (the handle is poisoned — see
 /// [`DurableTokenStore::poisoned`] — and a batch is never half-applied).
 impl<S: DeltaStore> TokenStore for DurableTokenStore<S> {
-    fn num_shards(&self) -> usize {
-        self.inner.num_shards()
-    }
-
     fn for_each_sound_mate<'a, F>(
         &'a self,
         query: &EncodedQuery,
@@ -585,7 +509,7 @@ impl<S: DeltaStore> TokenStore for DurableTokenStore<S> {
     fn register_metrics(&self, registry: &MetricsRegistry) {
         registry.register_histogram(
             "cryptext_durable_append_us",
-            "Durable-ingest batch append latency (shard frames + commit record, microseconds)",
+            "Durable-ingest batch append latency (delta frame + commit record, microseconds)",
             &[],
             &self.append_us,
         );
@@ -660,35 +584,29 @@ impl<S: DeltaStore> TokenStore for DurableTokenStore<S> {
     }
 }
 
-/// One delta frame per touched shard of a prepared batch: the shard's
-/// queue coalesced by token at first occurrence, which preserves the
-/// id-assignment order of the uncoalesced merge.
-fn delta_frames(seq: u64, batch: &PreparedBatch<'_>) -> Vec<(usize, Vec<u8>)> {
-    // Sized once for the batch: no queue holds more entries than the
-    // batch has words, so no shard's coalescing grows either.
+/// The delta frame of a prepared batch: its queue coalesced by token at
+/// first occurrence, which preserves the id-assignment order of the
+/// uncoalesced merge. `None` when the batch stores no word.
+fn delta_frame(seq: u64, batch: &PreparedBatch<'_>) -> Option<Vec<u8>> {
+    if batch.queue.is_empty() {
+        return None;
+    }
+    // Sized once for the batch: the queue holds at most one entry per
+    // word, so coalescing never grows either.
     let mut at: FxHashMap<&str, usize> =
         FxHashMap::with_capacity_and_hasher(batch.words, Default::default());
     let mut ops: Vec<(&str, u64)> = Vec::with_capacity(batch.words);
-    let mut frames = Vec::new();
-    for (s, queue) in batch.queues.iter().enumerate() {
-        if queue.is_empty() {
-            continue;
-        }
-        at.clear();
-        ops.clear();
-        for word in queue.iter().flatten() {
-            let token = word.token();
-            match at.get(token) {
-                Some(&i) => ops[i].1 += 1,
-                None => {
-                    at.insert(token, ops.len());
-                    ops.push((token, 1));
-                }
+    for word in batch.queue.iter().flatten() {
+        let token = word.token();
+        match at.get(token) {
+            Some(&i) => ops[i].1 += 1,
+            None => {
+                at.insert(token, ops.len());
+                ops.push((token, 1));
             }
         }
-        frames.push((s, encode_delta_frame(seq, &ops)));
     }
-    frames
+    Some(encode_delta_frame(seq, &ops))
 }
 
 fn encode_delta_frame(seq: u64, ops: &[(&str, u64)]) -> Vec<u8> {
@@ -728,9 +646,9 @@ fn take_u64(data: &mut &[u8]) -> Result<u64> {
     Ok(u64::from_le_bytes(take(data, 8)?.try_into().unwrap()))
 }
 
-/// Decode a shard-log frame. CRC framing already vouches for integrity,
+/// Decode a delta-log frame. CRC framing already vouches for integrity,
 /// but decoding still never panics on any byte sequence (proptested).
-fn decode_shard_frame(frame: &[u8]) -> Result<(u64, FrameBody)> {
+fn decode_log_frame(frame: &[u8]) -> Result<(u64, FrameBody)> {
     let mut d = frame;
     let seq = take_u64(&mut d)?;
     let kind = take(&mut d, 1)?[0];
@@ -783,6 +701,8 @@ mod tests {
     use crate::CrypText;
     use cryptext_stream::{SocialPlatform, StreamConfig};
 
+    type Durable = DurableTokenStore<TokenDatabase>;
+
     pub(super) fn tmp_dir(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!(
             "cryptext-durable-{name}-{}-{:?}",
@@ -793,11 +713,8 @@ mod tests {
         p
     }
 
-    pub(super) fn opts(shards: usize) -> DurableOptions {
-        DurableOptions {
-            shards,
-            sync_every_batch: false,
-        }
+    pub(super) fn open(dir: &Path) -> Result<Durable> {
+        Durable::open(dir, DurableOptions::default())
     }
 
     /// A mixed workload of ingest batches and compactions. Every batch
@@ -830,15 +747,15 @@ mod tests {
 
     /// The reference state after the first `k` ingest batches (compactions
     /// are state-neutral), built through the ordinary in-memory path.
-    fn prefix_store<S: DeltaStore>(shards: usize, k: usize) -> S {
-        let mut db = S::fresh(shards);
+    fn prefix_store(k: usize) -> TokenDatabase {
+        let mut db = TokenDatabase::in_memory();
         for batch in &ingest_batches()[..k] {
-            TokenStore::ingest_texts(&mut db, batch);
+            db.ingest_texts(batch);
         }
         db
     }
 
-    fn apply<S: DeltaStore>(db: &mut DurableTokenStore<S>, step: &Step) -> Result<()> {
+    fn apply(db: &mut Durable, step: &Step) -> Result<()> {
         match step {
             Step::Ingest(batch) => {
                 db.try_ingest_texts(batch)?;
@@ -848,30 +765,22 @@ mod tests {
         Ok(())
     }
 
-    fn same_flat(a: &TokenDatabase, b: &TokenDatabase) -> bool {
-        a.records() == b.records()
-    }
-
-    fn same_sharded(a: &ShardedTokenDatabase, b: &ShardedTokenDatabase) -> bool {
-        TokenStore::num_shards(a) == TokenStore::num_shards(b)
-            && (0..TokenStore::num_shards(a)).all(|s| a.shard(s).records() == b.shard(s).records())
-    }
-
-    /// Kill the process model at every caller-thread write boundary of the
-    /// mixed workload (wildcard failpoint, hit 1, 2, 3, …): after each
-    /// crash, recovery must land byte-identical on some committed-batch
-    /// prefix — never losing a committed batch, never surfacing a
-    /// half-applied one — and resuming the missing batches must reach the
-    /// uninterrupted reference exactly.
-    fn crash_sweep<S: DeltaStore>(tag: &str, shards: usize, same: fn(&S, &S) -> bool) {
+    /// Kill the process model at every write boundary of the mixed
+    /// workload (wildcard failpoint, hit 1, 2, 3, …): after each crash,
+    /// recovery must land byte-identical on some committed-batch prefix —
+    /// never losing a committed batch, never surfacing a half-applied one —
+    /// and resuming the missing batches must reach the uninterrupted
+    /// reference exactly.
+    #[test]
+    fn kill_at_every_boundary_recovers_a_committed_prefix() {
         let n_batches = ingest_batches().len();
-        let full: S = prefix_store(shards, n_batches);
+        let full = prefix_store(n_batches);
 
         // A clean run counts the boundaries the sweep must cover.
-        let dir = tmp_dir(&format!("sweep-{tag}-count"));
+        let dir = tmp_dir("sweep-count");
         failpoint::reset_hits();
         {
-            let mut db = DurableTokenStore::<S>::open(&dir, opts(shards)).unwrap();
+            let mut db = open(&dir).unwrap();
             for step in &WORKLOAD {
                 apply(&mut db, step).unwrap();
             }
@@ -884,12 +793,12 @@ mod tests {
         );
 
         for i in 1..=total {
-            let dir = tmp_dir(&format!("sweep-{tag}-{i}"));
+            let dir = tmp_dir(&format!("sweep-{i}"));
             failpoint::reset_hits();
             let guard = failpoint::arm("*", &format!("kill@{i}"));
             let mut applied = 0usize;
             let outcome = (|| -> Result<()> {
-                let mut db = DurableTokenStore::<S>::open(&dir, opts(shards))?;
+                let mut db = open(&dir)?;
                 for step in &WORKLOAD {
                     apply(&mut db, step)?;
                     if matches!(step, Step::Ingest(_)) {
@@ -903,10 +812,10 @@ mod tests {
                 assert!(failpoint::is_injected(e), "kill@{i}: unexpected error {e}");
             }
 
-            let mut db = DurableTokenStore::<S>::open(&dir, opts(shards))
-                .unwrap_or_else(|e| panic!("kill@{i}: recovery must never fail: {e}"));
+            let mut db =
+                open(&dir).unwrap_or_else(|e| panic!("kill@{i}: recovery must never fail: {e}"));
             let k = (0..=n_batches)
-                .find(|&k| same(&prefix_store(shards, k), db.inner()))
+                .find(|&k| prefix_store(k).records() == db.inner().records())
                 .unwrap_or_else(|| {
                     panic!("kill@{i}: recovered state is not a committed-batch prefix")
                 });
@@ -928,9 +837,10 @@ mod tests {
             }
             db.compact().unwrap();
             drop(db);
-            let db = DurableTokenStore::<S>::open(&dir, opts(shards)).unwrap();
-            assert!(
-                same(&full, db.inner()),
+            let db = open(&dir).unwrap();
+            assert_eq!(
+                db.inner().records(),
+                full.records(),
                 "kill@{i}: resumed state diverges from the reference"
             );
             let _ = std::fs::remove_dir_all(&dir);
@@ -938,27 +848,17 @@ mod tests {
     }
 
     #[test]
-    fn kill_at_every_boundary_flat_recovers_a_committed_prefix() {
-        crash_sweep::<TokenDatabase>("flat", 1, same_flat);
-    }
-
-    #[test]
-    fn kill_at_every_boundary_sharded_recovers_a_committed_prefix() {
-        crash_sweep::<ShardedTokenDatabase>("sharded", 2, same_sharded);
-    }
-
-    #[test]
     fn uncompacted_batches_survive_reopen() {
-        let dir = tmp_dir("reopen-flat");
+        let dir = tmp_dir("reopen");
         {
-            let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+            let mut dur = open(&dir).unwrap();
             for batch in &ingest_batches() {
                 dur.try_ingest_texts(batch).unwrap();
             }
             assert_eq!(dur.epoch(), 0, "no compaction ran");
         }
-        let dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
-        let want: TokenDatabase = prefix_store(1, ingest_batches().len());
+        let dur = open(&dir).unwrap();
+        let want = prefix_store(ingest_batches().len());
         assert_eq!(dur.inner().records(), want.records());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -967,41 +867,37 @@ mod tests {
     fn compaction_folds_logs_and_preserves_state() {
         let dir = tmp_dir("compact");
         let batches = ingest_batches();
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+        let mut dur = open(&dir).unwrap();
         dur.try_ingest_texts(batches[0]).unwrap();
         dur.try_ingest_texts(batches[1]).unwrap();
         assert_eq!(dur.epoch(), 0);
         dur.compact().unwrap();
         assert_eq!(dur.epoch(), 1);
-        for s in 0..2 {
-            let p = DurableTokenStore::<ShardedTokenDatabase>::log_path_in(&dir, s);
+        for p in [Durable::log_path_in(&dir), Durable::commit_path_in(&dir)] {
             assert_eq!(
                 std::fs::metadata(&p).unwrap().len(),
                 0,
-                "delta log {s} truncated after compaction"
+                "{p:?} truncated after compaction"
             );
         }
-        let cp = DurableTokenStore::<ShardedTokenDatabase>::commit_path_in(&dir);
-        assert_eq!(std::fs::metadata(&cp).unwrap().len(), 0);
 
         // Post-compaction batches replay on top of the epoch snapshot.
         dur.try_ingest_texts(batches[2]).unwrap();
         dur.try_ingest_texts(batches[3]).unwrap();
         drop(dur);
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+        let dur = open(&dir).unwrap();
         assert_eq!(dur.epoch(), 1);
-        let want: ShardedTokenDatabase = prefix_store(2, 4);
-        assert!(same_sharded(&want, dur.inner()));
+        assert_eq!(dur.inner().records(), prefix_store(4).records());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The ISSUE acceptance pin: a recovered delta-log store is
-    /// byte-identical to a monolithic persist/load of the same final state.
+    /// A recovered delta-log store is byte-identical to a monolithic
+    /// persist/load of the same final state.
     #[test]
     fn recovered_state_matches_monolithic_persist_round_trip() {
         let dir = tmp_dir("monolithic");
         let batches = ingest_batches();
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(3)).unwrap();
+        let mut dur = open(&dir).unwrap();
         dur.try_ingest_texts(batches[0]).unwrap();
         dur.try_ingest_texts(batches[1]).unwrap();
         dur.compact().unwrap();
@@ -1011,36 +907,30 @@ mod tests {
         // Monolithic export of the live state, round-tripped.
         let mono = Database::in_memory();
         TokenStore::persist_to(&dur, &mono, "tokens").unwrap();
-        let mono_loaded = ShardedTokenDatabase::load_from(&mono, "tokens").unwrap();
+        let mono_loaded = TokenDatabase::load_from(&mono, "tokens").unwrap();
 
         drop(dur);
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(3)).unwrap();
-        assert!(same_sharded(&mono_loaded, dur.inner()));
+        let dur = open(&dir).unwrap();
+        assert_eq!(mono_loaded.records(), dur.inner().records());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Power-loss durability of compaction in sync mode: the truncation
     /// must wait until the docstore WAL holding the new epoch is synced.
-    /// A kill at that sync leaves every log whole, and a reopen recovers
+    /// A kill at that sync leaves both logs whole, and a reopen recovers
     /// every batch.
     #[test]
     fn sync_mode_compaction_syncs_the_snapshot_before_truncating() {
         let dir = tmp_dir("sync-compact");
         let sync_opts = DurableOptions {
-            shards: 2,
             sync_every_batch: true,
         };
         let batches = ingest_batches();
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, sync_opts).unwrap();
+        let mut dur = Durable::open(&dir, sync_opts).unwrap();
         for batch in &batches {
             dur.try_ingest_texts(batch).unwrap();
         }
-        let mut logs: Vec<PathBuf> = (0..2)
-            .map(|s| DurableTokenStore::<ShardedTokenDatabase>::log_path_in(&dir, s))
-            .collect();
-        logs.push(DurableTokenStore::<ShardedTokenDatabase>::commit_path_in(
-            &dir,
-        ));
+        let logs = [Durable::log_path_in(&dir), Durable::commit_path_in(&dir)];
         for p in &logs {
             assert!(
                 std::fs::metadata(p).unwrap().len() > 0,
@@ -1062,16 +952,19 @@ mod tests {
             );
         }
 
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, sync_opts).unwrap();
-        let want: ShardedTokenDatabase = prefix_store(2, batches.len());
-        assert!(same_sharded(&want, dur.inner()), "every batch recovered");
+        let dur = Durable::open(&dir, sync_opts).unwrap();
+        assert_eq!(
+            dur.inner().records(),
+            prefix_store(batches.len()).records(),
+            "every batch recovered"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_append_poisons_handle_until_reopen() {
         let dir = tmp_dir("torn");
-        let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let mut dur = open(&dir).unwrap();
         dur.try_ingest_text("the dirrty republicans").unwrap();
 
         failpoint::reset_hits();
@@ -1089,14 +982,14 @@ mod tests {
         drop(dur);
 
         // Reopen truncates the torn tail: pre-batch state, writable again.
-        let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let mut dur = open(&dir).unwrap();
         assert!(!dur.poisoned());
         let mut want = TokenDatabase::in_memory();
         want.ingest_text("the dirrty republicans");
         assert_eq!(dur.inner().records(), want.records());
         dur.try_ingest_text("vacc1ne mandate").unwrap();
         drop(dur);
-        let dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let dur = open(&dir).unwrap();
         want.ingest_text("vacc1ne mandate");
         assert_eq!(dur.inner().records(), want.records());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1105,11 +998,11 @@ mod tests {
     #[test]
     fn gated_tokens_are_neither_logged_nor_applied() {
         let dir = tmp_dir("gated");
-        let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let mut dur = open(&dir).unwrap();
         dur.try_ingest_token("a").unwrap(); // under the 2-char floor
         dur.try_ingest_token("💀💀").unwrap(); // no phonetic content
         assert_eq!(dur.inner().records().len(), 0);
-        let log = DurableTokenStore::<TokenDatabase>::log_path_in(&dir, 0);
+        let log = Durable::log_path_in(&dir);
         assert_eq!(std::fs::metadata(&log).unwrap().len(), 0, "nothing logged");
 
         dur.try_ingest_token("republicans").unwrap();
@@ -1122,70 +1015,17 @@ mod tests {
     fn seed_lexicon_survives_reopen() {
         let dir = tmp_dir("seed");
         {
-            let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(3)).unwrap();
+            let mut dur = open(&dir).unwrap();
             dur.try_ingest_text("the dirrty republicans").unwrap();
             dur.try_seed_lexicon().unwrap();
             dur.try_ingest_text("vacc1ne mandate").unwrap();
         }
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(3)).unwrap();
-        let mut want = ShardedTokenDatabase::in_memory(3);
-        TokenStore::ingest_text(&mut want, "the dirrty republicans");
-        TokenStore::seed_lexicon(&mut want);
-        TokenStore::ingest_text(&mut want, "vacc1ne mandate");
-        assert!(same_sharded(&want, dur.inner()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn durable_grow_commits_or_recovers_at_old_shard_count() {
-        let dir = tmp_dir("grow");
-        let texts = [
-            "the dirrty republicans",
-            "thee dirty repubLIEcans",
-            "the dirty republic@@ns",
-            "the demokRATs and the democrats",
-            "thinking about suic1de",
-            "suicide prevention matters",
-        ];
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
-        for t in texts {
-            dur.try_ingest_text(t).unwrap();
-        }
-
-        let mut before_grow = ShardedTokenDatabase::in_memory(2);
-        let mut after_grow = ShardedTokenDatabase::in_memory(2);
-        for t in texts {
-            TokenStore::ingest_text(&mut before_grow, t);
-            TokenStore::ingest_text(&mut after_grow, t);
-        }
-        let moved_want = after_grow.grow_one_shard();
-
-        // Crash at the second compaction's manifest swap — one step short
-        // of the reshard's commit point.
-        failpoint::reset_hits();
-        let guard = failpoint::arm("compact.manifest.swap", "kill@2");
-        let err = dur.grow_one_shard().unwrap_err();
-        assert!(failpoint::is_injected(&err));
-        assert!(dur.poisoned(), "in-memory N+1 vs durable N must wedge");
-        drop(guard);
-        drop(dur);
-
-        // Recovery: still 2 shards, nothing lost; the grow simply reruns.
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
-        assert_eq!(TokenStore::num_shards(dur.inner()), 2);
-        assert!(same_sharded(&before_grow, dur.inner()));
-        let moved = dur.grow_one_shard().unwrap();
-        assert_eq!(moved, moved_want);
-        assert_eq!(TokenStore::num_shards(dur.inner()), 3);
-        assert!(same_sharded(&after_grow, dur.inner()));
-
-        // Post-grow ingest routes under the new ring and survives reopen.
-        dur.try_ingest_text("vacc1ne mandate").unwrap();
-        TokenStore::ingest_text(&mut after_grow, "vacc1ne mandate");
-        drop(dur);
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
-        assert_eq!(TokenStore::num_shards(dur.inner()), 3);
-        assert!(same_sharded(&after_grow, dur.inner()));
+        let dur = open(&dir).unwrap();
+        let mut want = TokenDatabase::in_memory();
+        want.ingest_text("the dirrty republicans");
+        want.seed_lexicon();
+        want.ingest_text("vacc1ne mandate");
+        assert_eq!(dur.inner().records(), want.records());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1200,11 +1040,11 @@ mod tests {
             seed: 11,
             ..StreamConfig::default()
         });
-        let mut reference = ShardedTokenDatabase::in_memory(2);
+        let mut reference = TokenDatabase::in_memory();
         Crawler::new().run_once(&p, &mut reference, 0);
 
         let dir = tmp_dir("crawler");
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+        let mut dur = open(&dir).unwrap();
         let mut crawler = Crawler::new();
         let mut good_cursor;
         let mut crashes = 0usize;
@@ -1243,20 +1083,21 @@ mod tests {
             if drained {
                 break;
             }
-            dur = DurableTokenStore::open(&dir, opts(2)).unwrap();
+            dur = open(&dir).unwrap();
             crawler = Crawler::from_cursor(good_cursor);
         }
         assert!(
             crashes >= 2,
             "the sweep should crash mid-crawl, got {crashes}"
         );
-        assert!(
-            same_sharded(&reference, dur.inner()),
+        assert_eq!(
+            reference.records(),
+            dur.inner().records(),
             "crash/resume crawl must equal the uninterrupted crawl"
         );
         drop(dur);
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
-        assert!(same_sharded(&reference, dur.inner()));
+        let dur = open(&dir).unwrap();
+        assert_eq!(reference.records(), dur.inner().records());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1264,7 +1105,7 @@ mod tests {
     fn recovered_store_serves_lookups_through_cryptext() {
         let dir = tmp_dir("cryptext");
         {
-            let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+            let mut dur = open(&dir).unwrap();
             for t in [
                 "the dirrty republicans",
                 "thee dirty repubLIEcans",
@@ -1274,8 +1115,7 @@ mod tests {
             }
             dur.compact().unwrap();
         }
-        let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
-        let cx = CrypText::with_store(dur);
+        let cx = CrypText::with_store(open(&dir).unwrap());
         let hits = cx.look_up("republicans", LookupParams::new(1, 1)).unwrap();
         let tokens: Vec<&str> = hits.iter().map(|h| h.token.as_str()).collect();
         assert!(tokens.contains(&"republicans"));
@@ -1292,20 +1132,20 @@ mod tests {
     }
 
     /// The delta-log bytes of one batch into a fresh, lexicon-seeded
-    /// 2-shard store are pinned. The batch repeats `dirrty` within and
-    /// across texts, holds the 1-char `a` (a stored lexicon word, still
-    /// under the 2-char gate), lexicon words already stored (`the`,
-    /// `democrats`, `and`) and `漢字`/`ёё` (no phonetic content). Each log
-    /// holds its shard's seed frame (batch 1), then the batch's frame
-    /// (batch 2) with its tokens coalesced in first-occurrence order:
-    /// shard 0 `the`×2, `republicans`, `democrats`, `and`, `vacc1ne`×2;
-    /// shard 1 `dirrty`×4. A frame is a little-endian length and CRC, the
-    /// batch sequence and the frame kind (2 seed, 1 deltas: op count, then
-    /// length-prefixed token and count per op).
+    /// store are pinned. The batch repeats `dirrty` within and across
+    /// texts, holds the 1-char `a` (a stored lexicon word, still under the
+    /// 2-char gate), lexicon words already stored (`the`, `democrats`,
+    /// `and`) and `漢字`/`ёё` (no phonetic content). The log holds the
+    /// seed frame (batch 1), then the batch's frame (batch 2) with its
+    /// tokens coalesced in first-occurrence order: `the`×2, `dirrty`×4,
+    /// `republicans`, `democrats`, `and`, `vacc1ne`×2. A frame is a
+    /// little-endian length and CRC, the batch sequence and the frame kind
+    /// (2 seed, 1 deltas: op count, then length-prefixed token and count
+    /// per op).
     #[test]
     fn delta_log_bytes_are_pinned() {
         let dir = tmp_dir("golden");
-        let mut dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts(2)).unwrap();
+        let mut dur = open(&dir).unwrap();
         dur.try_seed_lexicon().unwrap();
         dur.try_ingest_texts(&[
             "the dirrty dirrty republicans a",
@@ -1315,42 +1155,26 @@ mod tests {
         .unwrap();
         drop(dur);
         let read = |p: PathBuf| std::fs::read(p).unwrap();
-        let log = |s| {
-            read(DurableTokenStore::<ShardedTokenDatabase>::log_path_in(
-                &dir, s,
-            ))
-        };
-        let seed_frame = "09000000c1617c1f010000000000000002";
-        let delta_0 = [
-            seed_frame,
-            "6a000000e7b858fc02000000000000000105000000", // 5 ops
-            "030000007468650200000000000000",             // the ×2
+        let delta = [
+            "09000000c1617c1f010000000000000002",             // seed
+            "7c00000006a6a73402000000000000000106000000",     // 6 ops
+            "030000007468650200000000000000",                 // the ×2
+            "060000006469727274790400000000000000",           // dirrty ×4
             "0b00000072657075626c6963616e730100000000000000", // republicans
-            "0900000064656d6f63726174730100000000000000", // democrats
-            "03000000616e640100000000000000",             // and
-            "0700000076616363316e650200000000000000",     // vacc1ne ×2
-        ];
-        let delta_1 = [
-            seed_frame,
-            "1f000000c83521a302000000000000000101000000", // 1 op
-            "060000006469727274790400000000000000",       // dirrty ×4
+            "0900000064656d6f63726174730100000000000000",     // democrats
+            "03000000616e640100000000000000",                 // and
+            "0700000076616363316e650200000000000000",         // vacc1ne ×2
         ];
         let commit = [
             "08000000f7df88a90100000000000000", // batch 1
             "0800000014d807270200000000000000", // batch 2
         ];
-        assert_eq!(log(0), hex(&delta_0.concat()));
-        assert_eq!(log(1), hex(&delta_1.concat()));
-        assert_eq!(
-            read(DurableTokenStore::<ShardedTokenDatabase>::commit_path_in(
-                &dir
-            )),
-            hex(&commit.concat())
-        );
+        assert_eq!(read(Durable::log_path_in(&dir)), hex(&delta.concat()));
+        assert_eq!(read(Durable::commit_path_in(&dir)), hex(&commit.concat()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A batch killed at its commit record — its shard frame whole on
+    /// A batch killed at its commit record — its delta frame whole on
     /// disk, its commit record missing — never comes back: the next open
     /// numbers new batches past it, so a later batch's commit record can
     /// never adopt its frame, even across a second open without a
@@ -1363,8 +1187,8 @@ mod tests {
             "vacc1ne mandate",
             "thinking about suic1de",
         );
-        let log = DurableTokenStore::<TokenDatabase>::log_path_in(&dir, 0);
-        let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let log = Durable::log_path_in(&dir);
+        let mut dur = open(&dir).unwrap();
         dur.try_ingest_text(a).unwrap();
         let log_after_a = std::fs::metadata(&log).unwrap().len();
 
@@ -1376,18 +1200,36 @@ mod tests {
         drop(dur);
         assert!(
             std::fs::metadata(&log).unwrap().len() > log_after_a,
-            "the killed batch's shard frame is on disk"
+            "the killed batch's delta frame is on disk"
         );
 
-        let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let mut dur = open(&dir).unwrap();
         dur.try_ingest_text(c).unwrap();
         drop(dur);
-        let dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+        let dur = open(&dir).unwrap();
         let mut want = TokenDatabase::in_memory();
         want.ingest_text(a);
         want.ingest_text(c);
         assert_eq!(dur.inner().records(), want.records());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The manifest collection's one document, as `read_manifest` reads it.
+    fn manifest_doc(store: &Database) -> (cryptext_docstore::DocId, Document) {
+        store
+            .read_collection(MANIFEST, |docs| {
+                let (id, doc) = docs.scan().min_by_key(|&(id, _)| id).unwrap();
+                (id, doc.clone())
+            })
+            .unwrap()
+    }
+
+    /// Write a compacted store's manifest back through `tamper`.
+    fn tamper_manifest(dir: &Path, tamper: impl FnOnce(&mut Document)) {
+        let store = Database::open(&dir.join("snapshots"), DbOptions::default()).unwrap();
+        let (id, mut doc) = manifest_doc(&store);
+        tamper(&mut doc);
+        store.update(MANIFEST, id, doc).unwrap();
     }
 
     /// Only a missing manifest collection is a first open. A manifest
@@ -1397,36 +1239,21 @@ mod tests {
     fn a_bad_manifest_is_corrupt_not_a_first_open() {
         let dir = tmp_dir("bad-manifest");
         {
-            let mut dur = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1)).unwrap();
+            let mut dur = open(&dir).unwrap();
             dur.try_ingest_text("the dirrty republicans").unwrap();
             dur.compact().unwrap();
         }
-        let snapshots = dir.join("snapshots");
-        // The manifest collection's one document, as `read_manifest` reads it.
-        let first = |store: &Database| {
-            store
-                .read_collection(MANIFEST, |docs| {
-                    let (id, doc) = docs.scan().min_by_key(|&(id, _)| id).unwrap();
-                    (id, doc.clone())
-                })
-                .unwrap()
-        };
         let manifest = {
-            let store = Database::open(&snapshots, DbOptions::default()).unwrap();
-            first(&store).1
+            let store = Database::open(&dir.join("snapshots"), DbOptions::default()).unwrap();
+            manifest_doc(&store).1
         };
         // Write the manifest back through `tamper`, then open.
         let open_tampered = |tamper: &dyn Fn(&mut Document)| {
-            {
-                let store = Database::open(&snapshots, DbOptions::default()).unwrap();
-                let (id, _) = first(&store);
-                let mut doc = manifest.clone();
-                tamper(&mut doc);
-                store.update(MANIFEST, id, doc).unwrap();
-            }
-            let err = DurableTokenStore::<TokenDatabase>::open(&dir, opts(1))
-                .err()
-                .expect("a tampered manifest must not open");
+            tamper_manifest(&dir, |doc| {
+                *doc = manifest.clone();
+                tamper(doc);
+            });
+            let err = open(&dir).err().expect("a tampered manifest must not open");
             assert!(matches!(err, Error::Corrupt(_)), "{err}");
             err.to_string()
         };
@@ -1439,10 +1266,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every file under `dir` with its bytes, by path.
+    fn files(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+        let mut out = std::collections::BTreeMap::new();
+        let mut todo = vec![dir.to_path_buf()];
+        while let Some(d) = todo.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    todo.push(path);
+                } else {
+                    out.insert(path.clone(), std::fs::read(&path).unwrap());
+                }
+            }
+        }
+        out
+    }
+
+    /// A manifest that names more than one delta log describes logs this
+    /// store does not read (`delta_1.log`, …). It opens as corrupt rather
+    /// than replaying `delta_0.log` alone, and the refused open leaves
+    /// every file as it found it, logs and snapshots included.
+    #[test]
+    fn a_manifest_naming_two_logs_is_corrupt_and_left_untouched() {
+        let dir = tmp_dir("two-logs");
+        {
+            let mut dur = open(&dir).unwrap();
+            dur.try_ingest_text("the dirrty republicans").unwrap();
+            dur.compact().unwrap();
+            dur.try_ingest_text("vacc1ne mandate").unwrap();
+        }
+        tamper_manifest(&dir, |m| m.set("shards", Value::Int(2)));
+        std::fs::write(dir.join("delta_1.log"), b"frames of another log").unwrap();
+        let before = files(&dir);
+        assert!(before.len() > 3, "logs and snapshot files: {before:?}");
+
+        let err = open(&dir).err().expect("two logs must not open");
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("shards is 2"), "{err}");
+        assert!(files(&dir) == before, "a refused open changes no file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn load_from_refuses_durable_stores() {
         let store = Database::in_memory();
-        let err = <DurableTokenStore<TokenDatabase> as TokenStore>::load_from(&store, "tokens")
+        let err = <Durable as TokenStore>::load_from(&store, "tokens")
             .err()
             .expect("load_from must refuse");
         assert!(err.to_string().contains("DurableTokenStore::open"));
@@ -1473,37 +1342,6 @@ mod proptests {
         proptest::collection::vec(proptest::collection::vec(text, 1..4), 1..4)
     }
 
-    /// Log the batches durably (seeding the lexicon first, compacting
-    /// after batch `compact_after`), reopen, and return the recovered
-    /// store next to the in-memory `ingest_texts` reference.
-    fn recover<S: DeltaStore>(
-        shards: usize,
-        batches: &[Vec<String>],
-        lexicon: bool,
-        compact_after: Option<usize>,
-    ) -> (S, S) {
-        let mut want = S::fresh(shards);
-        let dir = super::tests::tmp_dir(&format!("prop-{shards}"));
-        let mut dur = DurableTokenStore::<S>::open(&dir, super::tests::opts(shards)).unwrap();
-        if lexicon {
-            TokenStore::seed_lexicon(&mut want);
-            dur.try_seed_lexicon().unwrap();
-        }
-        for (i, batch) in batches.iter().enumerate() {
-            TokenStore::ingest_texts(&mut want, batch);
-            dur.try_ingest_texts(batch).unwrap();
-            if compact_after == Some(i) {
-                dur.compact().unwrap();
-            }
-        }
-        drop(dur);
-        let got = DurableTokenStore::<S>::open(&dir, super::tests::opts(shards))
-            .unwrap()
-            .into_inner();
-        let _ = std::fs::remove_dir_all(&dir);
-        (got, want)
-    }
-
     proptest! {
         /// CRC framing vouches for integrity, but decoding must never
         /// panic on any byte sequence regardless.
@@ -1511,7 +1349,7 @@ mod proptests {
         fn decoders_never_panic_on_arbitrary_bytes(
             bytes in proptest::collection::vec(0u8..=255, 0..80),
         ) {
-            let _ = decode_shard_frame(&bytes);
+            let _ = decode_log_frame(&bytes);
             let _ = decode_commit_frame(&bytes);
         }
 
@@ -1523,7 +1361,7 @@ mod proptests {
         ) {
             let ops: Vec<(&str, u64)> = tokens.iter().map(String::as_str).zip(deltas).collect();
             let frame = encode_delta_frame(seq, &ops);
-            let (got_seq, body) = decode_shard_frame(&frame).unwrap();
+            let (got_seq, body) = decode_log_frame(&frame).unwrap();
             prop_assert_eq!(got_seq, seq);
             match body {
                 FrameBody::Deltas(got) => {
@@ -1534,31 +1372,38 @@ mod proptests {
             }
             let seed = encode_seed_frame(seq);
             prop_assert!(matches!(
-                decode_shard_frame(&seed),
+                decode_log_frame(&seed),
                 Ok((s, FrameBody::SeedLexicon)) if s == seq
             ));
         }
 
         /// Reopening lands on exactly the records in-memory ingest of the
-        /// same batches produces: the flat store (`shards == 0`) and 1–4
-        /// shards, with and without a seeded lexicon and a compaction.
+        /// same batches produces, with and without a seeded lexicon (logged
+        /// first) and a compaction after some batch.
         #[test]
         fn reopen_equals_in_memory_ingest(
             batches in batches(),
-            shards in 0usize..=4,
             lexicon in any::<bool>(),
             compact_after in proptest::option::of(0usize..4),
         ) {
-            if shards == 0 {
-                let (got, want) = recover::<TokenDatabase>(1, &batches, lexicon, compact_after);
-                prop_assert_eq!(got.records(), want.records());
-            } else {
-                let (got, want) =
-                    recover::<ShardedTokenDatabase>(shards, &batches, lexicon, compact_after);
-                for s in 0..shards {
-                    prop_assert_eq!(got.shard(s).records(), want.shard(s).records(), "shard {}", s);
+            let mut want = TokenDatabase::in_memory();
+            let dir = super::tests::tmp_dir("prop");
+            let mut dur = super::tests::open(&dir).unwrap();
+            if lexicon {
+                want.seed_lexicon();
+                dur.try_seed_lexicon().unwrap();
+            }
+            for (i, batch) in batches.iter().enumerate() {
+                want.ingest_texts(batch);
+                dur.try_ingest_texts(batch).unwrap();
+                if compact_after == Some(i) {
+                    dur.compact().unwrap();
                 }
             }
+            drop(dur);
+            let got = super::tests::open(&dir).unwrap().into_inner();
+            let _ = std::fs::remove_dir_all(&dir);
+            prop_assert_eq!(got.records(), want.records());
         }
     }
 }

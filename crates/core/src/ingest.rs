@@ -55,16 +55,16 @@ impl Crawler {
 
     /// Consume every post at or after the cursor, up to `max_posts`
     /// (0 = unlimited). Advances the cursor past the last consumed post.
-    /// Works against any [`TokenStore`] backend — the crawler feeds a
-    /// sharded deployment the same way it feeds a single instance.
+    /// Works against any [`TokenStore`] — the crawler feeds the durable
+    /// store the same way it feeds the in-memory database.
     pub fn run_once<S: TokenStore>(
         &mut self,
         platform: &SocialPlatform,
         db: &mut S,
         max_posts: usize,
     ) -> IngestStats {
-        // The cheap counter, not full stats(): the sharded backend's
-        // per-level sound unions are O(total codes) and unused here.
+        // The cheap counter, not full stats(), which passes over every
+        // record for counts this loop does not use.
         let before_unique = db.unique_tokens();
         let mut stats = IngestStats::default();
         let limit = if max_posts == 0 {

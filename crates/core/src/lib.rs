@@ -23,13 +23,13 @@
 //!   from the stream into the database.
 //! * [`service`] — the public-API facade (§III-F): token auth, rate
 //!   limiting, Redis-style result caching, bulk endpoints.
-//! * [`store`] / [`shard`] — the storage abstraction: every engine is
-//!   generic over the [`store::TokenStore`] trait, implemented by the
-//!   single-instance [`database::TokenDatabase`] and the consistent-hash
-//!   [`shard::ShardedTokenDatabase`]. The caller picks the backend when
-//!   it assembles the system ([`CrypText::new`] for one instance,
-//!   [`CrypText::with_store`] for any store); nothing is read from the
-//!   environment.
+//! * [`store`] — the storage abstraction: every engine is generic over
+//!   the [`store::TokenStore`] trait, implemented by the in-memory
+//!   [`database::TokenDatabase`] and by [`durable::DurableTokenStore`],
+//!   which logs its ingest and recovers it after a crash. The caller picks
+//!   the store when it assembles the system ([`CrypText::new`] for a
+//!   [`database::TokenDatabase`], [`CrypText::with_store`] for any
+//!   store); nothing is read from the environment.
 
 #![warn(missing_docs)]
 
@@ -42,7 +42,6 @@ pub mod metrics;
 pub mod normalize;
 pub mod perturb;
 pub mod service;
-pub mod shard;
 pub mod store;
 
 use cryptext_common::Result;
@@ -57,7 +56,6 @@ pub use normalize::{
     CandidateCache, CandidatePairs, NormalizeParams, NormalizeScratch, Normalizer,
 };
 pub use perturb::{PerturbParams, Perturber};
-pub use shard::ShardedTokenDatabase;
 pub use store::TokenStore;
 
 /// The assembled CrypText system: a token store plus the language model

@@ -84,7 +84,7 @@ pub struct LookupHit {
 /// Reusable working memory for [`look_up_with`] / [`for_each_hit`]: the
 /// generation-marked bucket-walk state, the bounded-Levenshtein scratch
 /// (DP rows + Myers bitmaps), and the [`EncodedQuery`] buffers (code set,
-/// code hashes, case fold). One instance per thread (or per bulk request)
+/// case fold). One instance per thread (or per bulk request)
 /// makes the whole retrieval path allocation-free per candidate — and, for
 /// ASCII queries, per query.
 #[derive(Debug, Default)]
@@ -121,10 +121,10 @@ thread_local! {
     static SHARED_LOOKUP_SCRATCH: RefCell<LookupScratch> = RefCell::new(LookupScratch::new());
 }
 
-/// Execute a Look Up against any [`TokenStore`] backend. Hits are ordered
-/// by `(distance asc, count desc, token asc)` — closest and most frequent
-/// perturbations first, deterministic throughout (and therefore identical
-/// across backends, whatever order their buckets are walked in).
+/// Execute a Look Up against any [`TokenStore`]. Hits are ordered by
+/// `(distance asc, count desc, token asc)` — closest and most frequent
+/// perturbations first, deterministic throughout (whatever order the
+/// buckets are walked in).
 ///
 /// Uses a thread-local [`LookupScratch`]; callers managing their own
 /// scratch (bulk endpoints, benches) should call [`look_up_with`].
@@ -167,20 +167,17 @@ fn hit_distance<P: Fn(&TokenRecord) -> bool>(
 /// `f` receives each matching record's id, the borrowed
 /// [`crate::database::TokenRecord`], and its case-folded Levenshtein
 /// distance to the query. Records arrive in **bucket insertion order**
-/// (the order [`TokenDatabase::for_each_sound_mate`] walks postings, shard
-/// by shard for sharded backends), not hit-sorted order; callers that need
-/// the public `(distance, count, token)` ordering should use
-/// [`look_up_with`], which sorts.
+/// (the order [`TokenDatabase::for_each_sound_mate`] walks postings), not
+/// hit-sorted order; callers that need the public `(distance, count,
+/// token)` ordering should use [`look_up_with`], which sorts.
 ///
-/// The query is encoded (Soundex code set, code hashes, case fold) exactly
-/// once into the scratch's [`EncodedQuery`], regardless of how many shards
-/// back `db`. The hot loop is allocation-free per candidate *and* per
-/// ASCII query: each candidate's precomputed fold/length comes straight
-/// off its record, a length-difference pre-filter skips hopeless
-/// candidates before any distance work, and the bounded Levenshtein runs
-/// bit-parallel (Myers) through reusable scratch. Sharded backends skip
-/// shards via their Bloom summaries and walk the rest one after another
-/// on the caller's thread, filtering each candidate as it is visited.
+/// The query is encoded (Soundex code set, case fold) exactly once into
+/// the scratch's [`EncodedQuery`]. The hot loop is allocation-free per
+/// candidate *and* per ASCII query: each candidate's precomputed
+/// fold/length comes straight off its record, a length-difference
+/// pre-filter skips hopeless candidates before any distance work, and the
+/// bounded Levenshtein runs bit-parallel (Myers) through reusable scratch,
+/// filtering each candidate as the walk visits it.
 pub fn for_each_hit<'a, S, F>(
     db: &'a S,
     token: &str,
@@ -199,11 +196,10 @@ where
 }
 
 /// [`for_each_hit`] with an early-exit visitor: returning
-/// [`ControlFlow::Break`] stops the retrieval at that hit, on every
-/// backend, so the candidates after it (later shards included) are never
-/// examined. The visited prefix is identical to what the non-breaking
-/// visitor would have seen — pinned across backends by the proptests in
-/// `shard.rs`.
+/// [`ControlFlow::Break`] stops the retrieval at that hit, so the
+/// candidates after it are never examined. The visited prefix is identical
+/// to what the non-breaking visitor would have seen — pinned by this
+/// module's tests and proptests.
 pub fn for_each_hit_until<'a, S, F>(
     db: &'a S,
     token: &str,
@@ -291,8 +287,8 @@ pub fn look_up_with<S: TokenStore>(
 /// gateway), and the one place the sorted public hit list is built.
 /// `cancel` is consulted before each candidate hit is accepted, and the
 /// first `Some(err)` it returns stops the walk at that hit — through
-/// [`for_each_hit_until`]'s early exit, so the candidates after it, later
-/// shards included, are never examined — and surfaces `err` to the
+/// [`for_each_hit_until`]'s early exit, so the candidates after it are
+/// never examined — and surfaces `err` to the
 /// caller. A query that is never cancelled returns the whole sorted hit
 /// list.
 pub fn look_up_cancellable<S: TokenStore>(
@@ -637,6 +633,88 @@ mod tests {
         ));
     }
 
+    /// A walk cut at its first hit examines only the candidates before it:
+    /// whether a deadline probe fires there or a visitor breaks there, the
+    /// examined tally equals the position of that hit in the plain
+    /// sound-mate walk.
+    #[test]
+    fn a_walk_cut_at_its_first_hit_examines_only_its_prefix() {
+        use cryptext_common::hash::FxHashSet;
+        use cryptext_common::Error;
+        use cryptext_corpus::{generator::generate, CorpusConfig};
+
+        let texts = generate(CorpusConfig::small(7)).texts();
+        let mut db = TokenDatabase::with_lexicon();
+        db.ingest_texts(&texts);
+        let params = LookupParams::new(1, 3);
+
+        let mut words: Vec<&str> = Vec::new();
+        let mut seen: FxHashSet<&str> = FxHashSet::default();
+        for text in &texts {
+            for tok in cryptext_tokenizer::tokenize_spans(text) {
+                if tok.is_word() && seen.insert(tok.text(text)) {
+                    words.push(tok.text(text));
+                }
+            }
+        }
+        words.truncate(400);
+
+        let stages = Arc::new(StageMetrics::new());
+        let mut scratch = LookupScratch::new();
+        scratch.attach_stages(Some(Arc::clone(&stages)));
+        let mut sound = SoundScratch::new();
+        let (mut checked, mut cut_short) = (0usize, 0usize);
+        for word in words {
+            let query = EncodedQuery::for_token(word, params.k).unwrap();
+            let mut hits = Vec::new();
+            for_each_hit(&db, word, params, &mut scratch, |id, _, _| hits.push(id)).unwrap();
+            let Some(&first_hit) = hits.first() else {
+                continue;
+            };
+            // The candidates a plain walk visits up to and including the
+            // first hit, and in total.
+            let (mut prefix, mut total) = (None, 0u64);
+            let _ = db.for_each_sound_mate(&query, &mut sound, |id, _| {
+                total += 1;
+                if id == first_hit {
+                    prefix.get_or_insert(total);
+                }
+                ControlFlow::Continue(())
+            });
+            let prefix = prefix.expect("the first hit is a sound mate");
+            checked += 1;
+            cut_short += usize::from(prefix < total);
+
+            let examined = || stages.lookup_filter_candidates.get();
+            let before = examined();
+            let err = look_up_cancellable(&db, word, params, &mut scratch, &mut || {
+                Some(Error::DeadlineExceeded { budget_ms: 1 })
+            })
+            .unwrap_err();
+            assert!(matches!(err, Error::DeadlineExceeded { .. }));
+            assert_eq!(
+                examined() - before,
+                prefix,
+                "{word:?}: probe fires at the first hit"
+            );
+            let before = examined();
+            for_each_hit_until(&db, word, params, &mut scratch, |_, _, _| {
+                ControlFlow::Break(())
+            })
+            .unwrap();
+            assert_eq!(
+                examined() - before,
+                prefix,
+                "{word:?}: visitor breaks at the first hit"
+            );
+        }
+        assert!(checked >= 20, "only {checked} queries with hits");
+        assert!(
+            cut_short > 0,
+            "some first hit must come before the last candidate"
+        );
+    }
+
     #[test]
     fn k_zero_is_coarser_than_k_one() {
         let mut d = TokenDatabase::in_memory();
@@ -655,7 +733,6 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::shard::ShardedTokenDatabase;
     use proptest::prelude::*;
 
     fn small_db(tokens: &[String]) -> TokenDatabase {
@@ -683,8 +760,8 @@ mod proptests {
     /// Every `(id, distance, is_english)` the walk visits, in visit order:
     /// the unfiltered walk for `None`, else the predicate walk keeping the
     /// records whose `is_english` equals `english`.
-    fn visits<S: TokenStore>(
-        db: &S,
+    fn visits(
+        db: &TokenDatabase,
         query: &str,
         params: LookupParams,
         english: Option<bool>,
@@ -803,13 +880,11 @@ mod proptests {
 
         /// The record-predicate walk visits exactly the unfiltered walk's
         /// `(id, distance)` sequence with the rejected records removed,
-        /// for a predicate and its negation, on the flat backend and at
-        /// 1–8 shards.
+        /// for a predicate and its negation.
         #[test]
         fn predicate_walk_filters_the_unfiltered_sequence(
             observed in proptest::collection::vec(corpus_word(), 1..24),
             queries in proptest::collection::vec(corpus_word(), 1..4),
-            shards in 1usize..=8,
             k in 0usize..=2,
             d in 0usize..=4,
             exclude_identity in proptest::arbitrary::any::<bool>(),
@@ -817,35 +892,50 @@ mod proptests {
         ) {
             // Lexicon words arrive as count-0 records, which
             // `observed_only` drops; ingested words count from 1.
-            let mut flat = TokenDatabase::with_lexicon();
+            let mut db = TokenDatabase::with_lexicon();
             for t in &observed {
-                flat.ingest_token(t);
+                db.ingest_token(t);
             }
-            let wide = ShardedTokenDatabase::from_database(&flat, shards);
             let mut params = LookupParams::new(k, d);
             params.exclude_identity = exclude_identity;
             params.observed_only = observed_only;
 
             for q in &queries {
-                for sharded in [false, true] {
-                    let walk = |english| if sharded {
-                        visits(&wide, q, params, english)
-                    } else {
-                        visits(&flat, q, params, english)
-                    };
-                    let all = walk(None);
-                    // `is_english`, then its negation.
-                    for want in [true, false] {
-                        let expected: Vec<_> =
-                            all.iter().filter(|v| v.2 == want).copied().collect();
-                        prop_assert_eq!(
-                            walk(Some(want)), expected,
-                            "query {:?} params {:?} sharded {} english {}",
-                            q, params, sharded, want
-                        );
-                    }
+                let all = visits(&db, q, params, None);
+                // `is_english`, then its negation.
+                for want in [true, false] {
+                    let expected: Vec<_> =
+                        all.iter().filter(|v| v.2 == want).copied().collect();
+                    prop_assert_eq!(
+                        visits(&db, q, params, Some(want)), expected,
+                        "query {:?} params {:?} english {}", q, params, want
+                    );
                 }
             }
+        }
+
+        /// `for_each_hit_until` with a breaking visitor observes exactly
+        /// the prefix of the non-breaking visit sequence.
+        #[test]
+        fn early_exit_hits_are_a_prefix(
+            tokens in proptest::collection::vec("[a-e1@O]{2,9}", 1..20),
+            query in "[a-e1@O]{2,9}",
+            d in 0usize..=3,
+            cut in 0usize..=5,
+        ) {
+            let db = small_db(&tokens);
+            let params = LookupParams::new(1, d);
+            let mut scratch = LookupScratch::new();
+            let mut full: Vec<(u32, usize)> = Vec::new();
+            for_each_hit(&db, &query, params, &mut scratch, |id, _, dist| full.push((id, dist)))
+                .unwrap();
+            let mut seen: Vec<(u32, usize)> = Vec::new();
+            for_each_hit_until(&db, &query, params, &mut scratch, |id, _, dist| {
+                seen.push((id, dist));
+                if seen.len() > cut { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
+            })
+            .unwrap();
+            prop_assert_eq!(&seen[..], &full[..full.len().min(cut + 1)]);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Per-stage engine instrumentation for the workspace metrics registry.
 //!
 //! [`StageMetrics`] is one shared bundle of counters and histograms for
-//! the engine's hot stages — query encoding, the shard/bucket walk, the
+//! the engine's hot stages — query encoding, the bucket walk, the
 //! Levenshtein filter, language-model candidate scoring, and the
 //! Perturbation choice-list build. The handles are plain
 //! [`cryptext_common::metrics`] cells: cloning is an `Arc` bump,
@@ -27,9 +27,9 @@ use cryptext_common::metrics::{Counter, Histogram, MetricsRegistry};
 /// standalone in tests.
 #[derive(Debug, Default)]
 pub struct StageMetrics {
-    /// Query encoding (Soundex code set + hashes + case fold), µs per call.
+    /// Query encoding (Soundex code set + case fold), µs per call.
     pub lookup_encode_us: Histogram,
-    /// Bucket/shard walk incl. the inline Levenshtein filter, µs per call.
+    /// Bucket walk incl. the inline Levenshtein filter, µs per call.
     pub lookup_walk_us: Histogram,
     /// Candidates examined by the SMS filter (sound-mates fed to
     /// `hit_distance`).
@@ -77,7 +77,7 @@ impl StageMetrics {
         );
         registry.register_histogram(
             "cryptext_lookup_walk_us",
-            "Look Up bucket/shard walk time per call, filter inclusive (microseconds)",
+            "Look Up bucket walk time per call, filter inclusive (microseconds)",
             &[],
             &self.lookup_walk_us,
         );

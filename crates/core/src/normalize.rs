@@ -30,9 +30,8 @@
 //!   non-English records (most of a bucket in a database harvested from
 //!   the wild) are skipped before the edit distance. Each
 //!   out-of-dictionary token is encoded into an
-//!   [`crate::database::EncodedQuery`] exactly once, so a sharded backend
-//!   walks all of its Bloom-routed shards on one encoding, in the same
-//!   single walk Look Up uses.
+//!   [`crate::database::EncodedQuery`] exactly once and walked in the same
+//!   single pass Look Up uses.
 //! * **Candidate words borrow the database** (`Cow::Borrowed` into each
 //!   record's precomputed fold for the ASCII common case); owned `String`s
 //!   are materialized only for the final, truncated candidate list.

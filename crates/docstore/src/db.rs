@@ -213,10 +213,9 @@ impl Database {
         self.collections.read().contains_key(name)
     }
 
-    /// Names of all collections starting with `prefix`, sorted. Sharded
-    /// persists name their per-shard collections `{base}__shard{i}`; this
-    /// lets a re-persist find and replace every collection of the previous
-    /// layout, including stale shards from a larger prior shard count.
+    /// Names of all collections starting with `prefix`, sorted. A durable
+    /// token store names its epoch snapshots `tokens__e{E}`; this lets a
+    /// compaction find and drop every stale epoch.
     pub fn collections_with_prefix(&self, prefix: &str) -> Vec<String> {
         self.collections
             .read()
@@ -439,12 +438,12 @@ mod tests {
     #[test]
     fn collections_with_prefix_filters_and_sorts() {
         let db = Database::in_memory();
-        for name in ["tokens", "tokens__shard1", "tokens__shard0", "other"] {
+        for name in ["tokens", "tokens__e2", "tokens__e1", "other"] {
             db.create_collection(name).unwrap();
         }
         assert_eq!(
-            db.collections_with_prefix("tokens__shard"),
-            vec!["tokens__shard0".to_string(), "tokens__shard1".to_string()]
+            db.collections_with_prefix("tokens__e"),
+            vec!["tokens__e1".to_string(), "tokens__e2".to_string()]
         );
         assert!(db.collections_with_prefix("nope").is_empty());
     }

@@ -171,7 +171,7 @@ impl<S: TokenStore> Gateway<S> {
     }
 
     /// Invalidate coalescing *and* the service's result caches across a
-    /// store mutation (call after ingest/reshard). Forwards to
+    /// store mutation (call after ingest). Forwards to
     /// [`CryptextService::bump_generation`]: the service owns the one
     /// generation counter, which every coalescing key embeds, so in-flight
     /// leaders finish and serve their cohort the pre-mutation result, no

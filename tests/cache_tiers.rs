@@ -3,9 +3,8 @@
 //! Pins the contract of the PR-8 cache hierarchy end to end:
 //!
 //! * cached vs uncached `look_up` / `normalize` are **byte-identical** —
-//!   cold fill, warm hit, and again across a generation bump — for shard
-//!   counts 1–8 including a persist/load round trip of the sharded store
-//!   (proptest);
+//!   cold fill, warm hit, and again across a generation bump — over a
+//!   store that went through a persist/load round trip (proptest);
 //! * TTL expiry (simulated clock) drops entries and the recompute is
 //!   byte-identical to the original answer;
 //! * a shared tier-2 store serves a fleet of identically-built replicas:
@@ -24,7 +23,7 @@ use cryptext::cache::{CacheConfig, SharedCacheStore, SHARED_PUT_FAILPOINT};
 use cryptext::common::{failpoint, SimClock};
 use cryptext::core::database::TokenDatabase;
 use cryptext::core::service::{CryptextService, ServiceConfig};
-use cryptext::core::{CrypText, LookupParams, NormalizeParams, ShardedTokenDatabase, TokenStore};
+use cryptext::core::{CrypText, LookupParams, NormalizeParams, TokenStore};
 use cryptext::docstore::Database;
 use proptest::prelude::*;
 
@@ -75,33 +74,32 @@ fn fixture_service(ttl_ms: u64) -> (CryptextService<TokenDatabase>, SimClock) {
 }
 
 proptest! {
-    /// The tentpole pin: for any small corpus, any shard count 1–8, and a
-    /// persist/load round trip of the sharded store, the service's cached
-    /// `look_up` and `normalize` answers are byte-identical to the bare
-    /// engine's — on the cold fill, on the warm hit, and again on both
-    /// sides of a generation bump. Out-of-vocabulary queries ride along so
-    /// the negative-cache path is pinned too.
+    /// The tentpole pin: for any small corpus and a persist/load round
+    /// trip of its store, the service's cached `look_up` and `normalize`
+    /// answers are byte-identical to the bare engine's — on the cold fill,
+    /// on the warm hit, and again on both sides of a generation bump.
+    /// Out-of-vocabulary queries ride along so the negative-cache path is
+    /// pinned too.
     #[test]
-    fn cached_results_are_byte_identical_across_generations_and_shards(
+    fn cached_results_are_byte_identical_across_generations_and_reloads(
         tokens in proptest::collection::vec("[a-e1@O]{2,9}", 3..18),
-        shards in 1usize..=8,
         k in 0usize..=2,
         d in 1usize..=3,
     ) {
-        let mut flat = TokenDatabase::in_memory();
+        let mut db = TokenDatabase::in_memory();
         for line in tokens.chunks(3) {
-            flat.ingest_text(&line.join(" "));
+            db.ingest_text(&line.join(" "));
         }
 
-        // Persist the resharded store and load it twice: one copy feeds
-        // the uncached reference engine, the other the caching service.
-        // Both train their LM from the same recovered clean sentences, so
-        // any divergence below is the cache's fault alone.
+        // Persist the store and load it twice: one copy feeds the
+        // uncached reference engine, the other the caching service. Both
+        // train their LM from the same recovered clean sentences, so any
+        // divergence below is the cache's fault alone.
         let docs = Database::in_memory();
-        ShardedTokenDatabase::from_database(&flat, shards).persist_to(&docs, "tokens").unwrap();
-        let engine = CrypText::with_store(ShardedTokenDatabase::load_from(&docs, "tokens").unwrap());
+        db.persist_to(&docs, "tokens").unwrap();
+        let engine = CrypText::new(TokenDatabase::load_from(&docs, "tokens").unwrap());
         let svc = CryptextService::new(
-            CrypText::with_store(ShardedTokenDatabase::load_from(&docs, "tokens").unwrap()),
+            CrypText::new(TokenDatabase::load_from(&docs, "tokens").unwrap()),
             ServiceConfig { rate_limit_per_minute: 1_000_000, ..ServiceConfig::default() },
             Arc::new(SimClock::new(0)),
         );

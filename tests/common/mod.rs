@@ -8,32 +8,23 @@ use cryptext::cache::SharedCacheStore;
 use cryptext::common::SimClock;
 use cryptext::core::database::TokenDatabase;
 use cryptext::core::service::{CryptextService, ServiceConfig};
-use cryptext::core::{CrypText, ShardedTokenDatabase};
+use cryptext::core::CrypText;
 use cryptext::stream::{SocialPlatform, StreamConfig};
 
 /// One deployment shape of the system under test.
 #[derive(Debug, Clone, Copy)]
 pub struct Layout {
-    pub shards: usize,
     /// Attach `SharedCacheStore::global()` as the tier-2 store.
     pub shared_tier2: bool,
 }
 
-/// The layouts every test runs under: 1 shard, 4 shards, and 4 shards
+/// The layouts every test runs under: tier-1 caches only, and tier-1
 /// reading through to the process-global shared tier-2.
-pub const LAYOUTS: [Layout; 3] = [
+pub const LAYOUTS: [Layout; 2] = [
     Layout {
-        shards: 1,
         shared_tier2: false,
     },
-    Layout {
-        shards: 4,
-        shared_tier2: false,
-    },
-    Layout {
-        shards: 4,
-        shared_tier2: true,
-    },
+    Layout { shared_tier2: true },
 ];
 
 /// Run `check` once per layout. The layout goes to stderr first, so a
@@ -45,30 +36,37 @@ pub fn each_layout(mut check: impl FnMut(Layout)) {
     }
 }
 
-/// The crawled corpus, built once per test binary; every layout's store
-/// is built from it, so it doubles as the naive references' database.
-pub fn corpus() -> &'static TokenDatabase {
-    static CORPUS: OnceLock<TokenDatabase> = OnceLock::new();
-    CORPUS.get_or_init(|| {
+/// The crawled posts, simulated once per test binary.
+fn posts() -> &'static [String] {
+    static POSTS: OnceLock<Vec<String>> = OnceLock::new();
+    POSTS.get_or_init(|| {
         let platform = SocialPlatform::simulate(StreamConfig {
             n_posts: 1_200,
             seed: 77,
             ..StreamConfig::default()
         });
-        let mut db = TokenDatabase::with_lexicon();
-        for post in platform.posts() {
-            db.ingest_text(&post.text);
-        }
-        db
+        platform
+            .posts()
+            .iter()
+            .map(|post| post.text.clone())
+            .collect()
     })
+}
+
+/// A fresh database over the crawled corpus: the lexicon plus every post.
+/// Each layout's service owns one, and the naive references read another.
+pub fn corpus() -> TokenDatabase {
+    let mut db = TokenDatabase::with_lexicon();
+    db.ingest_texts(posts());
+    db
 }
 
 /// The service over the corpus in `layout`, rate-limited to `limit`
 /// requests per token per minute on a simulated clock.
-pub fn service(layout: Layout, limit: u32) -> (CryptextService<ShardedTokenDatabase>, SimClock) {
+pub fn service(layout: Layout, limit: u32) -> (CryptextService<TokenDatabase>, SimClock) {
     let clock = SimClock::new(0);
     let mut svc = CryptextService::new(
-        CrypText::with_store(ShardedTokenDatabase::from_database(corpus(), layout.shards)),
+        CrypText::new(corpus()),
         ServiceConfig {
             rate_limit_per_minute: limit,
             ..ServiceConfig::default()

@@ -2,11 +2,11 @@
 //! **environment-driven** failpoint plane.
 //!
 //! The in-crate crash sweeps (`cryptext-core/src/durable.rs`) arm
-//! thread-local failpoints and kill at every caller-thread write boundary.
-//! Thread-local arming is invisible on the worker-pool threads the sharded
-//! backend persists on, so this test covers the other plane:
-//! `CRYPTEXT_FAILPOINTS` is process-global and fires everywhere, worker
-//! threads included.
+//! thread-local failpoints and kill at every write boundary of a short
+//! workload. This test covers the other plane: `CRYPTEXT_FAILPOINTS` is
+//! read once per process and fires on every thread, so CI arms one spec
+//! per fresh process over a longer workload (90 one-post batches, three
+//! compactions) and checks the process-level contract below.
 //!
 //! Two modes, same code path:
 //!
@@ -22,7 +22,7 @@
 
 use cryptext::common::failpoint;
 use cryptext::core::durable::{DurableOptions, DurableTokenStore};
-use cryptext::core::{ShardedTokenDatabase, TokenStats, TokenStore};
+use cryptext::core::{TokenDatabase, TokenStats, TokenStore};
 use cryptext::stream::{SocialPlatform, StreamConfig};
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -45,13 +45,13 @@ fn posts() -> Vec<String> {
 }
 
 /// Reference states: `out[k]` is the stats after ingesting the first `k`
-/// posts into an ordinary in-memory sharded store.
-fn prefix_stats(posts: &[String], shards: usize) -> Vec<TokenStats> {
-    let mut db = ShardedTokenDatabase::in_memory(shards);
-    let mut out = vec![TokenStore::stats(&db)];
+/// posts into an ordinary in-memory store.
+fn prefix_stats(posts: &[String]) -> Vec<TokenStats> {
+    let mut db = TokenDatabase::in_memory();
+    let mut out = vec![db.stats()];
     for p in posts {
-        TokenStore::ingest_text(&mut db, p);
-        out.push(TokenStore::stats(&db));
+        db.ingest_text(p);
+        out.push(db.stats());
     }
     out
 }
@@ -60,14 +60,11 @@ fn prefix_stats(posts: &[String], shards: usize) -> Vec<TokenStats> {
 fn durable_ingest_under_env_failpoints_never_corrupts() {
     let armed = std::env::var(failpoint::ENV_VAR).is_ok_and(|v| !v.trim().is_empty());
     let posts = posts();
-    let prefixes = prefix_stats(&posts, 2);
+    let prefixes = prefix_stats(&posts);
     let dir = tmp_dir("ingest");
-    let opts = DurableOptions {
-        shards: 2,
-        sync_every_batch: false,
-    };
+    let opts = DurableOptions::default();
 
-    let mut dur = match DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts) {
+    let mut dur = match DurableTokenStore::<TokenDatabase>::open(&dir, opts) {
         Ok(d) => d,
         Err(e) => {
             // An env kill with a tiny threshold can fire inside the very
@@ -81,9 +78,9 @@ fn durable_ingest_under_env_failpoints_never_corrupts() {
         }
     };
 
-    // One batch per post, compacting every 30 posts — the compactions
-    // drive the sharded persist across the worker pool, where only the
-    // env plane can inject.
+    // One batch per post, compacting every 30 posts: each compaction
+    // persists an epoch snapshot, swaps the manifest, truncates the logs
+    // and checkpoints the docstore.
     let mut failure: Option<cryptext::common::Error> = None;
     for (i, post) in posts.iter().enumerate() {
         if let Err(e) = dur.try_ingest_text(post) {
@@ -120,8 +117,8 @@ fn durable_ingest_under_env_failpoints_never_corrupts() {
     // Recovery must open (it only reads and truncates torn tails — env
     // failpoints sit on write boundaries) and must land on the state
     // after some whole number of posts: a batch is all-or-nothing.
-    let dur = DurableTokenStore::<ShardedTokenDatabase>::open(&dir, opts)
-        .expect("recovery open never fails");
+    let dur =
+        DurableTokenStore::<TokenDatabase>::open(&dir, opts).expect("recovery open never fails");
     let got = TokenStore::stats(dur.inner());
     let k = prefixes.iter().position(|s| *s == got);
     assert!(
@@ -144,6 +141,8 @@ fn spec_reachable() -> bool {
         "delta.commit",
         "wal.append",
         "persist.commit",
+        "compact.manifest.swap",
+        "snapshot.write",
         "*",
     ]
     .iter()

@@ -8,8 +8,8 @@
 //! run before the listener closes).
 //!
 //! Every test runs once per layout in `common::LAYOUTS`, like
-//! `service_api`: the consistent-hash store at 1 shard and at 4 shards,
-//! and 4 shards reading through to the process-global shared tier-2. CI
+//! `service_api`: the token database with tier-1 caches only, and reading
+//! through to the process-global shared tier-2. CI
 //! also runs the filtered `torn_write` test under
 //! `CRYPTEXT_FAILPOINTS=http.write=torn@1:8` — that test detects which
 //! mode it's in from the first response's bytes, so one test body proves
@@ -29,7 +29,7 @@ use cryptext::cache::{CacheConfig, SharedCacheStore};
 use cryptext::common::SimClock;
 use cryptext::core::perturb::{PerturbParams, Perturber};
 use cryptext::core::service::CryptextService;
-use cryptext::core::{look_up_naive, LookupParams, ShardedTokenDatabase};
+use cryptext::core::{look_up_naive, LookupParams, TokenDatabase};
 use cryptext::gateway::{Gateway, GatewayConfig, RouteOutput};
 use cryptext::http::{HttpConfig, HttpServer, ServeReport, ShutdownHandle};
 
@@ -39,7 +39,7 @@ struct Server {
     addr: SocketAddr,
     token: String,
     clock: SimClock,
-    gateway: Arc<Gateway<ShardedTokenDatabase>>,
+    gateway: Arc<Gateway<TokenDatabase>>,
     handle: ShutdownHandle,
     join: Option<JoinHandle<ServeReport>>,
     flush_ran: Arc<AtomicBool>,
@@ -47,7 +47,7 @@ struct Server {
 
 /// `svc` behind a gateway and a bound-and-serving HTTP server on an
 /// ephemeral loopback port.
-fn serve(svc: CryptextService<ShardedTokenDatabase>, clock: SimClock, http: HttpConfig) -> Server {
+fn serve(svc: CryptextService<TokenDatabase>, clock: SimClock, http: HttpConfig) -> Server {
     let svc = Arc::new(svc);
     let token = svc.issue_token("wire").as_str().to_string();
     let gateway = Arc::new(Gateway::new(svc, GatewayConfig::default()));
@@ -298,11 +298,12 @@ fn a_maximal_edit_bound_answers_like_the_references() {
         d,
         ..PerturbParams::with_ratio(1.0).seeded(3)
     };
-    let lookup_json = look_up_naive(corpus(), "vãccine", LookupParams::new(1, d))
+    let db = corpus();
+    let lookup_json = look_up_naive(&db, "vãccine", LookupParams::new(1, d))
         .map(RouteOutput::Lookup)
         .unwrap()
         .to_json();
-    let perturb_json = Perturber::new(corpus())
+    let perturb_json = Perturber::new(&db)
         .perturb(text, perturb)
         .map(RouteOutput::Perturb)
         .unwrap()
@@ -963,75 +964,69 @@ fn flatten_json(body: &str) -> Vec<(String, String)> {
 /// test's traffic can move its counters between the two reads.
 #[test]
 fn stats_and_metrics_agree_on_every_number() {
-    for shards in [1, 4] {
-        eprintln!("shards: {shards}");
-        let layout = Layout {
-            shards,
-            shared_tier2: false,
-        };
-        let (mut svc, clock) = service(layout, 100_000);
-        let store = SharedCacheStore::new(CacheConfig::default(), Arc::new(clock.clone()));
-        svc.attach_tier2(Arc::new(store));
-        let srv = serve(svc, clock, HttpConfig::default());
-        let mut c = Client::connect(srv.addr);
+    let layout = Layout {
+        shared_tier2: false,
+    };
+    let (mut svc, clock) = service(layout, 100_000);
+    let store = SharedCacheStore::new(CacheConfig::default(), Arc::new(clock.clone()));
+    svc.attach_tier2(Arc::new(store));
+    let srv = serve(svc, clock, HttpConfig::default());
+    let mut c = Client::connect(srv.addr);
 
-        // Cold and warm lookups; cold normalizes miss tier-2 and write
-        // their candidates behind; the bump flushes the namespace, and the
-        // repeat misses and refills.
-        let lookup = get_req("/lookup?q=vaccine", Some(&srv.token));
-        send_ok(&mut c, &lookup);
-        send_ok(&mut c, &lookup);
-        for text in ["the vacc1ne mandate", "the demokRATs argue"] {
-            send_ok(&mut c, &post_req("/normalize", &srv.token, text));
-        }
-        srv.gateway.bump_generation();
-        send_ok(
-            &mut c,
-            &post_req("/normalize", &srv.token, "the vacc1ne mandate"),
-        );
-
-        let stats = flatten_json(&stats_body(&mut c));
-        c.send(&get_req("/metrics", None));
-        let samples = parse_prometheus(&c.read_response().body);
-        let series = |key: &str| -> f64 {
-            match key.split('.').collect::<Vec<_>>()[..] {
-                ["gateway", "queue_waits"] => ["lookup", "normalize", "perturb"]
-                    .iter()
-                    .map(|r| {
-                        samples[&format!("cryptext_gateway_queue_wait_us_count{{route=\"{r}\"}}")]
-                    })
-                    .sum(),
-                ["gateway", gauge @ ("active_now" | "queued_now")] => {
-                    samples[&format!("cryptext_gateway_{gauge}")]
-                }
-                ["gateway", counter] => samples[&format!("cryptext_gateway_{counter}_total")],
-                ["cache", "generation"] => samples["cryptext_service_generation"],
-                ["cache", counter] => samples[&format!("cryptext_cache_{counter}_total")],
-                ["cache", tier, event] => {
-                    samples[&format!("cryptext_cache_{event}_total{{tier=\"{tier}\"}}")]
-                }
-                _ => panic!("no series for /stats key {key:?}"),
-            }
-        };
-        let mut numbers = 0;
-        for (key, value) in &stats {
-            match value.as_str() {
-                "true" | "false" => continue,
-                number => assert_eq!(series(key), number.parse::<f64>().unwrap(), "{key}"),
-            }
-            numbers += 1;
-        }
-        assert_eq!(numbers, 40, "every number of the document was compared");
-        let flag = |key: &str| {
-            stats
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-        };
-        assert_eq!(flag("cache.tier2_attached"), Some("true"));
-        assert_eq!(flag("draining"), Some("false"));
-        assert!(samples["cryptext_cache_invalidated_total{tier=\"tier2\"}"] > 0.0);
+    // Cold and warm lookups; cold normalizes miss tier-2 and write
+    // their candidates behind; the bump flushes the namespace, and the
+    // repeat misses and refills.
+    let lookup = get_req("/lookup?q=vaccine", Some(&srv.token));
+    send_ok(&mut c, &lookup);
+    send_ok(&mut c, &lookup);
+    for text in ["the vacc1ne mandate", "the demokRATs argue"] {
+        send_ok(&mut c, &post_req("/normalize", &srv.token, text));
     }
+    srv.gateway.bump_generation();
+    send_ok(
+        &mut c,
+        &post_req("/normalize", &srv.token, "the vacc1ne mandate"),
+    );
+
+    let stats = flatten_json(&stats_body(&mut c));
+    c.send(&get_req("/metrics", None));
+    let samples = parse_prometheus(&c.read_response().body);
+    let series = |key: &str| -> f64 {
+        match key.split('.').collect::<Vec<_>>()[..] {
+            ["gateway", "queue_waits"] => ["lookup", "normalize", "perturb"]
+                .iter()
+                .map(|r| samples[&format!("cryptext_gateway_queue_wait_us_count{{route=\"{r}\"}}")])
+                .sum(),
+            ["gateway", gauge @ ("active_now" | "queued_now")] => {
+                samples[&format!("cryptext_gateway_{gauge}")]
+            }
+            ["gateway", counter] => samples[&format!("cryptext_gateway_{counter}_total")],
+            ["cache", "generation"] => samples["cryptext_service_generation"],
+            ["cache", counter] => samples[&format!("cryptext_cache_{counter}_total")],
+            ["cache", tier, event] => {
+                samples[&format!("cryptext_cache_{event}_total{{tier=\"{tier}\"}}")]
+            }
+            _ => panic!("no series for /stats key {key:?}"),
+        }
+    };
+    let mut numbers = 0;
+    for (key, value) in &stats {
+        match value.as_str() {
+            "true" | "false" => continue,
+            number => assert_eq!(series(key), number.parse::<f64>().unwrap(), "{key}"),
+        }
+        numbers += 1;
+    }
+    assert_eq!(numbers, 40, "every number of the document was compared");
+    let flag = |key: &str| {
+        stats
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    };
+    assert_eq!(flag("cache.tier2_attached"), Some("true"));
+    assert_eq!(flag("draining"), Some("false"));
+    assert!(samples["cryptext_cache_invalidated_total{tier=\"tier2\"}"] > 0.0);
 }
 
 /// HTTP/1.0 defaults to close; `GET /stats` is a complete operator
@@ -1090,7 +1085,7 @@ fn send_ok(c: &mut Client, raw: &str) {
 /// cold and warm lookups and normalizes, a negative hit, a tier-2 fill,
 /// a generation bump, and a drain that sheds one request. The tier-2
 /// store is private to the test, so no other test's traffic moves its
-/// counters, and every number is the same at 1 and 4 shards.
+/// counters.
 #[test]
 fn stats_body_is_pinned_across_a_scripted_session() {
     const FRESH: &str = concat!(
@@ -1182,51 +1177,47 @@ fn stats_body_is_pinned_across_a_scripted_session() {
         r#""draining":true}"#,
     );
 
-    for shards in [1, 4] {
-        eprintln!("shards: {shards}");
-        let layout = Layout {
-            shards,
-            shared_tier2: false,
-        };
-        let (mut svc, clock) = service(layout, 100_000);
-        let store = SharedCacheStore::new(CacheConfig::default(), Arc::new(clock.clone()));
-        svc.attach_tier2(Arc::new(store));
-        let srv = serve(svc, clock, HttpConfig::default());
-        let mut c = Client::connect(srv.addr);
-        assert_eq!(stats_body(&mut c), FRESH);
+    let layout = Layout {
+        shared_tier2: false,
+    };
+    let (mut svc, clock) = service(layout, 100_000);
+    let store = SharedCacheStore::new(CacheConfig::default(), Arc::new(clock.clone()));
+    svc.attach_tier2(Arc::new(store));
+    let srv = serve(svc, clock, HttpConfig::default());
+    let mut c = Client::connect(srv.addr);
+    assert_eq!(stats_body(&mut c), FRESH);
 
-        let lookup = get_req("/lookup?q=vaccine", Some(&srv.token));
-        send_ok(&mut c, &lookup);
-        assert_eq!(stats_body(&mut c), COLD_LOOKUP);
-        send_ok(&mut c, &lookup);
-        assert_eq!(stats_body(&mut c), WARM_LOOKUP);
+    let lookup = get_req("/lookup?q=vaccine", Some(&srv.token));
+    send_ok(&mut c, &lookup);
+    assert_eq!(stats_body(&mut c), COLD_LOOKUP);
+    send_ok(&mut c, &lookup);
+    assert_eq!(stats_body(&mut c), WARM_LOOKUP);
 
-        // Only the out-of-dictionary `vacc1ne` consults the candidate
-        // memo: it misses tier-1 and tier-2, and its candidates are
-        // written behind to tier-2. The repeat hits the result cache.
-        let normalize = post_req("/normalize", &srv.token, "the vacc1ne mandate");
-        send_ok(&mut c, &normalize);
-        assert_eq!(stats_body(&mut c), COLD_NORMALIZE);
-        send_ok(&mut c, &normalize);
-        assert_eq!(stats_body(&mut c), WARM_NORMALIZE);
+    // Only the out-of-dictionary `vacc1ne` consults the candidate
+    // memo: it misses tier-1 and tier-2, and its candidates are
+    // written behind to tier-2. The repeat hits the result cache.
+    let normalize = post_req("/normalize", &srv.token, "the vacc1ne mandate");
+    send_ok(&mut c, &normalize);
+    assert_eq!(stats_body(&mut c), COLD_NORMALIZE);
+    send_ok(&mut c, &normalize);
+    assert_eq!(stats_body(&mut c), WARM_NORMALIZE);
 
-        // `qzxblorp` has no candidates; the second text finds the
-        // cached negative entry.
-        send_ok(&mut c, &post_req("/normalize", &srv.token, "qzxblorp said"));
-        send_ok(
-            &mut c,
-            &post_req("/normalize", &srv.token, "then qzxblorp left"),
-        );
-        assert_eq!(stats_body(&mut c), NEGATIVE_HIT);
+    // `qzxblorp` has no candidates; the second text finds the
+    // cached negative entry.
+    send_ok(&mut c, &post_req("/normalize", &srv.token, "qzxblorp said"));
+    send_ok(
+        &mut c,
+        &post_req("/normalize", &srv.token, "then qzxblorp left"),
+    );
+    assert_eq!(stats_body(&mut c), NEGATIVE_HIT);
 
-        // The bump flushes 7 tier-1 entries (1 lookup, 3 memo, 3 result)
-        // and the 3 tier-2 entries of the old namespace.
-        srv.gateway.bump_generation();
-        assert_eq!(stats_body(&mut c), BUMPED);
+    // The bump flushes 7 tier-1 entries (1 lookup, 3 memo, 3 result)
+    // and the 3 tier-2 entries of the old namespace.
+    srv.gateway.bump_generation();
+    assert_eq!(stats_body(&mut c), BUMPED);
 
-        srv.gateway.begin_drain();
-        c.send(&lookup);
-        assert_eq!(c.read_response().status, 429, "a draining gateway sheds");
-        assert_eq!(stats_body(&mut c), DRAINING);
-    }
+    srv.gateway.begin_drain();
+    c.send(&lookup);
+    assert_eq!(c.read_response().status, 429, "a draining gateway sheds");
+    assert_eq!(stats_body(&mut c), DRAINING);
 }

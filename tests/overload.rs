@@ -620,14 +620,8 @@ fn chaos_drain_quiesces_sheds_and_loses_no_committed_batches() {
         std::thread::current().id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut store = DurableTokenStore::<TokenDatabase>::open(
-        &dir,
-        DurableOptions {
-            shards: 1,
-            sync_every_batch: false,
-        },
-    )
-    .expect("clean open");
+    let mut store = DurableTokenStore::<TokenDatabase>::open(&dir, DurableOptions::default())
+        .expect("clean open");
     for p in &posts {
         if let Err(e) = store.try_ingest_text(p) {
             // A broad env arm (e.g. `*=kill@N`) can reach the ingest
@@ -719,14 +713,8 @@ fn chaos_drain_quiesces_sheds_and_loses_no_committed_batches() {
     // Zero committed-batch loss: reopening lands on the full committed
     // prefix even though the final sync was killed.
     drop(store);
-    let reopened = DurableTokenStore::<TokenDatabase>::open(
-        &dir,
-        DurableOptions {
-            shards: 1,
-            sync_every_batch: false,
-        },
-    )
-    .expect("recovery open");
+    let reopened = DurableTokenStore::<TokenDatabase>::open(&dir, DurableOptions::default())
+        .expect("recovery open");
     assert_eq!(
         reopened.inner().stats(),
         reference,

@@ -1,27 +1,12 @@
 //! Integration tests pinning the paper's concrete claims and examples —
 //! the executable version of EXPERIMENTS.md.
-//!
-//! The claims made through the assembled system ([`CrypText`]) are checked
-//! at every [`SHARD_COUNTS`] entry: the paper's worked examples must hold
-//! however the token database is sharded.
 
 use cryptext::attacks::{HumanPerturber, Strategy, TokenPerturber};
 use cryptext::common::SplitMix64;
 use cryptext::confusables::are_confusable;
 use cryptext::core::database::TokenDatabase;
-use cryptext::core::{
-    CrypText, LookupParams, NormalizeParams, ShardedTokenDatabase, TokenStore as _,
-};
+use cryptext::core::{CrypText, LookupParams, NormalizeParams};
 use cryptext::phonetics::{classic_soundex, CustomSoundex};
-
-const SHARD_COUNTS: [usize; 2] = [1, 4];
-
-/// Assemble the system over `db` resharded to each of [`SHARD_COUNTS`].
-fn systems(db: &TokenDatabase) -> impl Iterator<Item = CrypText<ShardedTokenDatabase>> + '_ {
-    SHARD_COUNTS
-        .into_iter()
-        .map(|shards| CrypText::with_store(ShardedTokenDatabase::from_database(db, shards)))
-}
 
 /// §I intro examples: the motivating perturbations must be recognized as
 /// confusable / sound-alike with their base words.
@@ -89,17 +74,11 @@ fn section3b_lookup_example() {
     ] {
         db.ingest_text(s);
     }
-    for cx in systems(&db) {
-        let hits = cx.look_up("republicans", LookupParams::new(1, 1)).unwrap();
-        let mut tokens: Vec<&str> = hits.iter().map(|h| h.token.as_str()).collect();
-        tokens.sort();
-        assert_eq!(
-            tokens,
-            vec!["repubLIEcans", "republicans"],
-            "{} shards",
-            cx.database().num_shards()
-        );
-    }
+    let cx = CrypText::new(db);
+    let hits = cx.look_up("republicans", LookupParams::new(1, 1)).unwrap();
+    let mut tokens: Vec<&str> = hits.iter().map(|h| h.token.as_str()).collect();
+    tokens.sort();
+    assert_eq!(tokens, vec!["repubLIEcans", "republicans"]);
 }
 
 /// §III-A: the losbian/lesbian motivation — classic collides, k=1 splits.
@@ -152,17 +131,10 @@ fn figure2_normalization_flow() {
     db.ingest_text("the demokRATs rallied");
     db.record_clean_sentence("biden belongs to the democrats");
     db.record_clean_sentence("the democrats proposed the bill");
-    for cx in systems(&db) {
-        let out = cx
-            .normalize("Biden belongs to the demokRATs", NormalizeParams::default())
-            .unwrap();
-        assert_eq!(
-            out.text,
-            "Biden belongs to the democrats",
-            "{} shards",
-            cx.database().num_shards()
-        );
-    }
+    let out = CrypText::new(db)
+        .normalize("Biden belongs to the demokRATs", NormalizeParams::default())
+        .unwrap();
+    assert_eq!(out.text, "Biden belongs to the democrats");
 }
 
 /// §I scale claim shape: tokens-per-sound ratio exceeds 1 and grows with

@@ -2,7 +2,7 @@
 //! document store, including crash-style recovery.
 
 use cryptext::core::database::TokenDatabase;
-use cryptext::core::{look_up, LookupParams, ShardedTokenDatabase, TokenStore};
+use cryptext::core::{look_up, LookupParams};
 use cryptext::docstore::{Database, DbOptions, Value};
 use cryptext::stream::{SocialPlatform, StreamConfig};
 
@@ -100,58 +100,6 @@ fn torn_wal_tail_loses_at_most_last_record() {
         })
         .unwrap();
     assert_eq!(with_99, 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sharded_database_survives_store_reopen() {
-    // Per-shard persistence: one collection per shard plus a manifest,
-    // reassembled byte-identically across a real disk reopen.
-    let dir = tmp_dir("sharded-reopen");
-    let flat = build_token_db(4);
-    let wide = ShardedTokenDatabase::from_database(&flat, 4);
-
-    {
-        let store = Database::open(&dir, DbOptions::default()).unwrap();
-        wide.persist_to(&store, "tokens").unwrap();
-        store.checkpoint().unwrap();
-    }
-    let store = Database::open(&dir, DbOptions::default()).unwrap();
-    assert_eq!(
-        ShardedTokenDatabase::manifest_shards(&store, "tokens").unwrap(),
-        Some(4)
-    );
-    let restored = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
-    assert_eq!(restored.stats(), flat.stats());
-    let a = look_up(&flat, "vaccine", LookupParams::paper_default()).unwrap();
-    let b = look_up(&restored, "vaccine", LookupParams::paper_default()).unwrap();
-    assert_eq!(a, b, "queries identical after sharded restore");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sharded_repersist_with_fewer_shards_replaces_layout() {
-    // Regression (replace-not-append): persist with 6 shards, re-persist
-    // with 2 under the same name, reopen from disk — only the 2-shard
-    // layout may survive, stale shard collections included.
-    let dir = tmp_dir("sharded-repersist");
-    let flat = build_token_db(5);
-    {
-        let store = Database::open(&dir, DbOptions::default()).unwrap();
-        ShardedTokenDatabase::from_database(&flat, 6)
-            .persist_to(&store, "tokens")
-            .unwrap();
-        ShardedTokenDatabase::from_database(&flat, 2)
-            .persist_to(&store, "tokens")
-            .unwrap();
-    }
-    let store = Database::open(&dir, DbOptions::default()).unwrap();
-    // Shard collections are generation-tagged (`tokens__g{g}__shard{i}`);
-    // exactly one generation — the 2-shard one — may survive the sweep.
-    assert_eq!(store.collections_with_prefix("tokens__g").len(), 2);
-    let restored = ShardedTokenDatabase::load_from(&store, "tokens").unwrap();
-    assert_eq!(restored.num_shards(), 2);
-    assert_eq!(restored.stats(), flat.stats());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

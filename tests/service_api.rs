@@ -1,11 +1,10 @@
 //! Integration: the public-API facade under realistic multi-client load —
 //! auth, rate limits, cache behaviour, bulk endpoints (§III-F).
 //!
-//! Every test runs once per layout in `common::LAYOUTS`: the
-//! consistent-hash store at 1 shard and at 4 shards, and 4 shards reading
-//! through to the process-global shared tier-2. Each layout must pass the
-//! same assertions — the storage and cache topology change no byte and no
-//! counter the API reports.
+//! Every test runs once per layout in `common::LAYOUTS`: the token
+//! database with tier-1 caches only, and reading through to the
+//! process-global shared tier-2. Each layout must pass the same assertions
+//! — the cache topology changes no byte and no counter the API reports.
 
 mod common;
 
