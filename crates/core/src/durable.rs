@@ -506,6 +506,10 @@ impl<S: DeltaStore> TokenStore for DurableTokenStore<S> {
         self.inner.get(token)
     }
 
+    fn record(&self, id: u32) -> &TokenRecord {
+        self.inner.record(id)
+    }
+
     fn register_metrics(&self, registry: &MetricsRegistry) {
         registry.register_histogram(
             "cryptext_durable_append_us",

@@ -48,8 +48,8 @@ use cryptext_common::Result;
 
 pub use database::{EncodedQuery, SoundScratch, TokenDatabase, TokenRecord, TokenStats};
 pub use lookup::{
-    for_each_hit, for_each_hit_until, look_up, look_up_cancellable, look_up_naive, look_up_with,
-    LookupHit, LookupParams, LookupScratch,
+    for_each_hit, for_each_hit_until, hits_of, look_up, look_up_cancellable, look_up_naive,
+    look_up_with, HitId, HitView, LookupHit, LookupParams, LookupScratch,
 };
 pub use metrics::StageMetrics;
 pub use normalize::{

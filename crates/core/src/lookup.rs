@@ -81,6 +81,90 @@ pub struct LookupHit {
     pub is_english: bool,
 }
 
+impl LookupHit {
+    /// The hit's fields, borrowed.
+    pub fn view(&self) -> HitView<'_> {
+        HitView {
+            token: &self.token,
+            count: self.count,
+            distance: self.distance,
+            is_english: self.is_english,
+        }
+    }
+}
+
+/// A member of `P_x` named by its record: 8 bytes, where an owned
+/// [`LookupHit`] also holds a copy of the token. [`look_up_cancellable`]
+/// returns these, and the service's tier-1 keeps them. An id names a
+/// record of the store the walk ran over (see
+/// [`TokenStore`]'s *Record ids*), so a hit is read back through that
+/// store ([`HitId::view`], [`hits_of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HitId {
+    /// The record's id in its store.
+    pub id: u32,
+    /// Case-folded Levenshtein distance to the query.
+    pub distance: u32,
+}
+
+impl HitId {
+    fn new(id: u32, distance: usize) -> Self {
+        HitId {
+            id,
+            // A distance never exceeds the longer token's char count.
+            distance: u32::try_from(distance).expect("a hit distance fits in u32"),
+        }
+    }
+
+    /// The hit's fields, borrowed from its record in `db`.
+    pub fn view<S: TokenStore>(self, db: &S) -> HitView<'_> {
+        let rec = db.record(self.id);
+        HitView {
+            token: &rec.token,
+            count: rec.count,
+            distance: self.distance as usize,
+            is_english: rec.is_english,
+        }
+    }
+
+    /// This hit's place in Look Up's order.
+    fn key<S: TokenStore>(self, db: &S) -> HitKey<'_> {
+        let rec = db.record(self.id);
+        HitKey::new(self.distance as usize, rec.count, &rec.token)
+    }
+}
+
+/// A Look Up hit's fields, borrowed: what the wire writer reads, whether
+/// the hit is an owned [`LookupHit`] or a [`HitId`] in a store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HitView<'a> {
+    /// The stored case-sensitive token.
+    pub token: &'a str,
+    /// Corpus frequency.
+    pub count: u64,
+    /// Case-folded Levenshtein distance to the query.
+    pub distance: usize,
+    /// Is the hit a dictionary word?
+    pub is_english: bool,
+}
+
+impl HitView<'_> {
+    /// The owned hit.
+    pub fn to_hit(self) -> LookupHit {
+        LookupHit {
+            token: self.token.to_string(),
+            count: self.count,
+            distance: self.distance,
+            is_english: self.is_english,
+        }
+    }
+}
+
+/// The owned hits an id list names in `db`, in the list's order.
+pub fn hits_of<S: TokenStore>(db: &S, ids: &[HitId]) -> Vec<LookupHit> {
+    ids.iter().map(|h| h.view(db).to_hit()).collect()
+}
+
 /// Reusable working memory for [`look_up_with`] / [`for_each_hit`]: the
 /// generation-marked bucket-walk state, the bounded-Levenshtein scratch
 /// (DP rows + Myers bitmaps), and the [`EncodedQuery`] buffers (code set,
@@ -92,6 +176,9 @@ pub struct LookupScratch {
     sound: SoundScratch,
     edit: EditScratch,
     query: EncodedQuery,
+    /// [`look_up_cancellable`]'s hit list, collected and sorted here and
+    /// copied out at its exact length.
+    ids: Vec<HitId>,
     /// Optional per-stage instrument bundle. `None` (the default) keeps
     /// every instrumentation site in the retrieval path on its no-op
     /// branch; attaching shares the service's live cells.
@@ -238,6 +325,7 @@ where
         edit,
         query,
         stages,
+        ..
     } = scratch;
     let stages = stages.as_deref();
     {
@@ -272,19 +360,24 @@ where
 }
 
 /// [`look_up`] with caller-provided scratch buffers: the
-/// [`look_up_cancellable`] walk with a probe that never fires.
+/// [`look_up_cancellable`] walk with a probe that never fires, projected
+/// to owned hits ([`hits_of`]).
 pub fn look_up_with<S: TokenStore>(
     db: &S,
     token: &str,
     params: LookupParams,
     scratch: &mut LookupScratch,
 ) -> Result<Vec<LookupHit>> {
-    look_up_cancellable(db, token, params, scratch, &mut || None)
+    let ids = look_up_cancellable(db, token, params, scratch, &mut || None)?;
+    Ok(hits_of(db, &ids))
 }
 
 /// Look Up with caller-provided scratch and a cooperative cancellation
 /// probe, for callers whose request carries a deadline (the service
-/// gateway), and the one place the sorted public hit list is built.
+/// gateway), and the one place the sorted hit list is built. The hits
+/// come back named by record id ([`HitId`]), in Look Up's order, in a
+/// list whose capacity is its length (tier-1 keeps it); every owned hit
+/// list is a projection of this one ([`hits_of`]).
 /// `cancel` is consulted before each candidate hit is accepted, and the
 /// first `Some(err)` it returns stops the walk at that hit — through
 /// [`for_each_hit_until`]'s early exit, so the candidates after it are
@@ -297,29 +390,30 @@ pub fn look_up_cancellable<S: TokenStore>(
     params: LookupParams,
     scratch: &mut LookupScratch,
     cancel: &mut dyn FnMut() -> Option<cryptext_common::Error>,
-) -> Result<Vec<LookupHit>> {
-    let mut hits: Vec<LookupHit> = Vec::with_capacity(16);
+) -> Result<Vec<HitId>> {
+    let mut ids = std::mem::take(&mut scratch.ids);
+    ids.clear();
     let mut aborted: Option<cryptext_common::Error> = None;
-    for_each_hit_until(db, token, params, scratch, |_, rec, distance| {
+    let walked = for_each_hit_until(db, token, params, scratch, |id, _, distance| {
         if let Some(err) = cancel() {
             aborted = Some(err);
             return ControlFlow::Break(());
         }
-        hits.push(LookupHit {
-            token: rec.token.clone(),
-            count: rec.count,
-            distance,
-            is_english: rec.is_english,
-        });
+        ids.push(HitId::new(id, distance));
         ControlFlow::Continue(())
-    })?;
-    if let Some(err) = aborted {
-        return Err(err);
-    }
-    // Hit keys are unique (one record per token string), so an unstable
-    // sort yields the same order as the reference's stable sort.
-    hits.sort_unstable_by(hit_order);
-    Ok(hits)
+    });
+    let result = walked.and_then(|()| match aborted {
+        Some(err) => Err(err),
+        None => {
+            // Hit keys are unique (one record per token string), so an
+            // unstable sort yields the same order as the reference's
+            // stable sort.
+            ids.sort_unstable_by(|a, b| a.key(db).cmp(&b.key(db)));
+            Ok(ids.to_vec())
+        }
+    });
+    scratch.ids = ids;
+    result
 }
 
 /// The pre-optimization Look Up, kept as the differential-testing and
@@ -603,7 +697,7 @@ mod tests {
                 &mut || None,
             )
             .unwrap();
-            assert_eq!(plain, cancellable, "query {q:?}");
+            assert_eq!(plain, hits_of(&d, &cancellable), "query {q:?}");
         }
     }
 
@@ -853,7 +947,8 @@ mod proptests {
         /// byte-identical hits in identical order to the kept naive
         /// reference, across random corpora (including leet/confusable
         /// glyphs that fan out to multiple codes), queries, levels and
-        /// bounds, and all parameter flags.
+        /// bounds, and all parameter flags. The id list the walk yields,
+        /// projected through the store, is that same list.
         #[test]
         fn optimized_equals_naive_reference(
             tokens in proptest::collection::vec("[a-e1@O]{2,9}", 1..30),
@@ -872,6 +967,9 @@ mod proptests {
             let fast = look_up_with(&db, &query, params, &mut scratch).unwrap();
             let slow = look_up_naive(&db, &query, params).unwrap();
             prop_assert_eq!(&fast, &slow, "params {:?} query {:?}", params, query);
+            let ids = look_up_cancellable(&db, &query, params, &mut scratch, &mut || None)
+                .unwrap();
+            prop_assert_eq!(&hits_of(&db, &ids), &slow);
 
             // The thread-local convenience wrapper agrees too.
             let wrapped = look_up(&db, &query, params).unwrap();

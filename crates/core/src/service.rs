@@ -38,7 +38,7 @@
 use std::cell::RefCell;
 use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cryptext_cache::{Cache, CacheConfig, CacheStats, SharedCacheStore};
 use cryptext_common::hash::{fx_hash_str, FxHashMap};
@@ -48,7 +48,7 @@ use cryptext_common::{Clock, Error, FxHasher, Result, Timestamp};
 use parking_lot::RwLock;
 
 use crate::database::TokenDatabase;
-use crate::lookup::{look_up_cancellable, LookupHit, LookupParams, LookupScratch};
+use crate::lookup::{hits_of, look_up_cancellable, HitId, LookupHit, LookupParams, LookupScratch};
 use crate::metrics::StageMetrics;
 use crate::normalize::{
     CandidateCache, CandidatePairs, NormalizationResult, NormalizeParams, NormalizeScratch,
@@ -91,6 +91,50 @@ pub enum Served {
     /// Computed this request (lower tiers — candidate memo, tier-2 —
     /// may still have contributed pieces).
     Cold,
+}
+
+/// One tier-1 Look Up entry, shared by reference count: the query's
+/// sorted hits named by record id, and a slot for a wire body rendered
+/// from them.
+///
+/// The ids name records of the service's store, which the service only
+/// reads (`&self`), and a generation bump flushes the tier; so the ids
+/// stay valid, and a kept body stays true, for the entry's whole life.
+/// The service never fills the slot: a front end that serves the entry
+/// again renders into it once ([`Self::body_or_init`]) and writes those
+/// bytes from then on.
+#[derive(Debug)]
+pub struct LookupEntry {
+    hits: Box<[HitId]>,
+    body: OnceLock<Box<str>>,
+}
+
+impl LookupEntry {
+    /// An entry for `hits`, sorted in Look Up's order, with an empty body
+    /// slot.
+    pub fn new(hits: Vec<HitId>) -> Self {
+        LookupEntry {
+            hits: hits.into_boxed_slice(),
+            body: OnceLock::new(),
+        }
+    }
+
+    /// The hits, in Look Up's order.
+    pub fn hits(&self) -> &[HitId] {
+        &self.hits
+    }
+
+    /// The kept body, if a front end has rendered it.
+    pub fn body(&self) -> Option<&str> {
+        self.body.get().map(|b| &**b)
+    }
+
+    /// The kept body, rendered from the hits by `render` on the first
+    /// call; concurrent first callers wait for one render.
+    pub fn body_or_init(&self, render: impl FnOnce(&[HitId]) -> String) -> &str {
+        self.body
+            .get_or_init(|| render(&self.hits).into_boxed_str())
+    }
 }
 
 /// Service configuration.
@@ -280,9 +324,9 @@ pub struct CryptextService<S: TokenStore = TokenDatabase> {
     clock: Arc<dyn Clock>,
     tokens: RwLock<std::collections::HashMap<String, RateState>>,
     issued: std::sync::atomic::AtomicU64,
-    /// Tier-1 Look Up results. Each entry is one shared allocation: a hit
-    /// hands out a reference count, not a copy of the hits.
-    lookup_cache: Cache<CacheKey, Arc<[LookupHit]>>,
+    /// Tier-1 Look Up results. Each entry is shared: a hit hands out a
+    /// reference count, not a copy of the hits.
+    lookup_cache: Cache<CacheKey, Arc<LookupEntry>>,
     /// Tier-1 cross-text Normalization candidate memo (negative entries
     /// are empty pair lists — the out-of-dictionary p99 path).
     norm_cache: Cache<CacheKey, CandidatePairs>,
@@ -606,7 +650,13 @@ impl<S: TokenStore> CryptextService<S> {
     ) -> Result<Vec<LookupHit>> {
         self.authorize(auth)?;
         self.look_up_shared(token, params, &mut || None)
-            .map(|(hits, _)| hits.to_vec())
+            .map(|(entry, _)| self.hits(&entry))
+    }
+
+    /// The owned hits a tier-1 entry names, read from this service's
+    /// store.
+    fn hits(&self, entry: &LookupEntry) -> Vec<LookupHit> {
+        hits_of(self.system.database(), entry.hits())
     }
 
     /// Look Up *after* the caller already passed [`Self::authorize_request`]
@@ -614,9 +664,9 @@ impl<S: TokenStore> CryptextService<S> {
     /// one admitted request is charged exactly once — and the cached core
     /// every Look Up endpoint funnels through, stage instruments included.
     ///
-    /// The hits are the tier-1 entry itself: a hit returns a reference
-    /// count on the cached allocation, and a miss inserts the allocation
-    /// it returns. `cancel` is a cooperative cancellation probe, consulted
+    /// The result is the tier-1 entry itself: a hit returns a reference
+    /// count on the cached entry, and a miss inserts the entry it
+    /// returns. `cancel` is a cooperative cancellation probe, consulted
     /// per candidate during the store walk (through the early-exit
     /// visitor), so a request whose deadline expired stops burning store
     /// time mid-walk and surfaces the probe's error. The [`Served`] half
@@ -628,10 +678,10 @@ impl<S: TokenStore> CryptextService<S> {
         token: &str,
         params: LookupParams,
         cancel: &mut dyn FnMut() -> Option<Error>,
-    ) -> Result<(Arc<[LookupHit]>, Served)> {
+    ) -> Result<(Arc<LookupEntry>, Served)> {
         let key = self.lookup_cache_key(token, params);
-        if let Some(hits) = self.lookup_cache.get(&key) {
-            return Ok((hits, Served::Tier1Hit));
+        if let Some(entry) = self.lookup_cache.get(&key) {
+            return Ok((entry, Served::Tier1Hit));
         }
         let hits = LOOKUP_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
@@ -643,13 +693,13 @@ impl<S: TokenStore> CryptextService<S> {
             scratch.attach_stages(None);
             res
         })?;
-        let hits: Arc<[LookupHit]> = hits.into();
-        self.lookup_cache.insert(key, Arc::clone(&hits));
-        Ok((hits, Served::Cold))
+        let entry = Arc::new(LookupEntry::new(hits));
+        self.lookup_cache.insert(key, Arc::clone(&entry));
+        Ok((entry, Served::Cold))
     }
 
-    /// [`Self::look_up_shared`] with the hits copied out of the shared
-    /// allocation.
+    /// [`Self::look_up_shared`] with the entry's hits projected to owned
+    /// hits, read from the store ([`crate::lookup::hits_of`]).
     pub fn look_up_prechecked_traced(
         &self,
         token: &str,
@@ -657,7 +707,7 @@ impl<S: TokenStore> CryptextService<S> {
         cancel: &mut dyn FnMut() -> Option<Error>,
     ) -> Result<(Vec<LookupHit>, Served)> {
         self.look_up_shared(token, params, cancel)
-            .map(|(hits, served)| (hits.to_vec(), served))
+            .map(|(entry, served)| (self.hits(&entry), served))
     }
 
     /// Normalization after external authorization (see
@@ -779,12 +829,12 @@ impl<S: TokenStore> CryptextService<S> {
         }
         let computed = try_par_map(&unique, |t| {
             self.look_up_shared(t, params, &mut || None)
-                .map(|(hits, _)| hits)
+                .map(|(entry, _)| entry)
         })?;
-        // Scatter back to input order, one copy per input position.
+        // Scatter back to input order, one projection per input position.
         Ok(tokens
             .iter()
-            .map(|t| computed[index_of[t]].to_vec())
+            .map(|t| self.hits(&computed[index_of[t]]))
             .collect())
     }
 
@@ -1214,7 +1264,7 @@ mod tests {
             .look_up_shared("democrats", params, &mut || None)
             .unwrap();
         assert_eq!(served, Served::Cold);
-        assert!(!cold.is_empty());
+        assert!(!cold.hits().is_empty());
         assert_eq!(Arc::strong_count(&cold), 2, "the cache's and the caller's");
         let (hit, served) = svc
             .look_up_shared("democrats", params, &mut || None)

@@ -59,6 +59,14 @@ pub trait TokenStore: Sync {
     /// Fetch a token's record (case-sensitive).
     fn get(&self, token: &str) -> Option<&TokenRecord>;
 
+    /// The record a walk named `id` (see *Record ids* above): how a Look
+    /// Up hit list named by id ([`crate::lookup::HitId`]) is read back.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not a record id of this store.
+    fn record(&self, id: u32) -> &TokenRecord;
+
     /// Aggregate statistics.
     fn stats(&self) -> TokenStats;
 
@@ -155,6 +163,10 @@ impl TokenStore for TokenDatabase {
 
     fn get(&self, token: &str) -> Option<&TokenRecord> {
         TokenDatabase::get(self, token)
+    }
+
+    fn record(&self, id: u32) -> &TokenRecord {
+        &self.records()[id as usize]
     }
 
     fn stats(&self) -> TokenStats {

@@ -10,17 +10,18 @@
 //! [`CacheDisposition`] saying whether tier-1 served it.
 //!
 //! In-process callers match on the typed [`RouteOutput`]; wire layers
-//! take the JSON body rendered from the shared tier-1 entry. Both bodies
-//! come from the same per-route writers, so the wire format lives in one
-//! place.
+//! take a JSON [`Body`]: rendered for the response, or, for a repeated
+//! Look Up, the one kept with its tier-1 entry. Every body comes from the
+//! same per-route writers, so the wire format lives in one place.
 
 use std::sync::Arc;
 
 use cryptext_common::jsonfmt;
-use cryptext_core::lookup::{LookupHit, LookupParams};
+use cryptext_core::lookup::{hits_of, HitId, HitView, LookupHit, LookupParams};
 use cryptext_core::normalize::{NormalizationResult, NormalizeParams};
 use cryptext_core::perturb::{PerturbParams, PerturbationOutcome};
-use cryptext_core::service::Served;
+use cryptext_core::service::{LookupEntry, Served};
+use cryptext_core::TokenStore;
 
 use crate::gateway::CallOptions;
 use crate::RouteClass;
@@ -116,10 +117,47 @@ impl RouteOutput {
     /// README for the exact shapes).
     pub fn to_json(&self) -> String {
         match self {
-            RouteOutput::Lookup(hits) => lookup_json(hits),
+            RouteOutput::Lookup(hits) => lookup_json(hits.iter().map(LookupHit::view)),
             RouteOutput::Normalize(r) => normalize_json(r),
             RouteOutput::Perturb(o) => perturb_json(o),
         }
+    }
+}
+
+/// A JSON wire body: rendered for one response, or the body kept with a
+/// tier-1 Look Up entry, shared by reference count and never copied.
+/// [`Gateway::handle_json`](crate::Gateway::handle_json) returns one;
+/// `From<String>` makes any other body one.
+#[derive(Debug, Clone)]
+pub struct Body(BodyRepr);
+
+#[derive(Debug, Clone)]
+enum BodyRepr {
+    Rendered(String),
+    /// An entry whose body slot is filled.
+    Kept(Arc<LookupEntry>),
+}
+
+impl Body {
+    /// The body text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            BodyRepr::Rendered(s) => s,
+            BodyRepr::Kept(entry) => entry
+                .body()
+                .expect("a kept body is rendered before it is shared"),
+        }
+    }
+
+    /// The body bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.as_str().as_bytes()
+    }
+}
+
+impl From<String> for Body {
+    fn from(s: String) -> Self {
+        Body(BodyRepr::Rendered(s))
     }
 }
 
@@ -129,28 +167,43 @@ impl RouteOutput {
 /// receive a clone of this, so they share the leader's entry too.
 #[derive(Debug, Clone)]
 pub(crate) enum SharedOutput {
-    Lookup(Arc<[LookupHit]>),
+    Lookup(Arc<LookupEntry>),
     Normalize(Arc<NormalizationResult>),
     Perturb(PerturbationOutcome),
 }
 
 impl SharedOutput {
-    /// The owned [`RouteOutput`]: copies a shared entry out of tier-1.
-    pub(crate) fn into_owned(self) -> RouteOutput {
+    /// The owned [`RouteOutput`]: a Look Up entry's hits read from `db`,
+    /// the store the entry was computed over, and a Normalization result
+    /// copied out of tier-1.
+    pub(crate) fn into_owned<S: TokenStore>(self, db: &S) -> RouteOutput {
         match self {
-            SharedOutput::Lookup(hits) => RouteOutput::Lookup(hits.to_vec()),
+            SharedOutput::Lookup(entry) => RouteOutput::Lookup(hits_of(db, entry.hits())),
             SharedOutput::Normalize(r) => RouteOutput::Normalize(NormalizationResult::clone(&r)),
             SharedOutput::Perturb(o) => RouteOutput::Perturb(o),
         }
     }
 
-    /// The wire body, rendered from the borrowed value
-    /// (byte-identical to [`RouteOutput::to_json`]).
-    pub(crate) fn to_json(&self) -> String {
+    /// The wire body, byte-identical to [`RouteOutput::to_json`] of
+    /// [`Self::into_owned`]. A Look Up that tier-1 answered (`cache` is
+    /// [`CacheDisposition::Hit`]) keeps its body with the entry: the
+    /// first hit renders it into the entry's slot, and every later hit
+    /// shares those bytes. Any other output, a cold Look Up included,
+    /// renders a body for this response alone, so an entry nobody asks
+    /// for again keeps no body.
+    pub(crate) fn into_body<S: TokenStore>(self, cache: CacheDisposition, db: &S) -> Body {
         match self {
-            SharedOutput::Lookup(hits) => lookup_json(hits),
-            SharedOutput::Normalize(r) => normalize_json(r),
-            SharedOutput::Perturb(o) => perturb_json(o),
+            SharedOutput::Lookup(entry) => {
+                let render = |hits: &[HitId]| lookup_json(hits.iter().map(|h| h.view(db)));
+                if cache == CacheDisposition::Hit {
+                    entry.body_or_init(render);
+                    Body(BodyRepr::Kept(entry))
+                } else {
+                    Body::from(render(entry.hits()))
+                }
+            }
+            SharedOutput::Normalize(r) => Body::from(normalize_json(&r)),
+            SharedOutput::Perturb(o) => Body::from(perturb_json(&o)),
         }
     }
 }
@@ -159,15 +212,18 @@ impl SharedOutput {
 // pre-sized from the item count, through the allocation-free [`jsonfmt`]
 // writers.
 
-fn lookup_json(hits: &[LookupHit]) -> String {
+/// The Look Up writer, over borrowed hits: owned ones
+/// ([`LookupHit::view`]) and ones a store names by id ([`HitId::view`])
+/// alike.
+fn lookup_json<'a>(hits: impl ExactSizeIterator<Item = HitView<'a>>) -> String {
     let mut out = String::with_capacity(16 + 80 * hits.len());
     out.push_str("{\"hits\":[");
-    for (i, h) in hits.iter().enumerate() {
+    for (i, h) in hits.enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("{\"token\":");
-        jsonfmt::push_str_escaped(&mut out, &h.token);
+        jsonfmt::push_str_escaped(&mut out, h.token);
         out.push_str(",\"count\":");
         jsonfmt::push_uint(&mut out, h.count);
         out.push_str(",\"distance\":");
@@ -287,7 +343,7 @@ impl CacheDisposition {
 /// CDN-style cache keys on. [`Gateway::handle`](crate::Gateway::handle)
 /// returns the typed [`RouteOutput`];
 /// [`Gateway::handle_json`](crate::Gateway::handle_json) returns the JSON
-/// wire body as a `Response<String>`.
+/// wire body as a `Response<Body>`.
 #[derive(Debug, Clone)]
 pub struct Response<O = RouteOutput> {
     /// The route output: typed, or the JSON wire body.
@@ -418,6 +474,7 @@ mod tests {
     use super::*;
     use cryptext_core::normalize::{Candidate, Correction};
     use cryptext_core::perturb::AppliedPerturbation;
+    use cryptext_core::TokenDatabase;
     use proptest::prelude::*;
 
     #[test]
@@ -593,26 +650,67 @@ mod tests {
         ]
     }
 
-    /// The same output as the served path carries it.
-    fn shared(output: &RouteOutput) -> SharedOutput {
-        match output.clone() {
-            RouteOutput::Lookup(hits) => SharedOutput::Lookup(hits.into()),
-            RouteOutput::Normalize(r) => SharedOutput::Normalize(Arc::new(r)),
-            RouteOutput::Perturb(o) => SharedOutput::Perturb(o),
-        }
+    /// A store token: two letters first, so every one passes the ingest
+    /// gates, then characters of every class the escaper distinguishes;
+    /// or a dictionary word, so `is_english` takes both values.
+    fn store_token() -> impl Strategy<Value = String> {
+        const WORDS: [&str; 4] = ["the", "vaccine", "bad", "democrats"];
+        prop_oneof![
+            (0..WORDS.len()).prop_map(|i| WORDS[i].to_string()),
+            any_string().prop_map(|s| format!("ba{s}")),
+        ]
     }
 
     proptest! {
-        /// Both renderings, the owned projection's and the served path's,
-        /// equal the reference byte for byte (scores may be NaN, so the
-        /// projection is compared by its bytes too).
+        /// Every rendering equals the reference byte for byte (scores may
+        /// be NaN, so outputs are compared by their bytes): the typed
+        /// output's, and the served path's from a shared Normalization
+        /// result or a Perturbation outcome. A Look Up entry names its
+        /// hits by id in a store, so an id list (arbitrary records and
+        /// distances) over a generated store renders, cold and kept, the
+        /// bytes of its owned hits' rendering and of the reference.
         #[test]
-        fn to_json_is_byte_identical_to_the_format_reference(output in any_output()) {
+        fn to_json_is_byte_identical_to_the_format_reference(
+            output in any_output(),
+            tokens in proptest::collection::vec(store_token(), 1..12),
+            picks in proptest::collection::vec(
+                (any::<proptest::sample::Index>(), any::<u32>()),
+                0..8,
+            ),
+        ) {
+            let mut db = TokenDatabase::in_memory();
+            for t in &tokens {
+                db.ingest_token(t);
+            }
             let want = reference::to_json(&output);
             prop_assert_eq!(&output.to_json(), &want);
-            let shared = shared(&output);
-            prop_assert_eq!(&shared.to_json(), &want);
-            prop_assert_eq!(&shared.into_owned().to_json(), &want);
+            let served = match output.clone() {
+                RouteOutput::Lookup(_) => None,
+                RouteOutput::Normalize(r) => Some(SharedOutput::Normalize(Arc::new(r))),
+                RouteOutput::Perturb(o) => Some(SharedOutput::Perturb(o)),
+            };
+            if let Some(served) = served {
+                let cache = CacheDisposition::Cold;
+                prop_assert_eq!(served.clone().into_body(cache, &db).as_str(), &want);
+                prop_assert_eq!(&served.into_owned(&db).to_json(), &want);
+            }
+
+            let records = db.records().len();
+            let ids: Vec<HitId> = picks
+                .iter()
+                .map(|(i, distance)| HitId {
+                    id: i.index(records) as u32,
+                    distance: *distance,
+                })
+                .collect();
+            let owned = RouteOutput::Lookup(hits_of(&db, &ids));
+            let want = reference::to_json(&owned);
+            prop_assert_eq!(&owned.to_json(), &want);
+            let entry = SharedOutput::Lookup(Arc::new(LookupEntry::new(ids)));
+            prop_assert_eq!(&entry.clone().into_owned(&db).to_json(), &want);
+            for cache in [CacheDisposition::Cold, CacheDisposition::Hit, CacheDisposition::Hit] {
+                prop_assert_eq!(entry.clone().into_body(cache, &db).as_str(), &want);
+            }
         }
     }
 

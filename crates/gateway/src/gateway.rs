@@ -17,7 +17,7 @@ use cryptext_core::TokenStore;
 
 use crate::admission::{Acquired, Permit, RouteAdmission};
 use crate::deadline::{Deadline, WAIT_SLICE};
-use crate::envelope::{CacheDisposition, Request, Response, RouteParams, SharedOutput};
+use crate::envelope::{Body, CacheDisposition, Request, Response, RouteParams, SharedOutput};
 use crate::singleflight::{FollowerOutcome, Join, SingleFlight};
 use crate::{GatewayConfig, GatewayStats, RouteClass};
 
@@ -397,31 +397,36 @@ impl<S: TokenStore> Gateway<S> {
     /// seeded RNG makes byte-identical duplicates rare enough that
     /// sharing buys nothing) and is marked [`CacheDisposition::Bypass`].
     ///
-    /// In-process callers match on [`Response::output`], a copy of the
-    /// served value. Wire layers call [`Self::handle_json`] instead, which
-    /// runs the request the same way and renders the body without the
-    /// copy.
+    /// In-process callers match on [`Response::output`], owned hits read
+    /// from the store or a copy of the served value. Wire layers call
+    /// [`Self::handle_json`] instead, which runs the request the same way
+    /// and renders the body without the copy.
     pub fn handle(&self, auth: &ApiToken, req: Request) -> Result<Response> {
-        self.serve(auth, req, SharedOutput::into_owned)
+        let db = self.service.system().database();
+        self.serve(auth, req, |output, _| output.into_owned(db))
     }
 
     /// [`Self::handle`] for wire layers: the response's output is the
-    /// JSON wire body ([`RouteOutput::to_json`]'s bytes), rendered
-    /// straight from the shared tier-1 entry or the fresh Perturbation
-    /// outcome, with the same generation and cache disposition.
+    /// JSON wire body ([`RouteOutput::to_json`]'s bytes), with the same
+    /// generation and cache disposition. A Look Up that tier-1 answered
+    /// returns the body kept with its entry, rendered by the first such
+    /// hit and shared from then on; every other response renders its body
+    /// from the shared entry or the fresh Perturbation outcome.
     ///
     /// [`RouteOutput::to_json`]: crate::RouteOutput::to_json
-    pub fn handle_json(&self, auth: &ApiToken, req: Request) -> Result<Response<String>> {
-        self.serve(auth, req, |output| output.to_json())
+    pub fn handle_json(&self, auth: &ApiToken, req: Request) -> Result<Response<Body>> {
+        let db = self.service.system().database();
+        self.serve(auth, req, |output, cache| output.into_body(cache, db))
     }
 
     /// The one execution path behind both entry points: every layer of
-    /// the onion, then `project` applied to the served value.
+    /// the onion, then `project` applied to the served value and its
+    /// cache disposition.
     fn serve<O>(
         &self,
         auth: &ApiToken,
         req: Request,
-        project: impl FnOnce(SharedOutput) -> O,
+        project: impl FnOnce(SharedOutput, CacheDisposition) -> O,
     ) -> Result<Response<O>> {
         // Snapshot before execution: the result is computed under *at
         // least* this generation (a concurrent bump splits the coalesce
@@ -484,7 +489,7 @@ impl<S: TokenStore> Gateway<S> {
             }
         };
         Ok(Response {
-            output: project(output),
+            output: project(output, cache),
             generation,
             cache,
         })
@@ -675,11 +680,59 @@ mod tests {
             let typed = gw.handle(&token, req.clone()).unwrap();
             let hit = gw.handle_json(&token, req.clone()).unwrap();
             let body = typed.output.to_json();
-            assert_eq!(cold.output, body, "{:?}", req.route());
-            assert_eq!(hit.output, body, "{:?}", req.route());
+            assert_eq!(cold.output.as_str(), body, "{:?}", req.route());
+            assert_eq!(hit.output.as_str(), body, "{:?}", req.route());
             assert_eq!([cold.cache, typed.cache, hit.cache], dispositions);
             assert_eq!([cold.generation, typed.generation, hit.generation], [0; 3]);
         }
+    }
+
+    /// The kept-body policy: a cold Look Up leaves its entry's body slot
+    /// empty, the first tier-1 hit renders into it, and every later hit
+    /// writes those very bytes. A generation bump starts a new entry,
+    /// whose slot is empty again.
+    #[test]
+    fn a_repeated_lookup_writes_the_body_kept_with_its_entry() {
+        let (gw, _) = small_gateway(1_000_000);
+        let token = gw.service().issue_token("kept");
+        let params = LookupParams::paper_default();
+        let req = Request::lookup("republicans", params);
+        let entry = || {
+            let (entry, served) = gw
+                .service()
+                .look_up_shared("republicans", params, &mut || None)
+                .unwrap();
+            assert_eq!(served, Served::Tier1Hit);
+            entry
+        };
+        let want = gw.handle(&token, req.clone()).unwrap().output.to_json();
+        gw.bump_generation();
+
+        let cold = gw.handle_json(&token, req.clone()).unwrap();
+        assert_eq!(cold.cache, CacheDisposition::Cold);
+        assert_eq!(cold.output.as_str(), want);
+        let first = entry();
+        assert_eq!(first.body(), None, "a cold serve keeps no body");
+
+        let hits = [(); 2].map(|_| gw.handle_json(&token, req.clone()).unwrap());
+        let kept = first.body().expect("the first hit fills the slot");
+        assert_eq!(kept, want);
+        for hit in &hits {
+            assert_eq!(hit.cache, CacheDisposition::Hit);
+            assert_eq!(hit.output.as_str(), want);
+            assert!(
+                std::ptr::eq(hit.output.as_str(), kept),
+                "a hit writes the kept bytes, not a copy"
+            );
+        }
+
+        gw.bump_generation();
+        let cold = gw.handle_json(&token, req).unwrap();
+        assert_eq!(cold.cache, CacheDisposition::Cold);
+        assert_eq!(cold.output.as_str(), want);
+        let fresh = entry();
+        assert!(!Arc::ptr_eq(&first, &fresh), "a bump starts a new entry");
+        assert_eq!(fresh.body(), None);
     }
 
     #[test]

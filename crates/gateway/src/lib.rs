@@ -35,9 +35,13 @@
 //!
 //! Two entry points run a request through these layers and differ only
 //! in what they return. [`Gateway::handle`] returns the typed
-//! [`RouteOutput`], copied out of the tier-1 entry for in-process
-//! callers. [`Gateway::handle_json`] returns the JSON wire body, rendered
-//! from the shared entry itself, for wire layers such as `cryptext-http`.
+//! [`RouteOutput`] for in-process callers: Look Up hits read from the
+//! store by the record ids the tier-1 entry names, a Normalization result
+//! copied out of its entry. [`Gateway::handle_json`] returns the JSON
+//! wire [`Body`] for wire layers such as `cryptext-http`: rendered from
+//! the shared entry, or, for a Look Up that tier-1 answered, the body
+//! kept with the entry, which the first such hit renders and every later
+//! one shares.
 //!
 //! Draining reverses the onion: [`Gateway::begin_drain`] stops admissions
 //! (queued waiters shed, new arrivals shed), in-flight requests finish
@@ -57,7 +61,7 @@ use std::sync::atomic::AtomicU64;
 use cryptext_common::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 
 pub use deadline::Deadline;
-pub use envelope::{CacheDisposition, Request, Response, RouteOutput, RouteParams};
+pub use envelope::{Body, CacheDisposition, Request, Response, RouteOutput, RouteParams};
 pub use gateway::{CallOptions, DrainReport, Gateway};
 pub use singleflight::{FollowerOutcome, Join, SingleFlight};
 

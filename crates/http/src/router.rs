@@ -367,7 +367,7 @@ mod tests {
     fn bad_numeric_parameter_names_itself() {
         let resp = route(&get("/lookup?q=x&k=banana")).err().unwrap();
         assert_eq!(resp.status, 400);
-        let body = String::from_utf8(resp.body).unwrap();
+        let body = resp.body.as_str();
         assert!(
             body.contains("\\\"k\\\""),
             "body should name the parameter: {body}"

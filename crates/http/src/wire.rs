@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use cryptext_common::jsonfmt;
+use cryptext_gateway::Body;
 
 use crate::HttpConfig;
 
@@ -379,28 +380,27 @@ pub(crate) struct WireResponse {
     pub content_type: &'static str,
     /// Extra header lines, already rendered as `Name: value\r\n`.
     headers: String,
-    pub body: Vec<u8>,
+    /// Rendered for this response, or the body a tier-1 Look Up entry
+    /// keeps; written from where it lives, never copied.
+    pub body: Body,
     pub close: bool,
 }
 
 impl WireResponse {
-    pub(crate) fn json(status: u16, body: String) -> Self {
+    pub(crate) fn json(status: u16, body: impl Into<Body>) -> Self {
         WireResponse {
             status,
             content_type: "application/json",
             headers: String::new(),
-            body: body.into_bytes(),
+            body: body.into(),
             close: false,
         }
     }
 
     pub(crate) fn text(status: u16, body: &str) -> Self {
         WireResponse {
-            status,
             content_type: "text/plain; charset=utf-8",
-            headers: String::new(),
-            body: body.as_bytes().to_vec(),
-            close: false,
+            ..WireResponse::json(status, body.to_string())
         }
     }
 
@@ -458,7 +458,7 @@ impl WireResponse {
         head.push_str("\r\nContent-Type: ");
         head.push_str(self.content_type);
         head.push_str("\r\nContent-Length: ");
-        jsonfmt::push_uint(&mut head, self.body.len() as u64);
+        jsonfmt::push_uint(&mut head, self.body.as_bytes().len() as u64);
         head.push_str("\r\n");
         head.push_str(&self.headers);
         if self.close {
@@ -479,7 +479,8 @@ impl WireResponse {
     pub(crate) fn write_prefix(&self, w: &mut impl Write, limit: usize) -> io::Result<()> {
         let head = self.head();
         let head = &head.as_bytes()[..head.len().min(limit)];
-        let body = &self.body[..self.body.len().min(limit - head.len())];
+        let body = self.body.as_bytes();
+        let body = &body[..body.len().min(limit - head.len())];
         write_all_vectored(w, &mut [IoSlice::new(head), IoSlice::new(body)])
     }
 }
@@ -568,7 +569,7 @@ mod tests {
     }
 
     fn lookup_like_response() -> WireResponse {
-        let mut resp = WireResponse::json(200, r#"{"hits":[{"token":"demokRATs"}]}"#.into());
+        let mut resp = WireResponse::json(200, r#"{"hits":[{"token":"demokRATs"}]}"#.to_string());
         resp.header("X-Cache", "HIT");
         resp
     }
@@ -596,7 +597,7 @@ mod tests {
         let resp = lookup_like_response();
         let whole = written(&resp, usize::MAX);
         let head = resp.head();
-        assert_eq!(whole, [head.as_bytes(), &resp.body].concat());
+        assert_eq!(whole, [head.as_bytes(), resp.body.as_bytes()].concat());
         for chunk in [1, 3, 7, head.len() + 1, 1 << 16] {
             let mut w = Trickle {
                 out: Vec::new(),
@@ -645,9 +646,8 @@ mod tests {
     #[test]
     fn error_bodies_escape_their_messages() {
         let resp = WireResponse::error(400, "bad_request", "a \"quoted\" detail");
-        let body = String::from_utf8(resp.body).unwrap();
         assert_eq!(
-            body,
+            resp.body.as_str(),
             r#"{"error":"bad_request","message":"a \"quoted\" detail"}"#
         );
     }

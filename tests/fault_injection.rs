@@ -131,9 +131,13 @@ fn durable_ingest_under_env_failpoints_never_corrupts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Specs aimed at boundaries this workload never crosses (or thresholds
-/// beyond its boundary count) legitimately never fire — the smoke only
-/// insists on a failure for the names it is known to hit.
+/// Does the armed spec name a boundary this workload crosses? Specs
+/// aimed at other boundaries legitimately never fire. The check matches
+/// names only, so a spec that names a crossed boundary must fire: one
+/// whose hit index lies past this workload's count for that boundary
+/// (`wal.append=kill@25`, where the workload crosses 23) fails the test,
+/// as CI's negative step requires. The counters are per process, so this
+/// holds only when the test runs in a process of its own.
 fn spec_reachable() -> bool {
     let spec = std::env::var(failpoint::ENV_VAR).unwrap_or_default();
     [

@@ -331,6 +331,52 @@ fn a_maximal_edit_bound_answers_like_the_references() {
     });
 }
 
+/// A repeated Look Up writes the body kept with its tier-1 entry. One
+/// query is served cold, then twice as a hit, then once per varied
+/// parameter (each its own entry, so cold again); every body is the
+/// naive reference's exact bytes, under a `Content-Length` that matches.
+#[test]
+fn a_repeated_lookup_writes_its_kept_body() {
+    let db = corpus();
+    let base = LookupParams::paper_default();
+    let served = [
+        ("", base, "cold"),
+        ("", base, "hit"),
+        ("", base, "hit"),
+        ("&k=0", LookupParams::new(0, 3), "cold"),
+        ("&d=1", LookupParams::new(1, 1), "cold"),
+        ("&exclude_identity=true", base.perturbations_only(), "cold"),
+        ("&observed_only=true", base.observed(), "cold"),
+    ];
+    let want: Vec<String> = served
+        .iter()
+        .map(|(_, params, _)| {
+            let hits = look_up_naive(&db, "democrats", *params).unwrap();
+            assert!(!hits.is_empty(), "{params:?}");
+            RouteOutput::Lookup(hits).to_json()
+        })
+        .collect();
+    each_layout(|layout| {
+        let srv = server(layout);
+        let mut c = Client::connect(srv.addr);
+        for ((query, params, cache), want) in served.iter().zip(&want) {
+            c.send(&get_req(
+                &format!("/lookup?q=democrats{query}"),
+                Some(&srv.token),
+            ));
+            let resp = c.read_response();
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            assert_eq!(resp.header("X-Cryptext-Cache"), Some(*cache), "{params:?}");
+            assert_eq!(
+                resp.header("Content-Length"),
+                Some(resp.body.len().to_string().as_str())
+            );
+            assert_eq!(&resp.body, want, "{params:?}");
+        }
+        srv.finish();
+    });
+}
+
 /// Three pipelined requests in one burst answer in order on one
 /// connection, and the connection survives for a fourth.
 #[test]
