@@ -2,8 +2,11 @@
 //!
 //! A *failpoint* is a named crash boundary compiled into a write path
 //! (WAL append, snapshot rename, log truncation, ...). In normal operation
-//! a failpoint only bumps a hit counter — no branch is taken and no I/O is
-//! touched. Under test, a failpoint can be armed to simulate a crash:
+//! a failpoint only bumps a hit counter — no branch is taken, no I/O is
+//! touched, and after a name's first hit nothing is allocated (the empty
+//! config maps are skipped, and a counter's key is copied only when it
+//! is first inserted). Under test, a failpoint can be armed to simulate
+//! a crash:
 //!
 //! * [`FailAction::Kill`] — the call site returns an injected I/O error
 //!   *before* performing its write, as if the process died at that
@@ -174,9 +177,24 @@ pub fn hits(name: &str) -> u64 {
     TL_COUNTERS.with(|c| c.borrow().get(name).copied().unwrap_or(0))
 }
 
+/// Add one hit to `key`'s counter and return the new count. The key is
+/// copied into the map only on its first hit, so counting an unarmed
+/// point allocates nothing after that.
+fn bump(counters: &mut HashMap<String, u64>, key: &str) -> u64 {
+    if let Some(count) = counters.get_mut(key) {
+        *count += 1;
+        return *count;
+    }
+    counters.insert(key.to_string(), 1);
+    1
+}
+
 fn tl_config(name: &str) -> Option<(FailConfig, u64)> {
     TL_CONFIGS.with(|c| {
         let configs = c.borrow();
+        if configs.is_empty() {
+            return None;
+        }
         for key in [name, "*"] {
             if let Some(cfg) = configs.get(key) {
                 let count = TL_COUNTERS.with(|h| h.borrow().get(key).copied().unwrap_or(0));
@@ -189,12 +207,13 @@ fn tl_config(name: &str) -> Option<(FailConfig, u64)> {
 
 fn env_config(name: &str) -> Option<(FailConfig, u64)> {
     let configs = env_configs();
+    if configs.is_empty() {
+        return None;
+    }
     for key in [name, "*"] {
         if let Some(cfg) = configs.get(key) {
             let mut counters = env_counters().lock().expect("failpoint counter lock");
-            let count = counters.entry(key.to_string()).or_insert(0);
-            *count += 1;
-            return Some((*cfg, *count));
+            return Some((*cfg, bump(&mut counters, key)));
         }
     }
     None
@@ -209,17 +228,7 @@ pub fn trigger(name: &str) -> Option<FailAction> {
     // counts for sweeps, both per-name and under the wildcard.
     let counts = TL_COUNTERS.with(|c| {
         let mut counters = c.borrow_mut();
-        let n = {
-            let e = counters.entry(name.to_string()).or_insert(0);
-            *e += 1;
-            *e
-        };
-        let all = {
-            let e = counters.entry("*".to_string()).or_insert(0);
-            *e += 1;
-            *e
-        };
-        (n, all)
+        (bump(&mut counters, name), bump(&mut counters, "*"))
     });
     if let Some((cfg, _)) = tl_config(name) {
         // Re-resolve which counter applies: exact name uses the name

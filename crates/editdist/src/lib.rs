@@ -76,11 +76,94 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use std::cell::RefCell;
+
     use super::*;
     use proptest::prelude::*;
 
     fn small_string() -> impl Strategy<Value = String> {
         "[a-d]{0,12}"
+    }
+
+    thread_local! {
+        /// One scratch for every case of a property, as the Look Up walk
+        /// reuses one across candidates: state a call leaves behind shows
+        /// up in a later case.
+        static SCRATCH: RefCell<EditScratch> = RefCell::new(EditScratch::new());
+    }
+
+    /// What a perturbation swaps in: ASCII and leet glyphs (the first
+    /// [`ASCII_SWAPS`]), accented letters, Cyrillic and Greek homoglyphs
+    /// of Latin letters, astral characters and a zero-width space.
+    const SWAPS: [char; 16] = [
+        'a',
+        'e',
+        'o',
+        '0',
+        '@',
+        '$',
+        'é',
+        'ü',
+        'ñ',
+        '\u{430}',
+        '\u{435}',
+        '\u{3BF}',
+        '🙂',
+        '\u{1D41A}',
+        '\u{1F600}',
+        '\u{200B}',
+    ];
+
+    const ASCII_SWAPS: usize = 6;
+
+    /// A token: ASCII, accented, homoglyph, astral or mixed, or ASCII
+    /// longer than a machine word.
+    fn token() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "[a-z]{0,12}",
+            "[a-z0-9@$!]{0,12}",
+            "[aeiouàáâãäåèéêëìíîïòóôõöùúûüçñ]{0,10}",
+            "[aceopxyаеорсухοα]{0,10}",
+            "[a-c🙂😀𝐚𝐛]{0,8}",
+            "\\PC{0,12}",
+            "[abc]{65,90}",
+            "[a-z]{60,80}",
+        ]
+    }
+
+    /// A token and a perturbation of it: up to four insertions,
+    /// deletions or substitutions from [`SWAPS`] (only its ASCII ones
+    /// half the time, so ASCII tokens stay ASCII), and sometimes a new
+    /// first and last character, so affix trimming leaves a long pair
+    /// longer than a machine word (the banded fallback).
+    fn perturbed_pair() -> impl Strategy<Value = (String, String)> {
+        let edit = (any::<prop::sample::Index>(), 0u8..3, 0..SWAPS.len());
+        (
+            token(),
+            proptest::collection::vec(edit, 0..5),
+            any::<bool>(),
+            any::<bool>(),
+        )
+            .prop_map(|(a, edits, reframe, ascii)| {
+                let mut b: Vec<char> = a.chars().collect();
+                for (at, op, swap) in edits {
+                    let at = at.index(b.len() + 1);
+                    let swap = SWAPS[if ascii { swap % ASCII_SWAPS } else { swap }];
+                    match op {
+                        0 => b.insert(at, swap),
+                        1 if at < b.len() => {
+                            b.remove(at);
+                        }
+                        _ if at < b.len() => b[at] = swap,
+                        _ => b.push(swap),
+                    }
+                }
+                if reframe {
+                    b.insert(0, '#');
+                    b.push('%');
+                }
+                (a, b.into_iter().collect())
+            })
     }
 
     proptest! {
@@ -173,6 +256,34 @@ mod proptests {
                 levenshtein_bounded_scratch(&b, &a, max, &mut scratch),
                 levenshtein_bounded(&b, &a, max)
             );
+        }
+
+        /// The scratch entry point, one scratch reused across every case,
+        /// returns the full DP's distance when it is within the bound and
+        /// `None` otherwise, both ways round: word-sized ASCII (Myers),
+        /// longer ASCII (the banded fallback), and accented, homoglyph,
+        /// astral and mixed strings (the char-decoding fallback).
+        #[test]
+        fn scratch_distance_is_the_full_dp_within_the_bound(
+            pair in perturbed_pair(),
+            max in prop_oneof![0usize..8, 0usize..100, Just(usize::MAX)],
+        ) {
+            let (a, b) = pair;
+            let full = levenshtein(&a, &b);
+            let want = (full <= max).then_some(full);
+            SCRATCH.with(|scratch| {
+                let scratch = &mut scratch.borrow_mut();
+                prop_assert_eq!(
+                    levenshtein_bounded_scratch(&a, &b, max, scratch),
+                    want,
+                    "{:?} vs {:?} at {}", a, b, max
+                );
+                prop_assert_eq!(
+                    levenshtein_bounded_scratch(&b, &a, max, scratch),
+                    want,
+                    "{:?} vs {:?} at {}", b, a, max
+                );
+            });
         }
 
         /// Myers' bit-parallel distance agrees exactly with the banded DP

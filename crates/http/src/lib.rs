@@ -12,8 +12,12 @@
 //! ## Shape
 //!
 //! * [`wire`] — the byte layer: bounded, timeout-sliced request reading
-//!   (keep-alive + pipelining via a carry buffer), request-line/header
-//!   parsing, percent-decoding, response serialization.
+//!   (keep-alive + pipelining via a carry buffer), a pure in-place parse
+//!   whose request is the bytes it arrived as plus byte ranges, with
+//!   header matching and percent-decoding done on access, and response
+//!   serialization. Each connection recycles its request and response
+//!   head buffers, so a keep-alive connection in steady state allocates
+//!   nothing in this layer.
 //! * [`router`] — the route table: an [`wire::HttpRequest`] becomes a
 //!   typed [`cryptext_gateway::Request`] (or a stats/health route), with
 //!   query-parameter parsing for every knob the paper's GUI exposes.

@@ -16,6 +16,8 @@
 //! path with the wrong method is `405` (with `Allow`), and an
 //! unparseable parameter is `400` naming the parameter.
 
+use std::borrow::Cow;
+
 use cryptext_common::jsonfmt;
 use cryptext_common::metrics::MetricsSnapshot;
 use cryptext_core::lookup::LookupParams;
@@ -41,34 +43,54 @@ pub(crate) enum Routed {
     Health,
 }
 
-fn bad_param(name: &str, value: &str) -> WireResponse {
-    WireResponse::error(
+/// A refusal: the response that answers a request the router turns
+/// away. Boxed, since refusals are rare and a response is large.
+pub(crate) type Refusal = Box<WireResponse>;
+
+fn refusal(status: u16, label: &str, message: &str) -> Refusal {
+    Box::new(WireResponse::error(status, label, message))
+}
+
+fn bad_param(name: &str, value: &str) -> Refusal {
+    refusal(
         400,
         "invalid_argument",
         &format!("query parameter {name:?} has invalid value {value:?}"),
     )
 }
 
-fn method_not_allowed(allow: &'static str) -> WireResponse {
-    let mut resp = WireResponse::error(405, "method_not_allowed", "see the Allow header");
+fn method_not_allowed(allow: &'static str) -> Refusal {
+    let mut resp = refusal(405, "method_not_allowed", "see the Allow header");
     resp.header("Allow", allow);
     resp
 }
 
+/// The query parameter `name`, percent-decoded, or the `400` that
+/// refuses it when its decoded bytes are not UTF-8.
+fn param<'r>(req: &'r HttpRequest, name: &str) -> Result<Option<Cow<'r, str>>, Refusal> {
+    req.query_param(name).transpose().map_err(|_| {
+        refusal(
+            400,
+            "invalid_argument",
+            &format!("query parameter {name:?} is not UTF-8 once percent-decoded"),
+        )
+    })
+}
+
 macro_rules! parse_param {
     ($req:expr, $name:literal, $default:expr) => {
-        match $req.query_param($name) {
+        match param($req, $name)? {
             None => $default,
             Some(raw) => match raw.parse() {
                 Ok(v) => v,
-                Err(_) => return Err(bad_param($name, raw)),
+                Err(_) => return Err(bad_param($name, &raw)),
             },
         }
     };
 }
 
-fn parse_bool(req: &HttpRequest, name: &'static str, default: bool) -> Result<bool, WireResponse> {
-    match req.query_param(name) {
+fn parse_bool(req: &HttpRequest, name: &'static str, default: bool) -> Result<bool, Refusal> {
+    match param(req, name)?.as_deref() {
         None => Ok(default),
         Some("true") | Some("1") => Ok(true),
         Some("false") | Some("0") => Ok(false),
@@ -76,27 +98,27 @@ fn parse_bool(req: &HttpRequest, name: &'static str, default: bool) -> Result<bo
     }
 }
 
-fn call_options(req: &HttpRequest) -> Result<CallOptions, WireResponse> {
+fn call_options(req: &HttpRequest) -> Result<CallOptions, Refusal> {
     let mut opts = CallOptions::default();
-    if let Some(raw) = req.query_param("deadline_ms") {
+    if let Some(raw) = param(req, "deadline_ms")? {
         match raw.parse() {
             Ok(ms) => opts.deadline_ms = Some(ms),
-            Err(_) => return Err(bad_param("deadline_ms", raw)),
+            Err(_) => return Err(bad_param("deadline_ms", &raw)),
         }
     }
-    if let Some(raw) = req.query_param("max_retries") {
+    if let Some(raw) = param(req, "max_retries")? {
         match raw.parse() {
             Ok(n) => opts.max_retries = Some(n),
-            Err(_) => return Err(bad_param("max_retries", raw)),
+            Err(_) => return Err(bad_param("max_retries", &raw)),
         }
     }
     Ok(opts)
 }
 
-fn body_text(req: &HttpRequest) -> Result<String, WireResponse> {
-    match std::str::from_utf8(&req.body) {
+fn body_text(req: &HttpRequest) -> Result<String, Refusal> {
+    match std::str::from_utf8(req.body()) {
         Ok(s) => Ok(s.to_string()),
-        Err(_) => Err(WireResponse::error(
+        Err(_) => Err(refusal(
             400,
             "invalid_argument",
             "request body is not UTF-8 text",
@@ -106,17 +128,18 @@ fn body_text(req: &HttpRequest) -> Result<String, WireResponse> {
 
 /// Dispatch a parsed request to a route, or produce the refusal
 /// response (`404`/`405`/`400`) directly.
-pub(crate) fn route(req: &HttpRequest) -> Result<Routed, WireResponse> {
-    match (req.method.as_str(), req.path.as_str()) {
+pub(crate) fn route(req: &HttpRequest) -> Result<Routed, Refusal> {
+    let path = req.path();
+    match (req.method(), &*path) {
         ("GET", "/lookup") => {
-            let Some(token) = req.query_param("q") else {
-                return Err(WireResponse::error(
+            let Some(token) = param(req, "q")? else {
+                return Err(refusal(
                     400,
                     "invalid_argument",
                     "missing required query parameter \"q\"",
                 ));
             };
-            let token = token.to_string();
+            let token = token.into_owned();
             let defaults = LookupParams::paper_default();
             let mut params = LookupParams::new(
                 parse_param!(req, "k", defaults.k),
@@ -164,11 +187,7 @@ pub(crate) fn route(req: &HttpRequest) -> Result<Routed, WireResponse> {
             Err(method_not_allowed("GET"))
         }
         (_, "/normalize") | (_, "/perturb") => Err(method_not_allowed("POST")),
-        _ => Err(WireResponse::error(
-            404,
-            "not_found",
-            &format!("no route for {:?}", req.path),
-        )),
+        _ => Err(refusal(404, "not_found", &format!("no route for {path:?}"))),
     }
 }
 
@@ -176,9 +195,9 @@ pub(crate) fn route(req: &HttpRequest) -> Result<Routed, WireResponse> {
 /// header is the wire layer's `401` (with `WWW-Authenticate`); a
 /// *presented* credential the service refuses becomes the gateway's
 /// `Unauthorized` → `403`.
-pub(crate) fn bearer_token(req: &HttpRequest) -> Result<ApiToken, WireResponse> {
+pub(crate) fn bearer_token(req: &HttpRequest) -> Result<ApiToken, Refusal> {
     let challenge = |message: &str| {
-        let mut resp = WireResponse::error(401, "unauthorized", message);
+        let mut resp = refusal(401, "unauthorized", message);
         resp.header("WWW-Authenticate", "Bearer realm=\"cryptext\"");
         resp
     };
@@ -318,22 +337,14 @@ mod tests {
         req("GET", target, &[], Vec::new())
     }
 
+    /// The request these parts make, through the wire parser.
     fn req(method: &str, target: &str, headers: &[(&str, &str)], body: Vec<u8>) -> HttpRequest {
-        let (path, query) = match target.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (target, ""),
-        };
-        HttpRequest {
-            method: method.to_string(),
-            path: path.to_string(),
-            query: crate::wire::parse_query(query),
-            headers: headers
-                .iter()
-                .map(|(n, v)| (n.to_string(), v.to_string()))
-                .collect(),
-            body,
-            keep_alive: true,
+        let mut raw = format!("{method} {target} HTTP/1.1\r\n");
+        for (name, value) in headers {
+            raw.push_str(&format!("{name}: {value}\r\n"));
         }
+        raw.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+        HttpRequest::parse(&[raw.into_bytes(), body].concat())
     }
 
     #[test]
@@ -421,10 +432,10 @@ mod tests {
             .err()
             .unwrap();
         assert_eq!(resp.status, 405);
-        assert_eq!(resp.header_value("Allow"), Some("GET"));
+        assert_eq!(resp.header_value("Allow").as_deref(), Some("GET"));
         let resp = route(&get("/normalize")).err().unwrap();
         assert_eq!(resp.status, 405);
-        assert_eq!(resp.header_value("Allow"), Some("POST"));
+        assert_eq!(resp.header_value("Allow").as_deref(), Some("POST"));
     }
 
     #[test]
@@ -442,7 +453,7 @@ mod tests {
             .err()
             .unwrap();
         assert_eq!(resp.status, 405);
-        assert_eq!(resp.header_value("Allow"), Some("GET"));
+        assert_eq!(resp.header_value("Allow").as_deref(), Some("GET"));
     }
 
     /// Every number distinct (1..=40) and both flags set, so a swapped

@@ -26,10 +26,9 @@
 //!
 //! [`Gateway::drain_with`]: cryptext_gateway::Gateway::drain_with
 
-use std::io::Write;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cryptext_common::failpoint::{self, FailAction};
@@ -67,11 +66,10 @@ struct Shared {
 struct HttpMetrics {
     registry: Arc<MetricsRegistry>,
     request_us: Histogram,
-    /// Status-labelled counters, created on first use of each status.
-    /// The mutex guards registration only (a handful of distinct
-    /// statuses per server lifetime); recording goes through the cloned
-    /// counter handle.
-    by_status: Mutex<Vec<(u16, Counter)>>,
+    /// Status-labelled counters, one slot per status 100–599, each
+    /// registered on first use of its status: a response reads its slot
+    /// without a lock and counts through it without cloning a handle.
+    by_status: [OnceLock<Counter>; 500],
 }
 
 impl HttpMetrics {
@@ -82,22 +80,21 @@ impl HttpMetrics {
                 "cryptext_http_request_us",
                 "Wire request handling time, routing to serialized response (microseconds)",
             ),
-            by_status: Mutex::new(Vec::new()),
+            by_status: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
-    fn status_counter(&self, status: u16) -> Counter {
-        let mut by_status = self.by_status.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, counter)) = by_status.iter().find(|(s, _)| *s == status) {
-            return counter.clone();
-        }
-        let counter = self.registry.counter_with(
-            "cryptext_http_responses_total",
-            "HTTP responses written, by status code (wire rejects included)",
-            &[("status", metrics::label_value(&status.to_string()))],
-        );
-        by_status.push((status, counter.clone()));
-        counter
+    /// The counter for `status`. Statuses outside 100–599, which the
+    /// server never writes, count at the nearer end of that range.
+    fn status_counter(&self, status: u16) -> &Counter {
+        let status = status.clamp(100, 599);
+        self.by_status[usize::from(status - 100)].get_or_init(|| {
+            self.registry.counter_with(
+                "cryptext_http_responses_total",
+                "HTTP responses written, by status code (wire rejects included)",
+                &[("status", metrics::label_value(&status.to_string()))],
+            )
+        })
     }
 }
 
@@ -253,7 +250,8 @@ fn reject_label(status: u16) -> &'static str {
 
 /// One connection's lifetime: read requests off the carry buffer until
 /// close/reject/shutdown, answering each in order (pipelining preserved
-/// because reading and writing stay on this one thread).
+/// because reading and writing stay on this one thread). Each request's
+/// buffer goes back to the connection once its response is written.
 fn handle_connection<S: TokenStore>(
     stream: TcpStream,
     gateway: &Gateway<S>,
@@ -283,23 +281,24 @@ fn handle_connection<S: TokenStore>(
                 resp.close = true;
                 shared.requests_served.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.status_counter(resp.status).inc();
-                let _ = resp.write_to(&mut conn.stream);
+                let _ = conn.write(&resp, usize::MAX);
                 return;
             }
             ReadOutcome::Request(request) => {
                 let started = Instant::now();
                 let draining = shared.shutdown.load(Ordering::Acquire);
                 let (mut resp, api_route) = respond(gateway, &request);
-                if !request.keep_alive || draining {
+                if !request.keep_alive() || draining {
                     resp.close = true;
                 }
                 shared.requests_served.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.status_counter(resp.status).inc();
-                let written = write_response(&mut conn.stream, &resp, api_route);
+                let written = write_response(&mut conn, &resp, api_route);
                 shared
                     .metrics
                     .request_us
                     .observe(started.elapsed().as_micros() as u64);
+                conn.recycle(request);
                 if !written || resp.close {
                     return;
                 }
@@ -313,7 +312,7 @@ fn handle_connection<S: TokenStore>(
 fn respond<S: TokenStore>(gateway: &Gateway<S>, request: &HttpRequest) -> (WireResponse, bool) {
     let routed = match router::route(request) {
         Ok(routed) => routed,
-        Err(resp) => return (resp, false),
+        Err(resp) => return (*resp, false),
     };
     match routed {
         Routed::Health => (WireResponse::text(200, "ok\n"), false),
@@ -340,7 +339,7 @@ fn respond<S: TokenStore>(gateway: &Gateway<S>, request: &HttpRequest) -> (WireR
         Routed::Api(api) => {
             let auth = match router::bearer_token(request) {
                 Ok(token) => token,
-                Err(resp) => return (resp, false),
+                Err(resp) => return (*resp, false),
             };
             match gateway.handle_json(&auth, api) {
                 Ok(response) => {
@@ -377,18 +376,17 @@ fn respond<S: TokenStore>(gateway: &Gateway<S>, request: &HttpRequest) -> (WireR
 /// Write one response, honoring [`WRITE_FAILPOINT`] on API routes.
 /// Returns false when the connection must close (write error or injected
 /// fault) — the caller's loop exits, the listener never notices.
-fn write_response(stream: &mut TcpStream, resp: &WireResponse, api_route: bool) -> bool {
+fn write_response(conn: &mut Conn, resp: &WireResponse, api_route: bool) -> bool {
     if api_route {
         match failpoint::trigger(WRITE_FAILPOINT) {
             Some(FailAction::Kill) => return false,
             Some(FailAction::Torn(k)) => {
-                let _ = resp.write_prefix(stream, k);
-                let _ = stream.flush();
+                let _ = conn.write(resp, k);
                 return false;
             }
             Some(FailAction::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
             None => {}
         }
     }
-    resp.write_to(stream).and_then(|_| stream.flush()).is_ok()
+    conn.write(resp, usize::MAX).is_ok()
 }

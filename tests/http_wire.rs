@@ -652,6 +652,45 @@ fn error_statuses_map_the_service_vocabulary() {
     });
 }
 
+/// A query value is decoded to bytes, and bytes that are not UTF-8 are
+/// refused with `400` naming the parameter rather than looked up as
+/// U+FFFD. A non-UTF-8 body was already refused the same way; an
+/// escaped UTF-8 value answers exactly like the same value sent raw, and
+/// a parameter no route reads is never decoded.
+#[test]
+fn a_query_value_that_is_not_utf8_is_refused_naming_its_parameter() {
+    each_layout(|layout| {
+        let srv = server(layout);
+        let mut c = Client::connect(srv.addr);
+        for (request, param) in [
+            (get_req("/lookup?q=%FF", Some(&srv.token)), "q"),
+            (get_req("/lookup?q=x&k=%C3", Some(&srv.token)), "k"),
+            (post_req("/perturb?seed=%FF%FE", &srv.token, "hi"), "seed"),
+            (
+                post_req("/normalize?max_retries=%E9", &srv.token, "hi"),
+                "max_retries",
+            ),
+        ] {
+            c.send(&request);
+            let resp = c.read_response();
+            assert_eq!(resp.status, 400, "{request:?}: {}", resp.body);
+            assert!(resp.body.contains("\"error\":\"invalid_argument\""));
+            let named = format!(r#"query parameter \"{param}\" is not UTF-8"#);
+            assert!(resp.body.contains(&named), "{}", resp.body);
+        }
+
+        c.send(&get_req("/lookup?q=d%C3%A9mocrats", Some(&srv.token)));
+        let escaped = c.read_response();
+        c.send(&get_req("/lookup?q=démocrats", Some(&srv.token)));
+        let raw = c.read_response();
+        assert_eq!(escaped.status, 200, "{}", escaped.body);
+        assert_eq!(escaped.body, raw.body);
+
+        c.send(&get_req("/lookup?q=vaccine&unread=%FF", Some(&srv.token)));
+        assert_eq!(c.read_response().status, 200);
+    });
+}
+
 /// Rate limiting over the wire mirrors `service_api`: a limit of 5
 /// admits exactly 5 of 8, refusals carry `Retry-After`, and the budget
 /// refills when the window rolls over.
