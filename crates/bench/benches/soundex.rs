@@ -2,7 +2,7 @@
 //! The encoder sits on the ingest hot path (every token, every level).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use cryptext_phonetics::{classic_soundex, CustomSoundex};
+use cryptext_phonetics::{classic_soundex, CustomSoundex, LevelEncoder};
 
 const TOKENS: &[&str] = &[
     "the",
@@ -48,12 +48,16 @@ fn bench_soundex(c: &mut Criterion) {
         })
     });
 
-    // What the token database runs per new record: every level at once.
+    // What the token database runs per new record: every level at once,
+    // each code lent to a visitor from one reused encoder.
     let levels = [0, 1, 2].map(CustomSoundex::new);
+    let mut encoder = LevelEncoder::new();
     group.bench_function("custom_all_levels", |b| {
         b.iter(|| {
             for t in TOKENS {
-                black_box(CustomSoundex::encode_all_levels(&levels, black_box(t)));
+                encoder.for_each_code(&levels, black_box(t), |level, code| {
+                    black_box((level, code));
+                });
             }
         })
     });

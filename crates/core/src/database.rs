@@ -23,6 +23,11 @@
 //!   `postings: Vec<Vec<u32>>` indexed by code id, with a side
 //!   `FxHashMap<Box<str>, u32>` used only to resolve a query's code
 //!   string to its id (one probe per query code, not per candidate).
+//! * **Records carry code ids, not code strings**: a [`TokenRecord`]
+//!   keeps the ids its codes have in each level's `CodeIndex`, level by
+//!   level in one boxed slice, and [`TokenDatabase::record_codes`]
+//!   resolves them to strings through the level's names. The Look Up
+//!   walk never reads them; persist writes the level-1 strings.
 //! * **Case folding is precomputed at ingest**: [`TokenRecord::folded`]
 //!   holds the lowercased form and [`TokenRecord::folded_chars`] its
 //!   scalar count, so the per-candidate filter never calls
@@ -39,11 +44,16 @@
 //!   deduplicated code set, case fold — built a single time per query and
 //!   reused by every pass over its candidates.
 //!
+//! Every record's codes come from one [`LevelEncoder`] per thread: all
+//! three levels from one skeleton expansion, each code lent to a visitor
+//! from the encoder's reused buffer. The lexicon seed, snapshot load and
+//! delta-log replay intern each code straight from the visitor.
+//!
 //! Ingest runs through one batch prepare, [`PreparedBatch`]: each text is
 //! tokenized once, across cores; each word passes the ingest gates (at
 //! least 2 chars; some phonetic content when new to the database) and,
-//! when new, is encoded at every level from one skeleton expansion
-//! ([`CustomSoundex::encode_all_levels`]), giving one word queue.
+//! when new, is encoded at every level, its codes packed into one
+//! allocation that the merge interns, giving one word queue.
 //! [`TokenDatabase::ingest_texts`] merges the queue in input order,
 //! byte-identical to calling [`TokenDatabase::ingest_text`] per text,
 //! whose words pass the same gates one at a time. The durable store writes
@@ -55,12 +65,13 @@
 //! documents of at most [`PERSIST_BLOCK_RECORDS`] records each. A block
 //! holds parallel arrays — the raw tokens, their counts, and each record's
 //! level-1 Soundex codes as a check value — and no secondary index, so a
-//! persist writes one document (one WAL frame) per few thousand records.
-//! Everything else (folds, codes at every level, `is_english`, the `H_k`
-//! buckets) is recomputed on load by the encode ingest runs, all three
-//! levels from one skeleton expansion, and the recomputed level-1 codes
-//! must equal the stored `codes_k1`. The docstore is the durable copy,
-//! the in-memory layout above is the one that answers queries.
+//! persist writes one document (one WAL frame) per few thousand records,
+//! resolving each record's level-1 code ids to their strings. Everything
+//! else (folds, codes and code ids at every level, `is_english`, the
+//! `H_k` buckets) is recomputed on load by the encoder ingest runs, and
+//! the recomputed level-1 codes, resolved back to strings, must equal the
+//! stored `codes_k1`. The docstore is the durable copy, the in-memory
+//! layout above is the one that answers queries.
 
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -70,7 +81,7 @@ use cryptext_common::hash::FxHashMap;
 use cryptext_common::par::par_map;
 use cryptext_common::{Error, Result};
 use cryptext_docstore::{Database, Document, Value};
-use cryptext_phonetics::{CustomSoundex, SoundexCode, MAX_PHONETIC_LEVEL};
+use cryptext_phonetics::{CustomSoundex, LevelEncoder, SoundexCode, MAX_PHONETIC_LEVEL};
 use cryptext_tokenizer::tokenize_spans;
 
 use crate::durable::DeltaStore;
@@ -94,13 +105,13 @@ const BLOCK_CODES_K1: &str = "codes_k1";
 
 /// Write a record's stored `codes_k1` check value into `out`: its level-1
 /// Soundex codes, space-separated (codes are ASCII letters and digits).
-fn write_code_check(codes: &[SoundexCode], out: &mut String) {
+fn write_code_check<'a>(codes: impl Iterator<Item = &'a str>, out: &mut String) {
     out.clear();
-    for (i, code) in codes.iter().enumerate() {
+    for (i, code) in codes.enumerate() {
         if i > 0 {
             out.push(' ');
         }
-        out.push_str(code.as_str());
+        out.push_str(code);
     }
 }
 
@@ -119,9 +130,21 @@ pub struct TokenRecord {
     pub count: u64,
     /// Is this a correctly-spelled dictionary word?
     pub is_english: bool,
-    /// All Soundex codes per phonetic level (ambiguous leet glyphs give
-    /// several codes per level).
-    pub codes: [Vec<SoundexCode>; NUM_LEVELS],
+    /// The ids of the record's Soundex codes in each level's code table,
+    /// level by level, primary reading first within a level (ambiguous
+    /// leet glyphs give several codes per level). Read them as strings
+    /// through [`TokenDatabase::record_codes`].
+    code_ids: Box<[u32]>,
+    /// Where each level's ids end in `code_ids`.
+    code_ends: [u8; NUM_LEVELS],
+}
+
+impl TokenRecord {
+    /// The ids of the record's codes at level `k`.
+    fn level_ids(&self, k: usize) -> &[u32] {
+        let start = k.checked_sub(1).map_or(0, |j| self.code_ends[j]);
+        &self.code_ids[usize::from(start)..usize::from(self.code_ends[k])]
+    }
 }
 
 /// Aggregate database statistics (the paper quotes >2M tokens across
@@ -166,9 +189,11 @@ impl CodeIndex {
         id
     }
 
-    fn add(&mut self, code: &str, record: u32) {
+    /// File `record` under `code`; returns the code's id.
+    fn add(&mut self, code: &str, record: u32) -> u32 {
         let id = self.intern(code);
         self.postings[id as usize].push(record);
+        id
     }
 
     #[inline]
@@ -306,8 +331,60 @@ impl SoundScratch {
     }
 }
 
+/// Working memory for encoding records, one per thread.
+#[derive(Default)]
+struct RecordEncoder {
+    encoder: LevelEncoder,
+    /// A prepared word's codes, space-separated, before they are boxed.
+    packed: String,
+}
+
 thread_local! {
     static SHARED_SOUND_SCRATCH: RefCell<SoundScratch> = RefCell::new(SoundScratch::new());
+    /// Every record's codes are built here: by the batch prepare's workers
+    /// and by [`TokenDatabase::upsert_token`].
+    static RECORD_ENCODER: RefCell<RecordEncoder> = RefCell::default();
+}
+
+/// A new word's codes at every level, from the batch prepare to the merge
+/// in one allocation: the codes space-separated, level by level, and how
+/// many each level has.
+pub(crate) struct PreparedCodes {
+    packed: Box<str>,
+    per_level: [u8; NUM_LEVELS],
+}
+
+impl PreparedCodes {
+    /// Encode `token` at `levels`; `None` when it has no code (no
+    /// phonetic content).
+    fn encode(levels: &[CustomSoundex; NUM_LEVELS], token: &str) -> Option<Self> {
+        RECORD_ENCODER.with(|cell| {
+            let RecordEncoder { encoder, packed } = &mut *cell.borrow_mut();
+            packed.clear();
+            let mut per_level = [0u8; NUM_LEVELS];
+            encoder.for_each_code(levels, token, |k, code| {
+                if !packed.is_empty() {
+                    packed.push(' ');
+                }
+                packed.push_str(code);
+                per_level[k] += 1;
+            });
+            (per_level[0] > 0).then(|| PreparedCodes {
+                packed: packed.as_str().into(),
+                per_level,
+            })
+        })
+    }
+
+    /// Hand `file` every code as `(level, code)`, levels in order.
+    fn for_each(&self, file: &mut dyn FnMut(usize, &str)) {
+        let mut codes = self.packed.split(' ');
+        for (k, &n) in self.per_level.iter().enumerate() {
+            for code in codes.by_ref().take(usize::from(n)) {
+                file(k, code);
+            }
+        }
+    }
 }
 
 /// A word of a prepared batch. Each variant carries the word itself,
@@ -321,7 +398,7 @@ pub(crate) enum PreparedWord<'t> {
     /// `by_token`.
     Repeat(&'t str),
     /// A new word with its codes at every level.
-    Fresh(&'t str, Box<[Vec<SoundexCode>; NUM_LEVELS]>),
+    Fresh(&'t str, PreparedCodes),
 }
 
 impl<'t> PreparedWord<'t> {
@@ -382,10 +459,9 @@ impl<'t> WordMemo<'t> {
             Some(true) => Some(PreparedWord::Repeat(t)),
             Some(false) => None,
             None => {
-                let codes = db.compute_codes(t);
-                let sounds = !codes[0].is_empty();
-                self.fresh.insert(t, sounds);
-                sounds.then(|| PreparedWord::Fresh(t, Box::new(codes)))
+                let codes = PreparedCodes::encode(&db.soundex, t);
+                self.fresh.insert(t, codes.is_some());
+                codes.map(|codes| PreparedWord::Fresh(t, codes))
             }
         }
     }
@@ -453,6 +529,8 @@ pub struct TokenDatabase {
     by_token: FxHashMap<String, u32>,
     /// `H_k`: interned Soundex code → record ids sharing that sound.
     buckets: [CodeIndex; NUM_LEVELS],
+    /// The code ids of the record being inserted (reused).
+    filing: Vec<u32>,
     /// Clean sentences accumulated for LM training (bounded).
     clean_sentences: Vec<String>,
 }
@@ -479,6 +557,7 @@ impl TokenDatabase {
                 CodeIndex::default(),
                 CodeIndex::default(),
             ],
+            filing: Vec::new(),
             clean_sentences: Vec::new(),
         }
     }
@@ -499,34 +578,43 @@ impl TokenDatabase {
         }
     }
 
-    /// A new record's codes at every level, from one skeleton expansion.
-    /// Every record build goes through here: batch prepare, the lexicon
-    /// seed, snapshot load and delta-log replay.
-    fn compute_codes(&self, token: &str) -> [Vec<SoundexCode>; NUM_LEVELS] {
-        CustomSoundex::encode_all_levels(&self.soundex, token)
-    }
-
+    /// Push a new record for `token`, filed under every `(level, code)`
+    /// that `codes` hands the visitor it is given, levels in order.
     fn insert_new(
         &mut self,
         token: &str,
         add_count: u64,
-        codes: [Vec<SoundexCode>; NUM_LEVELS],
+        codes: impl FnOnce(&mut dyn FnMut(usize, &str)),
     ) -> u32 {
         let id = self.records.len() as u32;
-        for (k, level_codes) in codes.iter().enumerate() {
-            for code in level_codes {
-                self.buckets[k].add(code.as_str(), id);
-            }
+        let (buckets, filing) = (&mut self.buckets, &mut self.filing);
+        filing.clear();
+        let mut code_ends = [0u8; NUM_LEVELS];
+        codes(&mut |k, code| {
+            debug_assert!(
+                code_ends[k + 1..].iter().all(|&n| n == 0),
+                "levels in order"
+            );
+            filing.push(buckets[k].add(code, id));
+            code_ends[k] += 1;
+        });
+        for k in 1..NUM_LEVELS {
+            code_ends[k] += code_ends[k - 1];
         }
         let folded = token.to_lowercase();
         let folded_chars = folded.chars().count() as u32;
+        // An ASCII token's fold is the lowercase copy the lexicon probe
+        // would otherwise allocate.
+        let is_english =
+            cryptext_corpus::is_english_word(if token.is_ascii() { &folded } else { token });
         self.records.push(TokenRecord {
             token: token.to_string(),
             folded,
             folded_chars,
             count: add_count,
-            is_english: cryptext_corpus::is_english_word(token),
-            codes,
+            is_english,
+            code_ids: self.filing.as_slice().into(),
+            code_ends,
         });
         self.by_token.insert(token.to_string(), id);
         id
@@ -534,14 +622,21 @@ impl TokenDatabase {
 
     /// Insert or count a token with an explicit occurrence delta, without
     /// the ingest gates. Crate internal: the lexicon seed, snapshot load
-    /// and delta-log replay use it.
+    /// and delta-log replay use it. A new record's codes are interned
+    /// straight from the thread's encoder.
     pub(crate) fn upsert_token(&mut self, token: &str, add_count: u64) -> u32 {
         if let Some(&id) = self.by_token.get(token) {
             self.records[id as usize].count += add_count;
             return id;
         }
-        let codes = self.compute_codes(token);
-        self.insert_new(token, add_count, codes)
+        let levels = self.soundex;
+        self.insert_new(token, add_count, |file| {
+            RECORD_ENCODER.with(|cell| {
+                cell.borrow_mut()
+                    .encoder
+                    .for_each_code(&levels, token, file)
+            })
+        })
     }
 
     /// Ingest one raw token occurrence (case-sensitive, as the paper's
@@ -595,7 +690,7 @@ impl TokenDatabase {
                 if let Some(&id) = self.by_token.get(t) {
                     self.records[id as usize].count += 1;
                 } else {
-                    self.insert_new(t, 1, *codes);
+                    self.insert_new(t, 1, |file| codes.for_each(file));
                 }
             }
         }
@@ -624,6 +719,21 @@ impl TokenDatabase {
     /// All records.
     pub fn records(&self) -> &[TokenRecord] {
         &self.records
+    }
+
+    /// The Soundex codes record `id` is filed under at level `k`, primary
+    /// reading first: for a stored token, what
+    /// [`CustomSoundex::encode_all`] gives at `k`. Panics if no record has
+    /// id `id`.
+    pub fn record_codes(&self, id: u32, k: usize) -> Result<impl Iterator<Item = &str>> {
+        Self::check_level(k)?;
+        Ok(self.level_codes(&self.records[id as usize], k))
+    }
+
+    /// `rec`'s codes at level `k`, resolved through the level's names.
+    fn level_codes<'a>(&'a self, rec: &'a TokenRecord, k: usize) -> impl Iterator<Item = &'a str> {
+        let names = &self.buckets[k].names;
+        rec.level_ids(k).iter().map(move |&id| &*names[id as usize])
     }
 
     /// Validate a phonetic level.
@@ -763,7 +873,7 @@ impl TokenDatabase {
                 })?;
                 tokens.push(Value::from(rec.token.as_str()));
                 counts.push(Value::Int(count));
-                write_code_check(&rec.codes[1], &mut check);
+                write_code_check(self.level_codes(rec, 1), &mut check);
                 checks.push(Value::from(check.as_str()));
             }
             let doc = Document::new()
@@ -780,21 +890,30 @@ impl TokenDatabase {
     /// Rebuild a database from `store[collection]` (inverse of
     /// [`TokenDatabase::persist_to`]). Clean sentences are not persisted.
     ///
-    /// The blocks are read in id order in place (no document is cloned)
-    /// and each record is rebuilt by the ingest path's own upsert, so
-    /// codes, folds and `is_english` are recomputed, the codes at all
-    /// three levels from one skeleton expansion; no code is taken from
-    /// disk, and the stored `codes_k1` check must agree with the
-    /// recomputed level-1 codes. Anything `persist_to` never writes — a
-    /// missing or non-array block field, ragged arrays, a value of the
-    /// wrong type, a negative count, a token stored twice, a code
-    /// mismatch, any other layout — is an [`Error::Corrupt`], never a
-    /// silently repaired record.
+    /// The blocks are read in id order in place (no document is cloned),
+    /// the records and the token map are sized from them once, and each
+    /// record is rebuilt by the ingest path's own upsert, so codes, folds
+    /// and `is_english` are recomputed, the codes at all three levels from
+    /// one skeleton expansion; no code is taken from disk, and the stored
+    /// `codes_k1` check must agree with the recomputed level-1 codes.
+    /// Anything `persist_to` never writes — a missing or non-array block
+    /// field, ragged arrays, a value of the wrong type, a negative count,
+    /// a token stored twice, a code mismatch, any other layout — is an
+    /// [`Error::Corrupt`], never a silently repaired record.
     pub fn load_from(store: &Database, collection: &str) -> Result<TokenDatabase> {
         store.read_collection(collection, |blocks| {
             let mut docs: Vec<_> = blocks.scan().collect();
             docs.sort_unstable_by_key(|&(id, _)| id);
             let mut db = TokenDatabase::in_memory();
+            let records: usize = docs
+                .iter()
+                .map(|(_, block)| {
+                    let tokens = block.get(BLOCK_TOKENS).and_then(Value::as_array);
+                    tokens.map_or(0, <[Value]>::len)
+                })
+                .sum();
+            db.records.reserve_exact(records);
+            db.by_token.reserve(records);
             let mut check = String::new();
             for (id, block) in docs {
                 db.load_block(block, &mut check)
@@ -851,7 +970,7 @@ impl TokenDatabase {
             // Trust recomputed codes over stored ones (the algorithm is
             // the source of truth), but verify agreement for corruption
             // safety.
-            write_code_check(&self.records[id as usize].codes[1], check);
+            write_code_check(self.level_codes(&self.records[id as usize], 1), check);
             if check != stored {
                 return Err(format!(
                     "code mismatch for token {token}: stored {stored:?}, recomputed {check:?}"
@@ -1420,6 +1539,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::durable::{DurableOptions, DurableTokenStore};
     use cryptext_docstore::DbOptions;
     use proptest::prelude::*;
 
@@ -1439,6 +1559,43 @@ mod proptests {
         db
     }
 
+    /// Every record's code strings at every level, in id order. Records
+    /// compare their code ids; these compare what the ids name.
+    fn code_strings(db: &TokenDatabase) -> Vec<[Vec<String>; NUM_LEVELS]> {
+        (0..db.records().len() as u32)
+            .map(|id| {
+                std::array::from_fn(|k| {
+                    let codes = db.record_codes(id, k).unwrap();
+                    codes.map(str::to_owned).collect()
+                })
+            })
+            .collect()
+    }
+
+    /// Every record is filed under exactly the codes the encoder gives
+    /// its token, at every level, in the encoder's order.
+    fn filed_under_the_encoders_codes(db: &TokenDatabase, when: &str) {
+        for (id, rec) in db.records().iter().enumerate() {
+            for k in 0..NUM_LEVELS {
+                let filed: Vec<&str> = db.record_codes(id as u32, k).unwrap().collect();
+                let encoded = CustomSoundex::new(k).encode_all(&rec.token);
+                let encoded: Vec<&str> = encoded.iter().map(SoundexCode::as_str).collect();
+                prop_assert_eq!(filed, encoded, "{} at k={}: {:?}", when, k, rec.token);
+            }
+        }
+    }
+
+    /// A fresh directory for one case's docstore or durable store.
+    fn tmp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "cryptext-db-{name}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     proptest! {
         /// Batch ingest is byte-identical to sequential ingest of the same
         /// texts in order: records, clean sentences and the word count.
@@ -1455,6 +1612,7 @@ mod proptests {
             let mut batch = corpus(&[], lexicon);
             prop_assert_eq!(batch.ingest_texts(&texts), expect_n);
             prop_assert_eq!(batch.records(), seq.records());
+            prop_assert_eq!(code_strings(&batch), code_strings(&seq));
             prop_assert_eq!(batch.clean_sentences(), seq.clean_sentences());
         }
 
@@ -1471,6 +1629,7 @@ mod proptests {
             db.persist_to(&store, "tokens").unwrap();
             let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
             prop_assert_eq!(restored.records(), db.records());
+            prop_assert_eq!(code_strings(&restored), code_strings(&db));
         }
 
         /// The same through a persistent docstore reopened from disk: the
@@ -1482,12 +1641,7 @@ mod proptests {
             checkpoint in any::<bool>(),
         ) {
             let db = corpus(&texts, lexicon);
-            let dir = std::env::temp_dir().join(format!(
-                "cryptext-db-blocks-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
+            let dir = tmp_dir("blocks");
             {
                 let store = Database::open(&dir, DbOptions::default()).unwrap();
                 db.persist_to(&store, "tokens").unwrap();
@@ -1500,6 +1654,52 @@ mod proptests {
             drop(store);
             let _ = std::fs::remove_dir_all(&dir);
             prop_assert_eq!(restored.records(), db.records());
+            prop_assert_eq!(code_strings(&restored), code_strings(&db));
+        }
+
+        /// Records are filed under exactly `CustomSoundex::encode_all`'s
+        /// codes of their tokens at every level: after batch and
+        /// sequential ingest, after a persist and load, and after a
+        /// durable store reopens from its snapshot and delta log.
+        #[test]
+        fn record_codes_are_the_encoders_codes(
+            texts in proptest::collection::vec(text_strategy(), 0..12),
+            lexicon in any::<bool>(),
+            compact in any::<bool>(),
+        ) {
+            let mut db = corpus(&texts, lexicon);
+            filed_under_the_encoders_codes(&db, "after batch ingest");
+            for text in &texts {
+                db.ingest_text(&format!("{text} z{text}"));
+            }
+            filed_under_the_encoders_codes(&db, "after sequential ingest");
+
+            let store = Database::in_memory();
+            db.persist_to(&store, "tokens").unwrap();
+            let restored = TokenDatabase::load_from(&store, "tokens").unwrap();
+            filed_under_the_encoders_codes(&restored, "after load");
+
+            let dir = tmp_dir("codes");
+            {
+                let mut durable =
+                    DurableTokenStore::<TokenDatabase>::open(&dir, DurableOptions::default())
+                        .unwrap();
+                if lexicon {
+                    durable.try_seed_lexicon().unwrap();
+                }
+                let (first, rest) = texts.split_at(texts.len() / 2);
+                durable.try_ingest_texts(first).unwrap();
+                if compact {
+                    durable.compact().unwrap();
+                }
+                durable.try_ingest_texts(rest).unwrap();
+            }
+            let reopened =
+                DurableTokenStore::<TokenDatabase>::open(&dir, DurableOptions::default())
+                    .unwrap()
+                    .into_inner();
+            let _ = std::fs::remove_dir_all(&dir);
+            filed_under_the_encoders_codes(&reopened, "after reopen");
         }
     }
 }

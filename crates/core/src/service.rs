@@ -1951,7 +1951,91 @@ mod proptests {
             .prop_map(|parts| parts.into_iter().map(|(w, sep)| w + &sep).collect())
     }
 
+    /// Request material a cache key hashes: cased ASCII, so the candidate
+    /// key's fold runs, a lone `%`, astral characters, C0 and C1 controls,
+    /// combining marks, and any scalar value.
+    fn key_text() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            proptest::char::range(' ', '~'),
+            Just('%'),
+            proptest::char::range('\u{10000}', char::MAX),
+            proptest::char::range('\0', '\u{1F}'),
+            proptest::char::range('\u{7F}', '\u{9F}'),
+            proptest::char::range('\u{300}', '\u{36F}'),
+            proptest::char::range('\0', char::MAX),
+        ];
+        proptest::collection::vec(piece, 0..16).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// Every cache key of `svc` for `input`, under the given params.
+    fn keys(
+        svc: &CryptextService,
+        input: &str,
+        lookup: LookupParams,
+        normalize: NormalizeParams,
+        perturb: PerturbParams,
+    ) -> [CacheKey; 4] {
+        [
+            svc.lookup_cache_key(input, lookup),
+            svc.normalize_cache_key(input, normalize.k, normalize.d),
+            svc.normalize_result_key(input, normalize),
+            svc.perturb_choices_key(svc.generation(), input, perturb),
+        ]
+    }
+
     proptest! {
+        /// The four cache keys never panic on arbitrary strings, and equal
+        /// inputs give equal keys: from one service twice, from a copy of
+        /// the input, and from a second service at the same generation, as
+        /// tier-2 replicas must agree.
+        #[test]
+        fn cache_keys_are_total_and_deterministic(
+            input in key_text(),
+            k in 0usize..=3,
+            d in 0usize..=8,
+            flags in (any::<bool>(), any::<bool>()),
+            weights in (0.0f64..4.0, 0.0f64..4.0),
+            max_candidates in 0usize..=64,
+            bumps in 0u64..3,
+        ) {
+            let lookup = LookupParams {
+                k,
+                d,
+                exclude_identity: flags.0,
+                observed_only: flags.1,
+            };
+            let normalize = NormalizeParams {
+                k,
+                d,
+                edit_penalty: weights.0,
+                prior_weight: weights.1,
+                max_candidates,
+            };
+            let perturb = PerturbParams {
+                k,
+                d,
+                case_sensitive: flags.0,
+                observed_only: flags.1,
+                ..PerturbParams::with_ratio(0.5)
+            };
+            let service = || {
+                let svc = CryptextService::new(
+                    CrypText::new(TokenDatabase::in_memory()),
+                    ServiceConfig::default(),
+                    Arc::new(SimClock::new(0)),
+                );
+                for _ in 0..bumps {
+                    svc.bump_generation();
+                }
+                svc
+            };
+            let (svc, replica) = (service(), service());
+            let want = keys(&svc, &input, lookup, normalize, perturb);
+            prop_assert_eq!(keys(&svc, &input, lookup, normalize, perturb), want);
+            prop_assert_eq!(keys(&svc, &input.clone(), lookup, normalize, perturb), want);
+            prop_assert_eq!(keys(&replica, &input, lookup, normalize, perturb), want);
+        }
+
         /// The served fast path returns `Perturber::perturb`'s outcome
         /// byte for byte: cold, from the tier (same seeds, then new
         /// seeds), and again after a generation bump, with and without a

@@ -503,8 +503,10 @@ fn declared_length(so_far: Option<usize>, value: &str) -> Result<Option<usize>, 
 }
 
 /// Percent-decode, with `+` as space (query convention; harmless in
-/// paths). Invalid escapes pass through literally. Borrowed when `s`
-/// holds neither `%` nor `+`.
+/// paths). An escape is `%` and two hex digits (RFC 3986); any other `%`
+/// passes through literally, and what follows it decodes on its own, so
+/// `%+5` is `%`, a space and `5`. Borrowed when `s` holds neither `%` nor
+/// `+`.
 fn percent_decode(s: &str) -> Cow<'_, [u8]> {
     if s.contains(['%', '+']) {
         Cow::Owned(decoded(s).collect())
@@ -523,11 +525,11 @@ fn decoded(s: &str) -> impl Iterator<Item = u8> + '_ {
         Some(match b {
             b'+' => b' ',
             b'%' => {
-                let hex = bytes.get(i..i + 2).and_then(|h| {
-                    let h = std::str::from_utf8(h).ok()?;
-                    u8::from_str_radix(h, 16).ok()
-                });
-                match hex {
+                let hex = match bytes.get(i..i + 2) {
+                    Some(&[hi, lo]) => hex_digit(hi).zip(hex_digit(lo)),
+                    _ => None,
+                };
+                match hex.map(|(hi, lo)| (hi << 4) | lo) {
                     Some(b) => {
                         i += 2;
                         b
@@ -538,6 +540,11 @@ fn decoded(s: &str) -> impl Iterator<Item = u8> + '_ {
             b => b,
         })
     })
+}
+
+/// The value of one hex digit (`HEXDIG`, either case), else `None`.
+fn hex_digit(b: u8) -> Option<u8> {
+    char::from(b).to_digit(16).map(|d| d as u8)
 }
 
 /// Canonical reason phrase for every status the wire layer emits.
@@ -752,6 +759,13 @@ mod tests {
         );
         assert_eq!(*percent_decode("%zz"), *b"%zz", "bad hex passes through");
         assert_eq!(*percent_decode("%FF"), [0xFF], "escapes decode to bytes");
+        assert_eq!(
+            *percent_decode("%2b%2B"),
+            *b"++",
+            "hex digits of either case"
+        );
+        assert_eq!(*percent_decode("a%+5"), *b"a% 5", "a sign is no hex digit");
+        assert_eq!(*percent_decode("%-5"), *b"%-5");
     }
 
     #[test]
@@ -1214,10 +1228,14 @@ mod reference {
                     i += 1;
                 }
                 b'%' => {
-                    let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                        let h = std::str::from_utf8(h).ok()?;
-                        u8::from_str_radix(h, 16).ok()
-                    });
+                    // Strict: `from_str_radix` alone would also take a sign.
+                    let hex = bytes
+                        .get(i + 1..i + 3)
+                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                        .and_then(|h| {
+                            let h = std::str::from_utf8(h).ok()?;
+                            u8::from_str_radix(h, 16).ok()
+                        });
                     match hex {
                         Some(b) => {
                             out.push(b);

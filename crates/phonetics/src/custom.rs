@@ -15,13 +15,19 @@
 //!    studies. `max_digits` restores classic truncation when wanted.
 //! 4. Ambiguous leet glyphs (`1` = `l` or `i`) yield *multiple* codes via
 //!    [`CustomSoundex::encode_all`]; the token database indexes every one,
-//!    at every level, through [`CustomSoundex::encode_all_levels`].
+//!    at every level, through a [`LevelEncoder`].
 //!
-//! Every entry point reduces each skeleton reading once to its ASCII
-//! lowercase letter bytes and walks those bytes; a multi-level encode
-//! shares one skeleton expansion across its levels.
+//! [`LevelEncoder`] is the one multi-reading encoder: it expands a token's
+//! skeleton readings, as ASCII lowercase letter bytes, into buffers it
+//! reuses, and builds every level's codes from them into a reused buffer,
+//! so a warm encoder allocates nothing. [`CustomSoundex::encode_all`] and
+//! [`CustomSoundex::encode_all_into`] are its one-level wrappers;
+//! [`CustomSoundex::encode`] walks the primary reading's letters alone.
 
-use cryptext_confusables::{letter_skeleton, skeleton_variants};
+use std::cell::RefCell;
+
+use cryptext_confusables::tables::leet_alternates;
+use cryptext_confusables::{fold_char, letter_skeleton, MAX_AMBIGUOUS_EXPANSIONS};
 
 use crate::{is_separator, soundex_digit, SoundexCode};
 
@@ -31,6 +37,12 @@ use crate::{is_separator, soundex_digit, SoundexCode};
 pub struct CustomSoundex {
     k: usize,
     max_digits: Option<usize>,
+}
+
+thread_local! {
+    /// The encoder behind [`CustomSoundex::encode_all_into`], one per
+    /// thread, so query-side encoding reuses its buffers.
+    static QUERY_ENCODER: RefCell<LevelEncoder> = RefCell::default();
 }
 
 impl CustomSoundex {
@@ -62,69 +74,48 @@ impl CustomSoundex {
     /// Returns `None` when the token has no letter interpretation at all
     /// (pure punctuation, emoji).
     pub fn encode(&self, token: &str) -> Option<SoundexCode> {
-        self.encode_letters(letter_skeleton(token).as_bytes())
+        let mut code = String::with_capacity(self.k + 7);
+        self.write_code(letter_skeleton(token).as_bytes(), &mut code)
+            .then(|| SoundexCode::from_string(code))
     }
 
     /// Encode *every* visual reading of `token` (ambiguous leet glyphs
     /// expand, capped upstream), deduplicated, primary reading first.
     ///
-    /// The token database inserts a token under each of these codes, and
+    /// The token database files a token under each of these codes, and
     /// Look Up probes each, so `suic1de` is findable from `suicide` even
     /// though `1`'s primary reading is `l`. This is the one-level case of
-    /// [`CustomSoundex::encode_all_levels`], which the database uses to
-    /// encode a record at every level from one skeleton expansion.
+    /// [`LevelEncoder::for_each_code`], which the database uses to encode
+    /// a record at every level from one skeleton expansion.
     pub fn encode_all(&self, token: &str) -> Vec<SoundexCode> {
-        let [codes] = Self::encode_all_levels(&[*self], token);
+        let mut codes = Vec::with_capacity(2);
+        self.encode_all_into(token, &mut codes);
         codes
     }
 
     /// Like [`CustomSoundex::encode_all`], but clears and fills a
-    /// caller-provided buffer so query-side encoding reuses one allocation
-    /// across lookups (the read-path hot loop drives this). Same
-    /// expansion and byte walk as [`CustomSoundex::encode_all_levels`].
+    /// caller-provided buffer, and expands the readings in a per-thread
+    /// [`LevelEncoder`], so query-side encoding allocates only the codes
+    /// it returns (the read-path hot loop drives this).
     pub fn encode_all_into(&self, token: &str, out: &mut Vec<SoundexCode>) {
         out.clear();
-        for_each_reading(token, |letters| self.push_new_code(letters, out));
-    }
-
-    /// [`CustomSoundex::encode_all`] at each of `levels`, from one pass:
-    /// the token's skeleton readings are expanded once, each is reduced
-    /// once to its letters, and every level's code list is built from
-    /// those letters. Entry `i` equals `levels[i].encode_all(token)`.
-    ///
-    /// The token database encodes every record at its three phonetic
-    /// levels through this, on ingest and when it rebuilds a snapshot.
-    pub fn encode_all_levels<const N: usize>(
-        levels: &[CustomSoundex; N],
-        token: &str,
-    ) -> [Vec<SoundexCode>; N] {
-        let mut out: [Vec<SoundexCode>; N] = std::array::from_fn(|_| Vec::with_capacity(2));
-        for_each_reading(token, |letters| {
-            for (sx, codes) in levels.iter().zip(&mut out) {
-                sx.push_new_code(letters, codes);
-            }
+        QUERY_ENCODER.with(|encoder| {
+            encoder
+                .borrow_mut()
+                .for_each_code(std::slice::from_ref(self), token, |_, code| {
+                    out.push(SoundexCode::from(code))
+                })
         });
-        out
     }
 
-    /// Append the code of one reading's letters unless `out` has it.
-    fn push_new_code(&self, letters: &[u8], out: &mut Vec<SoundexCode>) {
-        if let Some(code) = self.encode_letters(letters) {
-            if !out.contains(&code) {
-                out.push(code);
-            }
-        }
-    }
-
-    /// Encode one reading's letter skeleton: ASCII lowercase bytes.
-    fn encode_letters(&self, letters: &[u8]) -> Option<SoundexCode> {
+    /// Append the code of one reading's letters (ASCII lowercase bytes) to
+    /// `out`. Returns false, appending nothing, when there are no letters.
+    fn write_code(&self, letters: &[u8], out: &mut String) -> bool {
         if letters.is_empty() {
-            return None;
+            return false;
         }
         debug_assert!(letters.iter().all(u8::is_ascii_lowercase));
         let prefix_len = (self.k + 1).min(letters.len());
-
-        let mut out = String::with_capacity(prefix_len + 6);
         out.extend(
             letters[..prefix_len]
                 .iter()
@@ -159,18 +150,7 @@ impl CustomSoundex {
             out.push('0');
             digits += 1;
         }
-        Some(SoundexCode::from_string(out))
-    }
-}
-
-/// Call `f` with the letters of every skeleton reading of `token`, primary
-/// first: each reading keeps only its ASCII lowercase bytes, in place, so
-/// joiners and unfoldable characters drop out.
-fn for_each_reading(token: &str, mut f: impl FnMut(&[u8])) {
-    for variant in skeleton_variants(token) {
-        let mut letters = variant.into_bytes();
-        letters.retain(u8::is_ascii_lowercase);
-        f(&letters);
+        true
     }
 }
 
@@ -179,6 +159,155 @@ impl Default for CustomSoundex {
     fn default() -> Self {
         CustomSoundex::new(1)
     }
+}
+
+/// The multi-level Soundex encoder: every code of a token at several
+/// phonetic levels, from one expansion of its skeleton readings, built in
+/// buffers reused from token to token.
+///
+/// Once its buffers have grown to the longest token seen, encoding
+/// allocates nothing: the readings are expanded as letter bytes into one
+/// buffer (never a `String` per reading), and each code is built in a
+/// reused buffer and lent to the visitor. Keep one per thread.
+#[derive(Debug, Clone, Default)]
+pub struct LevelEncoder {
+    /// Every reading's letters back to back, the primary reading first.
+    letters: Vec<u8>,
+    /// Where each reading ends in `letters`.
+    reading_ends: Vec<usize>,
+    /// The ambiguous glyphs the readings branch at.
+    forks: Vec<Fork>,
+    /// The current level's distinct codes back to back.
+    codes: String,
+    /// Where each code ends in `codes`.
+    code_ends: Vec<usize>,
+}
+
+/// An ambiguous glyph of the token being encoded.
+#[derive(Debug, Clone, Copy)]
+struct Fork {
+    /// Where the glyph's primary letters start in the primary reading.
+    at: usize,
+    /// How many letters the primary reading has there.
+    len: usize,
+    /// The glyph's other readings.
+    alternates: &'static [&'static str],
+}
+
+impl LevelEncoder {
+    /// A fresh encoder (its buffers grow on first use).
+    pub fn new() -> Self {
+        LevelEncoder::default()
+    }
+
+    /// Hand `visit` every code of `token` at each of `levels`, as
+    /// `(index into levels, code)`: level by level in order, and within a
+    /// level deduplicated, primary reading first. The codes `visit` sees
+    /// for `levels[i]` are exactly `levels[i].encode_all(token)`.
+    ///
+    /// The token database builds every record's codes through this, on
+    /// ingest, lexicon seed, snapshot load and delta-log replay.
+    pub fn for_each_code(
+        &mut self,
+        levels: &[CustomSoundex],
+        token: &str,
+        mut visit: impl FnMut(usize, &str),
+    ) {
+        self.expand(token);
+        for (level, sx) in levels.iter().enumerate() {
+            self.codes.clear();
+            self.code_ends.clear();
+            let mut start = 0;
+            for &end in &self.reading_ends {
+                let letters = &self.letters[start..end];
+                start = end;
+                let from = self.codes.len();
+                if !sx.write_code(letters, &mut self.codes) {
+                    continue;
+                }
+                let mut seen_from = 0;
+                let seen = self.code_ends.iter().any(|&seen_end| {
+                    let seen = &self.codes[seen_from..seen_end];
+                    seen_from = seen_end;
+                    seen == &self.codes[from..]
+                });
+                if seen {
+                    self.codes.truncate(from);
+                } else {
+                    self.code_ends.push(self.codes.len());
+                    visit(level, &self.codes[from..]);
+                }
+            }
+        }
+    }
+
+    /// Expand `token`'s skeleton readings into `letters`: what
+    /// `skeleton_variants` lists, in its order, each reduced to its ASCII
+    /// lowercase bytes. The first [`MAX_AMBIGUOUS_EXPANSIONS`] ambiguous
+    /// glyphs branch; later ones read as their primary letter.
+    fn expand(&mut self, token: &str) {
+        self.letters.clear();
+        self.reading_ends.clear();
+        self.forks.clear();
+        for c in token.chars() {
+            match fold_char(c) {
+                Some(primary) => {
+                    let at = self.letters.len();
+                    push_letters(&mut self.letters, primary);
+                    let alternates = leet_alternates(c);
+                    if !alternates.is_empty() && self.forks.len() < MAX_AMBIGUOUS_EXPANSIONS {
+                        let len = self.letters.len() - at;
+                        self.forks.push(Fork {
+                            at,
+                            len,
+                            alternates,
+                        });
+                    }
+                }
+                None => self.letters.extend(
+                    c.to_lowercase()
+                        .filter(char::is_ascii_lowercase)
+                        .map(|c| c as u8),
+                ),
+            }
+        }
+        let primary_end = self.letters.len();
+        self.reading_ends.push(primary_end);
+        // Every other choice of readings at the forks, the first fork
+        // varying slowest (the order `skeleton_variants` lists them in),
+        // copied from the primary reading with the forks substituted.
+        let choices: usize = self.forks.iter().map(|f| 1 + f.alternates.len()).product();
+        for n in 1..choices {
+            // `n` in mixed radix, one digit per fork, the last fork lowest.
+            let mut picks = [0usize; MAX_AMBIGUOUS_EXPANSIONS];
+            let picks = &mut picks[..self.forks.len()];
+            let mut rest = n;
+            for (pick, fork) in picks.iter_mut().zip(&self.forks).rev() {
+                let options = 1 + fork.alternates.len();
+                *pick = rest % options;
+                rest /= options;
+            }
+            let mut from = 0;
+            for (fork, &pick) in self.forks.iter().zip(picks.iter()) {
+                let fork_end = fork.at + fork.len;
+                match pick {
+                    0 => self.letters.extend_from_within(from..fork_end),
+                    alt => {
+                        self.letters.extend_from_within(from..fork.at);
+                        push_letters(&mut self.letters, fork.alternates[alt - 1]);
+                    }
+                }
+                from = fork_end;
+            }
+            self.letters.extend_from_within(from..primary_end);
+            self.reading_ends.push(self.letters.len());
+        }
+    }
+}
+
+/// Append the ASCII lowercase bytes of `folded` (what a reading keeps).
+fn push_letters(letters: &mut Vec<u8>, folded: &str) {
+    letters.extend(folded.bytes().filter(u8::is_ascii_lowercase));
 }
 
 #[cfg(test)]
@@ -344,6 +473,7 @@ mod tests {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use cryptext_confusables::skeleton_variants;
 
     pub fn encode(sx: &CustomSoundex, token: &str) -> Option<SoundexCode> {
         encode_skeleton(sx, &letter_skeleton(token))
@@ -425,15 +555,21 @@ mod proptests {
         })
     }
 
-    /// Every entry point equals the per-level reference on `token`.
-    fn agrees_with_reference(token: &str, levels: [CustomSoundex; 3]) {
+    /// Every entry point equals the per-level reference on `token`. The
+    /// multi-level encoder encodes `warm` first, so a buffer it failed to
+    /// reset would show.
+    fn agrees_with_reference(token: &str, warm: &str, levels: [CustomSoundex; 3]) {
         let expected = levels.map(|sx| reference::encode_all(&sx, token));
-        prop_assert_eq!(
-            CustomSoundex::encode_all_levels(&levels, token),
-            expected.clone(),
-            "all levels of {:?}",
-            token
-        );
+        let mut encoder = LevelEncoder::new();
+        encoder.for_each_code(&levels, warm, |_, _| {});
+        let mut visited: [Vec<SoundexCode>; 3] = Default::default();
+        let mut last_level = 0;
+        encoder.for_each_code(&levels, token, |level, code| {
+            assert!(level >= last_level, "levels visited in order");
+            last_level = level;
+            visited[level].push(SoundexCode::from(code));
+        });
+        prop_assert_eq!(&visited, &expected, "all levels of {:?}", token);
         let mut reused = vec![SoundexCode::from("STALE0")];
         for (sx, expected) in levels.iter().zip(&expected) {
             prop_assert_eq!(&sx.encode_all(token), expected, "encode_all {:?}", token);
@@ -455,18 +591,45 @@ mod proptests {
         #[test]
         fn encoder_equals_reference(
             s in "\\PC{0,24}",
+            warm in "\\PC{0,24}",
             md in (max_digits(), max_digits(), max_digits()),
         ) {
-            agrees_with_reference(&s, levels([md.0, md.1, md.2]));
+            agrees_with_reference(&s, &warm, levels([md.0, md.1, md.2]));
         }
 
         /// The same over tokens dense in confusables and joiners.
         #[test]
         fn encoder_equals_reference_on_confusables(
             s in DENSE,
+            warm in DENSE,
             md in (max_digits(), max_digits(), max_digits()),
         ) {
-            agrees_with_reference(&s, levels([md.0, md.1, md.2]));
+            agrees_with_reference(&s, &warm, levels([md.0, md.1, md.2]));
+        }
+
+        /// The encoder's readings are `skeleton_variants`' readings, in
+        /// its order, with every byte but ASCII lowercase letters dropped,
+        /// over tokens dense in confusables, after encoding another token.
+        #[test]
+        fn readings_equal_skeleton_variants_letters(s in DENSE, warm in DENSE) {
+            let mut encoder = LevelEncoder::new();
+            encoder.expand(&warm);
+            encoder.expand(&s);
+            let mut start = 0;
+            let readings: Vec<&[u8]> = encoder
+                .reading_ends
+                .iter()
+                .map(|&end| {
+                    let reading = &encoder.letters[start..end];
+                    start = end;
+                    reading
+                })
+                .collect();
+            let expected: Vec<Vec<u8>> = cryptext_confusables::skeleton_variants(&s)
+                .into_iter()
+                .map(|v| v.bytes().filter(u8::is_ascii_lowercase).collect())
+                .collect();
+            prop_assert_eq!(readings, expected, "readings of {:?}", s);
         }
 
         /// Codes have an uppercase-alphabetic prefix followed by digits only.

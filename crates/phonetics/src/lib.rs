@@ -18,9 +18,10 @@
 //! [`CustomSoundex`] implements the customized encoder; because some leet
 //! glyphs are ambiguous (`1` is both `l` and `i`), [`CustomSoundex::encode_all`]
 //! returns *every* reading's code and the token database indexes each.
-//! [`CustomSoundex::encode_all_levels`] does the same at several phonetic
-//! levels from one skeleton expansion, which is how the database encodes
-//! each record at all of its levels `k ≤ MAX_PHONETIC_LEVEL`.
+//! [`LevelEncoder`] does the same at several phonetic levels from one
+//! skeleton expansion, lending each code to a visitor from buffers it
+//! reuses, which is how the database encodes each record at all of its
+//! levels `k ≤ MAX_PHONETIC_LEVEL` without allocating per code.
 
 #![warn(missing_docs)]
 
@@ -30,7 +31,7 @@ pub mod custom;
 
 pub use classic::classic_soundex;
 pub use code::SoundexCode;
-pub use custom::CustomSoundex;
+pub use custom::{CustomSoundex, LevelEncoder};
 
 /// The largest phonetic level the paper's database materializes (`H_k`,
 /// `k ≤ 2`).

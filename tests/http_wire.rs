@@ -691,6 +691,37 @@ fn a_query_value_that_is_not_utf8_is_refused_naming_its_parameter() {
     });
 }
 
+/// A query escape is `%` and two hex digits. `%+5` is none: it passes
+/// through as `%`, a space (the `+`) and `5`, where a sign-accepting
+/// decoder read the byte 0x05. `%2B` is the escaped `+`.
+#[test]
+fn a_percent_escape_is_two_hex_digits() {
+    let db = corpus();
+    let naive = |token: &str| {
+        look_up_naive(&db, token, LookupParams::paper_default())
+            .map(RouteOutput::Lookup)
+            .unwrap()
+            .to_json()
+    };
+    let served = [("a%+5", naive("a% 5")), ("a%2B5", naive("a+5"))];
+    assert_ne!(
+        served[0].1,
+        naive("a\u{5}"),
+        "the two readings answer apart"
+    );
+    each_layout(|layout| {
+        let srv = server(layout);
+        let mut c = Client::connect(srv.addr);
+        for (query, want) in &served {
+            c.send(&get_req(&format!("/lookup?q={query}"), Some(&srv.token)));
+            let resp = c.read_response();
+            assert_eq!(resp.status, 200, "{query}: {}", resp.body);
+            assert_eq!(&resp.body, want, "{query}");
+        }
+        srv.finish();
+    });
+}
+
 /// Rate limiting over the wire mirrors `service_api`: a limit of 5
 /// admits exactly 5 of 8, refusals carry `Retry-After`, and the budget
 /// refills when the window rolls over.
