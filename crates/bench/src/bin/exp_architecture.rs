@@ -10,12 +10,15 @@
 //! cargo run --release -p cryptext-bench --bin exp_architecture
 //! ```
 
+use std::sync::Arc;
+
 use cryptext_bench::{build_platform, pct};
 use cryptext_core::database::PERSIST_BLOCK_RECORDS;
 use cryptext_core::ingest::Crawler;
 use cryptext_core::service::{CryptextService, ServiceConfig};
 use cryptext_core::{CrypText, LookupParams, TokenDatabase};
 use cryptext_docstore::{Database, DbOptions};
+use cryptext_gateway::{Gateway, GatewayConfig, Request};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("cryptext-arch-{}", std::process::id()));
@@ -65,13 +68,14 @@ fn main() {
     );
 
     // 4. Public API facade with auth + rate limit + cache (Redis
-    //    substitute).
+    //    substitute), served through the gateway as the HTTP API serves it.
     let service = CryptextService::new(
         CrypText::new(recovered),
         ServiceConfig::default(),
         cryptext_common::system_clock(),
     );
-    let token = service.issue_token("demo");
+    let gateway = Gateway::new(Arc::new(service), GatewayConfig::default());
+    let token = gateway.service().issue_token("demo");
     let queries = [
         "democrats",
         "republicans",
@@ -82,12 +86,11 @@ fn main() {
     // Two passes: the second should be served by the cache.
     for _ in 0..2 {
         for q in queries {
-            let _ = service
-                .look_up(&token, q, LookupParams::paper_default())
-                .expect("lookup");
+            let request = Request::lookup(q, LookupParams::paper_default());
+            gateway.handle(&token, request).expect("lookup");
         }
     }
-    let cache = service.cache_stats();
+    let cache = gateway.service().cache_stats();
     println!(
         "service: {} lookups → cache hit rate {} ({} hits / {} misses)",
         cache.hits + cache.misses,

@@ -9,8 +9,8 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use cryptext_common::{Error, SimClock};
-use cryptext_core::lookup::LookupHit;
-use cryptext_core::service::{ApiToken, CryptextService, ServiceConfig};
+use cryptext_core::lookup::hits_of;
+use cryptext_core::service::{ApiToken, CryptextService, LookupEntry, ServiceConfig};
 use cryptext_core::{CrypText, LookupParams, TokenDatabase};
 use cryptext_gateway::{
     CallOptions, Gateway, GatewayConfig, Request, RouteBudget, RouteClass, RouteOutput,
@@ -97,12 +97,16 @@ pub fn run() -> Result<Doc, String> {
 
     // Admission overhead: the same Look Up mix through the full layer
     // onion (admission → auth → coalescing → deadline → inline execution)
-    // vs the direct service endpoint, uncontended and sequential so the
-    // difference is pure layering cost.
+    // vs the direct service (auth, served entry, owned hits), uncontended
+    // and sequential so the difference is pure layering cost.
     let (svc, gw) = fixture(GatewayConfig::default());
     let auth = svc.issue_token("bench-overhead");
     let params = LookupParams::paper_default();
-    let mut direct = |q: &str| svc.look_up(&auth, q, params).unwrap().len();
+    let mut direct = |q: &str| {
+        svc.authorize_request(&auth).unwrap();
+        let (entry, _) = svc.look_up_shared(q, params, &mut || None).unwrap();
+        hits_of(svc.system().database(), entry.hits()).len()
+    };
     let mut gated = |q: &str| gateway_hits(&gw, &auth, q);
     measure(&GATE_QUERIES, WARMUP_ROUNDS, &mut direct);
     measure(&GATE_QUERIES, WARMUP_ROUNDS, &mut gated);
@@ -161,9 +165,8 @@ fn storm() -> (usize, usize) {
         ..GatewayConfig::default()
     });
     let auth = svc.issue_token("bench-storm");
-    let direct = svc
-        .look_up(&auth, "republicans", LookupParams::paper_default())
-        .unwrap();
+    let params = LookupParams::paper_default();
+    let direct = svc.system().look_up("republicans", params).unwrap();
     let latch = Arc::new(RwLock::new(()));
     let closed = latch.write().unwrap();
     let handles: Vec<_> = (0..STORM_REQUESTS)
@@ -190,7 +193,8 @@ fn storm() -> (usize, usize) {
     let (mut completed, mut shed) = (0, 0);
     for h in handles {
         match h.join().expect("storm thread") {
-            Ok(hits) => {
+            Ok(entry) => {
+                let hits = hits_of(svc.system().database(), entry.hits());
                 assert_eq!(hits, direct, "admitted storm result must match");
                 completed += 1;
             }
@@ -202,15 +206,14 @@ fn storm() -> (usize, usize) {
 }
 
 /// The duplicate wave: identical concurrent lookups coalesce to one
-/// execution, and every caller gets the leader's exact bytes. Returns
+/// execution, and every caller gets the leader's tier-1 entry. Returns
 /// `(executions, coalesced followers)`.
 fn wave() -> (u64, u64) {
     let (svc, gw) = fixture(GatewayConfig::default());
     let auth = svc.issue_token("bench-wave");
-    let direct = svc
-        .look_up(&auth, "democrats", LookupParams::paper_default())
-        .unwrap();
-    let flights: Arc<SingleFlight<Vec<LookupHit>>> = Arc::new(SingleFlight::new());
+    let params = LookupParams::paper_default();
+    let direct = svc.system().look_up("democrats", params).unwrap();
+    let flights: Arc<SingleFlight<Arc<LookupEntry>>> = Arc::new(SingleFlight::new());
     let latch = Arc::new(RwLock::new(()));
     let closed = latch.write().unwrap();
     let handles: Vec<_> = (0..WAVE_REQUESTS)
@@ -237,10 +240,16 @@ fn wave() -> (u64, u64) {
         followers() == (WAVE_REQUESTS - 1) as u64
     });
     drop(closed);
-    for h in handles {
-        let hits = h.join().expect("wave thread").expect("coalesced lookup");
-        assert_eq!(hits, direct, "coalesced result must match");
-    }
+    let entries: Vec<Arc<LookupEntry>> = handles
+        .into_iter()
+        .map(|h| h.join().expect("wave thread").expect("coalesced lookup"))
+        .collect();
+    let hits = hits_of(svc.system().database(), entries[0].hits());
+    assert_eq!(hits, direct, "coalesced result must match");
+    assert!(
+        entries.iter().all(|e| Arc::ptr_eq(e, &entries[0])),
+        "every caller shares the leader's entry"
+    );
     let executions = gw
         .stats()
         .counter_total("cryptext_gateway_executions_total");
@@ -249,15 +258,15 @@ fn wave() -> (u64, u64) {
 
 /// The choreographies' request body: wait for the latch (the main thread
 /// holds it for writing until every request is in its admission state),
-/// then look `query` up.
+/// then look `query` up through the service's served entry.
 fn latched_lookup(
     svc: &CryptextService,
     latch: &RwLock<()>,
     query: &str,
-) -> cryptext_common::Result<Vec<LookupHit>> {
+) -> cryptext_common::Result<Arc<LookupEntry>> {
     drop(latch.read());
-    svc.look_up_prechecked_traced(query, LookupParams::paper_default(), &mut || None)
-        .map(|(hits, _)| hits)
+    svc.look_up_shared(query, LookupParams::paper_default(), &mut || None)
+        .map(|(entry, _)| entry)
 }
 
 /// Spin until `cond` holds; panics (failing the run) on stall.

@@ -16,7 +16,7 @@
 //!   TTL logic, so tests never depend on wall time.
 //! * [`interner`] — a thread-safe string interner used by the token database.
 //! * [`par`] — order-preserving parallel map over a persistent worker
-//!   pool, backing the bulk service endpoints and parallel corpus ingest.
+//!   pool, backing parallel corpus ingest.
 //! * [`failpoint`] — deterministic fault injection for durability tests
 //!   (kill / torn-write at named crash boundaries).
 //! * [`metrics`] — the workspace-wide observability layer: lock-free

@@ -1,24 +1,21 @@
 //! Minimal data-parallel helpers over a persistent worker pool.
 //!
-//! The service facade fans bulk Look Up / Normalize traffic across cores
-//! and the database parallelizes corpus ingest; a work-stealing runtime
-//! (rayon) is not available in this environment, so this module provides
-//! the two primitives those paths need. Outputs are returned **in input
-//! order**, so parallel callers observe exactly the sequential results.
+//! The database parallelizes the prepare step of a batch ingest; a
+//! work-stealing runtime (rayon) is not available in this environment, so
+//! this module provides the primitives that path needs. Outputs are
+//! returned **in input order**, so parallel callers observe exactly the
+//! sequential results.
 //!
 //! # The pool
 //!
-//! Earlier revisions spawned fresh scoped threads per [`par_map`] call,
-//! which put a floor of tens of microseconds under every bulk request and
-//! forced small batches (< 16 items) to stay sequential. Workers are now
-//! **persistent**: a process-wide pool starts lazily on the first parallel
-//! call, grows on demand up to the current [`max_threads`] reading (so
-//! `CRYPTEXT_THREADS` keeps working, and keeps working even when it changes
-//! between calls), and parks idle workers on a shared job channel. Without
-//! the variable, the reading is the host's parallelism, taken once at first
-//! use (a later affinity or CPU-quota change is not observed). A
-//! dispatch is one channel send instead of a thread spawn, so batches as
-//! small as two items can fan out profitably.
+//! Workers are **persistent**: a process-wide pool starts lazily on the
+//! first parallel call, grows on demand up to the current [`max_threads`]
+//! reading (so `CRYPTEXT_THREADS` works even when it changes between
+//! calls), and parks idle workers on a shared job channel. Without the
+//! variable, the reading is the host's parallelism, taken once at first
+//! use (a later affinity or CPU-quota change is not observed). A dispatch
+//! is one channel send, not a thread spawn, so batches as small as two
+//! items can fan out profitably.
 //!
 //! The calling thread always participates as the last worker, and work is
 //! handed out from a shared atomic cursor, so a call makes progress even
@@ -407,19 +404,6 @@ pub fn spawn<F: FnOnce() + Send + 'static>(job: F) -> std::result::Result<(), F>
     Ok(())
 }
 
-/// Fallible [`par_map`]: runs every item, then returns the first error in
-/// input order (matching what a sequential `collect::<Result<_, _>>` would
-/// surface) or the ordered successes.
-pub fn try_par_map<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    par_map(items, f).into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,16 +432,6 @@ mod tests {
         let seq: Vec<usize> = items.iter().map(|&x| (0..x % 50).sum::<usize>()).collect();
         let par = par_map(&items, |&x| (0..x % 50).sum::<usize>());
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn try_par_map_reports_first_error_in_input_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let out: Result<Vec<usize>, usize> =
-            try_par_map(&items, |&x| if x % 30 == 17 { Err(x) } else { Ok(x) });
-        assert_eq!(out, Err(17));
-        let ok: Result<Vec<usize>, usize> = try_par_map(&items[..10], |&x| Ok(x));
-        assert_eq!(ok.unwrap(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * **Soundex codes are interned per level** in a `CodeIndex`: each
 //!   distinct code gets a dense `u32` code id; `H_k` is then plain
 //!   `postings: Vec<Vec<u32>>` indexed by code id, with a side
-//!   `FxHashMap<Box<str>, u32>` used only to resolve a query's code
+//!   `FxHashMap<Arc<str>, u32>` used only to resolve a query's code
 //!   string to its id (one probe per query code, not per candidate).
 //! * **Records carry code ids, not code strings**: a [`TokenRecord`]
 //!   keeps the ids its codes have in each level's `CodeIndex`, level by
@@ -75,6 +75,7 @@
 
 use std::cell::RefCell;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 use cryptext_common::failpoint;
 use cryptext_common::hash::FxHashMap;
@@ -162,12 +163,13 @@ pub struct TokenStats {
 }
 
 /// One level's interned code table: dense code ids over append-only
-/// posting lists. The string map is touched once per *query code*; the
+/// posting lists, each code's name one allocation shared by `ids` and
+/// `names`. The string map is touched once per *query code*; the
 /// per-candidate scan runs over plain `u32` postings.
 #[derive(Debug, Default)]
 struct CodeIndex {
-    ids: FxHashMap<Box<str>, u32>,
-    names: Vec<Box<str>>,
+    ids: FxHashMap<Arc<str>, u32>,
+    names: Vec<Arc<str>>,
     postings: Vec<Vec<u32>>,
 }
 
@@ -182,9 +184,9 @@ impl CodeIndex {
             return id;
         }
         let id = self.names.len() as u32;
-        let boxed: Box<str> = code.into();
-        self.names.push(boxed.clone());
-        self.ids.insert(boxed, id);
+        let name: Arc<str> = code.into();
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
         self.postings.push(Vec::new());
         id
     }

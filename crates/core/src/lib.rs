@@ -22,7 +22,7 @@
 //! * [`ingest`] — the crawler (§III-F) that continually feeds new tokens
 //!   from the stream into the database.
 //! * [`service`] — the public-API facade (§III-F): token auth, rate
-//!   limiting, Redis-style result caching, bulk endpoints.
+//!   limiting, Redis-style result caching, and one served entry per route.
 //! * [`store`] — the storage abstraction: every engine is generic over
 //!   the [`store::TokenStore`] trait, implemented by the in-memory
 //!   [`database::TokenDatabase`] and by [`durable::DurableTokenStore`],

@@ -214,7 +214,7 @@ thread_local! {
 /// buckets are walked in).
 ///
 /// Uses a thread-local [`LookupScratch`]; callers managing their own
-/// scratch (bulk endpoints, benches) should call [`look_up_with`].
+/// scratch (the benches, say) should call [`look_up_with`].
 pub fn look_up<S: TokenStore>(db: &S, token: &str, params: LookupParams) -> Result<Vec<LookupHit>> {
     SHARED_LOOKUP_SCRATCH.with(|scratch| look_up_with(db, token, params, &mut scratch.borrow_mut()))
 }

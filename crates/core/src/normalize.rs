@@ -407,7 +407,7 @@ impl<'a> Normalizer<'a> {
     /// Normalize a whole text (§III-C, Fig. 2).
     ///
     /// Uses a thread-local [`NormalizeScratch`]; callers managing their
-    /// own scratch (bulk endpoints, benches) should call
+    /// own scratch (the benches, say) should call
     /// [`Normalizer::normalize_with`].
     pub fn normalize<S: TokenStore>(
         &self,

@@ -8,9 +8,11 @@
 //!
 //! [`CryptextService`] reproduces that contract in-process: API-token
 //! authentication, per-token fixed-window rate limiting over an injected
-//! [`Clock`], TTL+LRU result caches, and bulk endpoints. The service is
-//! generic over the [`TokenStore`], so the same facade fronts the
-//! in-memory database or the durable store that logs its ingest.
+//! [`Clock`], and TTL+LRU result caches. The service is generic over the
+//! [`TokenStore`], so the same facade fronts the in-memory database or the
+//! durable store that logs its ingest.
+//! A front end (the gateway) serves a request with one
+//! [`CryptextService::authorize_request`], then the route's served entry.
 //!
 //! # Cache tiers
 //!
@@ -27,23 +29,21 @@
 //! # Concurrency
 //!
 //! Every request crosses the authorization path, so it must never become
-//! the serialization point for bulk traffic. The token table is an
+//! the serialization point for concurrent traffic. The token table is an
 //! `RwLock` taken in **read** mode on the hot path — rate-limit state
 //! lives in per-token atomics, and the write lock is reserved for the
 //! rare mutations (issuing and revoking tokens). Concurrent
-//! [`CryptextService::look_up_bulk`] readers therefore proceed in
+//! [`CryptextService::authorize_request`] callers therefore proceed in
 //! parallel instead of queueing behind one another (or behind a token
 //! writer) on a single exclusive lock.
 
 use std::cell::RefCell;
-use std::hash::{DefaultHasher, Hasher};
+use std::hash::{BuildHasher, DefaultHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cryptext_cache::{Cache, CacheConfig, CacheStats, SharedCacheStore};
-use cryptext_common::hash::{fx_hash_str, FxHashMap};
 use cryptext_common::metrics::{Counter, Gauge, MetricsRegistry};
-use cryptext_common::par::try_par_map;
 use cryptext_common::{Clock, Error, FxHasher, Result, Timestamp};
 use parking_lot::RwLock;
 
@@ -182,13 +182,13 @@ impl RateState {
 const WINDOW_MS: u64 = 60_000;
 
 thread_local! {
-    /// Scratch for the service's Look Up endpoints, which drive the
-    /// cancellable walk directly rather than through the engine's shared
-    /// thread-local (gateway executor threads own this one).
+    /// Scratch for the service's Look Up and Perturbation entries, which
+    /// drive the cancellable walk directly rather than through the
+    /// engine's shared thread-local (each serving thread owns one).
     static LOOKUP_SCRATCH: RefCell<LookupScratch> = RefCell::new(LookupScratch::new());
 
-    /// Scratch for the service's cached Normalization endpoints (one per
-    /// thread — bulk fan-out workers each own their buffers and LM memo).
+    /// Scratch for the service's cached Normalization entry (one per
+    /// serving thread: its buffers and LM memo).
     static NORMALIZE_SCRATCH: RefCell<NormalizeScratch> = RefCell::new(NormalizeScratch::new());
 }
 
@@ -323,7 +323,10 @@ pub struct CryptextService<S: TokenStore = TokenDatabase> {
     config: ServiceConfig,
     clock: Arc<dyn Clock>,
     tokens: RwLock<std::collections::HashMap<String, RateState>>,
-    issued: std::sync::atomic::AtomicU64,
+    issued: AtomicU64,
+    /// Random keys for token suffixes, so a live token cannot be computed
+    /// from its owner's name and the issue count.
+    token_keys: RandomState,
     /// Tier-1 Look Up results. Each entry is shared: a hit hands out a
     /// reference count, not a copy of the hits.
     lookup_cache: Cache<CacheKey, Arc<LookupEntry>>,
@@ -408,7 +411,8 @@ impl<S: TokenStore> CryptextService<S> {
             config,
             clock,
             tokens: RwLock::new(std::collections::HashMap::new()),
-            issued: std::sync::atomic::AtomicU64::new(0),
+            issued: AtomicU64::new(0),
+            token_keys: RandomState::new(),
             lookup_cache,
             norm_cache,
             norm_result_cache,
@@ -489,15 +493,12 @@ impl<S: TokenStore> CryptextService<S> {
     }
 
     /// Issue a new API token for `owner` ("provided upon request" in the
-    /// paper). The returned token is the only credential; store it.
+    /// paper). The returned token is the only credential; store it. Its
+    /// suffix hashes the owner and issue count under this service's random keys.
     pub fn issue_token(&self, owner: &str) -> ApiToken {
-        let n = self
-            .issued
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let token = format!(
-            "cx_{owner}_{:016x}",
-            fx_hash_str(owner) ^ (n << 1) ^ 0xC0FFEE
-        );
+        let n = self.issued.fetch_add(1, Ordering::Relaxed);
+        let suffix = self.token_keys.hash_one((owner, n));
+        let token = format!("cx_{owner}_{suffix:016x}");
         self.tokens.write().insert(
             token.clone(),
             RateState::new(window_index(self.clock.now())),
@@ -510,7 +511,9 @@ impl<S: TokenStore> CryptextService<S> {
         self.tokens.write().remove(&token.0);
     }
 
-    /// Authorize one request: token must exist and have window budget.
+    /// The authentication + rate-limit gate, run once per request before
+    /// the route's served entry: the token must exist and have window
+    /// budget, and a successful call charges one request against it.
     ///
     /// Lock-light hot path: the token table is read-locked (many
     /// authorizations proceed concurrently; only issue/revoke take the
@@ -520,7 +523,7 @@ impl<S: TokenStore> CryptextService<S> {
     /// mutually atomic and admission is exact: each clock-aligned
     /// one-minute window admits precisely `rate_limit_per_minute`
     /// requests no matter how many threads race.
-    fn authorize(&self, token: &ApiToken) -> Result<()> {
+    pub fn authorize_request(&self, token: &ApiToken) -> Result<()> {
         let now: Timestamp = self.clock.now();
         let now_window = window_index(now);
         let tokens = self.tokens.read();
@@ -545,15 +548,6 @@ impl<S: TokenStore> CryptextService<S> {
                 Err(actual) => cur = actual,
             }
         }
-    }
-
-    /// Run the authentication + rate-limit gate for one request *without*
-    /// executing anything — the admission hook for front-ends (the service
-    /// gateway) that separate authorization from execution. A successful
-    /// call charges one request against the token's window, exactly like
-    /// the inline endpoints do.
-    pub fn authorize_request(&self, token: &ApiToken) -> Result<()> {
-        self.authorize(token)
     }
 
     /// The clock this service (and its cache) runs on, so a front-end
@@ -641,28 +635,10 @@ impl<S: TokenStore> CryptextService<S> {
         })
     }
 
-    /// Look Up endpoint (cached).
-    pub fn look_up(
-        &self,
-        auth: &ApiToken,
-        token: &str,
-        params: LookupParams,
-    ) -> Result<Vec<LookupHit>> {
-        self.authorize(auth)?;
-        self.look_up_shared(token, params, &mut || None)
-            .map(|(entry, _)| self.hits(&entry))
-    }
-
-    /// The owned hits a tier-1 entry names, read from this service's
-    /// store.
-    fn hits(&self, entry: &LookupEntry) -> Vec<LookupHit> {
-        hits_of(self.system.database(), entry.hits())
-    }
-
     /// Look Up *after* the caller already passed [`Self::authorize_request`]
     /// — the execution half of the gateway's admit-then-execute split, so
     /// one admitted request is charged exactly once — and the cached core
-    /// every Look Up endpoint funnels through, stage instruments included.
+    /// every Look Up funnels through, stage instruments included.
     ///
     /// The result is the tier-1 entry itself: a hit returns a reference
     /// count on the cached entry, and a miss inserts the entry it
@@ -699,15 +675,16 @@ impl<S: TokenStore> CryptextService<S> {
     }
 
     /// [`Self::look_up_shared`] with the entry's hits projected to owned
-    /// hits, read from the store ([`crate::lookup::hits_of`]).
+    /// hits, read from the store. Only perfbench's service replay calls
+    /// it; it goes when that replay times the entry (ROADMAP.md, Next 5(d)).
     pub fn look_up_prechecked_traced(
         &self,
         token: &str,
         params: LookupParams,
         cancel: &mut dyn FnMut() -> Option<Error>,
     ) -> Result<(Vec<LookupHit>, Served)> {
-        self.look_up_shared(token, params, cancel)
-            .map(|(entry, served)| (self.hits(&entry), served))
+        let (entry, served) = self.look_up_shared(token, params, cancel)?;
+        Ok((hits_of(self.system.database(), entry.hits()), served))
     }
 
     /// Normalization after external authorization (see
@@ -718,7 +695,7 @@ impl<S: TokenStore> CryptextService<S> {
     /// The engine is not internally cancellable, so deadline checks
     /// happen at the gateway's layer boundaries instead.
     ///
-    /// The cached Normalization core every endpoint funnels through. Two
+    /// The cached Normalization core every request funnels through. Two
     /// layers: the whole-text result cache answers exact repeats without
     /// touching retrieval or scoring at all, and below it per-token
     /// candidate retrieval consults the tier hierarchy (tier-1 memo, then
@@ -758,7 +735,8 @@ impl<S: TokenStore> CryptextService<S> {
     }
 
     /// [`Self::normalize_shared`] with the result copied out of the shared
-    /// allocation.
+    /// allocation. Only perfbench's service replay calls it; it goes when
+    /// that replay times the entry (ROADMAP.md, Next 5(d)).
     pub fn normalize_prechecked_traced(
         &self,
         text: &str,
@@ -770,7 +748,7 @@ impl<S: TokenStore> CryptextService<S> {
 
     /// Perturbation after external authorization (see
     /// [`Self::look_up_shared`]), and the core every
-    /// Perturbation endpoint funnels through. The outcome is byte-identical
+    /// Perturbation funnels through. The outcome is byte-identical
     /// to [`crate::Perturber::perturb`]'s: the same draws over the same
     /// choice lists, each list read from the tier-1 choice-list cache or,
     /// on a miss, built from borrowed Look Up records and inserted. A miss
@@ -788,8 +766,8 @@ impl<S: TokenStore> CryptextService<S> {
             if let Some(list) = self.perturb_cache.get(&key) {
                 return Ok(list);
             }
-            // The Look Up endpoints detach their stages before returning,
-            // so this scratch walks on the no-op branch.
+            // The Look Up entry detaches its stages before returning, so
+            // this scratch walks on the no-op branch.
             let list = LOOKUP_SCRATCH.with(|scratch| {
                 let _t = self.stages.perturb_collect_us.start_timer();
                 collect_choices(
@@ -802,80 +780,6 @@ impl<S: TokenStore> CryptextService<S> {
             self.perturb_cache.insert(key, list.clone());
             Ok(list)
         })
-    }
-
-    /// Bulk Look Up: one authorization for the whole batch, fanned out
-    /// across cores ([`cryptext_common::par`]) with results in input
-    /// order — identical to what the sequential per-token endpoint would
-    /// return, cache included.
-    ///
-    /// Duplicate tokens in one batch are coalesced before the fan-out, so
-    /// a hot token repeated across the batch is computed once rather than
-    /// racing several workers into the same cache miss.
-    pub fn look_up_bulk(
-        &self,
-        auth: &ApiToken,
-        tokens: &[&str],
-        params: LookupParams,
-    ) -> Result<Vec<Vec<LookupHit>>> {
-        self.authorize(auth)?;
-        let mut index_of: FxHashMap<&str, usize> = FxHashMap::default();
-        let mut unique: Vec<&str> = Vec::with_capacity(tokens.len());
-        for &t in tokens {
-            index_of.entry(t).or_insert_with(|| {
-                unique.push(t);
-                unique.len() - 1
-            });
-        }
-        let computed = try_par_map(&unique, |t| {
-            self.look_up_shared(t, params, &mut || None)
-                .map(|(entry, _)| entry)
-        })?;
-        // Scatter back to input order, one projection per input position.
-        Ok(tokens
-            .iter()
-            .map(|t| self.hits(&computed[index_of[t]]))
-            .collect())
-    }
-
-    /// Normalization endpoint (cached: cross-text candidate memo with
-    /// negative caching of out-of-dictionary misses).
-    pub fn normalize(
-        &self,
-        auth: &ApiToken,
-        text: &str,
-        params: NormalizeParams,
-    ) -> Result<NormalizationResult> {
-        self.authorize(auth)?;
-        self.normalize_shared(text, params)
-            .map(|(r, _)| NormalizationResult::clone(&r))
-    }
-
-    /// Bulk Normalization, fanned out across cores with results in input
-    /// order; every worker shares the service's candidate cache.
-    pub fn normalize_bulk(
-        &self,
-        auth: &ApiToken,
-        texts: &[&str],
-        params: NormalizeParams,
-    ) -> Result<Vec<NormalizationResult>> {
-        self.authorize(auth)?;
-        try_par_map(texts, |t| {
-            self.normalize_shared(t, params)
-                .map(|(r, _)| NormalizationResult::clone(&r))
-        })
-    }
-
-    /// Perturbation endpoint (per-token choice lists cached; see
-    /// [`Self::perturb_prechecked`]).
-    pub fn perturb(
-        &self,
-        auth: &ApiToken,
-        text: &str,
-        params: PerturbParams,
-    ) -> Result<PerturbationOutcome> {
-        self.authorize(auth)?;
-        self.perturb_prechecked(text, params)
     }
 
     /// Look Up cache statistics (the Fig. 5 architecture experiment
@@ -1059,6 +963,13 @@ mod tests {
             .counter_total(&format!("cryptext_cache_{what}_total"))
     }
 
+    /// A served Look Up of `query`, its tier-1 entry projected to owned
+    /// hits.
+    fn look_up(svc: &CryptextService, query: &str, params: LookupParams) -> Result<Vec<LookupHit>> {
+        let (entry, _) = svc.look_up_shared(query, params, &mut || None)?;
+        Ok(hits_of(svc.system().database(), entry.hits()))
+    }
+
     #[test]
     fn lookup_keys_do_not_collide_on_fx_structure() {
         // FxHash differences confined to a word's top byte survive any
@@ -1071,12 +982,11 @@ mod tests {
             ServiceConfig::default(),
             Arc::new(SimClock::new(0)),
         );
-        let tok = svc.issue_token("collide");
         let params = LookupParams::paper_default();
         for query in ["diagNOSig", "diagNOSIs"] {
             let want =
                 crate::lookup::look_up_naive(svc.system().database(), query, params).unwrap();
-            assert_eq!(svc.look_up(&tok, query, params).unwrap(), want, "{query}");
+            assert_eq!(look_up(&svc, query, params).unwrap(), want, "{query}");
         }
         assert_eq!(svc.cache_stats().hits, 0, "distinct queries, distinct keys");
     }
@@ -1085,9 +995,7 @@ mod tests {
     fn requires_valid_token() {
         let (svc, _) = service(10);
         let bogus = ApiToken("cx_fake_0000".into());
-        let err = svc
-            .look_up(&bogus, "democrats", LookupParams::paper_default())
-            .unwrap_err();
+        let err = svc.authorize_request(&bogus).unwrap_err();
         assert!(matches!(err, Error::Unauthorized(_)));
     }
 
@@ -1096,15 +1004,39 @@ mod tests {
         let (svc, _) = service(10);
         let tok = svc.issue_token("alice");
         assert!(tok.as_str().starts_with("cx_alice_"));
-        let hits = svc
-            .look_up(&tok, "democrats", LookupParams::paper_default())
-            .unwrap();
+        svc.authorize_request(&tok).unwrap();
+        let hits = look_up(&svc, "democrats", LookupParams::paper_default()).unwrap();
         assert!(hits.iter().any(|h| h.token == "demokRATs"));
         svc.revoke_token(&tok);
         assert!(matches!(
-            svc.look_up(&tok, "democrats", LookupParams::paper_default()),
+            svc.authorize_request(&tok),
             Err(Error::Unauthorized(_))
         ));
+    }
+
+    #[test]
+    fn a_token_cannot_be_computed_from_its_owner_and_the_issue_count() {
+        let (svc, _) = service(10);
+        svc.issue_token("mallory");
+        let alice = svc.issue_token("alice");
+        let suffix = alice.as_str().strip_prefix("cx_alice_").unwrap();
+        assert_eq!(suffix.len(), 16);
+        assert!(suffix.bytes().all(|b| b.is_ascii_hexdigit()));
+        // The unkeyed formula tokens were once built from: the owner's
+        // FxHash and the service's issue counter.
+        let fx = cryptext_common::hash::fx_hash_str("alice");
+        for n in 0..8u64 {
+            let forged = ApiToken::from_raw(format!("cx_alice_{:016x}", fx ^ (n << 1) ^ 0xC0FFEE));
+            assert!(
+                matches!(svc.authorize_request(&forged), Err(Error::Unauthorized(_))),
+                "issue count {n}"
+            );
+        }
+        // Two services key their tokens apart: the same owner at the same
+        // issue count gets a different token from each.
+        let (other, _) = service(10);
+        other.issue_token("mallory");
+        assert_ne!(other.issue_token("alice"), alice);
     }
 
     #[test]
@@ -1122,12 +1054,9 @@ mod tests {
         let (svc, clock) = service(3);
         let tok = svc.issue_token("bob");
         for _ in 0..3 {
-            svc.look_up(&tok, "vaccine", LookupParams::paper_default())
-                .unwrap();
+            svc.authorize_request(&tok).unwrap();
         }
-        let err = svc
-            .look_up(&tok, "vaccine", LookupParams::paper_default())
-            .unwrap_err();
+        let err = svc.authorize_request(&tok).unwrap_err();
         // The clock sits at 0, so the full window remains.
         assert!(matches!(
             err,
@@ -1138,8 +1067,7 @@ mod tests {
         assert!(err.is_retryable());
         // A minute later the window resets.
         clock.advance(60_000);
-        svc.look_up(&tok, "vaccine", LookupParams::paper_default())
-            .unwrap();
+        svc.authorize_request(&tok).unwrap();
     }
 
     #[test]
@@ -1147,13 +1075,9 @@ mod tests {
         let (svc, _) = service(1);
         let a = svc.issue_token("a");
         let b = svc.issue_token("b");
-        svc.look_up(&a, "vaccine", LookupParams::paper_default())
-            .unwrap();
-        assert!(svc
-            .look_up(&a, "vaccine", LookupParams::paper_default())
-            .is_err());
-        svc.look_up(&b, "vaccine", LookupParams::paper_default())
-            .unwrap();
+        svc.authorize_request(&a).unwrap();
+        assert!(svc.authorize_request(&a).is_err());
+        svc.authorize_request(&b).unwrap();
     }
 
     #[test]
@@ -1161,20 +1085,16 @@ mod tests {
         let (svc, clock) = service(1);
         let tok = svc.issue_token("mid");
         clock.advance(45_000); // 15s left in the current window
-        svc.look_up(&tok, "vaccine", LookupParams::paper_default())
-            .unwrap();
-        let err = svc
-            .look_up(&tok, "vaccine", LookupParams::paper_default())
-            .unwrap_err();
+        svc.authorize_request(&tok).unwrap();
+        let err = svc.authorize_request(&tok).unwrap_err();
         assert_eq!(err.retry_after_ms(), Some(15_000));
         // And the hint is honest: advancing exactly that far refills.
         clock.advance(15_000);
-        svc.look_up(&tok, "vaccine", LookupParams::paper_default())
-            .unwrap();
+        svc.authorize_request(&tok).unwrap();
     }
 
     #[test]
-    fn authorize_request_charges_the_window_like_an_endpoint() {
+    fn authorize_request_charges_one_slot_per_call() {
         let (svc, _) = service(2);
         let tok = svc.issue_token("gate");
         svc.authorize_request(&tok).unwrap();
@@ -1191,19 +1111,21 @@ mod tests {
     }
 
     #[test]
-    fn prechecked_lookup_matches_the_authorized_endpoint() {
+    fn the_owned_projections_copy_the_shared_entries() {
         let (svc, _) = service(100);
-        let tok = svc.issue_token("pre");
-        let direct = svc
-            .look_up(&tok, "democrats", LookupParams::paper_default())
-            .unwrap();
+        let direct = look_up(&svc, "democrats", LookupParams::paper_default()).unwrap();
         let (pre, served) = svc
             .look_up_prechecked_traced("democrats", LookupParams::paper_default(), &mut || None)
             .unwrap();
         assert_eq!(direct, pre, "same bytes, cache included");
-        // Prechecked execution shares the endpoint's cache.
+        // The projection reads the served entry's cache.
         assert_eq!(served, Served::Tier1Hit);
         assert!(svc.cache_stats().hits >= 1);
+        let (text, params) = ("the demokRATs won", NormalizeParams::default());
+        let (shared, _) = svc.normalize_shared(text, params).unwrap();
+        let (copied, served) = svc.normalize_prechecked_traced(text, params).unwrap();
+        assert_eq!(copied, *shared);
+        assert_eq!(served, Served::Tier1Hit);
         // A firing cancel probe aborts an uncached walk with its error.
         let err = svc
             .look_up_prechecked_traced("republicans", LookupParams::new(1, 2), &mut || {
@@ -1214,19 +1136,17 @@ mod tests {
     }
 
     #[test]
-    fn in_process_lookups_record_the_stage_instruments() {
-        // The authorized endpoints run the same instrumented core as the
-        // gateway path: every computed hit moves the hits counter, and
-        // every cold walk (not the tier-1 hit) records encode and walk.
+    fn served_lookups_record_the_stage_instruments() {
+        // Every computed hit moves the hits counter, and every cold walk
+        // (not the tier-1 hit) records encode and walk.
         let (svc, _) = service(100);
-        let tok = svc.issue_token("stages");
         let params = LookupParams::paper_default();
-        let single = svc.look_up(&tok, "democrats", params).unwrap();
-        let bulk = svc
-            .look_up_bulk(&tok, &["republicans", "vaccine", "democrats"], params)
-            .unwrap();
-        let computed = single.len() + bulk[0].len() + bulk[1].len();
+        let computed: usize = ["democrats", "republicans", "vaccine"]
+            .into_iter()
+            .map(|q| look_up(&svc, q, params).unwrap().len())
+            .sum();
         assert!(computed > 0);
+        look_up(&svc, "democrats", params).unwrap();
         let snap = svc.metrics().snapshot();
         assert_eq!(
             snap.counter_total("cryptext_lookup_hits_total"),
@@ -1239,20 +1159,14 @@ mod tests {
     #[test]
     fn lookup_results_are_cached() {
         let (svc, _) = service(100);
-        let tok = svc.issue_token("carol");
-        let a = svc
-            .look_up(&tok, "republicans", LookupParams::paper_default())
-            .unwrap();
-        let b = svc
-            .look_up(&tok, "republicans", LookupParams::paper_default())
-            .unwrap();
+        let a = look_up(&svc, "republicans", LookupParams::paper_default()).unwrap();
+        let b = look_up(&svc, "republicans", LookupParams::paper_default()).unwrap();
         assert_eq!(a, b);
         let stats = svc.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         // Different params → different cache entry.
-        svc.look_up(&tok, "republicans", LookupParams::new(1, 1))
-            .unwrap();
+        look_up(&svc, "republicans", LookupParams::new(1, 1)).unwrap();
         assert_eq!(svc.cache_stats().misses, 2);
     }
 
@@ -1285,124 +1199,10 @@ mod tests {
     #[test]
     fn cache_entries_expire_by_ttl() {
         let (svc, clock) = service(100);
-        let tok = svc.issue_token("dave");
-        svc.look_up(&tok, "vaccine", LookupParams::paper_default())
-            .unwrap();
+        look_up(&svc, "vaccine", LookupParams::paper_default()).unwrap();
         clock.advance(ServiceConfig::default().cache_ttl_ms + 1);
-        svc.look_up(&tok, "vaccine", LookupParams::paper_default())
-            .unwrap();
+        look_up(&svc, "vaccine", LookupParams::paper_default()).unwrap();
         assert_eq!(svc.cache_stats().expirations, 1);
-    }
-
-    #[test]
-    fn bulk_endpoints_one_authorization() {
-        let (svc, _) = service(1);
-        let tok = svc.issue_token("erin");
-        let out = svc
-            .look_up_bulk(
-                &tok,
-                &["democrats", "republicans", "vaccine"],
-                LookupParams::paper_default(),
-            )
-            .unwrap();
-        assert_eq!(out.len(), 3);
-        // Budget of 1 is now spent; the next call rate-limits.
-        assert!(svc
-            .look_up(&tok, "vaccine", LookupParams::paper_default())
-            .is_err());
-    }
-
-    #[test]
-    fn parallel_bulk_lookup_equals_sequential() {
-        // Many distinct tokens, so the bulk call maps its unique queries
-        // on the persistent worker pool wherever the pool has more than
-        // one thread: on a multi-core host, and in CI's second pass, which
-        // pins `CRYPTEXT_THREADS=4` for the whole suite. On one thread the
-        // map is sequential; the results must agree either way. The test
-        // leaves the variable alone: other tests run concurrently in this
-        // process, and `par::max_threads` reads it on every call.
-        let (svc, _) = service(u32::MAX);
-        let tok = svc.issue_token("pat");
-        let distinct: Vec<String> = (0..24).map(|i| format!("token{i}word")).collect();
-        let mut queries: Vec<&str> = vec![
-            "democrats",
-            "republicans",
-            "vaccine",
-            "vacc1ne",
-            "demokRATs",
-            "unknownzz",
-        ];
-        queries.extend(distinct.iter().map(|s| s.as_str()));
-
-        let sequential: Vec<Vec<LookupHit>> = queries
-            .iter()
-            .map(|q| svc.look_up(&tok, q, LookupParams::paper_default()).unwrap())
-            .collect();
-        let bulk = svc
-            .look_up_bulk(&tok, &queries, LookupParams::paper_default())
-            .unwrap();
-        assert_eq!(
-            bulk, sequential,
-            "bulk results identical and in input order"
-        );
-    }
-
-    #[test]
-    fn bulk_lookup_coalesces_duplicate_tokens() {
-        let (svc, _) = service(u32::MAX);
-        let tok = svc.issue_token("dup");
-        let queries: Vec<&str> = ["vaccine", "democrats", "republicans"]
-            .into_iter()
-            .cycle()
-            .take(60)
-            .collect();
-        let out = svc
-            .look_up_bulk(&tok, &queries, LookupParams::paper_default())
-            .unwrap();
-        assert_eq!(out.len(), 60);
-        // Each distinct token probes (and misses) the cache exactly once;
-        // duplicates are served from the coalesced computation.
-        let stats = svc.cache_stats();
-        assert_eq!(stats.misses, 3);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.inserts, 3);
-        // Results still line up with the input positions.
-        assert_eq!(out[0], out[3]);
-        assert_eq!(out[1], out[4]);
-    }
-
-    #[test]
-    fn parallel_bulk_normalize_equals_sequential() {
-        let (svc, _) = service(u32::MAX);
-        let tok = svc.issue_token("norm");
-        let texts: Vec<&str> = vec![
-            "the demokRATs won",
-            "ok clean text",
-            "the vacc1ne mandate",
-            "nothing to fix here",
-        ]
-        .into_iter()
-        .cycle()
-        .take(32)
-        .collect();
-        let sequential: Vec<NormalizationResult> = texts
-            .iter()
-            .map(|t| svc.normalize(&tok, t, NormalizeParams::default()).unwrap())
-            .collect();
-        let bulk = svc
-            .normalize_bulk(&tok, &texts, NormalizeParams::default())
-            .unwrap();
-        assert_eq!(bulk, sequential);
-    }
-
-    #[test]
-    fn bulk_lookup_invalid_level_errors_like_sequential() {
-        let (svc, _) = service(u32::MAX);
-        let tok = svc.issue_token("err");
-        let err = svc
-            .look_up_bulk(&tok, &["a", "b"], LookupParams::new(9, 1))
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidArgument(_)));
     }
 
     #[test]
@@ -1454,13 +1254,10 @@ mod tests {
                 .store((win << 32) | (u32::MAX as u64 - 1), Ordering::Release);
         }
         // The last slot admits...
-        svc.look_up(&tok, "vaccine", LookupParams::paper_default())
-            .unwrap();
+        svc.authorize_request(&tok).unwrap();
         // ...and the very next request rate-limits without the window half
         // having been disturbed by a carry.
-        let err = svc
-            .look_up(&tok, "vaccine", LookupParams::paper_default())
-            .unwrap_err();
+        let err = svc.authorize_request(&tok).unwrap_err();
         assert!(matches!(err, Error::RateLimited { .. }));
         let tokens = svc.tokens.read();
         let cur = tokens
@@ -1484,10 +1281,7 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for _ in 0..32 {
-                        if svc
-                            .look_up(&tok, "vaccine", LookupParams::paper_default())
-                            .is_ok()
-                        {
+                        if svc.authorize_request(&tok).is_ok() {
                             admitted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
                     }
@@ -1500,27 +1294,22 @@ mod tests {
     #[test]
     fn normalize_candidates_are_cached_cross_text() {
         let (svc, _) = service(100);
-        let tok = svc.issue_token("memo");
-        let a = svc
-            .normalize(&tok, "the demokRATs argue", NormalizeParams::default())
+        let (a, _) = svc
+            .normalize_shared("the demokRATs argue", NormalizeParams::default())
             .unwrap();
         assert!(tier_count(&svc, "misses", "normalize") > 0);
         assert_eq!(tier_count(&svc, "hits", "normalize"), 0);
         // A *different* text repeating the same perturbed token hits the
         // cross-text memo; the result stays byte-identical to uncached.
-        let b = svc
-            .normalize(
-                &tok,
-                "so the demokRATs fight on",
-                NormalizeParams::default(),
-            )
+        let (b, _) = svc
+            .normalize_shared("so the demokRATs fight on", NormalizeParams::default())
             .unwrap();
         let hits_before = tier_count(&svc, "hits", "normalize");
         assert!(hits_before > 0, "cross-text repeat is a hit");
         assert_eq!(a.corrections[0].replacement, "democrats");
         assert_eq!(b.corrections[0].replacement, "democrats");
         // Case-fold keying: a case variant of the token also hits.
-        svc.normalize(&tok, "the DEMOKrats again", NormalizeParams::default())
+        svc.normalize_shared("the DEMOKrats again", NormalizeParams::default())
             .unwrap();
         assert!(tier_count(&svc, "hits", "normalize") > hits_before);
     }
@@ -1528,11 +1317,10 @@ mod tests {
     #[test]
     fn out_of_dictionary_misses_are_negatively_cached() {
         let (svc, _) = service(100);
-        let tok = svc.issue_token("neg");
-        svc.normalize(&tok, "qzxblorp said something", NormalizeParams::default())
+        svc.normalize_shared("qzxblorp said something", NormalizeParams::default())
             .unwrap();
         assert_eq!(cache_count(&svc, "negative_hits"), 0);
-        svc.normalize(&tok, "then qzxblorp left", NormalizeParams::default())
+        svc.normalize_shared("then qzxblorp left", NormalizeParams::default())
             .unwrap();
         assert!(
             cache_count(&svc, "negative_hits") >= 1,
@@ -1548,11 +1336,9 @@ mod tests {
             svc.clock(),
         ));
         svc.attach_tier2(Arc::clone(&store));
-        let tok = svc.issue_token("bump");
-        svc.normalize(&tok, "the demokRATs argue", NormalizeParams::default())
+        svc.normalize_shared("the demokRATs argue", NormalizeParams::default())
             .unwrap();
-        svc.look_up(&tok, "democrats", LookupParams::paper_default())
-            .unwrap();
+        look_up(&svc, "democrats", LookupParams::paper_default()).unwrap();
         assert!(
             tier_count(&svc, "inserts", "tier2") > 0,
             "write-behind reached tier-2"
@@ -1571,8 +1357,8 @@ mod tests {
         // Post-bump traffic recomputes (same immutable data → same bytes)
         // under the new keys rather than hitting stale entries.
         let miss_base = tier_count(&svc, "misses", "normalize");
-        let r = svc
-            .normalize(&tok, "the demokRATs argue", NormalizeParams::default())
+        let (r, _) = svc
+            .normalize_shared("the demokRATs argue", NormalizeParams::default())
             .unwrap();
         assert_eq!(r.corrections[0].replacement, "democrats");
         assert!(tier_count(&svc, "misses", "normalize") > miss_base);
@@ -1634,14 +1420,12 @@ mod tests {
         ));
         svc_a.attach_tier2(Arc::clone(&shared));
         svc_b.attach_tier2(Arc::clone(&shared));
-        let ta = svc_a.issue_token("a");
-        let tb = svc_b.issue_token("b");
-        let a = svc_a
-            .normalize(&ta, "the demokRATs argue", NormalizeParams::default())
+        let (a, _) = svc_a
+            .normalize_shared("the demokRATs argue", NormalizeParams::default())
             .unwrap();
         let t2_hits_before = tier_count(&svc_b, "hits", "tier2");
-        let b = svc_b
-            .normalize(&tb, "the demokRATs argue", NormalizeParams::default())
+        let (b, _) = svc_b
+            .normalize_shared("the demokRATs argue", NormalizeParams::default())
             .unwrap();
         assert_eq!(a, b, "replicas byte-identical through the shared tier");
         assert!(
@@ -1651,7 +1435,7 @@ mod tests {
         // The promotion landed in B's tier-1: the next request stays local.
         let local_hits = tier_count(&svc_b, "hits", "normalize");
         svc_b
-            .normalize(&tb, "more demokRATs here", NormalizeParams::default())
+            .normalize_shared("more demokRATs here", NormalizeParams::default())
             .unwrap();
         assert!(tier_count(&svc_b, "hits", "normalize") > local_hits);
     }
@@ -1681,10 +1465,9 @@ mod tests {
             svc.clock(),
         ));
         svc.attach_tier2(Arc::clone(&shared));
-        let tok = svc.issue_token("fp");
         let _fp = failpoint::arm(SHARED_PUT_FAILPOINT, "kill@1");
-        let r = svc
-            .normalize(&tok, "the demokRATs argue", NormalizeParams::default())
+        let (r, _) = svc
+            .normalize_shared("the demokRATs argue", NormalizeParams::default())
             .unwrap();
         assert_eq!(
             r.corrections[0].replacement, "democrats",
@@ -1700,7 +1483,7 @@ mod tests {
             "nothing stored past the failpoint"
         );
         // Tier-1 still took the fill: repeats are local hits.
-        svc.normalize(&tok, "the demokRATs again", NormalizeParams::default())
+        svc.normalize_shared("the demokRATs again", NormalizeParams::default())
             .unwrap();
         assert!(tier_count(&svc, "hits", "normalize") > 0);
     }
@@ -1731,26 +1514,16 @@ mod tests {
     }
 
     #[test]
-    fn normalize_and_perturb_endpoints() {
+    fn normalize_and_perturb_entries() {
         let (svc, _) = service(100);
-        let tok = svc.issue_token("frank");
-        let norm = svc
-            .normalize(&tok, "the demokRATs won", NormalizeParams::default())
+        let (norm, _) = svc
+            .normalize_shared("the demokRATs won", NormalizeParams::default())
             .unwrap();
         assert_eq!(norm.text, "the democrats won");
         let out = svc
-            .perturb(&tok, "the democrats won", PerturbParams::with_ratio(1.0))
+            .perturb_prechecked("the democrats won", PerturbParams::with_ratio(1.0))
             .unwrap();
         assert!(out.replacements.len() + out.misses > 0);
-
-        let bulk = svc
-            .normalize_bulk(
-                &tok,
-                &["the demokRATs", "ok text"],
-                NormalizeParams::default(),
-            )
-            .unwrap();
-        assert_eq!(bulk.len(), 2);
     }
 
     /// The series perfbench's hot guard and layer trace read: every
@@ -1776,23 +1549,21 @@ mod tests {
     #[test]
     fn perturb_traffic_moves_only_its_own_tier() {
         let (svc, _) = service(100);
-        let tok = svc.issue_token("tier");
-        svc.look_up(&tok, "democrats", LookupParams::paper_default())
-            .unwrap();
-        svc.normalize(&tok, "the demokRATs won", NormalizeParams::default())
+        look_up(&svc, "democrats", LookupParams::paper_default()).unwrap();
+        svc.normalize_shared("the demokRATs won", NormalizeParams::default())
             .unwrap();
         let before = guarded_series(&svc);
         assert_eq!(before.len(), 4 + 3 * 5, "four instruments, three tiers");
 
         // Three eligible tokens, all cold.
         let params = PerturbParams::with_ratio(1.0);
-        svc.perturb(&tok, "the democrats won", params).unwrap();
+        svc.perturb_prechecked("the democrats won", params).unwrap();
         assert_eq!(tier_count(&svc, "misses", "perturb"), 3);
         assert_eq!(tier_count(&svc, "inserts", "perturb"), 3);
         assert_eq!(tier_count(&svc, "hits", "perturb"), 0);
         // A new text and seed: the repeated tokens hit, the new ones fill.
         let text = "democrats and the vaccine";
-        let out = svc.perturb(&tok, text, params.seeded(7)).unwrap();
+        let out = svc.perturb_prechecked(text, params.seeded(7)).unwrap();
         let reference = crate::Perturber::new(svc.system().database())
             .perturb(text, params.seeded(7))
             .unwrap();

@@ -570,6 +570,7 @@ mod tests {
     use super::*;
     use crate::RouteOutput;
     use cryptext_common::{SimClock, SystemClock};
+    use cryptext_core::lookup::hits_of;
     use cryptext_core::service::ServiceConfig;
     use cryptext_core::{CrypText, LookupParams, NormalizeParams, PerturbParams};
     use std::sync::atomic::AtomicUsize;
@@ -625,21 +626,24 @@ mod tests {
         let token = gw.service().issue_token("unit");
         let svc = gw.service();
 
-        let direct = svc.look_up(&token, "republicans", LookupParams::paper_default());
+        let (entry, _) = svc
+            .look_up_shared("republicans", LookupParams::paper_default(), &mut || None)
+            .unwrap();
+        let direct = hits_of(svc.system().database(), entry.hits());
         let gated = lookup(&gw, &token, "republicans").unwrap().output;
         assert_eq!(
             gated,
-            RouteOutput::Lookup(direct.unwrap()),
+            RouteOutput::Lookup(direct),
             "gateway adds layers, not different bytes"
         );
 
         let (text, params) = ("the vacc1ne mandates", NormalizeParams::default());
-        let direct = svc.normalize(&token, text, params).unwrap();
+        let (direct, _) = svc.normalize_shared(text, params).unwrap();
         let gated = gw.handle(&token, Request::normalize(text, params)).unwrap();
-        assert_eq!(gated.output, RouteOutput::Normalize(direct));
+        assert_eq!(gated.output, RouteOutput::Normalize((*direct).clone()));
 
         let (text, params) = ("the dirty republicans", PerturbParams::with_ratio(1.0));
-        let direct = svc.perturb(&token, text, params).unwrap();
+        let direct = svc.perturb_prechecked(text, params).unwrap();
         let gated = gw.handle(&token, Request::perturb(text, params)).unwrap();
         assert_eq!(
             gated.output,

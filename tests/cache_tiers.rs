@@ -22,8 +22,9 @@ use std::sync::Arc;
 use cryptext::cache::{CacheConfig, SharedCacheStore, SHARED_PUT_FAILPOINT};
 use cryptext::common::{failpoint, SimClock};
 use cryptext::core::database::TokenDatabase;
-use cryptext::core::service::{CryptextService, ServiceConfig};
-use cryptext::core::{CrypText, LookupParams, NormalizeParams, TokenStore};
+use cryptext::core::normalize::NormalizationResult;
+use cryptext::core::service::{ApiToken, CryptextService, ServiceConfig};
+use cryptext::core::{hits_of, CrypText, LookupHit, LookupParams, NormalizeParams, TokenStore};
 use cryptext::docstore::Database;
 use proptest::prelude::*;
 
@@ -41,6 +42,31 @@ fn tier_count<S: TokenStore>(svc: &CryptextService<S>, event: &str, tier: &str) 
     svc.metrics()
         .snapshot()
         .counter_labeled(&format!("cryptext_cache_{event}_total"), "tier", tier)
+}
+
+/// A Look Up served as the gateway serves one: the token gate, then the
+/// tier-1 entry, its hits read back from the store.
+fn look_up(
+    svc: &CryptextService,
+    auth: &ApiToken,
+    q: &str,
+    params: LookupParams,
+) -> Vec<LookupHit> {
+    svc.authorize_request(auth).unwrap();
+    let (entry, _) = svc.look_up_shared(q, params, &mut || None).unwrap();
+    hits_of(svc.system().database(), entry.hits())
+}
+
+/// A Normalization served as the gateway serves one: the token gate, then
+/// the shared tier-1 result.
+fn normalize(
+    svc: &CryptextService,
+    auth: &ApiToken,
+    text: &str,
+    params: NormalizeParams,
+) -> Arc<NormalizationResult> {
+    svc.authorize_request(auth).unwrap();
+    svc.normalize_shared(text, params).unwrap().0
 }
 
 fn corpus_db(sentences: &[&str]) -> TokenDatabase {
@@ -114,16 +140,16 @@ proptest! {
         for round in 0..2 {
             for q in &queries {
                 let expected = engine.look_up(q, params).unwrap();
-                let cold = svc.look_up(&auth, q, params).unwrap();
-                let warm = svc.look_up(&auth, q, params).unwrap();
+                let cold = look_up(&svc, &auth, q, params);
+                let warm = look_up(&svc, &auth, q, params);
                 prop_assert_eq!(&cold, &expected, "cold lookup, round {}", round);
                 prop_assert_eq!(&warm, &expected, "warm lookup, round {}", round);
             }
             let expected = engine.normalize(&text, norm_params).unwrap();
-            let cold = svc.normalize(&auth, &text, norm_params).unwrap();
-            let warm = svc.normalize(&auth, &text, norm_params).unwrap();
-            prop_assert_eq!(&cold, &expected, "cold normalize, round {}", round);
-            prop_assert_eq!(&warm, &expected, "warm normalize, round {}", round);
+            let cold = normalize(&svc, &auth, &text, norm_params);
+            let warm = normalize(&svc, &auth, &text, norm_params);
+            prop_assert_eq!(&*cold, &expected, "cold normalize, round {}", round);
+            prop_assert_eq!(&*warm, &expected, "warm normalize, round {}", round);
 
             // Round 1 replays everything against the bumped generation:
             // the flushed caches must refill to the same bytes.
@@ -144,10 +170,13 @@ fn ttl_expiry_drops_entries_and_recomputes_identically() {
     let auth = svc.issue_token("ttl");
     let params = LookupParams::paper_default();
 
-    let hits = svc.look_up(&auth, "republicans", params).unwrap();
-    let norm = svc
-        .normalize(&auth, "the vacc1ne mandates", NormalizeParams::default())
-        .unwrap();
+    let hits = look_up(&svc, &auth, "republicans", params);
+    let norm = normalize(
+        &svc,
+        &auth,
+        "the vacc1ne mandates",
+        NormalizeParams::default(),
+    );
     assert!(tier_count(&svc, "inserts", "lookup") >= 1);
     assert!(tier_count(&svc, "inserts", "normalize") >= 1);
 
@@ -163,10 +192,14 @@ fn ttl_expiry_drops_entries_and_recomputes_identically() {
     );
 
     // ...and the recompute answers with the exact same bytes.
-    assert_eq!(svc.look_up(&auth, "republicans", params).unwrap(), hits);
+    assert_eq!(look_up(&svc, &auth, "republicans", params), hits);
     assert_eq!(
-        svc.normalize(&auth, "the vacc1ne mandates", NormalizeParams::default())
-            .unwrap(),
+        normalize(
+            &svc,
+            &auth,
+            "the vacc1ne mandates",
+            NormalizeParams::default()
+        ),
         norm
     );
 }
@@ -198,12 +231,8 @@ fn shared_tier2_serves_replicas_and_generation_bump_flushes_the_namespace() {
     let (auth_a, auth_b) = (a.issue_token("a"), b.issue_token("b"));
     let text = "the vacc1ne mandates demokkkrats";
 
-    let via_a = a
-        .normalize(&auth_a, text, NormalizeParams::default())
-        .unwrap();
-    let via_b = b
-        .normalize(&auth_b, text, NormalizeParams::default())
-        .unwrap();
+    let via_a = normalize(&a, &auth_a, text, NormalizeParams::default());
+    let via_b = normalize(&b, &auth_b, text, NormalizeParams::default());
     assert_eq!(via_b, via_a, "replica B answers with replica A's bytes");
     if !env_arm_active() {
         assert!(
@@ -228,8 +257,7 @@ fn shared_tier2_serves_replicas_and_generation_bump_flushes_the_namespace() {
         );
     }
     assert_eq!(
-        b.normalize(&auth_b, text, NormalizeParams::default())
-            .unwrap(),
+        normalize(&b, &auth_b, text, NormalizeParams::default()),
         via_a,
         "post-bump recompute is byte-identical"
     );
@@ -285,7 +313,7 @@ fn a_shared_tier2_store_never_mixes_up_corpora() {
     for (i, (svc, auth, _)) in systems.iter().enumerate() {
         for text in texts {
             assert_eq!(
-                svc.normalize(auth, text, params).unwrap(),
+                *normalize(svc, auth, text, params),
                 uncached(i, text),
                 "corpus {i}: {text:?}"
             );
@@ -328,14 +356,20 @@ fn tier2_write_failures_never_break_requests() {
     };
 
     let _guard = failpoint::arm(SHARED_PUT_FAILPOINT, "kill@1");
-    let cold = svc
-        .normalize(&auth, "the vacc1ne mandates", NormalizeParams::default())
-        .unwrap();
-    let warm = svc
-        .normalize(&auth, "the vacc1ne mandates", NormalizeParams::default())
-        .unwrap();
-    assert_eq!(cold, reference, "a killed write-behind never alters bytes");
-    assert_eq!(warm, reference);
+    let cold = normalize(
+        &svc,
+        &auth,
+        "the vacc1ne mandates",
+        NormalizeParams::default(),
+    );
+    let warm = normalize(
+        &svc,
+        &auth,
+        "the vacc1ne mandates",
+        NormalizeParams::default(),
+    );
+    assert_eq!(*cold, reference, "a killed write-behind never alters bytes");
+    assert_eq!(*warm, reference);
 
     assert!(
         tier_count(&svc, "put_errors", "tier2") >= 1,

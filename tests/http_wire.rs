@@ -621,13 +621,31 @@ fn error_statuses_map_the_service_vocabulary() {
             c.read_response()
         };
 
-        let missing = case(&get_req("/lookup?q=x", None));
-        assert_eq!(missing.status, 401);
-        assert!(missing.header("WWW-Authenticate").is_some());
-        assert!(missing.body.contains("\"error\":\"unauthorized\""));
+        // Every route authorizes: a request without a credential is 401
+        // with a challenge, and one with a refused credential is 403.
+        let bogus = "cx_bogus_token";
+        let anonymous_post = |path: &str| {
+            format!("POST {path} HTTP/1.1\r\nHost: loopback\r\nContent-Length: 1\r\n\r\nx")
+        };
+        for (missing, revoked) in [
+            (
+                get_req("/lookup?q=x", None),
+                get_req("/lookup?q=x", Some(bogus)),
+            ),
+            (
+                anonymous_post("/normalize"),
+                post_req("/normalize", bogus, "x"),
+            ),
+            (anonymous_post("/perturb"), post_req("/perturb", bogus, "x")),
+        ] {
+            let missing = case(&missing);
+            assert_eq!(missing.status, 401, "{}", missing.body);
+            assert!(missing.header("WWW-Authenticate").is_some());
+            assert!(missing.body.contains("\"error\":\"unauthorized\""));
 
-        let revoked = case(&get_req("/lookup?q=x", Some("cx_bogus_token")));
-        assert_eq!(revoked.status, 403, "{}", revoked.body);
+            let revoked = case(&revoked);
+            assert_eq!(revoked.status, 403, "{}", revoked.body);
+        }
 
         assert_eq!(case(&get_req("/no/such/route", None)).status, 404);
 

@@ -6,9 +6,9 @@
 //!
 //! * a 10× admission storm sheds the excess *fast* with typed
 //!   [`Error::Overloaded`] while the admitted cohort's results stay
-//!   byte-identical to a direct service call;
+//!   byte-identical to the uncached engine's;
 //! * duplicate in-flight requests coalesce to one execution and share the
-//!   leader's exact bytes; a retryably-failing leader promotes exactly one
+//!   leader's tier-1 entry; a retryably-failing leader promotes exactly one
 //!   follower; a non-retryable failure broadcasts;
 //! * deadlines are respected in the admission queue, before any work, and
 //!   mid-store-walk;
@@ -35,8 +35,8 @@ use cryptext::common::metrics::MetricsSnapshot;
 use cryptext::common::{failpoint, Error, SimClock};
 use cryptext::core::database::TokenDatabase;
 use cryptext::core::durable::{DurableOptions, DurableTokenStore};
-use cryptext::core::lookup::LookupHit;
-use cryptext::core::service::{ApiToken, CryptextService, ServiceConfig};
+use cryptext::core::lookup::{hits_of, LookupHit};
+use cryptext::core::service::{ApiToken, CryptextService, LookupEntry, ServiceConfig};
 use cryptext::core::{CrypText, LookupParams};
 use cryptext::gateway::{
     CallOptions, Gateway, GatewayConfig, Request, RouteBudget, RouteClass, RouteOutput,
@@ -58,6 +58,26 @@ fn look_up(gw: &Gateway, auth: &ApiToken, word: &str) -> Result<Vec<LookupHit>, 
         RouteOutput::Lookup(hits) => hits,
         other => panic!("a lookup request answered {other:?}"),
     })
+}
+
+/// The latched bodies' Look Up: the served tier-1 entry for `word`.
+fn served(svc: &CryptextService, word: &str) -> Result<Arc<LookupEntry>, Error> {
+    svc.look_up_shared(word, LookupParams::paper_default(), &mut || None)
+        .map(|(entry, _)| entry)
+}
+
+/// The owned hits `entry` names in `svc`'s store.
+fn hits(svc: &CryptextService, entry: &LookupEntry) -> Vec<LookupHit> {
+    hits_of(svc.system().database(), entry.hits())
+}
+
+/// The uncached engine's paper-default Look Up of `word`: the reference
+/// the gateway's answers must equal, computed without touching the
+/// service's caches.
+fn reference(svc: &CryptextService, word: &str) -> Vec<LookupHit> {
+    svc.system()
+        .look_up(word, LookupParams::paper_default())
+        .unwrap()
 }
 
 /// A gateway counter by metric name, `cryptext_gateway_<what>_total`.
@@ -154,7 +174,7 @@ fn test_service(limit: u32) -> (Arc<CryptextService<TokenDatabase>>, SimClock) {
 fn a_10x_storm_sheds_fast_and_serves_the_admitted_byte_identically() {
     // Lane capacity 4 (2 executing + 2 queued); 40 requests is a 10×
     // storm. The excess 36 must shed immediately with a typed hint; the
-    // admitted 4 must see exactly the bytes a direct call returns.
+    // admitted 4 must see exactly the bytes the uncached engine returns.
     let (svc, _) = test_service(1_000_000);
     let gw: Arc<Gateway<TokenDatabase>> = Arc::new(Gateway::new(
         Arc::clone(&svc),
@@ -165,9 +185,7 @@ fn a_10x_storm_sheds_fast_and_serves_the_admitted_byte_identically() {
         },
     ));
     let auth = svc.issue_token("storm");
-    let direct = svc
-        .look_up(&auth, "republicans", LookupParams::paper_default())
-        .unwrap();
+    let direct = reference(&svc, "republicans");
 
     let latch = Latch::new();
     let mut handles = Vec::new();
@@ -180,12 +198,7 @@ fn a_10x_storm_sheds_fast_and_serves_the_admitted_byte_identically() {
                 CallOptions::default(),
                 move |svc, _| {
                     latch.wait();
-                    svc.look_up_prechecked_traced(
-                        "republicans",
-                        LookupParams::paper_default(),
-                        &mut || None,
-                    )
-                    .map(|(hits, _)| hits)
+                    served(svc, "republicans")
                 },
             )
         }));
@@ -205,8 +218,12 @@ fn a_10x_storm_sheds_fast_and_serves_the_admitted_byte_identically() {
     let mut shed = 0;
     for h in handles {
         match h.join().unwrap() {
-            Ok(hits) => {
-                assert_eq!(hits, direct, "admitted result must match the direct call");
+            Ok(entry) => {
+                assert_eq!(
+                    hits(&svc, &entry),
+                    direct,
+                    "admitted result must match the engine"
+                );
                 ok += 1;
             }
             Err(Error::Overloaded { retry_after_ms }) => {
@@ -245,11 +262,9 @@ fn coalesced_duplicates_execute_once_and_share_exact_bytes() {
     let gw: Arc<Gateway<TokenDatabase>> =
         Arc::new(Gateway::new(Arc::clone(&svc), GatewayConfig::default()));
     let auth = svc.issue_token("dup");
-    let direct = svc
-        .look_up(&auth, "democrats", LookupParams::paper_default())
-        .unwrap();
+    let direct = reference(&svc, "democrats");
 
-    let flights: Arc<SingleFlight<Vec<LookupHit>>> = Arc::new(SingleFlight::new());
+    let flights: Arc<SingleFlight<Arc<LookupEntry>>> = Arc::new(SingleFlight::new());
     let latch = Latch::new();
     let mut handles = Vec::new();
     for _ in 0..8 {
@@ -268,12 +283,7 @@ fn coalesced_duplicates_execute_once_and_share_exact_bytes() {
                 &flights,
                 move |svc, _| {
                     latch.wait();
-                    svc.look_up_prechecked_traced(
-                        "democrats",
-                        LookupParams::paper_default(),
-                        &mut || None,
-                    )
-                    .map(|(hits, _)| hits)
+                    served(svc, "democrats")
                 },
             )
         }));
@@ -286,9 +296,20 @@ fn coalesced_duplicates_execute_once_and_share_exact_bytes() {
     });
     latch.open();
 
-    for h in handles {
-        let hits = h.join().unwrap().expect("coalesced lookup succeeds");
-        assert_eq!(hits, direct, "followers get the leader's exact bytes");
+    let entries: Vec<Arc<LookupEntry>> = handles
+        .into_iter()
+        .map(|h| h.join().unwrap().expect("coalesced lookup succeeds"))
+        .collect();
+    assert_eq!(
+        hits(&svc, &entries[0]),
+        direct,
+        "the leader's hits are the engine's"
+    );
+    for entry in &entries {
+        assert!(
+            Arc::ptr_eq(entry, &entries[0]),
+            "followers share the leader's entry"
+        );
     }
     let s = gw.stats();
     assert_eq!(count(&s, "executions"), 1, "eight requests, one execution");
@@ -469,10 +490,10 @@ fn an_expired_deadline_cancels_the_store_walk_mid_flight() {
             // Burn the whole budget before the walk starts; the first
             // probe consulted during the walk then fires.
             clock.advance(40);
-            svc.look_up_prechecked_traced("republicans", LookupParams::new(1, 2), &mut || {
+            svc.look_up_shared("republicans", LookupParams::new(1, 2), &mut || {
                 deadline.probe()
             })
-            .map(|(hits, _)| hits)
+            .map(|(entry, _)| entry)
         },
     );
     assert!(
@@ -497,9 +518,7 @@ fn revocation_races_queued_requests_and_rejects_them_at_dequeue() {
         },
     ));
     let auth = svc.issue_token("revocable");
-    let direct = svc
-        .look_up(&auth, "vaccine", LookupParams::paper_default())
-        .unwrap();
+    let direct = reference(&svc, "vaccine");
 
     let latch = Latch::new();
     let mut handles = Vec::new();
@@ -512,12 +531,7 @@ fn revocation_races_queued_requests_and_rejects_them_at_dequeue() {
                 CallOptions::default(),
                 move |svc, _| {
                     latch2.wait();
-                    svc.look_up_prechecked_traced(
-                        "vaccine",
-                        LookupParams::paper_default(),
-                        &mut || None,
-                    )
-                    .map(|(hits, _)| hits)
+                    served(svc, "vaccine")
                 },
             )
         }));
@@ -537,8 +551,12 @@ fn revocation_races_queued_requests_and_rejects_them_at_dequeue() {
     let (mut ok, mut unauthorized) = (0, 0);
     for h in handles {
         match h.join().unwrap() {
-            Ok(hits) => {
-                assert_eq!(hits, direct, "the pre-revocation request is whole");
+            Ok(entry) => {
+                assert_eq!(
+                    hits(&svc, &entry),
+                    direct,
+                    "the pre-revocation request is whole"
+                );
                 ok += 1;
             }
             Err(Error::Unauthorized(_)) => unauthorized += 1,
@@ -737,7 +755,7 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
     // accounting: hits that found a free slot leave no queue-wait marks,
     // hits that physically queued behind the cold leader are counted
     // exactly once, and coalesced followers on the cold key still receive
-    // the leader's exact bytes (served on settle, never re-executed).
+    // the leader's entry (served on settle, never re-executed).
     let (svc, _) = test_service(1_000_000);
     let gw: Arc<Gateway<TokenDatabase>> = Arc::new(Gateway::new(
         Arc::clone(&svc),
@@ -759,7 +777,7 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
     assert_eq!(queue_waits_on(&gw, "lookup"), 0, "warming found free slots");
 
     // Cold key: a latched leader occupies one execution slot...
-    let flights: Arc<SingleFlight<Vec<LookupHit>>> = Arc::new(SingleFlight::new());
+    let flights: Arc<SingleFlight<Arc<LookupEntry>>> = Arc::new(SingleFlight::new());
     let latch = Latch::new();
     let cold_caller = |gw: &Arc<Gateway<TokenDatabase>>| {
         let (gw, auth, latch, flights) = (
@@ -777,12 +795,7 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
                 &flights,
                 move |svc, _| {
                     latch.wait();
-                    svc.look_up_prechecked_traced(
-                        "vaccine",
-                        LookupParams::paper_default(),
-                        &mut || None,
-                    )
-                    .map(|(hits, _)| hits)
+                    served(svc, "vaccine")
                 },
             )
         })
@@ -837,13 +850,14 @@ fn a_mixed_hit_miss_storm_accounts_queue_waits_only_for_queued_hits() {
 
     latch.open();
 
-    // Cold cohort: leader computes once, follower gets the exact bytes.
-    let leader_hits = leader.join().unwrap().expect("cold leader succeeds");
-    let follower_hits = follower.join().unwrap().expect("cold follower succeeds");
-    assert_eq!(
-        follower_hits, leader_hits,
-        "follower gets the leader's exact bytes on the cold key"
+    // Cold cohort: leader computes once, follower shares its entry.
+    let leader_entry = leader.join().unwrap().expect("cold leader succeeds");
+    let follower_entry = follower.join().unwrap().expect("cold follower succeeds");
+    assert!(
+        Arc::ptr_eq(&follower_entry, &leader_entry),
+        "follower gets the leader's entry on the cold key"
     );
+    assert_eq!(hits(&svc, &leader_entry), reference(&svc, "vaccine"));
 
     // Queued warm hits drain through the freed slots and serve from cache.
     assert_eq!(queued_r.join().unwrap().unwrap(), hot_r);

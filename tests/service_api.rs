@@ -1,5 +1,6 @@
-//! Integration: the public-API facade under realistic multi-client load —
-//! auth, rate limits, cache behaviour, bulk endpoints (§III-F).
+//! Integration: the public API under realistic multi-client load — auth,
+//! rate limits, cache behaviour (§III-F) — served the way the HTTP API
+//! serves it, through `Gateway::handle`.
 //!
 //! Every test runs once per layout in `common::LAYOUTS`: the token
 //! database with tier-1 caches only, and reading through to the
@@ -10,60 +11,63 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{each_layout, service};
+use common::{each_layout, service, Layout};
 use cryptext::cache::CacheStats;
-use cryptext::common::Error;
-use cryptext::core::{LookupParams, NormalizeParams, PerturbParams};
+use cryptext::common::{Error, SimClock};
+use cryptext::core::service::ApiToken;
+use cryptext::core::{LookupHit, LookupParams, NormalizeParams, PerturbParams};
+use cryptext::gateway::{Gateway, GatewayConfig, Request, RouteOutput};
+
+/// The layout's service behind a default gateway.
+fn gateway(layout: Layout, limit: u32) -> (Gateway, SimClock) {
+    let (svc, clock) = service(layout, limit);
+    (Gateway::new(Arc::new(svc), GatewayConfig::default()), clock)
+}
+
+/// A paper-default Look Up of `word`, unwrapped to its hits.
+fn look_up(gw: &Gateway, token: &ApiToken, word: &str) -> Result<Vec<LookupHit>, Error> {
+    let req = Request::lookup(word, LookupParams::paper_default());
+    gw.handle(token, req).map(|resp| match resp.output {
+        RouteOutput::Lookup(hits) => hits,
+        other => panic!("a lookup request answered {other:?}"),
+    })
+}
 
 #[test]
 fn full_api_surface_with_one_token() {
     each_layout(|layout| {
-        let (svc, _) = service(layout, 1_000);
-        let token = svc.issue_token("integration");
+        let (gw, _) = gateway(layout, 1_000);
+        let token = gw.service().issue_token("integration");
 
-        let hits = svc
-            .look_up(&token, "vaccine", LookupParams::paper_default())
-            .unwrap();
+        let hits = look_up(&gw, &token, "vaccine").unwrap();
         assert!(!hits.is_empty());
 
-        let bulk = svc
-            .look_up_bulk(
-                &token,
-                &["democrats", "republicans", "vaccine"],
-                LookupParams::paper_default(),
-            )
-            .unwrap();
-        assert_eq!(bulk.len(), 3);
+        let req = Request::normalize("the vacc1ne mandate", NormalizeParams::default());
+        match gw.handle(&token, req).unwrap().output {
+            RouteOutput::Normalize(norm) => assert_eq!(norm.text, "the vaccine mandate"),
+            other => panic!("a normalize request answered {other:?}"),
+        }
 
-        let norm = svc
-            .normalize(&token, "the vacc1ne mandate", NormalizeParams::default())
-            .unwrap();
-        assert_eq!(norm.text, "the vaccine mandate");
-
-        let pert = svc
-            .perturb(
-                &token,
-                "the vaccine mandate",
-                PerturbParams::with_ratio(1.0),
-            )
-            .unwrap();
-        assert!(pert.replacements.len() + pert.misses > 0);
+        let req = Request::perturb("the vaccine mandate", PerturbParams::with_ratio(1.0));
+        match gw.handle(&token, req).unwrap().output {
+            RouteOutput::Perturb(pert) => assert!(pert.replacements.len() + pert.misses > 0),
+            other => panic!("a perturb request answered {other:?}"),
+        }
     });
 }
 
 #[test]
 fn cache_carries_repeat_traffic() {
     each_layout(|layout| {
-        let (svc, _) = service(layout, 100_000);
-        let token = svc.issue_token("hot");
+        let (gw, _) = gateway(layout, 100_000);
+        let token = gw.service().issue_token("hot");
         let queries = ["democrats", "republicans", "vaccine", "muslim"];
         for _ in 0..50 {
             for q in queries {
-                svc.look_up(&token, q, LookupParams::paper_default())
-                    .unwrap();
+                look_up(&gw, &token, q).unwrap();
             }
         }
-        let CacheStats { hits, misses, .. } = svc.cache_stats();
+        let CacheStats { hits, misses, .. } = gw.service().cache_stats();
         assert_eq!(misses, queries.len() as u64, "one miss per distinct query");
         assert_eq!(hits, (50 * queries.len() - queries.len()) as u64);
     });
@@ -72,12 +76,12 @@ fn cache_carries_repeat_traffic() {
 #[test]
 fn rate_limited_clients_recover_next_window() {
     each_layout(|layout| {
-        let (svc, clock) = service(layout, 5);
-        let token = svc.issue_token("bursty");
+        let (gw, clock) = gateway(layout, 5);
+        let token = gw.service().issue_token("bursty");
         let mut ok = 0;
         let mut limited = 0;
         for _ in 0..8 {
-            match svc.look_up(&token, "vaccine", LookupParams::paper_default()) {
+            match look_up(&gw, &token, "vaccine") {
                 Ok(_) => ok += 1,
                 Err(Error::RateLimited { .. }) => limited += 1,
                 Err(e) => panic!("unexpected error {e}"),
@@ -85,29 +89,24 @@ fn rate_limited_clients_recover_next_window() {
         }
         assert_eq!((ok, limited), (5, 3));
         clock.advance(60_001);
-        assert!(svc
-            .look_up(&token, "vaccine", LookupParams::paper_default())
-            .is_ok());
+        assert!(look_up(&gw, &token, "vaccine").is_ok());
     });
 }
 
 #[test]
 fn concurrent_clients_are_isolated() {
     each_layout(|layout| {
-        let (svc, _) = service(layout, 200);
-        let svc = Arc::new(svc);
+        let (gw, _) = gateway(layout, 200);
+        let gw = Arc::new(gw);
         let mut handles = Vec::new();
         for c in 0..6 {
-            let svc = Arc::clone(&svc);
+            let gw = Arc::clone(&gw);
             handles.push(std::thread::spawn(move || {
-                let token = svc.issue_token(&format!("client{c}"));
+                let token = gw.service().issue_token(&format!("client{c}"));
                 let mut ok = 0;
                 for i in 0..100 {
                     let q = ["democrats", "vaccine", "republicans"][i % 3];
-                    if svc
-                        .look_up(&token, q, LookupParams::paper_default())
-                        .is_ok()
-                    {
+                    if look_up(&gw, &token, q).is_ok() {
                         ok += 1;
                     }
                 }
@@ -123,16 +122,17 @@ fn concurrent_clients_are_isolated() {
 #[test]
 fn invalid_params_surface_as_errors_not_panics() {
     each_layout(|layout| {
-        let (svc, _) = service(layout, 100);
-        let token = svc.issue_token("edge");
+        let (gw, _) = gateway(layout, 100);
+        let token = gw.service().issue_token("edge");
+        let req = Request::lookup("x", LookupParams::new(9, 1));
         assert!(matches!(
-            svc.look_up(&token, "x", LookupParams::new(9, 1)),
+            gw.handle(&token, req),
             Err(Error::InvalidArgument(_))
         ));
         let bad = NormalizeParams {
             k: 7,
             ..NormalizeParams::default()
         };
-        assert!(svc.normalize(&token, "text", bad).is_err());
+        assert!(gw.handle(&token, Request::normalize("text", bad)).is_err());
     });
 }
